@@ -11,15 +11,12 @@ import numpy as np
 
 from identangle import (
     GramMatrix,
-    Spin,
-    apply_transform,
     classify,
+    density_matrix_from_spec,
     fidelity_pure,
     ghz_preset,
     ghz_state,
-    initial_state,
-    postselect_no_bunching,
-    trace_distinguishability,
+    no_bunching_outcomes,
 )
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
@@ -31,28 +28,25 @@ print("spins attached to each path (-1 marks a path with zero amplitude):")
 print(spec.spins)
 print()
 
-state = initial_state([Spin.DOWN] * 3)
-state = apply_transform(state, spec)
-print(f"distributed state has {len(state.terms)} product terms")
-
-survivors = postselect_no_bunching(state)
-print(f"{len(survivors.terms)} terms survive the one-particle-per-detector cut:")
-for term in survivors.terms:
-    spins = "".join("du"[s] for s in term.spins)
-    print(f"  amplitude {term.amplitude:+.4f}  spins |{spins}>  particle order {term.labels}")
+outcomes = no_bunching_outcomes(spec)
+print(f"{len(outcomes)} routings put one particle on every detector:")
+for amplitude, index, labels in zip(outcomes.amplitudes, outcomes.indices, outcomes.labels):
+    # Detector 0 is the most significant bit of the basis index, down = 0.
+    pattern = format(index, "03b").translate(str.maketrans("01", "du"))
+    print(f"  amplitude {amplitude:+.4f}  spins |{pattern}>  particle order {tuple(labels.tolist())}")
 print()
 
 # Fully indistinguishable particles first: the two routings interfere.
-rho, p = trace_distinguishability(survivors, GramMatrix.fully_indistinguishable(3))
+rho, p = density_matrix_from_spec(spec, GramMatrix.fully_indistinguishable(3))
 print(f"success probability: {p:.4f}")
 print(f"fidelity with the GHZ target: {fidelity_pure(rho, ghz_state()):.6f}")
 print(f"verdict: {classify(rho).verdict}")
 print()
 
-# Now make the third particle distinguishable from the other two. The
-# which-path information kills the coherence and only the diagonal survives.
-rho2, p2 = trace_distinguishability(survivors, GramMatrix.uniform(3, 0.0))
-print("same survivors, fully distinguishable particles:")
+# Now make the particles fully distinguishable. The which-path information
+# kills the coherence and only the diagonal survives.
+rho2, p2 = density_matrix_from_spec(spec, GramMatrix.uniform(3, 0.0))
+print("same routings, fully distinguishable particles:")
 print(f"success probability: {p2:.4f} (unchanged)")
 print(f"fidelity drops to {fidelity_pure(rho2, ghz_state()):.6f}")
 print(f"verdict: {classify(rho2).verdict}")

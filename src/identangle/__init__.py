@@ -8,7 +8,7 @@ postselection success probability, ready for witness checks, phase searches
 and simulated tomography.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .brute_force import brute_density_matrix, permanent
 from .density import DensityMatrix, spin_pattern_index
@@ -28,7 +28,6 @@ from .entanglement import (
     w_state,
 )
 from .errors import (
-    AlreadyTransformedError,
     ConfigError,
     CountsParseError,
     IdentangleError,
@@ -37,26 +36,14 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .expansion import (
-    UNROUTED,
-    ExpandedState,
-    ProductTerm,
-    SingleParticleKet,
-    amplitude_of,
-    apply_transform,
-    initial_state,
-    term_count,
-)
 from .reduction import (
     DelayModel,
-    DetectorTerm,
     GramMatrix,
-    PostselectedState,
+    NoBunchingOutcomes,
     density_matrix_from_spec,
     gram_from_delays,
     gram_from_labels,
-    postselect_no_bunching,
-    trace_distinguishability,
+    no_bunching_outcomes,
 )
 from .tomography import (
     CountRow,
@@ -87,7 +74,6 @@ from .transform import (
 
 __all__ = [
     "__version__",
-    "AlreadyTransformedError",
     "ClassificationReport",
     "ConfigError",
     "CountRow",
@@ -95,21 +81,16 @@ __all__ = [
     "CountsTable",
     "DelayModel",
     "DensityMatrix",
-    "DetectorTerm",
-    "ExpandedState",
     "GHZParams",
     "GHZ_WITNESS_BOUND",
     "GramMatrix",
     "IdentangleError",
     "IncompleteSettingsError",
-    "PostselectedState",
+    "NoBunchingOutcomes",
     "PostselectionImpossibleError",
-    "ProductTerm",
-    "SingleParticleKet",
     "Spin",
     "TargetState",
     "TransformSpec",
-    "UNROUTED",
     "UNUSED",
     "UnsupportedConfigurationError",
     "VERDICT_GHZ",
@@ -118,8 +99,6 @@ __all__ = [
     "ValidationError",
     "W_WITNESS_BOUND",
     "all_pauli_settings",
-    "amplitude_of",
-    "apply_transform",
     "axis_eigenvectors",
     "balanced_ghz_params",
     "balanced_tritter_rows",
@@ -136,18 +115,15 @@ __all__ = [
     "ghz_state",
     "gram_from_delays",
     "gram_from_labels",
-    "initial_state",
     "log_likelihood",
+    "no_bunching_outcomes",
     "optimize_w_phases",
     "permanent",
-    "postselect_no_bunching",
     "read_counts",
     "reconstruct_linear",
     "reconstruct_mle",
     "simulate_counts",
     "spin_pattern_index",
-    "term_count",
-    "trace_distinguishability",
     "w_preset",
     "w_state",
     "write_counts",

@@ -1,9 +1,9 @@
 """Brute-force reference calculations used to cross-check the fast paths.
 
 Everything here recomputes results by direct enumeration straight from the
-defining matrices. None of the expansion, postselection or tracing code is
+defining matrices. Nothing of the vectorised kernel in ``reduction`` is
 reused; that separation is the point, since these functions exist to catch
-bugs in those implementations.
+bugs in it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .transform import TransformSpec
 __all__ = ["permanent", "brute_density_matrix"]
 
 _PERMANENT_MAX = 12
-_BRUTE_MAX = 5
+_BRUTE_MAX = 6
 
 
 def permanent(matrix) -> complex:
@@ -101,7 +101,7 @@ def brute_density_matrix(
                 overlap *= g[labels_bra[d], labels_ket[d]]
             raw[idx_ket, idx_bra] += amp_ket * amp_bra.conjugate() * overlap
     p_success = float(np.trace(raw).real)
-    if p_success <= SUCCESS_FLOOR:
+    if not p_success > SUCCESS_FLOOR:
         raise PostselectionImpossibleError(
             f"coincidence probability {p_success:.3e}; nothing survives"
         )

@@ -114,7 +114,8 @@ def _parse_spin(value, path: str, field: str) -> int:
         return int(Spin.DOWN)
     if value == "up":
         return int(Spin.UP)
-    if value in (0, 1, -1):
+    # JSON true/false are bools, which compare equal to 1/0.
+    if value in (0, 1, -1) and not isinstance(value, bool):
         return int(value)
     raise ConfigError(path, field, f'expected "down", "up" or null, got {value!r}')
 

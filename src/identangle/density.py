@@ -58,18 +58,20 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix dimension must be a power of two, got {dim}"
             )
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix entries must be finite")
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        if herm_defect > HERMITIAN_TOL:
+        if not herm_defect <= HERMITIAN_TOL:
             raise ValidationError(
                 f"matrix is not Hermitian (defect {herm_defect:.3e} > {HERMITIAN_TOL})"
             )
         min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -PSD_TOL:
+        if not min_eig >= -PSD_TOL:
             raise ValidationError(
                 f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
             )
         trace_defect = abs(complex(np.trace(m)) - 1.0)
-        if trace_defect > TRACE_TOL:
+        if not trace_defect <= TRACE_TOL:
             raise ValidationError(
                 f"matrix trace differs from 1 by {trace_defect:.3e}"
             )
@@ -89,6 +91,6 @@ class DensityMatrix:
         """Rank-one density matrix |v><v| of a unit vector."""
         v = np.array(vector, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValidationError(f"state vector norm is {norm:.12g}, expected 1")
         return cls(np.outer(v, v.conj()))

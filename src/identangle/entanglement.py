@@ -60,7 +60,7 @@ class TargetState:
     def __post_init__(self):
         v = np.array(self.vector, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValidationError(f"target state norm is {norm:.12g}, expected 1")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)

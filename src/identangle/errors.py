@@ -18,10 +18,6 @@ class ValidationError(IdentangleError, ValueError):
     """An input failed a structural or numerical precondition."""
 
 
-class AlreadyTransformedError(ValidationError):
-    """A transformation was applied to a state that already went through one."""
-
-
 class UnsupportedConfigurationError(ValidationError):
     """The requested operation is outside the supported problem shape."""
 

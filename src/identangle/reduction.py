@@ -8,43 +8,43 @@ particles i and j. G is Hermitian with unit diagonal and positive
 semidefinite; G = all-ones means fully indistinguishable particles, G = I
 means fully distinguishable ones.
 
-The pipeline is: keep only expansion terms in which every detector fires
-exactly once (a coincidence across all detectors), reorder each survivor by
-detector, then trace the hidden labels out against G. The trace pairs bra and
-ket survivors entry by entry: the weight of |spins_t><spins_u| picks up the
-product over detectors of G[label_u(det), label_t(det)], so outcomes whose
-label patterns overlap poorly lose their mutual coherence. The trace of the
-unnormalized result is the postselection success probability.
+Postselection keeps the outcomes in which every detector fires exactly once.
+With N particles on N detectors such an outcome is a bijection sigma from
+particles to detectors: its amplitude is prod_i t[i, sigma(i)], and detector
+d holds particle sigma^-1(d) (its label) with spin s[sigma^-1(d), d]. The
+trace pairs every ket outcome with every bra outcome: the pair adds
+amp_ket * conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)] to the entry
+|spins_ket><spins_bra|, so outcomes whose label patterns overlap poorly lose
+their mutual coherence. The trace of the unnormalized result is the
+postselection success probability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .density import DensityMatrix, spin_pattern_index
+from .density import DensityMatrix
 from .errors import (
     PostselectionImpossibleError,
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .expansion import ExpandedState, apply_transform, initial_state
-from .transform import Spin, TransformSpec
+from .transform import TransformSpec
 
 __all__ = [
     "GRAM_HERMITIAN_TOL",
     "GRAM_PSD_TOL",
     "SUCCESS_FLOOR",
+    "PAIR_BLOCK",
     "GramMatrix",
     "gram_from_labels",
     "DelayModel",
     "gram_from_delays",
-    "DetectorTerm",
-    "PostselectedState",
-    "postselect_no_bunching",
-    "trace_distinguishability",
+    "NoBunchingOutcomes",
+    "no_bunching_outcomes",
     "density_matrix_from_spec",
 ]
 
@@ -53,6 +53,8 @@ GRAM_PSD_TOL = 1e-9
 # Success probabilities at or below this are treated as exact destructive
 # interference rather than a usable postselection.
 SUCCESS_FLOOR = 1e-15
+# (ket, bra) pairs traced per step; bounds the trace's scratch memory.
+PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,23 +67,25 @@ class GramMatrix:
         g = np.array(self.overlaps, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise ValidationError(f"Gram matrix must be square, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValidationError("Gram matrix entries must be finite")
         herm_defect = float(np.max(np.abs(g - g.conj().T)))
-        if herm_defect > GRAM_HERMITIAN_TOL:
+        if not herm_defect <= GRAM_HERMITIAN_TOL:
             raise ValidationError(
                 f"Gram matrix is not Hermitian (defect {herm_defect:.3e})"
             )
         diag_defect = float(np.max(np.abs(np.diag(g) - 1.0)))
-        if diag_defect > GRAM_HERMITIAN_TOL:
+        if not diag_defect <= GRAM_HERMITIAN_TOL:
             raise ValidationError(
                 "Gram matrix diagonal must be all ones (a state overlaps itself "
                 f"perfectly); max defect {diag_defect:.3e}"
             )
         min_eig = float(np.linalg.eigvalsh(g).min())
-        if min_eig < -GRAM_PSD_TOL:
+        if not min_eig >= -GRAM_PSD_TOL:
             raise ValidationError(
                 f"Gram matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
             )
-        if (np.abs(g) > 1.0 + 1e-9).any():
+        if not (np.abs(g) <= 1.0 + 1e-9).all():
             raise ValidationError("Gram matrix entries must have magnitude at most 1")
         g.setflags(write=False)
         object.__setattr__(self, "overlaps", g)
@@ -154,114 +158,128 @@ def gram_from_delays(model: DelayModel) -> GramMatrix:
     return GramMatrix(np.exp(-((diff / model.coherence_length) ** 2)))
 
 
-class DetectorTerm(NamedTuple):
-    """A surviving outcome, reordered by detector.
-
-    ``spins[d]`` and ``labels[d]`` are the spin and the input-particle label
-    of the particle sitting at detector d.
-    """
-
-    amplitude: complex
-    spins: tuple[int, ...]
-    labels: tuple[int, ...]
-
-
 @dataclass(frozen=True)
-class PostselectedState:
-    """Expansion terms in which every detector fired exactly once.
+class NoBunchingOutcomes:
+    """The nonzero-amplitude bijections of a square routing, one row each.
 
-    ``raw_weight`` is the sum of |amplitude|^2 over the surviving terms; it
-    equals the postselection success probability in the special case of fully
-    distinguishable particles, where no two survivors interfere.
+    Rows are in lexicographic order of sigma (particle 0's detector varies
+    slowest). ``amplitudes[k]`` is prod_i t[i, sigma_k(i)], ``labels[k, d]``
+    the particle sigma_k^-1(d) at detector d, and ``indices[k]`` the basis
+    index of the spin pattern read off detector by detector.
     """
 
-    terms: tuple[DetectorTerm, ...]
-    num_particles: int
-    raw_weight: float
+    amplitudes: np.ndarray
+    indices: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.amplitudes)
+
+    @property
+    def num_particles(self) -> int:
+        return self.labels.shape[1]
 
 
-def postselect_no_bunching(state: ExpandedState) -> PostselectedState:
-    """Keep terms where the detector assignment is a bijection.
+def _complex_product(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as four rounded products and two rounded sums.
 
-    Amplitudes are carried over unchanged; the particle list of each survivor
-    is reordered so that position d holds the particle at detector d. Terms
-    that would share both spin and label patterns are merged, though for
-    bijective assignments the label pattern already pins down the term.
+    These are the operations of a scalar complex product, so the vectorised
+    kernel rounds exactly as the oracle's Python loops do.
     """
-    if not state.is_transformed:
-        raise ValidationError("state must be transformed before postselection")
-    if state.num_modes != state.num_particles:
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
+    """Enumerate the routings in which every detector receives one particle.
+
+    Routings grow row by row, skipping zero entries and taken detectors, so
+    zero-amplitude routings are never built. Amplitudes multiply up along
+    the way from complex(1.0), in the oracle's order; a routing whose
+    amplitude still underflows to zero is dropped at the end.
+    """
+    n = spec.num_particles
+    if spec.num_modes != n:
         raise UnsupportedConfigurationError(
             "no-bunching postselection needs as many detectors as particles, got "
-            f"{state.num_particles} particles over {state.num_modes} detectors"
+            f"{n} particles over {spec.num_modes} detectors"
         )
-    n = state.num_particles
-    expected = list(range(n))
-    merged: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
-    for term in state.terms:
-        detectors = sorted(p.detector for p in term.particles)
-        if detectors != expected:
-            continue
-        by_detector = sorted(term.particles, key=lambda p: p.detector)
-        spins = tuple(p.spin for p in by_detector)
-        labels = tuple(p.label for p in by_detector)
-        key = (spins, labels)
-        merged[key] = merged.get(key, complex(0.0)) + term.amplitude
-    terms = tuple(
-        DetectorTerm(amplitude, spins, labels)
-        for (spins, labels), amplitude in merged.items()
-    )
-    raw_weight = float(sum(abs(t.amplitude) ** 2 for t in terms))
-    return PostselectedState(terms=terms, num_particles=n, raw_weight=raw_weight)
+    routes = [((), complex(1.0))]
+    for row in spec.amplitudes.tolist():
+        columns = [j for j, entry in enumerate(row) if entry != 0]
+        routes = [
+            (sigma + (j,), amplitude * row[j])
+            for sigma, amplitude in routes
+            for j in columns
+            if j not in sigma
+        ]
+    routes = [route for route in routes if route[1] != 0]
+    sigma = np.array([route[0] for route in routes], dtype=np.intp).reshape(-1, n)
+    amplitudes = np.array([route[1] for route in routes], dtype=complex)
 
-
-def trace_distinguishability(
-    survivors: PostselectedState, gram: GramMatrix
-) -> tuple[DensityMatrix, float]:
-    """Trace the hidden labels out of the surviving outcomes.
-
-    Returns the normalized spin-register density matrix and the postselection
-    success probability. Raises PostselectionImpossibleError when the success
-    probability vanishes (fully destructive interference).
-    """
-    n = survivors.num_particles
-    if gram.num_particles != n:
-        raise ValidationError(
-            f"Gram matrix is {gram.num_particles}x{gram.num_particles} but the "
-            f"state has {n} particles"
-        )
-    g = gram.overlaps
-    dim = 2**n
-    raw = np.zeros((dim, dim), dtype=complex)
-    for ket in survivors.terms:
-        i = spin_pattern_index(ket.spins)
-        for bra in survivors.terms:
-            j = spin_pattern_index(bra.spins)
-            overlap = complex(1.0)
-            for d in range(n):
-                overlap *= g[bra.labels[d], ket.labels[d]]
-            raw[i, j] += ket.amplitude * bra.amplitude.conjugate() * overlap
-    p_success = float(np.trace(raw).real)
-    if p_success <= SUCCESS_FLOOR:
-        raise PostselectionImpossibleError(
-            "the all-detectors coincidence has probability "
-            f"{p_success:.3e}; nothing survives postselection"
-        )
-    return DensityMatrix(raw / p_success), p_success
+    rows = np.arange(n)
+    labels = np.empty_like(sigma)
+    labels[np.arange(len(sigma))[:, None], sigma] = rows
+    spins = spec.spins[rows, sigma].astype(np.intp)
+    indices = (spins << (n - 1 - sigma)).sum(axis=1)
+    return NoBunchingOutcomes(amplitudes, indices, labels)
 
 
 def density_matrix_from_spec(
     spec: TransformSpec, gram: GramMatrix
 ) -> tuple[DensityMatrix, float]:
-    """Full pipeline: expand, postselect, trace. Convenience wrapper.
+    """Postselected spin-register density matrix and its success probability.
 
-    Input spins are taken from the transformation's spin matrix where a row
-    is uniform (every preset here is), falling back to DOWN; they are
-    overwritten on the way through anyway.
+    Sums amp_ket * conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)] over
+    every (ket, bra) pair of no-bunching outcomes, PAIR_BLOCK pairs at a
+    time. Pairs are taken ket-major and each product is formed from real and
+    imaginary parts in the oracle's factor order, so the result is
+    byte-identical to ``brute_density_matrix``. Raises
+    PostselectionImpossibleError when the success probability vanishes
+    (fully destructive interference).
     """
-    spins = []
-    for row in range(spec.num_particles):
-        used = spec.spins[row][spec.spins[row] != -1]
-        spins.append(int(used[0]) if used.size else int(Spin.DOWN))
-    state = apply_transform(initial_state(spins), spec)
-    return trace_distinguishability(postselect_no_bunching(state), gram)
+    outcomes = no_bunching_outcomes(spec)
+    n = outcomes.num_particles
+    if gram.num_particles != n:
+        raise ValidationError(
+            f"Gram matrix is {gram.num_particles}x{gram.num_particles} but the "
+            f"state has {n} particles"
+        )
+    # factor[:, d, l, b]: real and imaginary part of G[label of bra b at
+    # detector d, l] for every ket label l. At d = 0 it is 1 * G, since the
+    # oracle starts each product from complex(1.0).
+    labels = np.ascontiguousarray(outcomes.labels.T)
+    g_t = gram.overlaps.T
+    factor = np.array([g_t.real, g_t.imag])[:, :, labels].swapaxes(1, 2).copy()
+    factor[:, 0] = _complex_product(1.0, 0.0, *factor[:, 0])
+
+    amp_re, amp_im = outcomes.amplitudes.real, outcomes.amplitudes.imag
+    conj_im = -amp_im
+    indices = outcomes.indices
+    count = len(outcomes)
+    dim = 2**n
+    raw = np.zeros(dim * dim, dtype=complex)
+    # Blocks of whole ket rows (or, past PAIR_BLOCK outcomes, pieces of one
+    # row) keep the pairs ket-major, the order the oracle accumulates in.
+    rows = max(1, PAIR_BLOCK // max(count, 1))
+    cols = min(count, PAIR_BLOCK)
+    for k0 in range(0, count, rows):
+        kets = slice(k0, k0 + rows)
+        for b0 in range(0, count, cols):
+            bras = slice(b0, b0 + cols)
+            re, im = _complex_product(
+                amp_re[kets, None], amp_im[kets, None], amp_re[bras], conj_im[bras]
+            )
+            f_re, f_im = factor[:, 0, labels[0, kets], bras]
+            for d in range(1, n):
+                f_re, f_im = _complex_product(f_re, f_im, *factor[:, d, labels[d, kets], bras])
+            value = np.empty(re.shape, dtype=complex)
+            value.real, value.imag = _complex_product(re, im, f_re, f_im)
+            np.add.at(raw, (indices[kets, None] * dim + indices[bras]).ravel(), value.ravel())
+    raw = raw.reshape(dim, dim)
+    p_success = float(np.trace(raw).real)
+    if not p_success > SUCCESS_FLOOR:
+        raise PostselectionImpossibleError(
+            "the all-detectors coincidence has probability "
+            f"{p_success:.3e}; nothing survives postselection"
+        )
+    return DensityMatrix(raw / p_success), p_success

@@ -61,6 +61,8 @@ def _as_amplitude_matrix(values) -> np.ndarray:
         raise ValidationError(
             f"amplitude matrix must be 2-dimensional and non-empty, got shape {t.shape}"
         )
+    if not np.isfinite(t).all():
+        raise ValidationError("amplitude matrix entries must be finite")
     return t
 
 
@@ -94,7 +96,7 @@ class TransformSpec:
             )
         row_norms = np.sum(np.abs(t) ** 2, axis=1)
         for i, norm in enumerate(row_norms):
-            if abs(norm - 1.0) > ROW_NORM_TOL:
+            if not abs(norm - 1.0) <= ROW_NORM_TOL:
                 raise ValidationError(
                     f"row {i} of the amplitude matrix has squared norm {norm:.12g}; "
                     "each particle must reach the detectors with total probability 1"
@@ -150,7 +152,7 @@ class GHZParams:
         }
         for name, (first, second) in pairs.items():
             norm = abs(first) ** 2 + abs(second) ** 2
-            if abs(norm - 1.0) > ROW_NORM_TOL:
+            if not abs(norm - 1.0) <= ROW_NORM_TOL:
                 raise ValidationError(
                     f"{name} amplitudes have squared norm {norm:.12g}, expected 1"
                 )

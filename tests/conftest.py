@@ -20,6 +20,18 @@ def random_spec(rng: np.random.Generator, n: int = 3, m: int = 3) -> TransformSp
     return custom_spec(t, s)
 
 
+def random_banded_spec(rng: np.random.Generator, n: int, width: int) -> TransformSpec:
+    """Random n x n transformation in which row i reaches only detectors
+    i, i + 1, ..., i + width - 1 (mod n); every other path is UNUSED."""
+    t = np.zeros((n, n), dtype=complex)
+    s = np.full((n, n), -1)
+    for i in range(n):
+        band = (i + np.arange(width)) % n
+        t[i, band] = random_row_normalized(rng, 1, width)[0]
+        s[i, band] = rng.integers(0, 2, size=width)
+    return custom_spec(t, s)
+
+
 def random_gram(rng: np.random.Generator, n: int = 3) -> GramMatrix:
     """Random positive semidefinite Gram matrix with unit diagonal.
 

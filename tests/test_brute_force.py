@@ -128,11 +128,11 @@ def test_brute_rejects_rectangular_and_oversized():
             custom_spec(t, rng.integers(0, 2, size=(2, 3))),
             GramMatrix.fully_distinguishable(2),
         )
-    t6 = random_row_normalized(rng, 6, 6)
+    t7 = random_row_normalized(rng, 7, 7)
     with pytest.raises(ValidationError):
         brute_density_matrix(
-            custom_spec(t6, rng.integers(0, 2, size=(6, 6))),
-            GramMatrix.fully_distinguishable(6),
+            custom_spec(t7, rng.integers(0, 2, size=(7, 7))),
+            GramMatrix.fully_distinguishable(7),
         )
 
 

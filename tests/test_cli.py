@@ -275,6 +275,36 @@ def test_run_total_destructive_interference_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_run_rejects_nan_delay(tmp_path, capsys):
+    # Python's json reads NaN; the overlap it yields must be refused, not
+    # handed to the eigensolver.
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"preset": "ghz", "distinguishability": '
+        '{"delays": [0.0, NaN, 0.0], "coherence_length": 1.0}}',
+        encoding="utf-8",
+    )
+    rc = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "distinguishability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_run_rejects_boolean_spin(tmp_path, capsys, flag):
+    config = {
+        "preset": "custom",
+        "custom": {
+            "amplitudes": [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, INV_SQRT2]],
+            "spins": [["down", "up"], ["up", flag]],
+        },
+        "distinguishability": {"gram": [[1, 1], [1, 1]]},
+    }
+    rc = main(["run", "--config", write_config(tmp_path, config),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "custom.spins[1][1]" in capsys.readouterr().err
+
+
 def test_reconstruct_ghz_counts(tmp_path):
     truth = DensityMatrix.from_pure(ghz_state().vector)
     table = simulate_counts(truth, shots=20_000, seed=7)

@@ -9,12 +9,10 @@ from conftest import random_density
 from identangle import (
     DensityMatrix,
     GramMatrix,
-    Spin,
     ValidationError,
     VERDICT_GHZ,
     VERDICT_INCONCLUSIVE,
     VERDICT_W,
-    apply_transform,
     classify,
     density_matrix_from_spec,
     dft_tritter_rows,
@@ -22,15 +20,10 @@ from identangle import (
     fidelity_pure,
     ghz_preset,
     ghz_state,
-    initial_state,
     optimize_w_phases,
-    postselect_no_bunching,
-    trace_distinguishability,
     w_preset,
     w_state,
 )
-
-D, U = int(Spin.DOWN), int(Spin.UP)
 
 
 def test_ghz_state_vector():
@@ -131,9 +124,8 @@ def test_dft_tritter_phases_cancel():
     # With the discrete-Fourier splitter the three surviving coherences all
     # pick up phase omega^2 * (1 + omega^2) = -1, a global sign, so the
     # postselected state is the phase-free target at one ninth success.
-    state = apply_transform(initial_state([D, D, U]), w_preset(dft_tritter_rows()))
-    rho, p = trace_distinguishability(
-        postselect_no_bunching(state), GramMatrix.fully_indistinguishable(3)
+    rho, p = density_matrix_from_spec(
+        w_preset(dft_tritter_rows()), GramMatrix.fully_indistinguishable(3)
     )
     assert p == pytest.approx(1 / 9, abs=1e-12)
     phi1, phi2, fmax = optimize_w_phases(rho)

@@ -1,5 +1,9 @@
+"""The no-bunching expansion: one outcome per detector bijection sigma with a
+nonzero amplitude prod_i t[i, sigma(i)], as no_bunching_outcomes enumerates it."""
+
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -7,129 +11,86 @@ import pytest
 
 from conftest import random_spec
 from identangle import (
-    AlreadyTransformedError,
     Spin,
-    UNROUTED,
     ValidationError,
-    amplitude_of,
-    apply_transform,
-    balanced_tritter_rows,
+    custom_spec,
     ghz_preset,
-    initial_state,
-    term_count,
-    w_preset,
+    no_bunching_outcomes,
 )
 
 D, U = int(Spin.DOWN), int(Spin.UP)
 
 
-def test_initial_state_one_term_with_labels():
-    state = initial_state([D, D, U])
-    assert term_count(state) == 1
-    term = state.terms[0]
-    assert term.amplitude == 1.0
-    assert [p.label for p in term.particles] == [0, 1, 2]
-    assert [p.spin for p in term.particles] == [D, D, U]
-    assert all(p.detector == UNROUTED for p in term.particles)
-    assert not state.is_transformed
+def detector_spins(index, n):
+    """Spin pattern of a basis index, detector 0 first."""
+    return [int(index) >> (n - 1 - d) & 1 for d in range(n)]
 
 
 def test_initial_state_rejects_empty_and_bad_spins():
     with pytest.raises(ValidationError):
-        initial_state([])
+        no_bunching_outcomes(custom_spec([], []))
+    r = 1 / math.sqrt(2)
     with pytest.raises(ValidationError):
-        initial_state([D, 3])
-
-
-def test_ghz_expansion_has_eight_terms():
-    state = apply_transform(initial_state([D, D, D]), ghz_preset())
-    assert term_count(state) == 8
-    for term in state.terms:
-        assert abs(term.amplitude) == pytest.approx((1 / math.sqrt(2)) ** 3)
-
-
-def test_tritter_expansion_has_twenty_seven_terms():
-    state = apply_transform(initial_state([D, D, U]), w_preset(balanced_tritter_rows()))
-    assert term_count(state) == 27
-    for term in state.terms:
-        assert abs(term.amplitude) == pytest.approx((1 / math.sqrt(3)) ** 3)
+        no_bunching_outcomes(custom_spec([[r, r], [r, r]], [[D, 3], [U, D]]))
 
 
 def test_terms_in_lexicographic_choice_order():
-    state = apply_transform(initial_state([D, D, U]), w_preset(balanced_tritter_rows()))
-    combos = [tuple(p.detector for p in term.particles) for term in state.terms]
-    assert combos == sorted(combos)
-    assert len(set(combos)) == len(combos)  # no duplicate assignments
+    # A zero entry on each row prunes the routings through it; the rest come
+    # out in the order itertools.permutations gives them.
+    r = 1 / math.sqrt(2)
+    t = [[r, r, 0, 0], [0, r, r, 0], [r, 0, 0, r], [r, 0, r, 0]]
+    spins = [[0, 1, -1, -1], [-1, 0, 1, -1], [1, -1, -1, 0], [0, -1, 1, -1]]
+    spec = custom_spec(t, spins)
+    expected = [
+        sigma for sigma in itertools.permutations(range(4))
+        if all(t[i][sigma[i]] != 0 for i in range(4))
+    ]
+    outcomes = no_bunching_outcomes(spec)
+    sigmas = [tuple(np.argsort(labels)) for labels in outcomes.labels]
+    assert sigmas == expected
 
 
 def test_amplitudes_factor_into_matrix_entries():
     rng = np.random.default_rng(101)
     for _ in range(25):
         spec = random_spec(rng)
-        state = apply_transform(initial_state([D] * 3), spec)
-        for term in state.terms:
+        outcomes = no_bunching_outcomes(spec)
+        assert len(outcomes) == 6
+        for amplitude, index, labels in zip(
+            outcomes.amplitudes, outcomes.indices, outcomes.labels
+        ):
+            spins = detector_spins(index, 3)
             expected = complex(1.0)
-            for particle in term.particles:
-                expected *= spec.amplitudes[particle.label, particle.detector]
-                assert particle.spin == spec.spins[particle.label, particle.detector]
-            assert term.amplitude == pytest.approx(expected, abs=1e-12)
-
-
-def test_probability_over_all_choices_sums_to_one():
-    rng = np.random.default_rng(102)
-    for _ in range(25):
-        state = apply_transform(initial_state([D] * 3), random_spec(rng))
-        total = sum(abs(t.amplitude) ** 2 for t in state.terms)
-        assert total == pytest.approx(1.0, abs=1e-12)
+            for detector, particle in enumerate(labels):
+                expected *= spec.amplitudes[particle, detector]
+                assert spins[detector] == spec.spins[particle, detector]
+            assert amplitude == pytest.approx(expected, abs=1e-12)
 
 
 def test_row_phase_scales_every_term():
-    # Each term uses every input row exactly once, so a unit phase on one row
-    # multiplies all amplitudes by that phase.
+    # Each outcome uses every input row exactly once, so a unit phase on one
+    # row multiplies all amplitudes by that phase.
     rng = np.random.default_rng(103)
     spec = random_spec(rng)
     phase = np.exp(1j * 0.7331)
     t_scaled = spec.amplitudes.copy()
     t_scaled[1] *= phase
-    from identangle import custom_spec
-
-    scaled = custom_spec(t_scaled, spec.spins)
-    base_terms = apply_transform(initial_state([D] * 3), spec).terms
-    scaled_terms = apply_transform(initial_state([D] * 3), scaled).terms
-    for base, new in zip(base_terms, scaled_terms):
-        assert new.amplitude == pytest.approx(base.amplitude * phase, abs=1e-12)
+    base = no_bunching_outcomes(spec).amplitudes
+    scaled = no_bunching_outcomes(custom_spec(t_scaled, spec.spins)).amplitudes
+    np.testing.assert_allclose(scaled, base * phase, rtol=0, atol=1e-12)
 
 
 def test_amplitude_of_ghz_assignments():
-    state = apply_transform(initial_state([D, D, D]), ghz_preset())
-    straight = amplitude_of(state, [(0, D), (1, D), (2, D)])
+    outcomes = no_bunching_outcomes(ghz_preset())
+    by_sigma = {
+        tuple(np.argsort(labels)): amplitude
+        for amplitude, labels in zip(outcomes.amplitudes, outcomes.labels)
+    }
+    straight = by_sigma.pop((0, 1, 2))
     assert straight == pytest.approx((1 / math.sqrt(2)) ** 3)
-    cyclic = amplitude_of(state, [(1, U), (2, U), (0, U)])
+    # Cyclic routing: particle i reaches detector i + 1 (mod 3).
+    cyclic = by_sigma.pop((1, 2, 0))
     assert cyclic == pytest.approx((1 / math.sqrt(2)) ** 3)
-    # Closed path: particle 0 never reaches detector 2.
-    assert amplitude_of(state, [(2, D), (1, D), (0, U)]) == 0.0
-
-
-def test_amplitude_of_requires_matching_length():
-    state = apply_transform(initial_state([D, D, D]), ghz_preset())
-    with pytest.raises(ValidationError):
-        amplitude_of(state, [(0, D)])
-
-
-def test_apply_transform_rejects_double_application():
-    state = apply_transform(initial_state([D, D, D]), ghz_preset())
-    with pytest.raises(AlreadyTransformedError):
-        apply_transform(state, ghz_preset())
-
-
-def test_apply_transform_rejects_particle_count_mismatch():
-    with pytest.raises(ValidationError):
-        apply_transform(initial_state([D, D]), ghz_preset())
-
-
-def test_rectangular_transform_expands():
-    rng = np.random.default_rng(104)
-    spec = random_spec(rng, n=2, m=4)
-    state = apply_transform(initial_state([D, D]), spec)
-    assert state.num_modes == 4
-    assert term_count(state) == 16
+    # Closed paths (particle 0 never reaches detector 2, for one) leave no
+    # other bijection with a nonzero amplitude.
+    assert by_sigma == {}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_gram, random_spec
+from conftest import random_banded_spec, random_gram, random_spec
 from identangle import (
     DelayModel,
     GramMatrix,
@@ -13,21 +13,20 @@ from identangle import (
     Spin,
     UnsupportedConfigurationError,
     ValidationError,
-    apply_transform,
     balanced_tritter_rows,
     brute_density_matrix,
     custom_spec,
     density_matrix_from_spec,
+    dft_tritter_rows,
     ghz_preset,
     ghz_state,
     gram_from_delays,
     gram_from_labels,
-    initial_state,
+    no_bunching_outcomes,
     permanent,
-    postselect_no_bunching,
-    trace_distinguishability,
     w_preset,
 )
+from identangle import reduction
 
 D, U = int(Spin.DOWN), int(Spin.UP)
 
@@ -35,67 +34,60 @@ D, U = int(Spin.DOWN), int(Spin.UP)
 GHZ_AMP = (1 / math.sqrt(2)) ** 3
 W_AMP = (1 / math.sqrt(3)) ** 3
 
-
-def ghz_survivors():
-    state = apply_transform(initial_state([D, D, D]), ghz_preset())
-    return postselect_no_bunching(state)
+GHZ = ghz_preset()
+W = w_preset(balanced_tritter_rows())
 
 
-def w_survivors():
-    state = apply_transform(initial_state([D, D, U]), w_preset(balanced_tritter_rows()))
-    return postselect_no_bunching(state)
+def detector_spins(index, n):
+    """Spin pattern of a basis index, detector 0 first."""
+    return [int(index) >> (n - 1 - d) & 1 for d in range(n)]
 
 
 def test_ghz_postselection_keeps_two_routings():
-    survivors = ghz_survivors()
-    assert len(survivors.terms) == 2
-    by_spins = {term.spins: term for term in survivors.terms}
-    down = by_spins[(D, D, D)]
-    assert down.labels == (0, 1, 2)
-    assert down.amplitude == pytest.approx(GHZ_AMP)
-    up = by_spins[(U, U, U)]
+    outcomes = no_bunching_outcomes(GHZ)
+    assert len(outcomes) == 2
+    by_index = {int(i): k for k, i in enumerate(outcomes.indices)}
+    down = by_index[0b000]
+    assert tuple(outcomes.labels[down]) == (0, 1, 2)
+    assert outcomes.amplitudes[down] == pytest.approx(GHZ_AMP)
+    up = by_index[0b111]
     # The all-up branch is the cyclic routing: detector 0 holds particle 2.
-    assert up.labels == (2, 0, 1)
-    assert up.amplitude == pytest.approx(GHZ_AMP)
-    assert survivors.raw_weight == pytest.approx(0.25, abs=1e-12)
+    assert tuple(outcomes.labels[up]) == (2, 0, 1)
+    assert outcomes.amplitudes[up] == pytest.approx(GHZ_AMP)
+    assert np.sum(np.abs(outcomes.amplitudes) ** 2) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_w_postselection_keeps_all_six_routings():
-    survivors = w_survivors()
-    assert len(survivors.terms) == 6
-    for term in survivors.terms:
-        assert term.amplitude == pytest.approx(W_AMP)
-        assert sorted(term.labels) == [0, 1, 2]
+    outcomes = no_bunching_outcomes(W)
+    assert len(outcomes) == 6
+    for amplitude, index, labels in zip(outcomes.amplitudes, outcomes.indices, outcomes.labels):
+        assert amplitude == pytest.approx(W_AMP)
+        assert sorted(labels) == [0, 1, 2]
         # Exactly one detector sees the up spin: the one particle 2 reached.
-        assert term.spins.count(U) == 1
-        assert term.spins.index(U) == term.labels.index(2)
-    assert survivors.raw_weight == pytest.approx(6 / 27, abs=1e-12)
+        spins = detector_spins(index, 3)
+        assert spins.count(U) == 1
+        assert spins.index(U) == list(labels).index(2)
+    assert np.sum(np.abs(outcomes.amplitudes) ** 2) == pytest.approx(6 / 27, abs=1e-12)
 
 
 def test_postselection_requires_square_problem():
     rng = np.random.default_rng(1)
     spec = random_spec(rng, n=2, m=3)
-    state = apply_transform(initial_state([D, D]), spec)
     with pytest.raises(UnsupportedConfigurationError):
-        postselect_no_bunching(state)
-
-
-def test_postselection_requires_transformed_state():
-    with pytest.raises(ValidationError):
-        postselect_no_bunching(initial_state([D, D, D]))
+        no_bunching_outcomes(spec)
+    with pytest.raises(UnsupportedConfigurationError):
+        density_matrix_from_spec(spec, GramMatrix.fully_indistinguishable(2))
 
 
 def test_ghz_fully_indistinguishable_gives_pure_ghz():
-    rho, p = trace_distinguishability(
-        ghz_survivors(), GramMatrix.fully_indistinguishable(3)
-    )
+    rho, p = density_matrix_from_spec(GHZ, GramMatrix.fully_indistinguishable(3))
     assert p == pytest.approx(0.25, abs=1e-12)
     target = ghz_state().vector
     np.testing.assert_allclose(rho.matrix, np.outer(target, target.conj()), atol=1e-12)
 
 
 def test_ghz_distinguishable_third_particle_kills_coherence():
-    rho, p = trace_distinguishability(ghz_survivors(), gram_from_labels(("a", "a", "b")))
+    rho, p = density_matrix_from_spec(GHZ, gram_from_labels(("a", "a", "b")))
     assert p == pytest.approx(0.25, abs=1e-12)
     off = rho.matrix - np.diag(np.diag(rho.matrix))
     assert np.max(np.abs(off)) < 1e-12
@@ -105,7 +97,7 @@ def test_ghz_distinguishable_third_particle_kills_coherence():
 
 @pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_ghz_uniform_overlap_coherence_law(g):
-    rho, p = trace_distinguishability(ghz_survivors(), GramMatrix.uniform(3, g))
+    rho, p = density_matrix_from_spec(GHZ, GramMatrix.uniform(3, g))
     assert p == pytest.approx(0.25, abs=1e-12)
     # Off-diagonal coherence carries one overlap factor per detector.
     assert abs(rho.matrix[0, 7]) == pytest.approx(g**3 / 2, abs=1e-12)
@@ -114,7 +106,7 @@ def test_ghz_uniform_overlap_coherence_law(g):
 
 
 def test_w_case_one_pure_w_state():
-    rho, p = trace_distinguishability(w_survivors(), GramMatrix.fully_indistinguishable(3))
+    rho, p = density_matrix_from_spec(W, GramMatrix.fully_indistinguishable(3))
     assert p == pytest.approx(4 / 9, abs=1e-12)
     v = np.zeros(8, dtype=complex)
     v[[1, 2, 4]] = 1 / math.sqrt(3)
@@ -125,7 +117,7 @@ def test_w_case_two_biseparable_mixture():
     # One of the two down-spin particles orthogonal to the other two: each
     # pair of routings that swaps the odd particle keeps its coherence, so
     # three two-term superpositions survive as an equal mixture.
-    rho, p = trace_distinguishability(w_survivors(), gram_from_labels(("x", "y", "x")))
+    rho, p = density_matrix_from_spec(W, gram_from_labels(("x", "y", "x")))
     assert p == pytest.approx(2 / 9, abs=1e-12)
     support = np.ix_([1, 2, 4], [1, 2, 4])
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=complex) / 6
@@ -136,8 +128,8 @@ def test_w_case_two_biseparable_mixture():
 
 
 def test_w_case_three_and_four_same_diagonal_state():
-    rho3, p3 = trace_distinguishability(w_survivors(), gram_from_labels(("x", "x", "y")))
-    rho4, p4 = trace_distinguishability(w_survivors(), GramMatrix.fully_distinguishable(3))
+    rho3, p3 = density_matrix_from_spec(W, gram_from_labels(("x", "x", "y")))
+    rho4, p4 = density_matrix_from_spec(W, GramMatrix.fully_distinguishable(3))
     assert p3 == pytest.approx(4 / 9, abs=1e-12)
     assert p4 == pytest.approx(2 / 9, abs=1e-12)
     # Different success probabilities, identical normalized states.
@@ -170,7 +162,7 @@ def test_destructive_interference_raises():
 
 def test_gram_size_must_match_particle_count():
     with pytest.raises(ValidationError):
-        trace_distinguishability(ghz_survivors(), GramMatrix.fully_indistinguishable(4))
+        density_matrix_from_spec(GHZ, GramMatrix.fully_indistinguishable(4))
 
 
 def test_gram_validation_rejects_bad_matrices():
@@ -242,10 +234,65 @@ def test_distinguishable_success_probability_is_permanent():
 
 
 def test_pipeline_wrapper_matches_manual_chain():
+    # The kernel against the trace written out over the enumerated outcomes.
     spec = ghz_preset()
     gram = GramMatrix.uniform(3, 0.3)
     rho_a, p_a = density_matrix_from_spec(spec, gram)
-    state = apply_transform(initial_state([D, D, D]), spec)
-    rho_b, p_b = trace_distinguishability(postselect_no_bunching(state), gram)
-    np.testing.assert_allclose(rho_a.matrix, rho_b.matrix, atol=1e-15)
+    outcomes = no_bunching_outcomes(spec)
+    g = gram.overlaps
+    raw = np.zeros((8, 8), dtype=complex)
+    for amp_k, idx_k, lab_k in zip(outcomes.amplitudes, outcomes.indices, outcomes.labels):
+        for amp_b, idx_b, lab_b in zip(outcomes.amplitudes, outcomes.indices, outcomes.labels):
+            overlap = complex(1.0)
+            for d in range(3):
+                overlap *= g[lab_b[d], lab_k[d]]
+            raw[idx_k, idx_b] += amp_k * amp_b.conjugate() * overlap
+    p_b = float(np.trace(raw).real)
+    assert rho_a.matrix.tobytes() == (raw / p_b).tobytes()
     assert p_a == p_b
+
+
+def assert_byte_identical(spec, gram):
+    try:
+        expected = brute_density_matrix(spec, gram)
+    except PostselectionImpossibleError:
+        with pytest.raises(PostselectionImpossibleError):
+            density_matrix_from_spec(spec, gram)
+        return
+    rho, p = density_matrix_from_spec(spec, gram)
+    assert rho.matrix.tobytes() == expected[0].matrix.tobytes()
+    assert p == expected[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_is_byte_identical_to_oracle(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(10):
+        assert_byte_identical(random_spec(rng, n, n), random_gram(rng, n))
+        width = int(rng.integers(1, n + 1))
+        assert_byte_identical(random_banded_spec(rng, n, width), random_gram(rng, n))
+
+
+def test_kernel_is_byte_identical_to_oracle_at_six_particles():
+    rng = np.random.default_rng(406)
+    for width in (2, 3, 3, 4):
+        assert_byte_identical(random_banded_spec(rng, 6, width), random_gram(rng, 6))
+    assert_byte_identical(random_spec(rng, 6, 6), random_gram(rng, 6))
+
+
+@pytest.mark.parametrize(
+    "spec", [GHZ, W, w_preset(dft_tritter_rows())], ids=["ghz", "w-balanced", "w-dft"]
+)
+def test_kernel_is_byte_identical_to_oracle_on_presets(spec):
+    for g in np.linspace(0.0, 1.0, 17):
+        assert_byte_identical(spec, GramMatrix.uniform(3, g))
+
+
+def test_kernel_blocks_keep_byte_identity(monkeypatch):
+    # 120 outcomes: blocks of 50 pairs split every ket row, blocks of 250
+    # take two whole rows.
+    rng = np.random.default_rng(407)
+    spec, gram = random_spec(rng, 5, 5), random_gram(rng, 5)
+    for block in (50, 250):
+        monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
+        assert_byte_identical(spec, gram)
