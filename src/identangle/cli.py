@@ -69,13 +69,25 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _json_int(text: str) -> int:
+    """JSON integer literal; one beyond float range cannot be used as a number."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"integer literal {text[:12]}... is out of range") from None
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            config = json.load(handle, parse_int=_json_int)
     except FileNotFoundError:
         raise ConfigError(path, "<file>", "config file not found") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(path, "<file>", f"cannot read config file ({exc})") from None
+    except ValueError as exc:
         raise ConfigError(path, "<json>", f"not valid JSON ({exc})") from None
     if not isinstance(config, dict):
         raise ConfigError(path, "<json>", "top level must be an object")
@@ -105,6 +117,20 @@ def _parse_complex_matrix(value, path: str, field: str) -> np.ndarray:
     if len(widths) != 1:
         raise ConfigError(path, field, "rows have inconsistent lengths")
     return np.array(rows, dtype=complex)
+
+
+def _parse_integer(value, path: str, field: str, minimum: int, maximum: int | None = None):
+    """A JSON integer (or integral float) in range; booleans are refused."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if (
+        integral
+        and not isinstance(value, bool)
+        and minimum <= value
+        and (maximum is None or value <= maximum)
+    ):
+        return value
+    bound = f"at least {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    raise ConfigError(path, field, f"expected an integer {bound}, got {value!r}")
 
 
 def _parse_spin(value, path: str, field: str) -> int:
@@ -156,12 +182,14 @@ def build_spec(config: dict, path: str) -> TransformSpec:
             raise ConfigError(path, "custom", "expected an object with amplitudes and spins")
         amplitudes = _parse_complex_matrix(section.get("amplitudes"), path, "custom.amplitudes")
         spins_raw = section.get("spins")
-        if not isinstance(spins_raw, list):
+        if not isinstance(spins_raw, list) or not all(isinstance(r, list) for r in spins_raw):
             raise ConfigError(path, "custom.spins", "expected a list of rows")
         spins = [
             [_parse_spin(entry, path, f"custom.spins[{i}][{j}]") for j, entry in enumerate(row)]
             for i, row in enumerate(spins_raw)
         ]
+        if len({len(row) for row in spins}) > 1:
+            raise ConfigError(path, "custom.spins", "rows have inconsistent lengths")
         return custom_spec(amplitudes, spins)
     except ValidationError as exc:
         if isinstance(exc, ConfigError):
@@ -194,14 +222,15 @@ def build_gram(config: dict, path: str, num_particles: int) -> GramMatrix:
                 raise ConfigError(
                     path, "distinguishability.delays", "expected a list of numbers"
                 )
-            if "coherence_length" not in section:
+            length = section.get("coherence_length")
+            if isinstance(length, bool) or not isinstance(length, (int, float)):
                 raise ConfigError(
                     path,
                     "distinguishability.coherence_length",
-                    "required together with delays",
+                    f"a number is required together with delays, got {length!r}",
                 )
             model = DelayModel(
-                coherence_length=float(section["coherence_length"]),
+                coherence_length=float(length),
                 delays=tuple(float(d) for d in delays),
             )
             gram = gram_from_delays(model)
@@ -320,8 +349,13 @@ def cmd_run(args) -> int:
     if tomo_section is not None:
         if not isinstance(tomo_section, dict):
             raise ConfigError(args.config, "tomography", "expected an object")
-        shots = tomo_section.get("shots", 1000)
-        seed = args.seed if args.seed is not None else tomo_section.get("seed", 0)
+        # numpy's multinomial sampler takes at most a signed 64-bit count.
+        shots = _parse_integer(
+            tomo_section.get("shots", 1000), args.config, "tomography.shots", 1, 2**63 - 1
+        )
+        seed = args.seed
+        if seed is None:
+            seed = _parse_integer(tomo_section.get("seed", 0), args.config, "tomography.seed", 0)
         table = simulate_counts(rho, shots=shots, seed=seed)
         counts_path = out_dir / "counts.txt"
         write_counts(table, counts_path)
@@ -359,21 +393,22 @@ def cmd_scan(args) -> int:
             spec = build_spec(point, args.config)
             gram = GramMatrix.uniform(spec.num_particles, float(value))
         elif parameter in ("L1", "L2", "L3"):
-            section = point.get("distinguishability", {})
-            if "delays" not in section:
+            section = point.get("distinguishability")
+            delays = section.get("delays") if isinstance(section, dict) else None
+            if not isinstance(delays, list):
                 raise ConfigError(
                     args.config,
                     "distinguishability.delays",
                     f"scanning {parameter} needs a delay model in the config",
                 )
             index = int(parameter[1]) - 1
-            if index >= len(section["delays"]):
+            if index >= len(delays):
                 raise ConfigError(
                     args.config,
                     "distinguishability.delays",
-                    f"{parameter} is out of range for {len(section['delays'])} delays",
+                    f"{parameter} is out of range for {len(delays)} delays",
                 )
-            section["delays"][index] = float(value)
+            delays[index] = float(value)
             spec = build_spec(point, args.config)
             gram = build_gram(point, args.config, spec.num_particles)
         else:
@@ -389,6 +424,8 @@ def cmd_scan(args) -> int:
             section = point.get("ghz")
             if section is None:
                 section = {name: 1.0 / math.sqrt(2.0) for name in _GHZ_FIELDS}
+            if not isinstance(section, dict):
+                raise ConfigError(args.config, "ghz", "expected an object")
             section[parameter] = magnitude
             section[_GHZ_PARTNERS[parameter]] = math.sqrt(1.0 - magnitude * magnitude)
             point["ghz"] = section
@@ -402,7 +439,6 @@ def cmd_scan(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        out_path = out_dir / "scan.json"
         payload = {
             "tool": TOOL_NAME,
             "version": __version__,
@@ -410,9 +446,7 @@ def cmd_scan(args) -> int:
             "parameter": parameter,
             "rows": rows,
         }
-        out_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        out_path = _write_report(payload, out_dir / "scan", "json")
     else:
         out_path = out_dir / "scan.csv"
         columns = list(rows[0].keys())
@@ -430,7 +464,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    table = read_counts(args.counts)
+    try:
+        table = read_counts(args.counts)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{args.counts}: cannot read counts file ({exc})") from None
     estimate = reconstruct_mle(table)
 
     out_dir = Path(args.out_dir)

@@ -7,10 +7,13 @@ bitstrings follow the same detector-major order as the density-matrix basis.
 
 Counts are drawn per setting from the Born-rule multinomial with an RNG
 stream derived from (seed, setting index), which makes runs reproducible and
-settings independent of each other. Estimators:
+settings independent of each other. Both estimators work on the stacked
+outcome eigenvectors v_k of all settings, whose Born probabilities are
+p_k = v_k^dagger rho v_k:
 
-* linear inversion, which averages Pauli expectation values and can return a
-  slightly non-positive matrix on finite statistics, and
+* linear inversion, one least-squares solve of p_k = f_k for rho against
+  the per-setting frequencies f_k, which can return a slightly non-positive
+  matrix on finite statistics, and
 * a diluted iterative RrhoR maximum-likelihood fit, which always returns a
   proper density matrix and never decreases the log-likelihood between
   iterations.
@@ -58,14 +61,6 @@ _AXIS_VECTORS = {
     "Y": np.array([[_INV_SQRT2, 1j * _INV_SQRT2], [_INV_SQRT2, -1j * _INV_SQRT2]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
 }
-
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 def axis_eigenvectors(axis: str) -> np.ndarray:
     """2x2 array whose rows are the measurement eigenvectors of one axis."""
@@ -125,8 +120,8 @@ class CountsTable:
 
     Counts are usually integers from a simulated run; float counts are
     accepted so that infinite-statistics tables (exact probabilities times
-    shots) flow through the same estimators. Per-setting totals must match
-    ``shots_per_setting``.
+    shots) flow through the same estimators. Counts and the shot total must
+    be finite, and per-setting totals must match ``shots_per_setting``.
     """
 
     rows: tuple[CountRow, ...]
@@ -136,7 +131,10 @@ class CountsTable:
     def __post_init__(self):
         if not self.rows:
             raise ValidationError("counts table has no rows")
-        if not (self.shots_per_setting > 0):
+        shots = float(self.shots_per_setting)
+        if not math.isfinite(shots):
+            raise ValidationError(f"shots_per_setting must be finite, got {shots!r}")
+        if not shots > 0:
             raise ValidationError("shots_per_setting must be positive")
         rows = tuple(CountRow(str(s), str(o), float(c)) for s, o, c in self.rows)
         width = len(rows[0].setting)
@@ -147,18 +145,20 @@ class CountsTable:
                 raise ValidationError(
                     f"outcome {row.outcome!r} must be a {width}-bit string of 0s and 1s"
                 )
-            if row.count < 0:
+            if not math.isfinite(row.count):
+                raise ValidationError(f"non-finite count in row {row}")
+            if not row.count >= 0:
                 raise ValidationError(f"negative count in row {row}")
             totals[row.setting] = totals.get(row.setting, 0.0) + row.count
-        tol = 1e-6 * max(1.0, float(self.shots_per_setting))
+        tol = 1e-6 * max(1.0, shots)
         for setting, total in totals.items():
-            if abs(total - float(self.shots_per_setting)) > tol:
+            if not abs(total - shots) <= tol:
                 raise ValidationError(
                     f"setting {setting}: counts sum to {total!r}, expected "
                     f"{self.shots_per_setting}"
                 )
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "shots_per_setting", float(self.shots_per_setting))
+        object.__setattr__(self, "shots_per_setting", shots)
 
     @property
     def num_qubits(self) -> int:
@@ -234,65 +234,20 @@ def exact_counts(
     return CountsTable(rows=tuple(rows), shots_per_setting=float(shots), seed=None)
 
 
-def _require_complete(table: CountsTable) -> list[str]:
-    """Informational completeness check: every Pauli string must be present."""
+def _require_complete(table: CountsTable) -> None:
+    """Informational completeness check: every Pauli string must be present.
+
+    Counts instead of listing all 3^N strings, so a wide table fails fast.
+    """
     present = set(table.settings())
-    required = all_pauli_settings(table.num_qubits)
-    missing = [s for s in required if s not in present]
-    if missing:
-        shown = ", ".join(missing[:6])
-        more = "" if len(missing) <= 6 else f" and {len(missing) - 6} more"
+    unmeasured = 3**table.num_qubits - len(present)
+    if unmeasured:
+        every = map("".join, itertools.product(PAULI_AXES, repeat=table.num_qubits))
+        shown = ", ".join(itertools.islice((s for s in every if s not in present), 6))
+        more = "" if unmeasured <= 6 else f" and {unmeasured - 6} more"
         raise IncompleteSettingsError(
             f"settings are not informationally complete; missing {shown}{more}"
         )
-    return required
-
-
-def _support_signs(num_qubits: int, support: tuple[int, ...]) -> np.ndarray:
-    """Eigenvalue product over the support qubits for every outcome index."""
-    signs = np.ones(2**num_qubits)
-    for o in range(2**num_qubits):
-        for qubit in support:
-            if o >> (num_qubits - 1 - qubit) & 1:
-                signs[o] = -signs[o]
-    return signs
-
-
-def reconstruct_linear(table: CountsTable) -> np.ndarray:
-    """Linear-inversion estimate from averaged Pauli expectation values.
-
-    Hermitian with unit trace by construction, but finite statistics can push
-    eigenvalues slightly negative, so the result is a raw matrix rather than
-    a DensityMatrix.
-    """
-    n = table.num_qubits
-    _require_complete(table)
-    freq = {}
-    for setting in table.settings():
-        counts = table.counts_for(setting)
-        total = counts.sum()
-        if total <= 0:
-            raise ValidationError(f"setting {setting} has no counts")
-        freq[setting] = counts / total
-
-    dim = 2**n
-    estimate = np.eye(dim, dtype=complex)
-    for pauli in itertools.product("I" + PAULI_AXES, repeat=n):
-        support = tuple(i for i, axis in enumerate(pauli) if axis != "I")
-        if not support:
-            continue
-        signs = _support_signs(n, support)
-        values = [
-            float(freq[setting] @ signs)
-            for setting in freq
-            if all(setting[i] == pauli[i] for i in support)
-        ]
-        expectation = float(np.mean(values))
-        op = np.array([[1.0]], dtype=complex)
-        for axis in pauli:
-            op = np.kron(op, _PAULI_MATRICES[axis])
-        estimate += expectation * op
-    return estimate / dim
 
 
 def _stacked_vectors(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +260,51 @@ def _stacked_vectors(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(blocks), np.concatenate(counts)
 
 
+def reconstruct_linear(table: CountsTable) -> np.ndarray:
+    """Linear-inversion estimate: one least-squares solve over all outcomes.
+
+    Solves v_k^dagger rho v_k = f_k in the least-squares sense, where v_k runs
+    over the outcome eigenvectors of every setting and f_k is the outcome's
+    frequency within its setting. With all 3^N settings present the solution
+    is the Pauli-average estimator: least squares applies the canonical dual
+    frame, which per qubit maps an outcome projector P to (3P - I)/3, so
+    every Pauli expectation is averaged over the settings that measure it.
+    Hermitian with unit trace, but finite statistics can push eigenvalues
+    slightly negative, so the result is a raw matrix rather than a
+    DensityMatrix.
+    """
+    _require_complete(table)
+    dim = 2**table.num_qubits
+    vectors, counts = _stacked_vectors(table)
+    counts = counts.reshape(-1, dim)
+    totals = counts.sum(axis=1)
+    for setting, total in zip(table.settings(), totals):
+        if not total > 0:
+            raise ValidationError(f"setting {setting} has no counts")
+    frequencies = (counts / totals[:, None]).ravel()
+    # Row k is conj(v_k) v_k^T flattened, so that row @ rho.ravel() = p_k.
+    projectors = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1)
+    estimate = np.linalg.lstsq(projectors, frequencies, rcond=None)[0].reshape(dim, dim)
+    return (estimate + estimate.conj().T) / 2.0
+
+
+def _probabilities(
+    conj_vectors: np.ndarray, matrix: np.ndarray, vectors: np.ndarray
+) -> np.ndarray:
+    """Born probabilities of the stacked outcomes, clipped away from zero."""
+    probs = np.einsum("ki,ij,kj->k", conj_vectors, matrix, vectors).real
+    return np.clip(probs, 1e-12, None)
+
+
+def _likelihood(counts: np.ndarray, mask: np.ndarray, probs: np.ndarray) -> float:
+    return float(np.sum(counts[mask] * np.log(probs[mask])))
+
+
 def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
     """Multinomial log-likelihood of a candidate state given the counts."""
     vectors, counts = _stacked_vectors(table)
-    probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
-    probs = np.clip(probs, 1e-12, None)
-    mask = counts > 0
-    return float(np.sum(counts[mask] * np.log(probs[mask])))
+    probs = _probabilities(vectors.conj(), matrix, vectors)
+    return _likelihood(counts, counts > 0, probs)
 
 
 def reconstruct_mle(
@@ -327,51 +320,46 @@ def reconstruct_mle(
     likelihood-gradient operator and lam starts at ``dilution``. If a step
     would lower the log-likelihood, lam is halved for that step, so the
     likelihood never decreases. Stops when the per-iteration gain falls
-    below ``tol`` or after ``max_iters`` iterations.
+    below ``tol`` or after ``max_iters`` iterations. (Rehacek, Hradil,
+    Knill & Lvovsky, PRA 75, 042108 (2007).) The probabilities of each
+    accepted candidate carry over to the next iteration.
     """
     if not (0.0 < dilution <= 1.0):
         raise ValidationError(f"dilution must be in (0, 1], got {dilution}")
     _require_complete(table)
     vectors, counts = _stacked_vectors(table)
     total = counts.sum()
-    if total <= 0:
+    if not total > 0:
         raise ValidationError("counts table is all zeros")
     frequencies = counts / total
+    conj_vectors = vectors.conj()
+    mask = counts > 0
 
     dim = 2**table.num_qubits
     identity = np.eye(dim, dtype=complex)
     rho = identity / dim
-
-    def likelihood(matrix: np.ndarray) -> float:
-        probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
-        probs = np.clip(probs, 1e-12, None)
-        mask = counts > 0
-        return float(np.sum(counts[mask] * np.log(probs[mask])))
-
-    current = likelihood(rho)
+    probs = _probabilities(conj_vectors, rho, vectors)
+    current = _likelihood(counts, mask, probs)
     for _ in range(max_iters):
-        probs = np.einsum("ki,ij,kj->k", vectors.conj(), rho, vectors).real
-        probs = np.clip(probs, 1e-12, None)
         ratio = frequencies / probs
-        r_op = (vectors * ratio[:, None]).T @ vectors.conj()
+        r_op = (vectors * ratio[:, None]).T @ conj_vectors
         r_op = (r_op + r_op.conj().T) / 2.0
 
         lam = dilution
-        accepted = None
         while lam >= 1e-8:
             step = (1.0 - lam) * identity + lam * r_op
             candidate = step @ rho @ step
             candidate = (candidate + candidate.conj().T) / 2.0
             candidate /= np.trace(candidate).real
-            value = likelihood(candidate)
+            candidate_probs = _probabilities(conj_vectors, candidate, vectors)
+            value = _likelihood(counts, mask, candidate_probs)
             if value >= current - 1e-12:
-                accepted = (candidate, value)
                 break
             lam /= 2.0
-        if accepted is None:
+        else:
             break
-        gain = accepted[1] - current
-        rho, current = accepted
+        gain = value - current
+        rho, probs, current = candidate, candidate_probs, value
         if gain < tol:
             break
     return DensityMatrix(rho)
@@ -421,6 +409,10 @@ def read_counts(path) -> CountsTable:
                         raise CountsParseError(
                             f"bad shots_per_setting value {value!r}", lineno
                         ) from None
+                    if not math.isfinite(shots):
+                        raise CountsParseError(
+                            f"non-finite shots_per_setting value {value!r}", lineno
+                        )
                 elif body.startswith("seed:"):
                     value = body.split(":", 1)[1].strip()
                     if value != "none":
@@ -445,6 +437,8 @@ def read_counts(path) -> CountsTable:
                 count = float(count_text)
             except ValueError:
                 raise CountsParseError(f"bad count {count_text!r}", lineno) from None
+            if not math.isfinite(count):
+                raise CountsParseError(f"non-finite count {count_text!r}", lineno)
             rows.append(CountRow(setting, outcome, count))
     if shots is None:
         raise CountsParseError("missing 'shots_per_setting' header", max(lineno, 1))

@@ -151,7 +151,9 @@ class GHZParams:
             "gamma": (self.gamma1, self.gamma3),
         }
         for name, (first, second) in pairs.items():
-            norm = abs(first) ** 2 + abs(second) ** 2
+            # Products, not ** 2: a float power raises OverflowError, a product
+            # overflows to inf, which the check below refuses.
+            norm = abs(first) * abs(first) + abs(second) * abs(second)
             if not abs(norm - 1.0) <= ROW_NORM_TOL:
                 raise ValidationError(
                     f"{name} amplitudes have squared norm {norm:.12g}, expected 1"

@@ -305,6 +305,96 @@ def test_run_rejects_boolean_spin(tmp_path, capsys, flag):
     assert "custom.spins[1][1]" in capsys.readouterr().err
 
 
+TOMOGRAPHY_CONFIG = dict(GHZ_CONFIG, tomography={"shots": 50, "seed": 0})
+
+AMPLITUDE_CONFIG = dict(
+    GHZ_CONFIG,
+    ghz={name: INV_SQRT2 for name in ("alpha1", "alpha2", "beta2", "beta3", "gamma1", "gamma3")},
+)
+
+CUSTOM_CONFIG = {
+    "preset": "custom",
+    "custom": {
+        "amplitudes": [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]],
+        "spins": [["down", "up"], ["up", "down"]],
+    },
+    "distinguishability": {"gram": [[1, 1], [1, 1]]},
+}
+
+
+@pytest.mark.parametrize("base,field,value", [
+    (TOMOGRAPHY_CONFIG, "tomography.shots", "abc"),
+    (TOMOGRAPHY_CONFIG, "tomography.shots", 1e30),
+    (TOMOGRAPHY_CONFIG, "tomography.shots", True),
+    (TOMOGRAPHY_CONFIG, "tomography.shots", 2.5),
+    (TOMOGRAPHY_CONFIG, "tomography.seed", "x"),
+    (TOMOGRAPHY_CONFIG, "tomography.seed", True),
+    (DELAY_CONFIG, "distinguishability.coherence_length", "abc"),
+    (DELAY_CONFIG, "distinguishability.coherence_length", [1]),
+    (CUSTOM_CONFIG, "custom.spins", [["down", "up"], ["up"]]),
+    (CUSTOM_CONFIG, "custom.spins", ["down", "up"]),
+])
+def test_run_rejects_malformed_values(tmp_path, capsys, base, field, value):
+    data = json.loads(json.dumps(base))
+    section, key = field.split(".")
+    data[section][key] = value
+    config = write_config(tmp_path, data)
+    rc = main(["run", "--config", config, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+def test_run_rejects_amplitude_whose_square_overflows(tmp_path, capsys):
+    data = json.loads(json.dumps(AMPLITUDE_CONFIG))
+    data["ghz"]["alpha1"] = 1.3407807929942597e154
+    rc = main(["run", "--config", write_config(tmp_path, data),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "alpha amplitudes have squared norm inf" in capsys.readouterr().err
+
+
+def test_run_rejects_integer_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"preset": "ghz", "distinguishability": '
+        '{"delays": [0, 1' + "0" * 400 + ', 0], "coherence_length": 1}}',
+        encoding="utf-8",
+    )
+    rc = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(path), "--out-dir", out]) == 2
+    assert main(["reconstruct", "--counts", str(path), "--out-dir", out]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,text", [
+    ("ZZZ 000 nan", "line 3: non-finite count 'nan'"),
+    ("ZZZ 000 inf", "line 3: non-finite count 'inf'"),
+    ("# shots_per_setting: inf", "line 2: non-finite shots_per_setting"),
+])
+def test_reconstruct_rejects_non_finite_counts(tmp_path, capsys, line, text):
+    counts_path = tmp_path / "counts.txt"
+    body = ["# identangle tomography counts", "# shots_per_setting: 10", "ZZZ 000 10"]
+    body[1 if line.startswith("#") else 2] = line
+    counts_path.write_text("\n".join(body) + "\n", encoding="utf-8")
+    rc = main(["reconstruct", "--counts", str(counts_path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_ghz_counts(tmp_path):
     truth = DensityMatrix.from_pure(ghz_state().vector)
     table = simulate_counts(truth, shots=20_000, seed=7)

@@ -2,7 +2,8 @@
 
 Each case starts from a valid input, overwrites one entry (for the Gram and
 density matrices, one entry and its mirror, so the matrix stays Hermitian in
-shape) with a non-finite value, and expects a ValidationError.
+shape; for a counts table, one count or the shot total) with a non-finite
+value, and expects a ValidationError.
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_gram, random_row_normalized
 from identangle import (
+    CountRow,
+    CountsParseError,
+    CountsTable,
     DensityMatrix,
     GramMatrix,
     TransformSpec,
     ValidationError,
     custom_spec,
     density_matrix_from_spec,
+    read_counts,
+    simulate_counts,
+    write_counts,
 )
 
 NON_FINITE = st.sampled_from([
@@ -32,6 +39,7 @@ NON_FINITE = st.sampled_from([
     complex(0.5, math.inf),
     complex(math.nan, math.inf),
 ])
+NON_FINITE_REAL = st.sampled_from([math.nan, math.inf, -math.inf])
 PROPERTY = settings(max_examples=40, deadline=None)
 
 
@@ -97,3 +105,51 @@ def test_solve_from_raw_arrays_rejects_non_finite_entries(seed, n, cell, bad, ta
 def test_all_nan_density_matrix_is_rejected():
     with pytest.raises(ValidationError, match="finite"):
         DensityMatrix(np.full((2, 2), np.nan))
+
+
+def valid_table(seed: int, qubits: int) -> CountsTable:
+    rho = random_density(np.random.default_rng(seed), 2**qubits)
+    return simulate_counts(rho, shots=20, seed=seed)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 3), cell=st.data(),
+       bad=NON_FINITE_REAL)
+def test_counts_table_rejects_non_finite_counts(seed, qubits, cell, bad):
+    table = valid_table(seed, qubits)
+    rows = list(table.rows)
+    k = cell.draw(st.integers(0, len(rows) - 1))
+    rows[k] = CountRow(rows[k].setting, rows[k].outcome, bad)
+    with pytest.raises(ValidationError):
+        CountsTable(rows=tuple(rows), shots_per_setting=table.shots_per_setting)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 3), bad=NON_FINITE_REAL)
+def test_counts_table_rejects_non_finite_shots(seed, qubits, bad):
+    with pytest.raises(ValidationError):
+        CountsTable(rows=valid_table(seed, qubits).rows, shots_per_setting=bad)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_read_counts_reports_the_line_of_a_non_finite_count(tmp_path, text):
+    path = tmp_path / "counts.txt"
+    write_counts(valid_table(3, 2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    setting, outcome, _ = lines[7].split()
+    lines[7] = f"{setting} {outcome} {text}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CountsParseError, match=f"line 8: non-finite count '{text}'"):
+        read_counts(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_read_counts_rejects_a_non_finite_shot_total(tmp_path, text):
+    path = tmp_path / "counts.txt"
+    write_counts(valid_table(3, 2), path)
+    body = path.read_text(encoding="utf-8").replace(
+        "# shots_per_setting: 20", f"# shots_per_setting: {text}"
+    )
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(CountsParseError, match="line 3: non-finite shots_per_setting"):
+        read_counts(path)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from identangle import (
 )
 
 PAULI = {
+    "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -121,11 +125,54 @@ def test_linear_inversion_inverts_exact_statistics():
     np.testing.assert_allclose(estimate, rho.matrix, atol=1e-9)
 
 
+def pauli_average_estimate(table: CountsTable) -> np.ndarray:
+    """rho = (1/d) sum_P <P> P, each <P> averaged over the settings measuring P."""
+    n = table.num_qubits
+    outcomes = [format(o, f"0{n}b") for o in range(2**n)]
+    estimate = np.zeros((2**n, 2**n), dtype=complex)
+    for pauli in itertools.product("IXYZ", repeat=n):
+        support = [q for q, axis in enumerate(pauli) if axis != "I"]
+        signs = np.array([(-1) ** sum(int(bits[q]) for q in support) for bits in outcomes])
+        values = [
+            table.counts_for(setting) @ signs / table.counts_for(setting).sum()
+            for setting in table.settings()
+            if all(setting[q] == pauli[q] for q in support)
+        ]
+        estimate += np.mean(values) * reduce(np.kron, [PAULI[axis] for axis in pauli])
+    return estimate / 2**n
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_linear_inversion_averages_pauli_expectations_on_finite_statistics(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    for seed in range(3):
+        table = simulate_counts(random_density(rng, 2**num_qubits), shots=200, seed=seed)
+        np.testing.assert_allclose(
+            reconstruct_linear(table), pauli_average_estimate(table), rtol=0, atol=1e-12
+        )
+
+
+def test_linear_inversion_rejects_a_setting_without_counts():
+    # Totals of zero are within tolerance of a tiny shot count.
+    rows = tuple(CountRow(setting, "0", 0.0) for setting in all_pauli_settings(1))
+    table = CountsTable(rows=rows, shots_per_setting=1e-7)
+    with pytest.raises(ValidationError, match="has no counts"):
+        reconstruct_linear(table)
+
+
 def test_linear_inversion_requires_complete_settings():
     table = exact_counts(ghz_rho(), settings=["ZZZ"])
     with pytest.raises(IncompleteSettingsError):
         reconstruct_linear(table)
     with pytest.raises(IncompleteSettingsError):
+        reconstruct_mle(table)
+
+
+def test_completeness_check_stays_cheap_on_wide_tables():
+    # 3^40 settings could never be listed; the check must not try.
+    row = CountRow("Z" * 40, "0" * 40, 1)
+    table = CountsTable(rows=(row,), shots_per_setting=1)
+    with pytest.raises(IncompleteSettingsError, match=f"and {3**40 - 7} more"):
         reconstruct_mle(table)
 
 
