@@ -11,7 +11,7 @@ and simulated tomography.
 __version__ = "0.2.0"
 
 from .brute_force import brute_density_matrix, permanent
-from .density import DensityMatrix, spin_pattern_index
+from .density import DensityMatrix
 from .entanglement import (
     GHZ_WITNESS_BOUND,
     VERDICT_GHZ,
@@ -123,7 +123,6 @@ __all__ = [
     "reconstruct_linear",
     "reconstruct_mle",
     "simulate_counts",
-    "spin_pattern_index",
     "w_preset",
     "w_state",
     "write_counts",

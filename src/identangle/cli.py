@@ -194,7 +194,7 @@ def build_spec(config: dict, path: str) -> TransformSpec:
     except ValidationError as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(path, "preset", str(exc)) from exc
+        raise ConfigError(path, preset, str(exc)) from exc
 
 
 def build_gram(config: dict, path: str, num_particles: int) -> GramMatrix:
@@ -507,14 +507,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
-    common.add_argument(
-        "--seed", type=int, default=None, help="override the config's tomography seed"
-    )
 
     p_run = sub.add_parser(
         "run", parents=[common], help="simulate one configuration end to end"
     )
     p_run.add_argument("--config", required=True, help="path to a JSON config")
+    p_run.add_argument(
+        "--seed", type=int, default=None, help="override the config's tomography seed"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_scan = sub.add_parser(

@@ -11,7 +11,6 @@ basis is |ddd>, |ddu>, |dud>, |duu>, |udd>, |udu>, |uud>, |uuu> at indices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,21 +20,12 @@ __all__ = [
     "HERMITIAN_TOL",
     "PSD_TOL",
     "TRACE_TOL",
-    "spin_pattern_index",
     "DensityMatrix",
 ]
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-10
-
-
-def spin_pattern_index(spins: Sequence[int]) -> int:
-    """Basis index of a spin pattern, detector 0 most significant, DOWN=0."""
-    index = 0
-    for spin in spins:
-        index = (index << 1) | int(spin)
-    return index
 
 
 @dataclass(frozen=True)

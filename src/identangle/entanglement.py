@@ -48,6 +48,8 @@ VERDICT_INCONCLUSIVE = "witness-inconclusive"
 
 # Basis positions of |ddu>, |dud>, |udd> in the detector-major ordering.
 _W_SUPPORT = (1, 2, 4)
+_W_GRID_SIZE = 256  # W phase search: coarse grid points per phase
+_W_STEP_FLOOR = 1e-6  # W phase search: descent step (radians) that ends it
 
 
 @dataclass(frozen=True)
@@ -128,18 +130,14 @@ def _w_objective_terms(rho: DensityMatrix):
     return d, complex(m[a, b]), complex(m[a, c]), complex(m[b, c])
 
 
-def optimize_w_phases(
-    rho: DensityMatrix,
-    grid_size: int = 256,
-    refine_step_floor: float = 1e-6,
-) -> tuple[float, float, float]:
+def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     """Maximize fidelity against the W family over both phases.
 
-    Coarse stage: exhaustive grid over [0, 2pi)^2, ties broken toward the
-    lexicographically smallest (phi1, phi2). Fine stage: coordinate descent
-    from the best grid point, halving the step until it drops below
-    ``refine_step_floor`` radians. Returns (phi1, phi2, best fidelity) with
-    phases wrapped to (-pi, pi].
+    Coarse stage: exhaustive ``_W_GRID_SIZE``^2 grid over [0, 2pi)^2, ties
+    broken toward the lexicographically smallest (phi1, phi2). Fine stage:
+    coordinate descent from the best grid point, halving the step until it
+    drops below ``_W_STEP_FLOOR`` radians. Returns (phi1, phi2, best
+    fidelity) with phases wrapped to (-pi, pi].
     """
     if rho.num_qubits != 3:
         raise ValidationError("the W phase search is defined for three qubits")
@@ -153,17 +151,17 @@ def optimize_w_phases(
         )
         return float((d + 2.0 * cross.real) / 3.0)
 
-    phis = np.arange(grid_size) * (2.0 * math.pi / grid_size)
+    phis = np.arange(_W_GRID_SIZE) * (2.0 * math.pi / _W_GRID_SIZE)
     e1 = np.exp(1j * phis)[:, None]
     e2 = np.exp(1j * phis)[None, :]
     grid = (d + 2.0 * np.real(c12 * e1 + c14 * e2 + c24 * e2 * e1.conj())) / 3.0
     flat_best = int(np.argmax(grid))
-    i, j = divmod(flat_best, grid_size)
+    i, j = divmod(flat_best, _W_GRID_SIZE)
     phi1, phi2 = float(phis[i]), float(phis[j])
     best = float(grid[i, j])
 
-    step = 2.0 * math.pi / grid_size
-    while step >= refine_step_floor:
+    step = 2.0 * math.pi / _W_GRID_SIZE
+    while step >= _W_STEP_FLOOR:
         moved = False
         for delta1, delta2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             candidate = objective(phi1 + delta1, phi2 + delta2)

@@ -53,7 +53,8 @@ GRAM_PSD_TOL = 1e-9
 # Success probabilities at or below this are treated as exact destructive
 # interference rather than a usable postselection.
 SUCCESS_FLOOR = 1e-15
-# (ket, bra) pairs traced per step; bounds the trace's scratch memory.
+# (ket, bra) pairs traced per step, in whole ket rows; bounds scratch memory
+# while a ket row fits, else a step holds one row of len(outcomes) pairs.
 PAIR_BLOCK = 1 << 14
 
 
@@ -69,7 +70,8 @@ class GramMatrix:
             raise ValidationError(f"Gram matrix must be square, got shape {g.shape}")
         if not np.isfinite(g).all():
             raise ValidationError("Gram matrix entries must be finite")
-        herm_defect = float(np.max(np.abs(g - g.conj().T)))
+        with np.errstate(over="ignore"):  # an overflowing defect is inf, refused below
+            herm_defect = float(np.max(np.abs(g - g.conj().T)))
         if not herm_defect <= GRAM_HERMITIAN_TOL:
             raise ValidationError(
                 f"Gram matrix is not Hermitian (defect {herm_defect:.3e})"
@@ -154,8 +156,12 @@ class DelayModel:
 def gram_from_delays(model: DelayModel) -> GramMatrix:
     """Overlap matrix G[i, j] = exp(-((L_i - L_j) / L_c)^2)."""
     delays = np.asarray(model.delays, dtype=float)
-    diff = delays[:, None] - delays[None, :]
-    return GramMatrix(np.exp(-((diff / model.coherence_length) ** 2)))
+    # A difference too large to represent gives the overlap exp(-inf) = 0; an
+    # infinite delay gives NaN, which GramMatrix refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = delays[:, None] - delays[None, :]
+        overlaps = np.exp(-((diff / model.coherence_length) ** 2))
+    return GramMatrix(overlaps)
 
 
 @dataclass(frozen=True)
@@ -230,12 +236,12 @@ def density_matrix_from_spec(
     """Postselected spin-register density matrix and its success probability.
 
     Sums amp_ket * conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)] over
-    every (ket, bra) pair of no-bunching outcomes, PAIR_BLOCK pairs at a
-    time. Pairs are taken ket-major and each product is formed from real and
-    imaginary parts in the oracle's factor order, so the result is
-    byte-identical to ``brute_density_matrix``. Raises
-    PostselectionImpossibleError when the success probability vanishes
-    (fully destructive interference).
+    every (ket, bra) pair of no-bunching outcomes, in blocks of whole ket rows
+    of at most PAIR_BLOCK pairs (or one longer row). Pairs are taken
+    ket-major and each product is formed from real and imaginary parts in the
+    oracle's factor order, so the result is byte-identical to
+    ``brute_density_matrix``. Raises PostselectionImpossibleError when the
+    success probability vanishes (fully destructive interference).
     """
     outcomes = no_bunching_outcomes(spec)
     n = outcomes.num_particles
@@ -258,23 +264,18 @@ def density_matrix_from_spec(
     count = len(outcomes)
     dim = 2**n
     raw = np.zeros(dim * dim, dtype=complex)
-    # Blocks of whole ket rows (or, past PAIR_BLOCK outcomes, pieces of one
-    # row) keep the pairs ket-major, the order the oracle accumulates in.
+    # Blocks of whole ket rows keep the pairs ket-major, the order the oracle
+    # accumulates in.
     rows = max(1, PAIR_BLOCK // max(count, 1))
-    cols = min(count, PAIR_BLOCK)
     for k0 in range(0, count, rows):
         kets = slice(k0, k0 + rows)
-        for b0 in range(0, count, cols):
-            bras = slice(b0, b0 + cols)
-            re, im = _complex_product(
-                amp_re[kets, None], amp_im[kets, None], amp_re[bras], conj_im[bras]
-            )
-            f_re, f_im = factor[:, 0, labels[0, kets], bras]
-            for d in range(1, n):
-                f_re, f_im = _complex_product(f_re, f_im, *factor[:, d, labels[d, kets], bras])
-            value = np.empty(re.shape, dtype=complex)
-            value.real, value.imag = _complex_product(re, im, f_re, f_im)
-            np.add.at(raw, (indices[kets, None] * dim + indices[bras]).ravel(), value.ravel())
+        re, im = _complex_product(amp_re[kets, None], amp_im[kets, None], amp_re, conj_im)
+        f_re, f_im = factor[:, 0, labels[0, kets]]
+        for d in range(1, n):
+            f_re, f_im = _complex_product(f_re, f_im, *factor[:, d, labels[d, kets]])
+        value = np.empty(re.shape, dtype=complex)
+        value.real, value.imag = _complex_product(re, im, f_re, f_im)
+        np.add.at(raw, (indices[kets, None] * dim + indices).ravel(), value.ravel())
     raw = raw.reshape(dim, dim)
     p_success = float(np.trace(raw).real)
     if not p_success > SUCCESS_FLOOR:

@@ -11,9 +11,9 @@ settings independent of each other. Both estimators work on the stacked
 outcome eigenvectors v_k of all settings, whose Born probabilities are
 p_k = v_k^dagger rho v_k:
 
-* linear inversion, one least-squares solve of p_k = f_k for rho against
-  the per-setting frequencies f_k, which can return a slightly non-positive
-  matrix on finite statistics, and
+* linear inversion, the sum of f_k v_k v_k^dagger over the per-setting
+  frequencies f_k with the Pauli frame operator undone qubit by qubit, which
+  can return a slightly non-positive matrix on finite statistics, and
 * a diluted iterative RrhoR maximum-likelihood fit, which always returns a
   proper density matrix and never decreases the log-likelihood between
   iterations.
@@ -33,7 +33,6 @@ from .errors import CountsParseError, IncompleteSettingsError, ValidationError
 
 __all__ = [
     "PAULI_AXES",
-    "MeasurementSetting",
     "all_pauli_settings",
     "axis_eigenvectors",
     "born_probabilities",
@@ -50,8 +49,8 @@ __all__ = [
 
 PAULI_AXES = "XYZ"
 
-# A measurement setting is a Pauli string, one character per qubit.
-MeasurementSetting = str
+_MLE_TOL = 1e-11  # the MLE stops below this log-likelihood gain per iteration
+_MLE_DILUTION = 0.5  # weight of the R operator in each iteration's first trial step
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -172,11 +171,16 @@ class CountsTable:
 
     def counts_for(self, setting: str) -> np.ndarray:
         """Counts of one setting as a vector indexed by outcome index."""
-        counts = np.zeros(2**self.num_qubits)
-        for row in self.rows:
-            if row.setting == setting:
-                counts[int(row.outcome, 2)] += row.count
-        return counts
+        return self._count_grid().get(setting, np.zeros(2**self.num_qubits))
+
+    def _count_grid(self) -> dict[str, np.ndarray]:
+        """Counts of every setting, in first-seen order, summed in row order."""
+        grid: dict[str, np.ndarray] = {}
+        for setting, outcome, count in self.rows:
+            if setting not in grid:
+                grid[setting] = np.zeros(2**self.num_qubits)
+            grid[setting][int(outcome, 2)] += count
+        return grid
 
 
 def _outcome_strings(num_qubits: int) -> list[str]:
@@ -252,39 +256,41 @@ def _require_complete(table: CountsTable) -> None:
 
 def _stacked_vectors(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """All outcome eigenvectors and aligned counts across the table."""
-    blocks = []
-    counts = []
-    for setting in table.settings():
-        blocks.append(_setting_vectors(setting))
-        counts.append(table.counts_for(setting))
-    return np.vstack(blocks), np.concatenate(counts)
+    grid = table._count_grid()
+    vectors = np.vstack([_setting_vectors(setting) for setting in grid])
+    return vectors, np.concatenate(list(grid.values()))
 
 
 def reconstruct_linear(table: CountsTable) -> np.ndarray:
-    """Linear-inversion estimate: one least-squares solve over all outcomes.
+    """Linear-inversion estimate: the projector sum under the inverse frame.
 
-    Solves v_k^dagger rho v_k = f_k in the least-squares sense, where v_k runs
-    over the outcome eigenvectors of every setting and f_k is the outcome's
-    frequency within its setting. With all 3^N settings present the solution
-    is the Pauli-average estimator: least squares applies the canonical dual
-    frame, which per qubit maps an outcome projector P to (3P - I)/3, so
-    every Pauli expectation is averaged over the settings that measure it.
-    Hermitian with unit trace, but finite statistics can push eigenvalues
-    slightly negative, so the result is a raw matrix rather than a
-    DensityMatrix.
+    Forms Y = sum_k f_k v_k v_k^dagger over the outcome eigenvectors v_k of
+    every setting, f_k being the outcome's frequency within its setting, and
+    undoes the Pauli frame operator X -> X + tr(X) I one qubit at a time:
+    Y -> Y - tr_q(Y) (x) I_q / 3. That is the least-squares solution of
+    v_k^dagger rho v_k = f_k, which averages each Pauli expectation over the
+    settings that measure it. Hermitian with unit trace, but finite
+    statistics can push eigenvalues slightly negative, so the result is a raw
+    matrix rather than a DensityMatrix.
     """
     _require_complete(table)
-    dim = 2**table.num_qubits
+    n = table.num_qubits
     vectors, counts = _stacked_vectors(table)
-    counts = counts.reshape(-1, dim)
+    counts = counts.reshape(-1, 2**n)
     totals = counts.sum(axis=1)
     for setting, total in zip(table.settings(), totals):
         if not total > 0:
             raise ValidationError(f"setting {setting} has no counts")
     frequencies = (counts / totals[:, None]).ravel()
-    # Row k is conj(v_k) v_k^T flattened, so that row @ rho.ravel() = p_k.
-    projectors = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(len(vectors), -1)
-    estimate = np.linalg.lstsq(projectors, frequencies, rcond=None)[0].reshape(dim, dim)
+    # The MLE's R-operator sum, with one axis per row and column qubit index.
+    tensor = ((vectors * frequencies[:, None]).T @ vectors.conj()).reshape((2,) * (2 * n))
+    for q in range(n):
+        # Axes q and n + q index qubit q; block is a view into tensor.
+        block = np.moveaxis(tensor, (q, n + q), (0, 1))
+        partial = (block[0, 0] + block[1, 1]) / 3.0
+        block[0, 0] -= partial
+        block[1, 1] -= partial
+    estimate = tensor.reshape(2**n, 2**n)
     return (estimate + estimate.conj().T) / 2.0
 
 
@@ -307,25 +313,18 @@ def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
     return _likelihood(counts, counts > 0, probs)
 
 
-def reconstruct_mle(
-    table: CountsTable,
-    max_iters: int = 1000,
-    tol: float = 1e-11,
-    dilution: float = 0.5,
-) -> DensityMatrix:
+def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
     """Diluted iterative RrhoR maximum-likelihood reconstruction.
 
     Starting from the maximally mixed state, each iteration applies
     rho -> A rho A / tr(...) with A = (1 - lam) I + lam R, where R is the
-    likelihood-gradient operator and lam starts at ``dilution``. If a step
-    would lower the log-likelihood, lam is halved for that step, so the
+    likelihood-gradient operator and lam starts at ``_MLE_DILUTION``. If a
+    step would lower the log-likelihood, lam is halved for that step, so the
     likelihood never decreases. Stops when the per-iteration gain falls
-    below ``tol`` or after ``max_iters`` iterations. (Rehacek, Hradil,
+    below ``_MLE_TOL`` or after ``max_iters`` iterations. (Rehacek, Hradil,
     Knill & Lvovsky, PRA 75, 042108 (2007).) The probabilities of each
     accepted candidate carry over to the next iteration.
     """
-    if not (0.0 < dilution <= 1.0):
-        raise ValidationError(f"dilution must be in (0, 1], got {dilution}")
     _require_complete(table)
     vectors, counts = _stacked_vectors(table)
     total = counts.sum()
@@ -345,7 +344,7 @@ def reconstruct_mle(
         r_op = (vectors * ratio[:, None]).T @ conj_vectors
         r_op = (r_op + r_op.conj().T) / 2.0
 
-        lam = dilution
+        lam = _MLE_DILUTION
         while lam >= 1e-8:
             step = (1.0 - lam) * identity + lam * r_op
             candidate = step @ rho @ step
@@ -360,7 +359,7 @@ def reconstruct_mle(
             break
         gain = value - current
         rho, probs, current = candidate, candidate_probs, value
-        if gain < tol:
+        if gain < _MLE_TOL:
             break
     return DensityMatrix(rho)
 

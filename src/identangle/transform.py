@@ -94,7 +94,9 @@ class TransformSpec:
             raise ValidationError(
                 f"amplitude matrix {t.shape} and spin matrix {s.shape} differ in shape"
             )
-        row_norms = np.sum(np.abs(t) ** 2, axis=1)
+        # An amplitude too large to square gives an infinite norm, refused below.
+        with np.errstate(over="ignore"):
+            row_norms = np.sum(np.abs(t) ** 2, axis=1)
         for i, norm in enumerate(row_norms):
             if not abs(norm - 1.0) <= ROW_NORM_TOL:
                 raise ValidationError(

@@ -140,6 +140,23 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert (out_default / "counts.txt").read_bytes() != (out_seeded / "counts.txt").read_bytes()
 
 
+def test_seed_flag_is_refused_outside_run(tmp_path, capsys):
+    config = write_config(tmp_path, GHZ_CONFIG)
+    counts = tmp_path / "counts.txt"
+    write_counts(simulate_counts(DensityMatrix.from_pure(ghz_state(3).vector), shots=10), counts)
+    for argv in (
+        ["scan", "--config", config, "--param", "g"]
+        + ["--start", "0", "--stop", "1", "--steps", "2"],
+        ["reconstruct", "--counts", str(counts)],
+    ):
+        argv += ["--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+        assert main(argv) == 0
+
+
 def test_run_csv_report(tmp_path):
     config = write_config(tmp_path, GHZ_CONFIG)
     out = tmp_path / "out"
@@ -350,7 +367,9 @@ def test_run_rejects_amplitude_whose_square_overflows(tmp_path, capsys):
     rc = main(["run", "--config", write_config(tmp_path, data),
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    assert "alpha amplitudes have squared norm inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "alpha amplitudes have squared norm inf" in err
+    assert ": ghz: " in err
 
 
 def test_run_rejects_integer_beyond_float_range(tmp_path, capsys):

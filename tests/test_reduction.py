@@ -174,6 +174,11 @@ def test_gram_validation_rejects_bad_matrices():
         GramMatrix.uniform(3, -0.9)  # not positive semidefinite
 
 
+def test_gram_entry_too_large_to_subtract_is_refused_without_warning():
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        GramMatrix([[complex(1e308, 1e308), 0.0], [0.0, 1.0]])
+
+
 def test_gram_from_labels_matches_uniform_cases():
     np.testing.assert_allclose(
         gram_from_labels(("a", "a", "a")).overlaps,
@@ -193,6 +198,16 @@ def test_gram_from_delays():
     assert gram.overlaps[0, 2] == pytest.approx(expected, abs=1e-15)
     assert gram.overlaps[1, 2] == pytest.approx(expected, abs=1e-15)
     np.testing.assert_allclose(np.diag(gram.overlaps), 1.0)
+
+
+def test_delays_too_far_apart_to_square_give_zero_overlap():
+    gram = gram_from_delays(DelayModel(coherence_length=1e-200, delays=(0.0, 1e200, 0.0)))
+    np.testing.assert_array_equal(gram.overlaps, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+
+
+def test_infinite_delay_is_refused_without_warning():
+    with pytest.raises(ValidationError, match="must be finite"):
+        gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, math.inf, 0.0)))
 
 
 def test_delay_model_validation():
@@ -289,8 +304,8 @@ def test_kernel_is_byte_identical_to_oracle_on_presets(spec):
 
 
 def test_kernel_blocks_keep_byte_identity(monkeypatch):
-    # 120 outcomes: blocks of 50 pairs split every ket row, blocks of 250
-    # take two whole rows.
+    # 120 outcomes: blocks of 50 pairs fall back to one whole ket row,
+    # blocks of 250 take two.
     rng = np.random.default_rng(407)
     spec, gram = random_spec(rng, 5, 5), random_gram(rng, 5)
     for block in (50, 250):

@@ -129,23 +129,24 @@ def pauli_average_estimate(table: CountsTable) -> np.ndarray:
     """rho = (1/d) sum_P <P> P, each <P> averaged over the settings measuring P."""
     n = table.num_qubits
     outcomes = [format(o, f"0{n}b") for o in range(2**n)]
+    counts = {setting: table.counts_for(setting) for setting in table.settings()}
     estimate = np.zeros((2**n, 2**n), dtype=complex)
     for pauli in itertools.product("IXYZ", repeat=n):
         support = [q for q, axis in enumerate(pauli) if axis != "I"]
         signs = np.array([(-1) ** sum(int(bits[q]) for q in support) for bits in outcomes])
         values = [
-            table.counts_for(setting) @ signs / table.counts_for(setting).sum()
-            for setting in table.settings()
+            vector @ signs / vector.sum()
+            for setting, vector in counts.items()
             if all(setting[q] == pauli[q] for q in support)
         ]
         estimate += np.mean(values) * reduce(np.kron, [PAULI[axis] for axis in pauli])
     return estimate / 2**n
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
 def test_linear_inversion_averages_pauli_expectations_on_finite_statistics(num_qubits):
     rng = np.random.default_rng(num_qubits)
-    for seed in range(3):
+    for seed in range(3 if num_qubits <= 3 else 1):
         table = simulate_counts(random_density(rng, 2**num_qubits), shots=200, seed=seed)
         np.testing.assert_allclose(
             reconstruct_linear(table), pauli_average_estimate(table), rtol=0, atol=1e-12

@@ -101,6 +101,11 @@ def test_custom_spec_rejects_unnormalized_row():
         custom_spec([[1.0, 1.0], [1.0, 0.0]], [[D, D], [D, UNUSED]])
 
 
+def test_custom_spec_rejects_amplitude_too_large_to_square():
+    with pytest.raises(ValidationError, match="squared norm inf"):
+        custom_spec([[1e200, 0.0], [0.0, 1.0]], [[D, UNUSED], [UNUSED, D]])
+
+
 def test_custom_spec_rejects_zero_row():
     with pytest.raises(ValidationError):
         custom_spec([[0.0, 0.0], [0.0, 1.0]], [[UNUSED, UNUSED], [UNUSED, D]])
