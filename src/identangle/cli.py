@@ -6,13 +6,19 @@ results. Reports are JSON (or flat CSV with ``--format csv``), density
 matrices go to text files with the real and imaginary parts stacked as two
 blocks, and all angles are reported in units of pi.
 
-Exit codes: 0 on success, 2 for validation and configuration errors, 3 when
-the simulation is numerically impossible (nothing survives postselection).
+Each command runs in three stages: parse and validate all of its input,
+compute, then write, so a command refused before its write stage (exit 2 or
+3) writes no file.
+
+Exit codes: 0 on success, 2 for validation and configuration errors
+(including an output directory that cannot be written), 3 when the
+simulation is numerically impossible (nothing survives postselection).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -32,6 +38,7 @@ from .reduction import (
     gram_from_delays,
 )
 from .tomography import (
+    CountsTable,
     read_counts,
     reconstruct_mle,
     simulate_counts,
@@ -51,16 +58,9 @@ from .transform import (
 
 TOOL_NAME = "identangle"
 
+# Adjacent fields share a routing row: scanning one GHZ amplitude rescales its
+# partner (index ^ 1) to keep the row normalized.
 _GHZ_FIELDS = ("alpha1", "alpha2", "beta2", "beta3", "gamma1", "gamma3")
-# Scanning one GHZ amplitude rescales its row partner to keep the row normalized.
-_GHZ_PARTNERS = {
-    "alpha1": "alpha2",
-    "alpha2": "alpha1",
-    "beta2": "beta3",
-    "beta3": "beta2",
-    "gamma1": "gamma3",
-    "gamma3": "gamma1",
-}
 
 
 def config_hash(config: dict) -> str:
@@ -94,29 +94,30 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _is_number(value) -> bool:
+    # JSON true/false are bools, which Python counts as integers.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(value, path: str, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return complex(float(value))
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(path, field, f"expected a number or [re, im] pair, got {value!r}")
 
 
-def _parse_complex_matrix(value, path: str, field: str) -> np.ndarray:
+def _parse_matrix(value, path: str, field: str, parse_entry) -> list[list]:
+    """Nonempty list of equal-length rows, each entry read by ``parse_entry``."""
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ConfigError(path, field, "expected a list of rows")
     rows = [
-        [_parse_complex(entry, path, f"{field}[{i}][{j}]") for j, entry in enumerate(row)]
+        [parse_entry(entry, path, f"{field}[{i}][{j}]") for j, entry in enumerate(row)]
         for i, row in enumerate(value)
     ]
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
+    if len({len(row) for row in rows}) != 1:
         raise ConfigError(path, field, "rows have inconsistent lengths")
-    return np.array(rows, dtype=complex)
+    return rows
 
 
 def _parse_integer(value, path: str, field: str, minimum: int, maximum: int | None = None):
@@ -170,7 +171,7 @@ def build_spec(config: dict, path: str) -> TransformSpec:
             if not isinstance(section, dict):
                 raise ConfigError(path, "w", "expected an object")
             if "rows" in section:
-                return w_preset(_parse_complex_matrix(section["rows"], path, "w.rows"))
+                return w_preset(_parse_matrix(section["rows"], path, "w.rows", _parse_complex))
             variant = section.get("variant", "balanced")
             if variant == "balanced":
                 return w_preset(balanced_tritter_rows())
@@ -180,20 +181,14 @@ def build_spec(config: dict, path: str) -> TransformSpec:
         section = config.get("custom")
         if not isinstance(section, dict):
             raise ConfigError(path, "custom", "expected an object with amplitudes and spins")
-        amplitudes = _parse_complex_matrix(section.get("amplitudes"), path, "custom.amplitudes")
-        spins_raw = section.get("spins")
-        if not isinstance(spins_raw, list) or not all(isinstance(r, list) for r in spins_raw):
-            raise ConfigError(path, "custom.spins", "expected a list of rows")
-        spins = [
-            [_parse_spin(entry, path, f"custom.spins[{i}][{j}]") for j, entry in enumerate(row)]
-            for i, row in enumerate(spins_raw)
-        ]
-        if len({len(row) for row in spins}) > 1:
-            raise ConfigError(path, "custom.spins", "rows have inconsistent lengths")
+        amplitudes = _parse_matrix(
+            section.get("amplitudes"), path, "custom.amplitudes", _parse_complex
+        )
+        spins = _parse_matrix(section.get("spins"), path, "custom.spins", _parse_spin)
         return custom_spec(amplitudes, spins)
+    except ConfigError:
+        raise
     except ValidationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(path, preset, str(exc)) from exc
 
 
@@ -212,18 +207,15 @@ def build_gram(config: dict, path: str, num_particles: int) -> GramMatrix:
         )
     try:
         if has_gram:
-            matrix = _parse_complex_matrix(section["gram"], path, "distinguishability.gram")
-            gram = GramMatrix(matrix)
+            gram = GramMatrix(
+                _parse_matrix(section["gram"], path, "distinguishability.gram", _parse_complex)
+            )
         else:
             delays = section["delays"]
-            if not isinstance(delays, list) or not all(
-                isinstance(d, (int, float)) and not isinstance(d, bool) for d in delays
-            ):
-                raise ConfigError(
-                    path, "distinguishability.delays", "expected a list of numbers"
-                )
+            if not isinstance(delays, list) or not all(map(_is_number, delays)):
+                raise ConfigError(path, "distinguishability.delays", "expected a list of numbers")
             length = section.get("coherence_length")
-            if isinstance(length, bool) or not isinstance(length, (int, float)):
+            if not _is_number(length):
                 raise ConfigError(
                     path,
                     "distinguishability.coherence_length",
@@ -234,9 +226,9 @@ def build_gram(config: dict, path: str, num_particles: int) -> GramMatrix:
                 delays=tuple(float(d) for d in delays),
             )
             gram = gram_from_delays(model)
+    except ConfigError:
+        raise
     except ValidationError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(path, "distinguishability", str(exc)) from exc
     if gram.num_particles != num_particles:
         raise ConfigError(
@@ -274,10 +266,6 @@ def read_density_matrix(path) -> np.ndarray:
     return data[:dim] + 1j * data[dim:]
 
 
-def _sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = []
     if isinstance(obj, dict):
@@ -301,6 +289,33 @@ def _write_report(report: dict, out_path: Path, fmt: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _output_dir(out_dir: str):
+    """Directory of the write stage; one that cannot be written is invalid input."""
+    try:
+        path = Path(out_dir)
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise ValidationError(f"{out_dir}: cannot write output files ({exc})") from None
+
+
+def _write_results(args, report: dict, matrix_name: str, matrix: np.ndarray,
+                   report_name: str, counts: CountsTable | None = None) -> None:
+    """Write stage of run and reconstruct: the matrix (named and hashed in the
+    report), the counts if any, then the report, which is echoed to stdout."""
+    with _output_dir(args.out_dir) as out_dir:
+        matrix_path = out_dir / matrix_name
+        write_density_matrix(matrix_path, matrix)
+        report["density_matrix_file"] = matrix_name
+        report["density_matrix_sha256"] = hashlib.sha256(matrix_path.read_bytes()).hexdigest()
+        if counts is not None:
+            write_counts(counts, out_dir / report["tomography"]["counts_file"])
+        report_path = _write_report(report, out_dir / report_name, args.format)
+    print(f"wrote {report_path}")
+    print(json.dumps(report, indent=2, sort_keys=True))
+
+
 def _scan_values(start: float, stop: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
@@ -309,7 +324,14 @@ def _scan_values(start: float, stop: float, steps: int) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _classification_fields(rho: DensityMatrix) -> dict:
+def _require_three_particles(count: int, where: str) -> None:
+    """The report's GHZ and W witnesses are defined for three particles only."""
+    if count != 3:
+        raise ValidationError(f"{where}: the witness report needs three particles, got {count}")
+
+
+def _classification_fields(rho: DensityMatrix, where: str) -> dict:
+    _require_three_particles(rho.num_qubits, where)
     report = classify(rho)
     return {
         "fidelity_ghz": report.fidelity_ghz,
@@ -324,136 +346,124 @@ def _classification_fields(rho: DensityMatrix) -> dict:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
-    spec = build_spec(config, args.config)
-    gram = build_gram(config, args.config, spec.num_particles)
+    path = args.config
+    config = _load_config(path)
+    spec = build_spec(config, path)
+    gram = build_gram(config, path, spec.num_particles)
+    tomography = config.get("tomography")
+    if tomography is not None:
+        if not isinstance(tomography, dict):
+            raise ConfigError(path, "tomography", "expected an object")
+        # numpy's multinomial sampler takes at most a signed 64-bit count.
+        shots = _parse_integer(
+            tomography.get("shots", 1000), path, "tomography.shots", 1, 2**63 - 1
+        )
+        seed = args.seed
+        if seed is None:
+            seed = _parse_integer(tomography.get("seed", 0), path, "tomography.seed", 0)
+
+    # The solve comes first: a config whose postselection is impossible exits 3.
     rho, p_success = density_matrix_from_spec(spec, gram)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    matrix_path = out_dir / "density_matrix.txt"
-    write_density_matrix(matrix_path, rho.matrix)
-
     report = {
         "tool": TOOL_NAME,
         "version": __version__,
         "config_hash": config_hash(config),
         "label": config.get("label"),
         "p_success": p_success,
-        "density_matrix_file": matrix_path.name,
-        "density_matrix_sha256": _sha256_of(matrix_path),
+        **_classification_fields(rho, f"{path}: {config['preset']}"),
     }
-    report.update(_classification_fields(rho))
-
-    tomo_section = config.get("tomography")
-    if tomo_section is not None:
-        if not isinstance(tomo_section, dict):
-            raise ConfigError(args.config, "tomography", "expected an object")
-        # numpy's multinomial sampler takes at most a signed 64-bit count.
-        shots = _parse_integer(
-            tomo_section.get("shots", 1000), args.config, "tomography.shots", 1, 2**63 - 1
-        )
-        seed = args.seed
-        if seed is None:
-            seed = _parse_integer(tomo_section.get("seed", 0), args.config, "tomography.seed", 0)
+    table = None
+    if tomography is not None:
         table = simulate_counts(rho, shots=shots, seed=seed)
-        counts_path = out_dir / "counts.txt"
-        write_counts(table, counts_path)
-        estimate = reconstruct_mle(table)
         report["tomography"] = {
             "shots_per_setting": shots,
             "seed": seed,
             "num_settings": len(table.settings()),
-            "counts_file": counts_path.name,
-            "mle_fidelity_vs_simulated": fidelity_mixed(estimate, rho),
+            "counts_file": "counts.txt",
+            "mle_fidelity_vs_simulated": fidelity_mixed(reconstruct_mle(table), rho),
         }
 
-    report_path = _write_report(report, out_dir / "report", args.format)
-    print(f"wrote {report_path}")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _write_results(args, report, "density_matrix.txt", rho.matrix, "report", counts=table)
     return 0
 
 
 def cmd_scan(args) -> int:
-    config = _load_config(args.config)
-    parameter = args.param
+    path, parameter = args.config, args.param
+    config = _load_config(path)
     values = _scan_values(args.start, args.stop, args.steps)
-
-    known_amplitudes = set(_GHZ_FIELDS)
-    if parameter not in {"g", "L1", "L2", "L3"} | known_amplitudes:
+    if parameter not in {"g", "L1", "L2", "L3", *_GHZ_FIELDS}:
         raise ValidationError(
             f"parameter {parameter!r} is not scannable; use g, L1/L2/L3 or one of "
-            f"{sorted(known_amplitudes)}"
+            f"{sorted(_GHZ_FIELDS)}"
         )
-
-    rows = []
-    for value in values:
-        point = json.loads(json.dumps(config))
-        if parameter == "g":
-            spec = build_spec(point, args.config)
-            gram = GramMatrix.uniform(spec.num_particles, float(value))
-        elif parameter in ("L1", "L2", "L3"):
+    # Preconditions that do not depend on the scanned value are checked once;
+    # each scan point writes its value into ``point``, a copy of the config.
+    point = json.loads(json.dumps(config))
+    if parameter in _GHZ_FIELDS:
+        if point.get("preset") != "ghz":
+            raise ValidationError(f"amplitude parameter {parameter!r} needs the ghz preset")
+        outside = [float(v) for v in values if not 0.0 <= v <= 1.0]
+        if outside:
+            raise ValidationError(f"amplitude {parameter} must lie in [0, 1], got {outside[0]}")
+        amplitudes = point.get("ghz")
+        if amplitudes is None:
+            amplitudes = point["ghz"] = {name: 1.0 / math.sqrt(2.0) for name in _GHZ_FIELDS}
+        if not isinstance(amplitudes, dict):
+            raise ConfigError(path, "ghz", "expected an object")
+        partner = _GHZ_FIELDS[_GHZ_FIELDS.index(parameter) ^ 1]
+    else:
+        if parameter != "g":
             section = point.get("distinguishability")
             delays = section.get("delays") if isinstance(section, dict) else None
             if not isinstance(delays, list):
                 raise ConfigError(
-                    args.config,
+                    path,
                     "distinguishability.delays",
                     f"scanning {parameter} needs a delay model in the config",
                 )
             index = int(parameter[1]) - 1
             if index >= len(delays):
                 raise ConfigError(
-                    args.config,
+                    path,
                     "distinguishability.delays",
                     f"{parameter} is out of range for {len(delays)} delays",
                 )
-            delays[index] = float(value)
-            spec = build_spec(point, args.config)
-            gram = build_gram(point, args.config, spec.num_particles)
+        spec = build_spec(point, path)
+
+    rows = []
+    for value in map(float, values):
+        if parameter == "g":
+            gram = GramMatrix.uniform(spec.num_particles, value)
+        elif parameter in _GHZ_FIELDS:
+            amplitudes[parameter] = value
+            amplitudes[partner] = math.sqrt(1.0 - value * value)
+            spec = build_spec(point, path)
+            gram = build_gram(point, path, spec.num_particles)
         else:
-            if point.get("preset") != "ghz":
-                raise ValidationError(
-                    f"amplitude parameter {parameter!r} needs the ghz preset"
-                )
-            magnitude = float(value)
-            if not 0.0 <= magnitude <= 1.0:
-                raise ValidationError(
-                    f"amplitude {parameter} must lie in [0, 1], got {magnitude}"
-                )
-            section = point.get("ghz")
-            if section is None:
-                section = {name: 1.0 / math.sqrt(2.0) for name in _GHZ_FIELDS}
-            if not isinstance(section, dict):
-                raise ConfigError(args.config, "ghz", "expected an object")
-            section[parameter] = magnitude
-            section[_GHZ_PARTNERS[parameter]] = math.sqrt(1.0 - magnitude * magnitude)
-            point["ghz"] = section
-            spec = build_spec(point, args.config)
-            gram = build_gram(point, args.config, spec.num_particles)
+            delays[index] = value
+            gram = build_gram(point, path, spec.num_particles)
         rho, p_success = density_matrix_from_spec(spec, gram)
-        row = {parameter: float(value), "p_success": p_success}
-        row.update(_classification_fields(rho))
+        row = {parameter: value, "p_success": p_success}
+        row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
         rows.append(row)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        payload = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "config_hash": config_hash(config),
-            "parameter": parameter,
-            "rows": rows,
-        }
-        out_path = _write_report(payload, out_dir / "scan", "json")
-    else:
-        out_path = out_dir / "scan.csv"
-        columns = list(rows[0].keys())
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(json.dumps(row[c]) for c in columns))
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _output_dir(args.out_dir) as out_dir:
+        if args.format == "json":
+            payload = {
+                "tool": TOOL_NAME,
+                "version": __version__,
+                "config_hash": config_hash(config),
+                "parameter": parameter,
+                "rows": rows,
+            }
+            out_path = _write_report(payload, out_dir / "scan", "json")
+        else:
+            out_path = out_dir / "scan.csv"
+            columns = list(rows[0].keys())
+            lines = [",".join(columns)]
+            for row in rows:
+                lines.append(",".join(json.dumps(row[c]) for c in columns))
+            out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
     for row in rows:
         print(
@@ -468,26 +478,21 @@ def cmd_reconstruct(args) -> int:
         table = read_counts(args.counts)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{args.counts}: cannot read counts file ({exc})") from None
+    _require_three_particles(table.num_qubits, args.counts)
+
     estimate = reconstruct_mle(table)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    matrix_path = out_dir / "reconstructed_density_matrix.txt"
-    write_density_matrix(matrix_path, estimate.matrix)
-
     report = {
         "tool": TOOL_NAME,
         "version": __version__,
         "counts_file": str(args.counts),
         "shots_per_setting": table.shots_per_setting,
         "num_settings": len(table.settings()),
-        "density_matrix_file": matrix_path.name,
-        "density_matrix_sha256": _sha256_of(matrix_path),
+        **_classification_fields(estimate, args.counts),
     }
-    report.update(_classification_fields(estimate))
-    report_path = _write_report(report, out_dir / "reconstruction_report", args.format)
-    print(f"wrote {report_path}")
-    print(json.dumps(report, indent=2, sort_keys=True))
+
+    _write_results(
+        args, report, "reconstructed_density_matrix.txt", estimate.matrix, "reconstruction_report"
+    )
     return 0
 
 

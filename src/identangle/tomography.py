@@ -183,8 +183,16 @@ class CountsTable:
         return grid
 
 
-def _outcome_strings(num_qubits: int) -> list[str]:
-    return [format(o, f"0{num_qubits}b") for o in range(2**num_qubits)]
+def _counts_table(rho: DensityMatrix, settings, counts_of, shots, seed) -> CountsTable:
+    """One row per outcome of every setting; ``counts_of(index, probs)`` gives the counts."""
+    if settings is None:
+        settings = all_pauli_settings(rho.num_qubits)
+    outcomes = [format(o, f"0{rho.num_qubits}b") for o in range(2**rho.num_qubits)]
+    rows = []
+    for index, setting in enumerate(settings):
+        counts = counts_of(index, born_probabilities(rho, setting))
+        rows.extend(CountRow(setting, outcome, c) for outcome, c in zip(outcomes, counts))
+    return CountsTable(rows=tuple(rows), shots_per_setting=shots, seed=seed)
 
 
 def simulate_counts(
@@ -199,24 +207,15 @@ def simulate_counts(
     so the same seed always reproduces the same table regardless of how the
     settings are processed.
     """
-    if settings is None:
-        settings = all_pauli_settings(rho.num_qubits)
-    if not settings:
-        raise ValidationError("need at least one measurement setting")
     if shots < 1 or int(shots) != shots:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
     if seed < 0 or int(seed) != seed:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    outcomes = _outcome_strings(rho.num_qubits)
-    rows = []
-    for index, setting in enumerate(settings):
-        probs = born_probabilities(rho, setting)
-        rng = np.random.default_rng((int(seed), index))
-        counts = rng.multinomial(int(shots), probs)
-        rows.extend(
-            CountRow(setting, outcomes[o], int(c)) for o, c in enumerate(counts)
-        )
-    return CountsTable(rows=tuple(rows), shots_per_setting=int(shots), seed=int(seed))
+
+    def draw(index: int, probs: np.ndarray) -> np.ndarray:
+        return np.random.default_rng((int(seed), index)).multinomial(int(shots), probs)
+
+    return _counts_table(rho, settings, draw, int(shots), int(seed))
 
 
 def exact_counts(
@@ -225,17 +224,7 @@ def exact_counts(
     shots: float = 1.0,
 ) -> CountsTable:
     """Infinite-statistics table: exact Born probabilities times shots."""
-    if settings is None:
-        settings = all_pauli_settings(rho.num_qubits)
-    outcomes = _outcome_strings(rho.num_qubits)
-    rows = []
-    for setting in settings:
-        probs = born_probabilities(rho, setting)
-        rows.extend(
-            CountRow(setting, outcomes[o], float(p * shots))
-            for o, p in enumerate(probs)
-        )
-    return CountsTable(rows=tuple(rows), shots_per_setting=float(shots), seed=None)
+    return _counts_table(rho, settings, lambda _, probs: probs * shots, float(shots), None)
 
 
 def _require_complete(table: CountsTable) -> None:
@@ -327,7 +316,12 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
     """
     _require_complete(table)
     vectors, counts = _stacked_vectors(table)
-    total = counts.sum()
+    with np.errstate(over="ignore"):  # an overflowing total is inf, refused below
+        total = counts.sum()
+    if not math.isfinite(total):
+        raise ValidationError(
+            f"shots_per_setting {table.shots_per_setting!r} overflows the total count"
+        )
     if not total > 0:
         raise ValidationError("counts table is all zeros")
     frequencies = counts / total

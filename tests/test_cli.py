@@ -15,6 +15,7 @@ from identangle import (
     GramMatrix,
     balanced_tritter_rows,
     density_matrix_from_spec,
+    exact_counts,
     ghz_state,
     simulate_counts,
     w_preset,
@@ -480,3 +481,92 @@ def test_reconstruct_csv_report(tmp_path):
     text = (out / "reconstruction_report.csv").read_text(encoding="utf-8")
     assert text.startswith("key,value")
     assert '"genuine-GHZ-witnessed"' in text
+
+
+@pytest.mark.parametrize("param", ["g", "L3", "alpha1"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_outputs_are_byte_identical_across_runs(tmp_path, param, fmt):
+    config = write_config(tmp_path, DELAY_CONFIG)
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["scan", "--config", config, "--param", param, "--start", "0.1",
+                     "--stop", "0.9", "--steps", "4", "--out-dir", str(out),
+                     "--format", fmt]) == 0
+        outputs.append((out / f"scan.{fmt}").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+TWO_PARTICLE_HOM = {
+    "preset": "custom",
+    "custom": {
+        "amplitudes": [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]],
+        "spins": [["down", "down"], ["down", "down"]],
+    },
+    "distinguishability": {"gram": [[1, 1], [1, 1]]},
+}
+SCAN_G = ["scan", "--param", "g", "--start", "0", "--stop", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize("command,data,rc,text", [
+    pytest.param(["run"], dict(GHZ_CONFIG, tomography={"shots": 0}), 2, "tomography.shots",
+                 id="run-bad-shots"),
+    pytest.param(["run"], CUSTOM_CONFIG, 2, ": custom: the witness report needs three",
+                 id="run-two-particles"),
+    pytest.param(SCAN_G, CUSTOM_CONFIG, 2, ": custom: the witness report needs three",
+                 id="scan-two-particles"),
+    pytest.param(["run"], TWO_PARTICLE_HOM, 3, "numerical failure", id="run-hom"),
+])
+def test_failed_command_writes_no_file(tmp_path, capsys, command, data, rc, text):
+    out = tmp_path / "out"
+    argv = command + ["--config", write_config(tmp_path, data), "--out-dir", str(out)]
+    assert main(argv) == rc
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unusable_out_dir_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, GHZ_CONFIG)
+    counts = tmp_path / "counts.txt"
+    write_counts(simulate_counts(DensityMatrix.from_pure(ghz_state(3).vector), shots=10), counts)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    for argv in (
+        ["run", "--config", config],
+        SCAN_G + ["--config", config],
+        ["reconstruct", "--counts", str(counts)],
+    ):
+        assert main(argv + ["--out-dir", str(taken)]) == 2
+        assert str(taken) in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("shots,rc", [(1e300, 0), (1e306, 0), (1e307, 2), (1e308, 2)])
+def test_reconstruct_refuses_a_shot_total_that_overflows(tmp_path, capsys, shots, rc):
+    # 27 settings of 1e307 shots sum past the largest float; the project-wide
+    # filterwarnings setting turns any numpy overflow warning into a failure.
+    counts = tmp_path / "counts.txt"
+    write_counts(exact_counts(DensityMatrix.from_pure(ghz_state().vector), shots=shots), counts)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == rc
+    if rc == 0:
+        report = json.loads((out / "reconstruction_report.json").read_text(encoding="utf-8"))
+        assert report["fidelity_ghz"] == pytest.approx(1.0, abs=1e-6)
+    else:
+        assert "shots_per_setting" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_reconstruct_refuses_a_table_that_is_not_three_qubit_before_fitting(
+    tmp_path, capsys, monkeypatch
+):
+    def never(table):
+        raise AssertionError("the MLE ran on a table the report cannot classify")
+
+    monkeypatch.setattr("identangle.cli.reconstruct_mle", never)
+    counts = tmp_path / "counts.txt"
+    write_counts(exact_counts(DensityMatrix.from_pure(ghz_state(2).vector), shots=100), counts)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
+    assert "needs three particles, got 2" in capsys.readouterr().err
+    assert not out.exists()
