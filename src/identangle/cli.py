@@ -8,7 +8,9 @@ blocks, and all angles are reported in units of pi.
 
 Each command runs in three stages: parse and validate all of its input,
 compute, then write, so a command refused before its write stage (exit 2 or
-3) writes no file.
+3) writes no file. The write stage writes every output under a temporary
+name in the output directory and renames them into place only once all are
+written, so a failed write (exit 2) leaves no output file either.
 
 Exit codes: 0 on success, 2 for validation and configuration errors
 (including an output directory that cannot be written), 3 when the
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -276,49 +280,72 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
     return items
 
 
-def _write_report(report: dict, out_path: Path, fmt: str) -> Path:
+def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
-        path = out_path.with_suffix(".json")
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    else:
-        path = out_path.with_suffix(".csv")
-        lines = ["key,value"]
-        for key, value in _flatten(report):
-            lines.append(f"{key},{json.dumps(value)}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    lines = ["key,value"]
+    for key, value in _flatten(report):
+        lines.append(f"{key},{json.dumps(value)}")
+    return "\n".join(lines) + "\n"
 
 
 @contextlib.contextmanager
-def _output_dir(out_dir: str):
-    """Directory of the write stage; one that cannot be written is invalid input."""
+def _output_files(out_dir: str):
+    """Write stage: yields ``stage(name)``, the temporary path in ``out_dir``
+    that output ``name`` is written to. Once the block has written them all,
+    each is renamed into place; the temporary files are removed on any
+    failure. A directory that cannot be written is invalid input."""
+    staged: dict[Path, Path] = {}
     try:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        yield path
+        directory = Path(out_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+
+        def stage(name: str) -> Path:
+            temp = directory / f".{name}.{os.getpid()}.tmp"
+            staged[temp] = directory / name
+            return temp
+
+        yield stage
+        for final in staged.values():
+            # A directory in the way is what makes a rename within a writable
+            # directory fail; refuse it before any output is moved.
+            if final.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+        for temp, final in staged.items():
+            os.replace(temp, final)
     except OSError as exc:
         raise ValidationError(f"{out_dir}: cannot write output files ({exc})") from None
+    finally:
+        for temp in staged:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
 
 
 def _write_results(args, report: dict, matrix_name: str, matrix: np.ndarray,
-                   report_name: str, counts: CountsTable | None = None) -> None:
+                   report_stem: str, counts: CountsTable | None = None) -> None:
     """Write stage of run and reconstruct: the matrix (named and hashed in the
     report), the counts if any, then the report, which is echoed to stdout."""
-    with _output_dir(args.out_dir) as out_dir:
-        matrix_path = out_dir / matrix_name
+    report_name = f"{report_stem}.{args.format}"
+    with _output_files(args.out_dir) as stage:
+        matrix_path = stage(matrix_name)
         write_density_matrix(matrix_path, matrix)
         report["density_matrix_file"] = matrix_name
         report["density_matrix_sha256"] = hashlib.sha256(matrix_path.read_bytes()).hexdigest()
         if counts is not None:
-            write_counts(counts, out_dir / report["tomography"]["counts_file"])
-        report_path = _write_report(report, out_dir / report_name, args.format)
-    print(f"wrote {report_path}")
+            write_counts(counts, stage(report["tomography"]["counts_file"]))
+        stage(report_name).write_text(_report_text(report, args.format), encoding="utf-8")
+    print(f"wrote {Path(args.out_dir) / report_name}")
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _scan_values(start: float, stop: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
+    for flag, value in (("--start", start), ("--stop", stop)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
+    if not math.isfinite(stop - start):
+        raise ValidationError(f"--start/--stop span {start:g} to {stop:g} overflows")
     if steps == 1:
         return np.array([start], dtype=float)
     return np.linspace(start, stop, steps)
@@ -447,24 +474,25 @@ def cmd_scan(args) -> int:
         row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
         rows.append(row)
 
-    with _output_dir(args.out_dir) as out_dir:
-        if args.format == "json":
-            payload = {
-                "tool": TOOL_NAME,
-                "version": __version__,
-                "config_hash": config_hash(config),
-                "parameter": parameter,
-                "rows": rows,
-            }
-            out_path = _write_report(payload, out_dir / "scan", "json")
-        else:
-            out_path = out_dir / "scan.csv"
-            columns = list(rows[0].keys())
-            lines = [",".join(columns)]
-            for row in rows:
-                lines.append(",".join(json.dumps(row[c]) for c in columns))
-            out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out_path}")
+    if args.format == "json":
+        payload = {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "config_hash": config_hash(config),
+            "parameter": parameter,
+            "rows": rows,
+        }
+        text = _report_text(payload, "json")
+    else:
+        columns = list(rows[0].keys())
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(json.dumps(row[c]) for c in columns))
+        text = "\n".join(lines) + "\n"
+    name = f"scan.{args.format}"
+    with _output_files(args.out_dir) as stage:
+        stage(name).write_text(text, encoding="utf-8")
+    print(f"wrote {Path(args.out_dir) / name}")
     for row in rows:
         print(
             f"{parameter}={row[parameter]:.6g} p_success={row['p_success']:.6g} "

@@ -570,3 +570,42 @@ def test_reconstruct_refuses_a_table_that_is_not_three_qubit_before_fitting(
     assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
     assert "needs three particles, got 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds,flag", [
+    (["--start", "nan", "--stop", "1"], "--start"),
+    (["--start", "0", "--stop", "nan"], "--stop"),
+    (["--start", "inf", "--stop", "1"], "--start"),
+    (["--start", "0", "--stop=-inf"], "--stop"),
+    (["--start=-1e308", "--stop", "1e308"], "--start/--stop"),
+    (["--start", "1e308", "--stop=-1e308"], "--start/--stop"),
+])
+def test_scan_refuses_non_finite_or_overflowing_bounds(tmp_path, capsys, bounds, flag):
+    # The project-wide filterwarnings setting turns any numpy warning that
+    # the bounds could raise inside np.linspace into a failure.
+    out = tmp_path / "out"
+    argv = ["scan", "--config", write_config(tmp_path, GHZ_CONFIG), "--param", "g",
+            "--steps", "3", "--out-dir", str(out)] + bounds
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_write_stage_leaves_no_output(tmp_path, capsys):
+    config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={"shots": 10}))
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["run", "--config", config, "--out-dir", str(out)]) == 2
+    assert "report.json" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    assert not any((out / "report.json").iterdir())
+
+    (out / "scan.csv").mkdir()
+    assert main(SCAN_G + ["--config", config, "--out-dir", str(out), "--format", "csv"]) == 2
+    assert "scan.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "scan.csv"]
+
+    (out / "report.json").rmdir()
+    assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["counts.txt", "density_matrix.txt", "report.json", "scan.csv"]

@@ -13,6 +13,7 @@ from identangle import (
     VERDICT_GHZ,
     VERDICT_INCONCLUSIVE,
     VERDICT_W,
+    balanced_tritter_rows,
     classify,
     density_matrix_from_spec,
     dft_tritter_rows,
@@ -193,3 +194,103 @@ def test_classify_mixture_reports_dominant_class():
     assert report.fidelity_ghz == pytest.approx(0.7, abs=1e-12)
     assert report.fidelity_w_max == pytest.approx(0.3, abs=1e-10)
     assert report.verdict == VERDICT_GHZ
+
+
+def _full_grid_w_phases(rho):
+    """Naive W phase search over the whole coarse grid, as it stood before
+    the row pruning: the reference the pruned search must equal bit for bit."""
+    m = rho.matrix
+    d = float((m[1, 1] + m[2, 2] + m[4, 4]).real)
+    c12, c14, c24 = complex(m[1, 2]), complex(m[1, 4]), complex(m[2, 4])
+
+    def objective(phi1, phi2):
+        cross = (
+            c12 * np.exp(1j * phi1)
+            + c14 * np.exp(1j * phi2)
+            + c24 * np.exp(1j * (phi2 - phi1))
+        )
+        return float((d + 2.0 * cross.real) / 3.0)
+
+    phis = np.arange(256) * (2.0 * math.pi / 256)
+    e1 = np.exp(1j * phis)[:, None]
+    e2 = np.exp(1j * phis)[None, :]
+    grid = (d + 2.0 * np.real(c12 * e1 + c14 * e2 + c24 * e2 * e1.conj())) / 3.0
+    i, j = divmod(int(np.argmax(grid)), 256)
+    phi1, phi2 = float(phis[i]), float(phis[j])
+    best = float(grid[i, j])
+    step = 2.0 * math.pi / 256
+    while step >= 1e-6:
+        moved = False
+        for delta1, delta2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            candidate = objective(phi1 + delta1, phi2 + delta2)
+            if candidate > best:
+                phi1, phi2, best = phi1 + delta1, phi2 + delta2, candidate
+                moved = True
+        if not moved:
+            step /= 2.0
+    phi1 = float(np.angle(np.exp(1j * phi1)))
+    phi2 = float(np.angle(np.exp(1j * phi2)))
+    return phi1, phi2, float(min(1.0, max(0.0, best)))
+
+
+def _assert_bit_equal_to_full_grid(rho):
+    got = [float(x).hex() for x in optimize_w_phases(rho)]
+    assert got == [x.hex() for x in _full_grid_w_phases(rho)]
+
+
+def _w_block_state(diag, c12, c14, c24):
+    m = np.zeros((8, 8), dtype=complex)
+    m[1, 1], m[2, 2], m[4, 4] = diag
+    m[1, 2], m[1, 4], m[2, 4] = c12, c14, c24
+    m[2, 1], m[4, 1], m[4, 2] = np.conj(c12), np.conj(c14), np.conj(c24)
+    return DensityMatrix(m)
+
+
+def test_pruned_w_search_is_bit_equal_to_full_grid_on_random_states():
+    rng = np.random.default_rng(601)
+    for k in range(512):
+        rank = 1 + k % 8
+        a = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+        rho = a @ a.conj().T
+        _assert_bit_equal_to_full_grid(DensityMatrix(rho / np.trace(rho).real))
+
+
+def test_pruned_w_search_is_bit_equal_to_full_grid_on_near_tied_dft_states():
+    # Equal-magnitude coherences at +-2pi/3 make several grid points tie to
+    # within an ulp; 1e-15 nudges of magnitude and phase move the winner.
+    rng = np.random.default_rng(602)
+    third = 2.0 * math.pi / 3.0
+    for signs in np.ndindex(3, 3, 3):
+        angles = (np.array(signs) - 1) * third
+        for _ in range(8):
+            r = rng.choice([0.05, 0.1, 1.0 / 6.0])
+            nudge_r = 1.0 + 1e-15 * rng.integers(-2, 3, size=3)
+            nudge_a = 1e-15 * rng.integers(-2, 3, size=3)
+            c12, c14, c24 = r * nudge_r * np.exp(1j * (angles + nudge_a))
+            _assert_bit_equal_to_full_grid(_w_block_state((1 / 3, 1 / 3, 1 / 3), c12, c14, c24))
+
+
+def test_pruned_w_search_is_bit_equal_to_full_grid_with_zero_coherences():
+    rng = np.random.default_rng(603)
+    _assert_bit_equal_to_full_grid(_w_block_state((1 / 3, 1 / 3, 1 / 3), 0, 0, 0))
+    _assert_bit_equal_to_full_grid(DensityMatrix(np.eye(8) / 8))
+    for _ in range(4):
+        p = rng.dirichlet(np.ones(8))
+        _assert_bit_equal_to_full_grid(DensityMatrix(np.diag(p).astype(complex)))
+    # One coherence alone: whole rows or columns tie, on and off grid phases.
+    for slot in range(3):
+        for angle in (0.0, math.pi / 2, math.pi, -math.pi / 4, 1.234):
+            coherences = [0j, 0j, 0j]
+            coherences[slot] = 0.2 * np.exp(1j * angle)
+            _assert_bit_equal_to_full_grid(_w_block_state((0.3, 0.3, 0.4), *coherences))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ghz_preset(), w_preset(balanced_tritter_rows()), w_preset(dft_tritter_rows())],
+    ids=["ghz", "w-balanced", "w-dft"],
+)
+def test_pruned_w_search_is_bit_equal_to_full_grid_along_uniform_g(spec):
+    for g in np.linspace(0.0, 1.0, 41):
+        rho, _ = density_matrix_from_spec(spec, GramMatrix.uniform(3, float(g)))
+        _assert_bit_equal_to_full_grid(rho)
