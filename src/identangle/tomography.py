@@ -1,4 +1,4 @@
-"""Simulated Pauli tomography: counts, linear inversion, iterative MLE.
+"""Simulated Pauli tomography: counts, linear inversion, maximum likelihood.
 
 Measurement settings are Pauli strings like ``"XYZ"``, one axis per qubit.
 For every axis the eigenbasis is listed +1 eigenvector first, so outcome bit
@@ -14,9 +14,15 @@ p_k = v_k^dagger rho v_k:
 * linear inversion, the sum of f_k v_k v_k^dagger over the per-setting
   frequencies f_k with the Pauli frame operator undone qubit by qubit, which
   can return a slightly non-positive matrix on finite statistics, and
-* a diluted iterative RrhoR maximum-likelihood fit, which always returns a
-  proper density matrix and never decreases the log-likelihood between
-  iterations.
+* a maximum-likelihood fit by accelerated projected gradient (Shang, Zhang
+  & Ng, PRA 95, 062336 (2017)), which starts from the linear estimate
+  projected onto the density matrices. Each step moves along the likelihood
+  gradient and projects back by clipping the eigenvalues onto the
+  probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)),
+  with Nesterov momentum that restarts from the last accepted state whenever
+  a step would lower the likelihood. It always returns a proper density
+  matrix, its accepted states never decrease the likelihood, and it stops
+  once a step gains less than ``_MLE_TOL``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,10 @@ __all__ = [
 PAULI_AXES = "XYZ"
 
 _MLE_TOL = 1e-11  # the MLE stops below this log-likelihood gain per iteration
-_MLE_DILUTION = 0.5  # weight of the R operator in each iteration's first trial step
+_MLE_STEP = 1.0  # the MLE's first trial step along the likelihood gradient
+_MLE_BACKTRACK = 0.5  # factor on the step while a candidate fails the increase test
+_MLE_MIN_STEP = 1e-10  # the step is not cut further below this
+_MLE_GROWTH = 1.1  # factor on the step after each accepted step
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,6 +69,8 @@ _AXIS_VECTORS = {
     "Y": np.array([[_INV_SQRT2, 1j * _INV_SQRT2], [_INV_SQRT2, -1j * _INV_SQRT2]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
 }
+_AXIS_STACK = np.stack([_AXIS_VECTORS[axis] for axis in PAULI_AXES])
+
 
 def axis_eigenvectors(axis: str) -> np.ndarray:
     """2x2 array whose rows are the measurement eigenvectors of one axis."""
@@ -87,18 +98,25 @@ def _validate_setting(setting: str, num_qubits: int | None = None) -> str:
     return setting
 
 
-def _setting_vectors(setting: str) -> np.ndarray:
-    """Rows = outcome eigenvectors of the full setting, outcome-index order."""
-    rows = np.array([[1.0]], dtype=complex)
-    for axis in setting:
-        rows = np.kron(rows, _AXIS_VECTORS[axis])
-    return rows
+def _setting_vectors(settings: Sequence[str]) -> np.ndarray:
+    """Rows = outcome eigenvectors of each setting in turn, outcome-index order.
+
+    Every block is the Kronecker product of the setting's axis eigenbases,
+    taken one qubit at a time for all settings at once.
+    """
+    axes = np.array([[PAULI_AXES.index(axis) for axis in setting] for setting in settings])
+    rows = np.ones((len(settings), 1, 1), dtype=complex)
+    for q in range(axes.shape[1]):
+        size = 2 * rows.shape[1]
+        factor = _AXIS_STACK[axes[:, q]]
+        rows = (rows[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(-1, size, size)
+    return rows.reshape(-1, rows.shape[-1])
 
 
 def born_probabilities(rho: DensityMatrix, setting: str) -> np.ndarray:
     """Outcome distribution of one setting, clipped and renormalized."""
     _validate_setting(setting, rho.num_qubits)
-    vectors = _setting_vectors(setting)
+    vectors = _setting_vectors([setting])
     probs = np.einsum("oi,ij,oj->o", vectors.conj(), rho.matrix, vectors).real
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
@@ -246,8 +264,22 @@ def _require_complete(table: CountsTable) -> None:
 def _stacked_vectors(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """All outcome eigenvectors and aligned counts across the table."""
     grid = table._count_grid()
-    vectors = np.vstack([_setting_vectors(setting) for setting in grid])
-    return vectors, np.concatenate(list(grid.values()))
+    return _setting_vectors(list(grid)), np.concatenate(list(grid.values()))
+
+
+def _inverse_frame(vectors: np.ndarray, frequencies: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Sum of f_k v_k v_k^dagger with the Pauli frame operator undone, Hermitised."""
+    n = num_qubits
+    # One axis per row and column qubit index.
+    tensor = ((vectors * frequencies[:, None]).T @ vectors.conj()).reshape((2,) * (2 * n))
+    for q in range(n):
+        # Axes q and n + q index qubit q; block is a view into tensor.
+        block = np.moveaxis(tensor, (q, n + q), (0, 1))
+        partial = (block[0, 0] + block[1, 1]) / 3.0
+        block[0, 0] -= partial
+        block[1, 1] -= partial
+    estimate = tensor.reshape(2**n, 2**n)
+    return (estimate + estimate.conj().T) / 2.0
 
 
 def reconstruct_linear(table: CountsTable) -> np.ndarray:
@@ -263,24 +295,30 @@ def reconstruct_linear(table: CountsTable) -> np.ndarray:
     matrix rather than a DensityMatrix.
     """
     _require_complete(table)
-    n = table.num_qubits
     vectors, counts = _stacked_vectors(table)
-    counts = counts.reshape(-1, 2**n)
+    counts = counts.reshape(-1, 2**table.num_qubits)
     totals = counts.sum(axis=1)
     for setting, total in zip(table.settings(), totals):
         if not total > 0:
             raise ValidationError(f"setting {setting} has no counts")
     frequencies = (counts / totals[:, None]).ravel()
-    # The MLE's R-operator sum, with one axis per row and column qubit index.
-    tensor = ((vectors * frequencies[:, None]).T @ vectors.conj()).reshape((2,) * (2 * n))
-    for q in range(n):
-        # Axes q and n + q index qubit q; block is a view into tensor.
-        block = np.moveaxis(tensor, (q, n + q), (0, 1))
-        partial = (block[0, 0] + block[1, 1]) / 3.0
-        block[0, 0] -= partial
-        block[1, 1] -= partial
-    estimate = tensor.reshape(2**n, 2**n)
-    return (estimate + estimate.conj().T) / 2.0
+    return _inverse_frame(vectors, frequencies, table.num_qubits)
+
+
+def _project_density(matrix: np.ndarray) -> np.ndarray:
+    """The density matrix nearest a Hermitian matrix in Frobenius norm.
+
+    Keeps the eigenvectors and projects the eigenvalues onto the probability
+    simplex: all are lowered by one shift and clipped at zero, the shift
+    chosen so that the clipped values sum to 1 (Smolin, Gambetta & Smith,
+    PRL 108, 070502 (2012)).
+    """
+    values, basis = np.linalg.eigh(matrix)
+    descending = values[::-1]
+    shifts = (np.cumsum(descending) - 1.0) / np.arange(1, len(values) + 1)
+    shift = shifts[np.nonzero(descending > shifts)[0][-1]]
+    projected = (basis * np.clip(values - shift, 0.0, None)) @ basis.conj().T
+    return (projected + projected.conj().T) / 2.0
 
 
 def _probabilities(
@@ -303,16 +341,32 @@ def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
 
 
 def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
-    """Diluted iterative RrhoR maximum-likelihood reconstruction.
+    """Maximum-likelihood reconstruction by accelerated projected gradient.
 
-    Starting from the maximally mixed state, each iteration applies
-    rho -> A rho A / tr(...) with A = (1 - lam) I + lam R, where R is the
-    likelihood-gradient operator and lam starts at ``_MLE_DILUTION``. If a
-    step would lower the log-likelihood, lam is halved for that step, so the
-    likelihood never decreases. Stops when the per-iteration gain falls
-    below ``_MLE_TOL`` or after ``max_iters`` iterations. (Rehacek, Hradil,
-    Knill & Lvovsky, PRA 75, 042108 (2007).) The probabilities of each
-    accepted candidate carry over to the next iteration.
+    Maximises the log-likelihood L(rho) = sum_k n_k log p_k over density
+    matrices (Shang, Zhang & Ng, PRA 95, 062336 (2017)). Its gradient is
+    n R, n being the table's total count and
+    R = sum_k (f_k / p_k) v_k v_k^dagger with f_k = n_k / n; at the maximum
+    the largest eigenvalue of R is 1.
+
+    * Start: the linear-inversion estimate of :func:`reconstruct_linear`,
+      projected onto the density matrices.
+    * Step: from a point sigma to the projection of sigma + t R(sigma). The
+      projection keeps the eigenvectors and clips the eigenvalues onto the
+      probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502
+      (2012)). t starts at ``_MLE_STEP`` and is multiplied by
+      ``_MLE_BACKTRACK`` until the candidate c passes the sufficient-increase
+      test L(c) >= L(sigma) + n (<R, c - sigma> - |c - sigma|^2 / 2t), down
+      to ``_MLE_MIN_STEP``. Each accepted step multiplies t by
+      ``_MLE_GROWTH``, so a step cut short where the likelihood curves
+      sharply can lengthen again.
+    * Momentum: sigma is extrapolated from the last two accepted states with
+      Nesterov's weights, theta' = (1 + sqrt(1 + 4 theta^2)) / 2. A candidate
+      that would lower the likelihood is rejected and the momentum restarts
+      from the last accepted state, so accepted states never lower it.
+    * Stop: when an accepted step gains less than ``_MLE_TOL``, when no step
+      from the accepted state itself gains, or after ``max_iters``
+      iterations, each rejected candidate counting as one.
     """
     _require_complete(table)
     vectors, counts = _stacked_vectors(table)
@@ -325,36 +379,50 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
     if not total > 0:
         raise ValidationError("counts table is all zeros")
     frequencies = counts / total
-    conj_vectors = vectors.conj()
     mask = counts > 0
+    n = table.num_qubits
+    dim = 2**n
+    # Row k is conj(v_k) (x) v_k, so p_k = row_k . vec(rho) and, the weights
+    # w_k being real, sum_k w_k v_k v_k^dagger = conj(sum_k w_k row_k).
+    projectors = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
 
-    dim = 2**table.num_qubits
-    identity = np.eye(dim, dtype=complex)
-    rho = identity / dim
-    probs = _probabilities(conj_vectors, rho, vectors)
-    current = _likelihood(counts, mask, probs)
+    def evaluate(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+        probs = np.clip((projectors @ matrix.ravel()).real, 1e-12, None)
+        return _likelihood(counts, mask, probs), probs
+
+    def gradient(probs: np.ndarray) -> np.ndarray:
+        r_op = ((frequencies / probs) @ projectors).conj().reshape(dim, dim)
+        return (r_op + r_op.conj().T) / 2.0
+
+    # CountsTable holds every setting's total to shots_per_setting, so the
+    # pooled frequencies times the number of settings are the per-setting ones.
+    rho = _project_density(_inverse_frame(vectors, frequencies * 3**n, n))
+    current, probs = evaluate(rho)
+    sigma, sigma_value, sigma_probs = rho, current, probs
+    theta, step = 1.0, _MLE_STEP
     for _ in range(max_iters):
-        ratio = frequencies / probs
-        r_op = (vectors * ratio[:, None]).T @ conj_vectors
-        r_op = (r_op + r_op.conj().T) / 2.0
-
-        lam = _MLE_DILUTION
-        while lam >= 1e-8:
-            step = (1.0 - lam) * identity + lam * r_op
-            candidate = step @ rho @ step
-            candidate = (candidate + candidate.conj().T) / 2.0
-            candidate /= np.trace(candidate).real
-            candidate_probs = _probabilities(conj_vectors, candidate, vectors)
-            value = _likelihood(counts, mask, candidate_probs)
-            if value >= current - 1e-12:
+        r_op = gradient(sigma_probs)
+        while True:
+            candidate = _project_density(sigma + step * r_op)
+            value, candidate_probs = evaluate(candidate)
+            delta = candidate - sigma
+            increase = np.vdot(r_op, delta).real - np.vdot(delta, delta).real / (2.0 * step)
+            if value >= sigma_value + total * increase or step < _MLE_MIN_STEP:
                 break
-            lam /= 2.0
-        else:
-            break
+            step *= _MLE_BACKTRACK
+        if value < current:
+            if sigma is rho:
+                break
+            sigma, sigma_value, sigma_probs, theta = rho, current, probs, 1.0
+            continue
         gain = value - current
-        rho, probs, current = candidate, candidate_probs, value
+        next_theta = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        sigma = candidate + ((theta - 1.0) / next_theta) * (candidate - rho)
+        rho, current, probs, theta = candidate, value, candidate_probs, next_theta
         if gain < _MLE_TOL:
             break
+        sigma_value, sigma_probs = evaluate(sigma)
+        step *= _MLE_GROWTH
     return DensityMatrix(rho)
 
 
