@@ -348,7 +348,10 @@ def _scan_values(start: float, stop: float, steps: int) -> np.ndarray:
         raise ValidationError(f"--start/--stop span {start:g} to {stop:g} overflows")
     if steps == 1:
         return np.array([start], dtype=float)
-    return np.linspace(start, stop, steps)
+    try:
+        return np.linspace(start, stop, steps)
+    except MemoryError:
+        raise ValidationError(f"--steps {steps} asks for more points than fit in memory") from None
 
 
 def _require_three_particles(count: int, where: str) -> None:

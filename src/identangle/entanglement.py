@@ -91,6 +91,9 @@ def ghz_state(num_qubits: int = 3) -> TargetState:
     return TargetState("ghz", v)
 
 
+_GHZ3 = ghz_state(3)  # classify's GHZ target
+
+
 def w_state(phi1: float = 0.0, phi2: float = 0.0) -> TargetState:
     """Three-qubit W-family member with relative phases phi1 and phi2."""
     v = np.zeros(8, dtype=complex)
@@ -188,44 +191,71 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     full grid, so a row-major argmax over them in ascending order picks the
     full grid's first flat index, and (phi1, phi2, fidelity) are bit-equal to
     a search over the whole grid. When c12 = c14 = c24 = 0 the grid is
-    constant and row 0 alone is evaluated.
+    constant and row 0 alone is evaluated; when a single row survives, the
+    first evaluation of it is reused.
+
+    The fine stage runs on Python floats. With a = Re c and b = Im c and
+    p21 = phi2 - phi1, each candidate is
+
+        (d + 2 (((a12 cos phi1 - b12 sin phi1) + (a14 cos phi2 - b14 sin phi2))
+                + (a24 cos p21 - b24 sin p21))) / 3,
+
+    which is the numpy expression (d + 2 Re(c12 e^(i phi1) + c14 e^(i phi2)
+    + c24 e^(i p21))) / 3 operation for operation: numpy's complex exp of
+    i*p is (cos p, sin p) from the C library, a complex product's real part
+    is a c - b s, and the sum runs left to right. So every candidate,
+    comparison and step is bit-equal to the numpy descent at a fraction of
+    its cost; a test checks the objective against numpy's on 100,000 points.
+    The term of a coordinate that did not move is kept from the candidate
+    that moved it. The final wrap to (-pi, pi] stays
+    ``np.angle(np.exp(1j * phi))``: ``math.atan2(sin phi, cos phi)`` differs
+    from it in the last bit for about one phase in ten.
     """
     if rho.num_qubits != 3:
         raise ValidationError("the W phase search is defined for three qubits")
     d, c12, c14, c24 = _w_objective_terms(rho)
 
-    def objective(phi1: float, phi2: float) -> float:
-        cross = (
-            c12 * np.exp(1j * phi1)
-            + c14 * np.exp(1j * phi2)
-            + c24 * np.exp(1j * (phi2 - phi1))
-        )
-        return float((d + 2.0 * cross.real) / 3.0)
-
     if c12 == 0 and c14 == 0 and c24 == 0:
         rows = np.zeros(1, dtype=np.intp)
+        grid = _w_grid_rows(d, c12, c14, c24, rows)
     else:
         e1 = _W_E1[:, 0]
         bound = (d + 2.0 * (np.real(c12 * e1) + np.abs(c14 + c24 * e1.conj()))) / 3.0
         first = bound.argmax(keepdims=True)
-        row_best = float(_w_grid_rows(d, c12, c14, c24, first).max())
+        grid = _w_grid_rows(d, c12, c14, c24, first)
+        row_best = float(grid.max())
         scale = abs(d) + 2.0 * (abs(c12) + abs(c14) + abs(c24))
         margin = _W_BOUND_MARGIN * np.finfo(float).eps * scale
         rows = np.flatnonzero(bound + margin >= row_best)
-    grid = _w_grid_rows(d, c12, c14, c24, rows)
+        if rows.size != 1 or rows[0] != first[0]:
+            grid = _w_grid_rows(d, c12, c14, c24, rows)
     row, j = divmod(int(np.argmax(grid)), _W_GRID_SIZE)
     i = int(rows[row])
     phi1, phi2 = float(_W_PHIS[i]), float(_W_PHIS[j])
     best = float(grid[row, j])
 
+    # Fine stage (see the docstring): t1 and t2 hold the phi1 and phi2 terms
+    # at the current point; phi2 - phi1 moves with every candidate.
+    a12, b12, a14, b14, a24, b24 = c12.real, c12.imag, c14.real, c14.imag, c24.real, c24.imag
+    t1 = a12 * math.cos(phi1) - b12 * math.sin(phi1)
+    t2 = a14 * math.cos(phi2) - b14 * math.sin(phi2)
     step = 2.0 * math.pi / _W_GRID_SIZE
     while step >= _W_STEP_FLOOR:
         moved = False
-        for delta1, delta2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            candidate = objective(phi1 + delta1, phi2 + delta2)
+        for delta in (step, -step):
+            p1 = phi1 + delta
+            u1 = a12 * math.cos(p1) - b12 * math.sin(p1)
+            p21 = phi2 - p1
+            candidate = (d + 2.0 * ((u1 + t2) + (a24 * math.cos(p21) - b24 * math.sin(p21)))) / 3.0
             if candidate > best:
-                phi1, phi2, best = phi1 + delta1, phi2 + delta2, candidate
-                moved = True
+                phi1, t1, best, moved = p1, u1, candidate, True
+        for delta in (step, -step):
+            p2 = phi2 + delta
+            u2 = a14 * math.cos(p2) - b14 * math.sin(p2)
+            p21 = p2 - phi1
+            candidate = (d + 2.0 * ((t1 + u2) + (a24 * math.cos(p21) - b24 * math.sin(p21)))) / 3.0
+            if candidate > best:
+                phi2, t2, best, moved = p2, u2, candidate, True
         if not moved:
             step /= 2.0
     phi1 = float(np.angle(np.exp(1j * phi1)))
@@ -255,7 +285,7 @@ def classify(rho: DensityMatrix, margin: float = 0.0) -> ClassificationReport:
     """
     if rho.num_qubits != 3:
         raise ValidationError("classification is defined for three qubits")
-    f_ghz = fidelity_pure(rho, ghz_state(3))
+    f_ghz = fidelity_pure(rho, _GHZ3)
     phi1, phi2, f_w = optimize_w_phases(rho)
     ghz_passed = bool(f_ghz > GHZ_WITNESS_BOUND + margin)
     w_passed = bool(f_w > W_WITNESS_BOUND + margin)

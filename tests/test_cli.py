@@ -591,6 +591,17 @@ def test_scan_refuses_non_finite_or_overflowing_bounds(tmp_path, capsys, bounds,
     assert not out.exists()
 
 
+def test_scan_refuses_a_step_count_that_cannot_be_allocated(tmp_path, capsys):
+    # 10**15 float64 values need 7.1 PiB: the allocation is refused at once,
+    # without touching memory.
+    out = tmp_path / "out"
+    argv = ["scan", "--config", write_config(tmp_path, GHZ_CONFIG), "--param", "g",
+            "--start", "0", "--stop", "1", "--steps", str(10**15), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_write_stage_leaves_no_output(tmp_path, capsys):
     config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={"shots": 10}))
     out = tmp_path / "out"

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import random_density
 from identangle import (
+    DelayModel,
     DensityMatrix,
+    GHZParams,
     GramMatrix,
     ValidationError,
     VERDICT_GHZ,
@@ -21,6 +23,7 @@ from identangle import (
     fidelity_pure,
     ghz_preset,
     ghz_state,
+    gram_from_delays,
     optimize_w_phases,
     w_preset,
     w_state,
@@ -294,3 +297,89 @@ def test_pruned_w_search_is_bit_equal_to_full_grid_along_uniform_g(spec):
     for g in np.linspace(0.0, 1.0, 41):
         rho, _ = density_matrix_from_spec(spec, GramMatrix.uniform(3, float(g)))
         _assert_bit_equal_to_full_grid(rho)
+
+
+def _w_descent_objective(d, c12, c14, c24, phi1, phi2):
+    """The fine-stage objective of ``optimize_w_phases`` on Python floats."""
+    p21 = phi2 - phi1
+    return (
+        d
+        + 2.0
+        * (
+            ((c12.real * math.cos(phi1) - c12.imag * math.sin(phi1))
+             + (c14.real * math.cos(phi2) - c14.imag * math.sin(phi2)))
+            + (c24.real * math.cos(p21) - c24.imag * math.sin(p21))
+        )
+    ) / 3.0
+
+
+def _w_numpy_objective(d, c12, c14, c24, phi1, phi2):
+    """The same objective as numpy's complex expression, as in the full-grid oracle."""
+    cross = (
+        c12 * np.exp(1j * phi1)
+        + c14 * np.exp(1j * phi2)
+        + c24 * np.exp(1j * (phi2 - phi1))
+    )
+    return float((d + 2.0 * cross.real) / 3.0)
+
+
+def test_w_descent_objective_is_bit_equal_to_numpy_complex_expression():
+    # The float descent is bit-equal to the numpy one only if numpy's complex
+    # exp rounds as the C library's cos and sin do; a platform where it does
+    # not must fail here.
+    rng = np.random.default_rng(801)
+    n = 100_000
+    grid = np.arange(256) * (2.0 * math.pi / 256)
+    phases = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, size=(n, 2))
+    # Exact grid phases, and grid phases one descent step (2pi/256 / 2^k) away.
+    on_grid = rng.random(size=(n, 2)) < 0.3
+    steps = (2.0 * math.pi / 256) / 2.0 ** rng.integers(0, 23, size=(n, 2))
+    near = grid[rng.integers(0, 256, size=(n, 2))] + rng.choice([-1.0, 0.0, 1.0], size=(n, 2)) * steps
+    phases[on_grid] = near[on_grid]
+    zero = rng.random(size=(n, 2)) < 0.02
+    phases[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    magnitudes = rng.uniform(0.0, 0.5, size=(n, 3))
+    magnitudes[rng.random(size=(n, 3)) < 0.1] = 0.0
+    coherences = magnitudes * np.exp(1j * rng.uniform(-math.pi, math.pi, size=(n, 3)))
+    signed_zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    diagonals = rng.uniform(0.0, 1.0, size=n)
+    diagonals[rng.random(size=n) < 0.01] = 0.0
+    mismatches = []
+    for k, (d, cs, (phi1, phi2)) in enumerate(
+        zip(diagonals.tolist(), coherences.tolist(), phases.tolist())
+    ):
+        cs = [signed_zeros[(k + m) % 4] if c == 0 else c for m, c in enumerate(cs)]
+        got = _w_descent_objective(d, *cs, phi1, phi2)
+        want = _w_numpy_objective(d, *cs, phi1, phi2)
+        if got.hex() != want.hex():
+            mismatches.append((d, cs, phi1, phi2, got, want))
+    assert not mismatches, f"{len(mismatches)} of {n} differ, first {mismatches[0]}"
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["L1", "L2", "L3"])
+@pytest.mark.parametrize(
+    "spec",
+    [ghz_preset(), w_preset(balanced_tritter_rows()), w_preset(dft_tritter_rows())],
+    ids=["ghz", "w-balanced", "w-dft"],
+)
+def test_pruned_w_search_is_bit_equal_to_full_grid_along_delay_scans(spec, index):
+    for value in np.linspace(-1.5, 2.0, 57).tolist():
+        delays = [0.0, 0.25, 0.5]
+        delays[index] = value
+        gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(delays)))
+        _assert_bit_equal_to_full_grid(density_matrix_from_spec(spec, gram)[0])
+
+
+def test_pruned_w_search_is_bit_equal_to_full_grid_along_ghz_amplitude():
+    half = 1.0 / math.sqrt(2.0)
+    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.25, 0.5)))
+    for alpha1 in np.linspace(0.0, 1.0, 41).tolist():
+        params = GHZParams(
+            alpha1=complex(alpha1),
+            alpha2=complex(math.sqrt(1.0 - alpha1 * alpha1)),
+            beta2=complex(half),
+            beta3=complex(half),
+            gamma1=complex(half),
+            gamma3=complex(half),
+        )
+        _assert_bit_equal_to_full_grid(density_matrix_from_spec(ghz_preset(params), gram)[0])
