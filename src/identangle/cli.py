@@ -462,19 +462,24 @@ def cmd_scan(args) -> int:
 
     rows = []
     for value in map(float, values):
-        if parameter == "g":
-            gram = GramMatrix.uniform(spec.num_particles, value)
-        elif parameter in _GHZ_FIELDS:
-            amplitudes[parameter] = value
-            amplitudes[partner] = math.sqrt(1.0 - value * value)
-            spec = build_spec(point, path)
-            gram = build_gram(point, path, spec.num_particles)
-        else:
-            delays[index] = value
-            gram = build_gram(point, path, spec.num_particles)
-        rho, p_success = density_matrix_from_spec(spec, gram)
-        row = {parameter: value, "p_success": p_success}
-        row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
+        try:
+            if parameter == "g":
+                gram = GramMatrix.uniform(spec.num_particles, value)
+            elif parameter in _GHZ_FIELDS:
+                amplitudes[parameter] = value
+                amplitudes[partner] = math.sqrt(1.0 - value * value)
+                spec = build_spec(point, path)
+                gram = build_gram(point, path, spec.num_particles)
+            else:
+                delays[index] = value
+                gram = build_gram(point, path, spec.num_particles)
+            rho, p_success = density_matrix_from_spec(spec, gram)
+            row = {parameter: value, "p_success": p_success}
+            row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
+        except PostselectionImpossibleError as exc:
+            raise PostselectionImpossibleError(f"--param {parameter} = {value!r}: {exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"--param {parameter} = {value!r}: {exc}") from None
         rows.append(row)
 
     if args.format == "json":

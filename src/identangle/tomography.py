@@ -15,14 +15,16 @@ p_k = v_k^dagger rho v_k:
   frequencies f_k with the Pauli frame operator undone qubit by qubit, which
   can return a slightly non-positive matrix on finite statistics, and
 * a maximum-likelihood fit by accelerated projected gradient (Shang, Zhang
-  & Ng, PRA 95, 062336 (2017)), which starts from the linear estimate
-  projected onto the density matrices. Each step moves along the likelihood
-  gradient and projects back by clipping the eigenvalues onto the
-  probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)),
-  with Nesterov momentum that restarts from the last accepted state whenever
-  a step would lower the likelihood. It always returns a proper density
-  matrix, its accepted states never decrease the likelihood, and it stops
-  once a step gains less than ``_MLE_TOL``.
+  & Ng, PRA 95, 062336 (2017)). It starts from the inverse-frame sum of the
+  pooled frequencies times 3^N, projected onto the density matrices; that is
+  the linear estimate only when every setting's total is exactly
+  ``shots_per_setting``. Each step moves along the likelihood gradient and
+  projects back by clipping the eigenvalues onto the probability simplex
+  (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)), with Nesterov momentum
+  that restarts from the last accepted state whenever a step would lower the
+  likelihood. It always returns a proper density matrix, its accepted states
+  never decrease the likelihood, and it stops once a step gains less than
+  ``_MLE_TOL``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -86,16 +89,15 @@ def all_pauli_settings(num_qubits: int) -> list[str]:
     return ["".join(axes) for axes in itertools.product(PAULI_AXES, repeat=num_qubits)]
 
 
-def _validate_setting(setting: str, num_qubits: int | None = None) -> str:
-    if not setting or any(axis not in PAULI_AXES for axis in setting):
+def _validate_setting(setting: str, num_qubits: int) -> None:
+    if not setting or setting.strip(PAULI_AXES):  # leaves any character but XYZ
         raise ValidationError(
             f"setting {setting!r} must be a nonempty string over the axes XYZ"
         )
-    if num_qubits is not None and len(setting) != num_qubits:
+    if len(setting) != num_qubits:
         raise ValidationError(
             f"setting {setting!r} has {len(setting)} axes, expected {num_qubits}"
         )
-    return setting
 
 
 def _setting_vectors(settings: Sequence[str]) -> np.ndarray:
@@ -131,6 +133,25 @@ class CountRow(NamedTuple):
     count: float
 
 
+def _check_row(setting, outcome, count, width: int) -> CountRow:
+    """The row rule: the setting has ``width`` axes over XYZ, the outcome
+    ``width`` bits, and the count (a number or its text, quoted as given in
+    errors) is finite and non-negative. Returns the row as (str, str, float)."""
+    setting, outcome = str(setting), str(outcome)
+    _validate_setting(setting, width)
+    if len(outcome) != width or outcome.strip("01"):  # leaves any character but 0/1
+        raise ValidationError(f"outcome {outcome!r} must be a {width}-bit string of 0s and 1s")
+    try:
+        value = float(count)
+    except (TypeError, ValueError):
+        raise ValidationError(f"bad count {count!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite count {count!r}")
+    if not value >= 0:
+        raise ValidationError(f"negative count {count!r} for {setting} {outcome}")
+    return CountRow(setting, outcome, value)
+
+
 @dataclass(frozen=True)
 class CountsTable:
     """Tomography outcomes grouped by measurement setting.
@@ -153,19 +174,12 @@ class CountsTable:
             raise ValidationError(f"shots_per_setting must be finite, got {shots!r}")
         if not shots > 0:
             raise ValidationError("shots_per_setting must be positive")
-        rows = tuple(CountRow(str(s), str(o), float(c)) for s, o, c in self.rows)
-        width = len(rows[0].setting)
+        width = len(str(self.rows[0][0]))
+        rows = []
         totals: dict[str, float] = {}
-        for row in rows:
-            _validate_setting(row.setting, width)
-            if len(row.outcome) != width or any(b not in "01" for b in row.outcome):
-                raise ValidationError(
-                    f"outcome {row.outcome!r} must be a {width}-bit string of 0s and 1s"
-                )
-            if not math.isfinite(row.count):
-                raise ValidationError(f"non-finite count in row {row}")
-            if not row.count >= 0:
-                raise ValidationError(f"negative count in row {row}")
+        for row in self.rows:
+            row = _check_row(*row, width)
+            rows.append(row)
             totals[row.setting] = totals.get(row.setting, 0.0) + row.count
         tol = 1e-6 * max(1.0, shots)
         for setting, total in totals.items():
@@ -174,30 +188,34 @@ class CountsTable:
                     f"setting {setting}: counts sum to {total!r}, expected "
                     f"{self.shots_per_setting}"
                 )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "shots_per_setting", shots)
+        # Position of every setting in first-seen order: its row of ``_grid``.
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(totals)})
 
     @property
     def num_qubits(self) -> int:
         return len(self.rows[0].setting)
 
     def settings(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.setting, None)
-        return list(seen)
+        return list(self._index)
 
     def counts_for(self, setting: str) -> np.ndarray:
-        """Counts of one setting as a vector indexed by outcome index."""
-        return self._count_grid().get(setting, np.zeros(2**self.num_qubits))
+        """Counts of one setting indexed by outcome index, a read-only view of
+        the table's grid; zeros for a setting the table does not have."""
+        if setting not in self._index:
+            return np.zeros(2**self.num_qubits)
+        return self._grid[self._index[setting]]
 
-    def _count_grid(self) -> dict[str, np.ndarray]:
-        """Counts of every setting, in first-seen order, summed in row order."""
-        grid: dict[str, np.ndarray] = {}
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """Read-only counts, one row per setting in first-seen order, summed in
+        row order; built on first use, so a wide table that is only checked
+        for completeness never allocates it."""
+        grid = np.zeros((len(self._index), 2**self.num_qubits))
         for setting, outcome, count in self.rows:
-            if setting not in grid:
-                grid[setting] = np.zeros(2**self.num_qubits)
-            grid[setting][int(outcome, 2)] += count
+            grid[self._index[setting], int(outcome, 2)] += count
+        grid.flags.writeable = False
         return grid
 
 
@@ -250,11 +268,10 @@ def _require_complete(table: CountsTable) -> None:
 
     Counts instead of listing all 3^N strings, so a wide table fails fast.
     """
-    present = set(table.settings())
-    unmeasured = 3**table.num_qubits - len(present)
+    unmeasured = 3**table.num_qubits - len(table._index)
     if unmeasured:
         every = map("".join, itertools.product(PAULI_AXES, repeat=table.num_qubits))
-        shown = ", ".join(itertools.islice((s for s in every if s not in present), 6))
+        shown = ", ".join(itertools.islice((s for s in every if s not in table._index), 6))
         more = "" if unmeasured <= 6 else f" and {unmeasured - 6} more"
         raise IncompleteSettingsError(
             f"settings are not informationally complete; missing {shown}{more}"
@@ -263,8 +280,7 @@ def _require_complete(table: CountsTable) -> None:
 
 def _stacked_vectors(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """All outcome eigenvectors and aligned counts across the table."""
-    grid = table._count_grid()
-    return _setting_vectors(list(grid)), np.concatenate(list(grid.values()))
+    return _setting_vectors(table.settings()), table._grid.ravel()
 
 
 def _inverse_frame(vectors: np.ndarray, frequencies: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -295,14 +311,12 @@ def reconstruct_linear(table: CountsTable) -> np.ndarray:
     matrix rather than a DensityMatrix.
     """
     _require_complete(table)
-    vectors, counts = _stacked_vectors(table)
-    counts = counts.reshape(-1, 2**table.num_qubits)
-    totals = counts.sum(axis=1)
+    totals = table._grid.sum(axis=1)
     for setting, total in zip(table.settings(), totals):
         if not total > 0:
             raise ValidationError(f"setting {setting} has no counts")
-    frequencies = (counts / totals[:, None]).ravel()
-    return _inverse_frame(vectors, frequencies, table.num_qubits)
+    frequencies = (table._grid / totals[:, None]).ravel()
+    return _inverse_frame(_setting_vectors(table.settings()), frequencies, table.num_qubits)
 
 
 def _project_density(matrix: np.ndarray) -> np.ndarray:
@@ -321,14 +335,6 @@ def _project_density(matrix: np.ndarray) -> np.ndarray:
     return (projected + projected.conj().T) / 2.0
 
 
-def _probabilities(
-    conj_vectors: np.ndarray, matrix: np.ndarray, vectors: np.ndarray
-) -> np.ndarray:
-    """Born probabilities of the stacked outcomes, clipped away from zero."""
-    probs = np.einsum("ki,ij,kj->k", conj_vectors, matrix, vectors).real
-    return np.clip(probs, 1e-12, None)
-
-
 def _likelihood(counts: np.ndarray, mask: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sum(counts[mask] * np.log(probs[mask])))
 
@@ -336,8 +342,8 @@ def _likelihood(counts: np.ndarray, mask: np.ndarray, probs: np.ndarray) -> floa
 def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
     """Multinomial log-likelihood of a candidate state given the counts."""
     vectors, counts = _stacked_vectors(table)
-    probs = _probabilities(vectors.conj(), matrix, vectors)
-    return _likelihood(counts, counts > 0, probs)
+    probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
+    return _likelihood(counts, counts > 0, np.clip(probs, 1e-12, None))
 
 
 def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
@@ -349,8 +355,10 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
     R = sum_k (f_k / p_k) v_k v_k^dagger with f_k = n_k / n; at the maximum
     the largest eigenvalue of R is 1.
 
-    * Start: the linear-inversion estimate of :func:`reconstruct_linear`,
-      projected onto the density matrices.
+    * Start: the inverse-frame sum of f_k 3^N (the pooled frequencies times
+      the number of settings), projected onto the density matrices. That is
+      :func:`reconstruct_linear`'s estimate only when every setting's total
+      is exactly ``shots_per_setting``.
     * Step: from a point sigma to the projection of sigma + t R(sigma). The
       projection keeps the eigenvectors and clips the eigenvalues onto the
       probability simplex (Smolin, Gambetta & Smith, PRL 108, 070502
@@ -394,8 +402,8 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
         r_op = ((frequencies / probs) @ projectors).conj().reshape(dim, dim)
         return (r_op + r_op.conj().T) / 2.0
 
-    # CountsTable holds every setting's total to shots_per_setting, so the
-    # pooled frequencies times the number of settings are the per-setting ones.
+    # The pooled frequencies times the number of settings; the per-setting
+    # ones when every total is exactly shots_per_setting (see Start above).
     rho = _project_density(_inverse_frame(vectors, frequencies * 3**n, n))
     current, probs = evaluate(rho)
     sigma, sigma_value, sigma_probs = rho, current, probs
@@ -445,66 +453,57 @@ def _format_count(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
+def _header_value(key: str, value: str, lineno: int) -> float | int | None:
+    """Value of a ``qubits``, ``shots_per_setting`` or ``seed`` header line."""
+    if key == "seed" and value == "none":
+        return None
+    try:
+        number = float(value) if key == "shots_per_setting" else int(value)
+    except ValueError:
+        raise CountsParseError(f"bad {key} value {value!r}", lineno) from None
+    if key == "shots_per_setting" and not math.isfinite(number):
+        raise CountsParseError(f"non-finite {key} value {value!r}", lineno)
+    return number
+
+
 def read_counts(path) -> CountsTable:
     """Parse a counts file written by :func:`write_counts`.
 
     Raises CountsParseError with the 1-based line number of the first
-    malformed line; missing headers are reported too.
+    malformed line: a bad or repeated header, a row that is malformed or
+    breaks the table's row rule, or a ``qubits`` header that disagrees with
+    the rows. A missing ``shots_per_setting`` header is reported too.
     """
-    shots: float | None = None
-    seed: int | None = None
+    headers: dict[str, tuple[int, float | int | None]] = {}  # key: (line, value)
     rows: list[CountRow] = []
     lineno = 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("shots_per_setting:"):
-                    value = body.split(":", 1)[1].strip()
-                    try:
-                        shots = float(value)
-                    except ValueError:
-                        raise CountsParseError(
-                            f"bad shots_per_setting value {value!r}", lineno
-                        ) from None
-                    if not math.isfinite(shots):
-                        raise CountsParseError(
-                            f"non-finite shots_per_setting value {value!r}", lineno
-                        )
-                elif body.startswith("seed:"):
-                    value = body.split(":", 1)[1].strip()
-                    if value != "none":
-                        try:
-                            seed = int(value)
-                        except ValueError:
-                            raise CountsParseError(
-                                f"bad seed value {value!r}", lineno
-                            ) from None
+            if not line or line.startswith("#"):
+                key, colon, value = line.lstrip("#").strip().partition(":")
+                if colon and key in ("qubits", "shots_per_setting", "seed"):
+                    if key in headers:
+                        raise CountsParseError(f"repeated {key} header", lineno)
+                    headers[key] = lineno, _header_value(key, value.strip(), lineno)
                 continue
             fields = line.split()
             if len(fields) != 3:
-                raise CountsParseError(
-                    f"expected 'setting outcome count', got {line!r}", lineno
-                )
-            setting, outcome, count_text = fields
-            if any(axis not in PAULI_AXES for axis in setting):
-                raise CountsParseError(f"bad setting {setting!r}", lineno)
-            if any(bit not in "01" for bit in outcome):
-                raise CountsParseError(f"bad outcome bitstring {outcome!r}", lineno)
+                raise CountsParseError(f"expected 'setting outcome count', got {line!r}", lineno)
+            width = len(rows[0].setting if rows else fields[0])
             try:
-                count = float(count_text)
-            except ValueError:
-                raise CountsParseError(f"bad count {count_text!r}", lineno) from None
-            if not math.isfinite(count):
-                raise CountsParseError(f"non-finite count {count_text!r}", lineno)
-            rows.append(CountRow(setting, outcome, count))
-    if shots is None:
+                rows.append(_check_row(*fields, width))
+            except ValidationError as exc:
+                raise CountsParseError(str(exc), lineno) from None
+    if "shots_per_setting" not in headers:
         raise CountsParseError("missing 'shots_per_setting' header", max(lineno, 1))
     if not rows:
         raise CountsParseError("file contains no count rows", max(lineno, 1))
+    width = len(rows[0].setting)
+    if headers.get("qubits", (0, width))[1] != width:
+        line, qubits = headers["qubits"]
+        raise CountsParseError(f"qubits header says {qubits}, the rows have {width} axes", line)
+    shots, seed = headers["shots_per_setting"][1], headers.get("seed", (0, None))[1]
     try:
         return CountsTable(rows=tuple(rows), shots_per_setting=shots, seed=seed)
     except ValidationError as exc:

@@ -49,3 +49,25 @@ def random_density(rng: np.random.Generator, dim: int = 8) -> DensityMatrix:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+# Counts files with one row-level fault each: id -> (text, line of the faulty
+# row, what the error says about it).
+ROW_FAULT_FILES = {
+    "negative-count": (
+        "# identangle tomography counts\n# qubits: 1\n# shots_per_setting: 2\n# seed: none\n"
+        "# columns: setting outcome count\nX 0 -1\nX 1 1\nY 0 1\nY 1 1\nZ 0 1\nZ 1 1\n",
+        6,
+        "negative count '-1'",
+    ),
+    "two-axis-setting": (
+        "# shots_per_setting: 2\nX 0 1\nXY 1 1\nY 0 1\nY 1 1\n",
+        3,
+        "setting 'XY' has 2 axes, expected 1",
+    ),
+    "three-bit-outcome": (
+        "# qubits: 2\n# shots_per_setting: 2\nXX 00 1\nXX 01 0\nXX 011 1\nXY 00 2\n",
+        5,
+        "outcome '011' must be a 2-bit string",
+    ),
+}

@@ -10,6 +10,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from conftest import ROW_FAULT_FILES
 from identangle import (
     DensityMatrix,
     GramMatrix,
@@ -620,3 +621,30 @@ def test_failed_write_stage_leaves_no_output(tmp_path, capsys):
     assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["counts.txt", "density_matrix.txt", "report.json", "scan.csv"]
+
+
+@pytest.mark.parametrize("fault", ROW_FAULT_FILES)
+def test_reconstruct_reports_a_row_fault_at_its_own_line(tmp_path, capsys, fault):
+    text, line, message = ROW_FAULT_FILES[fault]
+    counts = tmp_path / "counts.txt"
+    counts.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data,start,stop,rc,text", [
+    (GHZ_CONFIG, "0", "1.5", 2,
+     "invalid input: --param g = 1.5: Gram matrix is not positive semidefinite"),
+    (TWO_PARTICLE_HOM, "1", "1", 3, "numerical failure: --param g = 1.0: "),
+])
+def test_a_failing_scan_point_names_the_parameter_and_its_value(
+    tmp_path, capsys, data, start, stop, rc, text
+):
+    out = tmp_path / "out"
+    argv = ["scan", "--config", write_config(tmp_path, data), "--param", "g", "--start", start,
+            "--stop", stop, "--steps", "3", "--out-dir", str(out)]
+    assert main(argv) == rc
+    assert text in capsys.readouterr().err
+    assert not out.exists()

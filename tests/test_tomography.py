@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 from functools import cache, reduce
 
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import ROW_FAULT_FILES, random_density
 from identangle import (
     CountRow,
     CountsTable,
@@ -458,3 +459,75 @@ def test_read_counts_flags_truncated_file(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
     with pytest.raises(CountsParseError, match="counts sum to"):
         read_counts(path)
+
+
+@pytest.mark.parametrize("fault", ROW_FAULT_FILES)
+def test_read_counts_reports_a_row_fault_at_its_own_line(tmp_path, fault):
+    text, line, message = ROW_FAULT_FILES[fault]
+    path = tmp_path / "counts.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CountsParseError, match=f"^line {line}: {message}") as caught:
+        read_counts(path)
+    assert caught.value.line == line
+    assert "CountRow" not in str(caught.value)
+
+
+@pytest.mark.parametrize("old,new,line,message", [
+    ("# qubits: 3", "# qubits: 2", 2, "qubits header says 2, the rows have 3 axes"),
+    ("# qubits: 3", "# qubits: three", 2, "bad qubits value 'three'"),
+    ("# seed: 4", "# seed: 4\n# shots_per_setting: 30", 5, "repeated shots_per_setting header"),
+])
+def test_read_counts_checks_the_headers(tmp_path, old, new, line, message):
+    path = tmp_path / "counts.txt"
+    table = simulate_counts(ghz_rho(), settings=["XXX", "ZZZ"], shots=30, seed=4)
+    write_counts(table, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(CountsParseError, match=f"^line {line}: {message}"):
+        read_counts(path)
+    # The qubits header is optional.
+    path.write_text(text.replace("# qubits: 3\n", ""), encoding="utf-8")
+    assert read_counts(path).rows == table.rows
+
+
+def naive_counts(rows: list[CountRow], num_qubits: int) -> dict[str, list[float]]:
+    """Per-setting count vectors, settings in first-seen order, each count
+    added to its outcome in row order."""
+    counts: dict[str, list[float]] = {}
+    for setting, outcome, count in rows:
+        counts.setdefault(setting, [0.0] * 2**num_qubits)[int(outcome, 2)] += float(count)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_counts_for_matches_a_naive_accumulation_bit_for_bit(seed):
+    # Shuffled rows, repeated (setting, outcome) pairs and float counts.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    shots = float(rng.uniform(1.0, 1000.0))
+    chosen = rng.permutation(all_pauli_settings(n))[: rng.integers(1, 3**n + 1)]
+    rows = []
+    for setting in chosen:
+        outcomes = rng.integers(0, 2**n, size=rng.integers(1, 3 * 2**n))
+        shares = rng.dirichlet(np.ones(len(outcomes))) * shots
+        rows += [CountRow(str(setting), format(o, f"0{n}b"), float(c))
+                 for o, c in zip(outcomes, shares)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    table = CountsTable(rows=tuple(rows), shots_per_setting=shots)
+    expected = naive_counts(rows, n)
+    assert table.settings() == list(expected)
+    for setting, counts in expected.items():
+        assert table.counts_for(setting).tobytes() == np.array(counts).tobytes()
+
+
+def test_counts_for_gives_zeros_for_an_absent_setting_and_cannot_change_the_table():
+    table = simulate_counts(ghz_rho(), settings=["ZZZ", "XXX"], shots=50, seed=1)
+    before = {setting: table.counts_for(setting).copy() for setting in table.settings()}
+    np.testing.assert_array_equal(table.counts_for("YYY"), np.zeros(8))
+    for setting in ("ZZZ", "XXX", "YYY"):
+        vector = table.counts_for(setting)
+        with contextlib.suppress(ValueError):
+            vector[:] = -1.0
+    for setting, counts in before.items():
+        np.testing.assert_array_equal(table.counts_for(setting), counts)
+    np.testing.assert_array_equal(table.counts_for("YYY"), np.zeros(8))
