@@ -2,8 +2,7 @@
 
 Fidelity against the GHZ target above 1/2, or against the best W-family
 member above 2/3, witnesses genuine tripartite entanglement of the matching
-class. Both thresholds are strict inequalities, optionally stiffened by a
-caller-supplied margin.
+class. Both thresholds are strict inequalities.
 
 The W family carries two free relative phases,
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import DensityMatrix, _unit_vector
 from .errors import ValidationError
 
 __all__ = [
@@ -74,12 +73,7 @@ class TargetState:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vector, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValidationError(f"target state norm is {norm:.12g}, expected 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "vector", _unit_vector(self.vector, "target state", 1e-12))
 
 
 def ghz_state(num_qubits: int = 3) -> TargetState:
@@ -104,10 +98,9 @@ def w_state(phi1: float = 0.0, phi2: float = 0.0) -> TargetState:
     return TargetState("w", v)
 
 
-def fidelity_pure(rho: DensityMatrix, target: TargetState | np.ndarray) -> float:
+def fidelity_pure(rho: DensityMatrix, target: TargetState) -> float:
     """<psi| rho |psi> for a pure target, clipped into [0, 1]."""
-    v = target.vector if isinstance(target, TargetState) else np.asarray(target)
-    v = v.reshape(-1)
+    v = target.vector
     if v.shape[0] != rho.dim:
         raise ValidationError(
             f"target lives in dimension {v.shape[0]}, the state in {rho.dim}"
@@ -277,18 +270,18 @@ class ClassificationReport:
     verdict: str
 
 
-def classify(rho: DensityMatrix, margin: float = 0.0) -> ClassificationReport:
+def classify(rho: DensityMatrix) -> ClassificationReport:
     """Run both witnesses and report the strongest one that passes.
 
-    ``margin`` stiffens both thresholds; the default 0 keeps the bare strict
-    inequalities, so a fidelity exactly at a bound does not pass.
+    Both thresholds are strict inequalities, so a fidelity exactly at a bound
+    does not pass.
     """
     if rho.num_qubits != 3:
         raise ValidationError("classification is defined for three qubits")
     f_ghz = fidelity_pure(rho, _GHZ3)
     phi1, phi2, f_w = optimize_w_phases(rho)
-    ghz_passed = bool(f_ghz > GHZ_WITNESS_BOUND + margin)
-    w_passed = bool(f_w > W_WITNESS_BOUND + margin)
+    ghz_passed = bool(f_ghz > GHZ_WITNESS_BOUND)
+    w_passed = bool(f_w > W_WITNESS_BOUND)
     offdiag = float(np.sum(np.abs(rho.matrix)) - np.sum(np.abs(np.diag(rho.matrix))))
     if ghz_passed:
         verdict = VERDICT_GHZ

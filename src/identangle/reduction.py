@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import DensityMatrix, _hermitian_psd
 from .errors import (
     PostselectionImpossibleError,
     UnsupportedConfigurationError,
@@ -36,7 +36,6 @@ from .transform import TransformSpec
 
 __all__ = [
     "GRAM_HERMITIAN_TOL",
-    "GRAM_PSD_TOL",
     "SUCCESS_FLOOR",
     "PAIR_BLOCK",
     "GramMatrix",
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 GRAM_HERMITIAN_TOL = 1e-12
-GRAM_PSD_TOL = 1e-9
 # Success probabilities at or below this are treated as exact destructive
 # interference rather than a usable postselection.
 SUCCESS_FLOOR = 1e-15
@@ -65,31 +63,15 @@ class GramMatrix:
     overlaps: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.overlaps, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-            raise ValidationError(f"Gram matrix must be square, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise ValidationError("Gram matrix entries must be finite")
-        with np.errstate(over="ignore"):  # an overflowing defect is inf, refused below
-            herm_defect = float(np.max(np.abs(g - g.conj().T)))
-        if not herm_defect <= GRAM_HERMITIAN_TOL:
-            raise ValidationError(
-                f"Gram matrix is not Hermitian (defect {herm_defect:.3e})"
-            )
+        g = _hermitian_psd(self.overlaps, "Gram matrix", GRAM_HERMITIAN_TOL)
         diag_defect = float(np.max(np.abs(np.diag(g) - 1.0)))
         if not diag_defect <= GRAM_HERMITIAN_TOL:
             raise ValidationError(
                 "Gram matrix diagonal must be all ones (a state overlaps itself "
                 f"perfectly); max defect {diag_defect:.3e}"
             )
-        min_eig = float(np.linalg.eigvalsh(g).min())
-        if not min_eig >= -GRAM_PSD_TOL:
-            raise ValidationError(
-                f"Gram matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-            )
         if not (np.abs(g) <= 1.0 + 1e-9).all():
             raise ValidationError("Gram matrix entries must have magnitude at most 1")
-        g.setflags(write=False)
         object.__setattr__(self, "overlaps", g)
 
     @property

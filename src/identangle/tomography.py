@@ -375,15 +375,26 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
     * Stop: when an accepted step gains less than ``_MLE_TOL``, when no step
       from the accepted state itself gains, or after ``max_iters``
       iterations, each rejected candidate counting as one.
+
+    Counts so large that the total count, the likelihood or the
+    sufficient-increase test overflows are refused with a ValidationError
+    that names ``shots_per_setting``.
     """
     _require_complete(table)
-    vectors, counts = _stacked_vectors(table)
-    with np.errstate(over="ignore"):  # an overflowing total is inf, refused below
-        total = counts.sum()
-    if not math.isfinite(total):
+    try:
+        with np.errstate(over="raise"):
+            rho = _mle_fit(table, max_iters)
+    except FloatingPointError:
         raise ValidationError(
-            f"shots_per_setting {table.shots_per_setting!r} overflows the total count"
-        )
+            f"shots_per_setting {table.shots_per_setting!r} overflows the likelihood arithmetic"
+        ) from None
+    return DensityMatrix(rho)
+
+
+def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
+    """The iteration of :func:`reconstruct_mle` on a complete table."""
+    vectors, counts = _stacked_vectors(table)
+    total = counts.sum()
     if not total > 0:
         raise ValidationError("counts table is all zeros")
     frequencies = counts / total
@@ -431,7 +442,7 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
             break
         sigma_value, sigma_probs = evaluate(sigma)
         step *= _MLE_GROWTH
-    return DensityMatrix(rho)
+    return rho
 
 
 def write_counts(table: CountsTable, path) -> None:
@@ -463,6 +474,8 @@ def _header_value(key: str, value: str, lineno: int) -> float | int | None:
         raise CountsParseError(f"bad {key} value {value!r}", lineno) from None
     if key == "shots_per_setting" and not math.isfinite(number):
         raise CountsParseError(f"non-finite {key} value {value!r}", lineno)
+    if key == "shots_per_setting" and not number > 0:
+        raise CountsParseError(f"{key} must be positive, got {value!r}", lineno)
     return number
 
 

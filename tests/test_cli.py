@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import shutil
@@ -556,6 +557,31 @@ def test_reconstruct_refuses_a_shot_total_that_overflows(tmp_path, capsys, shots
     else:
         assert "shots_per_setting" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_reconstruct_refuses_counts_whose_likelihood_overflows(tmp_path, capsys):
+    # The total, 27 * 6e306, is finite; the likelihood sum and the step's
+    # sufficient-increase test are not.
+    rows = [f"{''.join(s)} {o:03b} 7.5e305"
+            for s in itertools.product("XYZ", repeat=3) for o in range(8)]
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(["# qubits: 3", "# shots_per_setting: 6e+306", *rows]) + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
+    assert "shots_per_setting 6e+306 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shots", ["0", "-2"])
+def test_reconstruct_reports_a_non_positive_shot_header_at_its_line(tmp_path, capsys, shots):
+    counts = tmp_path / "counts.txt"
+    counts.write_text(f"# shots_per_setting: {shots}\nX 0 0\nX 1 0\nY 0 0\nY 1 0\nZ 0 0\nZ 1 0\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
+    assert "line 1: shots_per_setting must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_refuses_a_table_that_is_not_three_qubit_before_fitting(

@@ -176,15 +176,13 @@ def test_classify_w_boundary_is_strict():
     assert report.verdict == VERDICT_INCONCLUSIVE
 
 
-def test_classify_margin_raises_the_bar():
+def test_classify_reports_ghz_above_the_bound():
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = rho[7, 7] = 0.5
     rho[0, 7] = rho[7, 0] = 0.3
-    report = classify(DensityMatrix(rho), margin=0.0)
+    report = classify(DensityMatrix(rho))
     assert report.fidelity_ghz == pytest.approx(0.8, abs=1e-12)
     assert report.verdict == VERDICT_GHZ
-    strict = classify(DensityMatrix(rho), margin=0.35)
-    assert strict.verdict == VERDICT_INCONCLUSIVE
 
 
 def test_classify_mixture_reports_dominant_class():

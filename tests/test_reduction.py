@@ -172,6 +172,8 @@ def test_gram_validation_rejects_bad_matrices():
         GramMatrix([[1.0, 0.0], [0.0, 0.9]])  # diagonal off
     with pytest.raises(ValidationError):
         GramMatrix.uniform(3, -0.9)  # not positive semidefinite
+    with pytest.raises(ValidationError, match="Gram matrix must be square"):
+        GramMatrix(np.eye(2, 3))
 
 
 def test_gram_entry_too_large_to_subtract_is_refused_without_warning():

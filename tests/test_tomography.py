@@ -384,6 +384,13 @@ def test_mle_returns_physical_state_on_arbitrary_counts():
         assert np.trace(estimate.matrix).real == pytest.approx(1.0, abs=1e-9)
 
 
+def test_mle_refuses_an_all_zero_table():
+    # Zero counts match a tiny shot total within the table's tolerance.
+    rows = tuple(CountRow(s, o, 0.0) for s in "XYZ" for o in "01")
+    with pytest.raises(ValidationError, match="counts table is all zeros"):
+        reconstruct_mle(CountsTable(rows=rows, shots_per_setting=1e-7))
+
+
 def test_counts_table_validation():
     good = CountRow("ZZ", "00", 5)
     with pytest.raises(ValidationError):
@@ -450,6 +457,13 @@ def test_read_counts_requires_shots_header(tmp_path):
         read_counts(path)
 
 
+def test_read_counts_refuses_a_file_without_rows(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("# shots_per_setting: 2\n# seed: none\n", encoding="utf-8")
+    with pytest.raises(CountsParseError, match="^line 2: file contains no count rows"):
+        read_counts(path)
+
+
 def test_read_counts_flags_truncated_file(tmp_path):
     table = simulate_counts(ghz_rho(), settings=["XXX", "ZZZ"], shots=100, seed=2)
     path = tmp_path / "counts.txt"
@@ -476,6 +490,7 @@ def test_read_counts_reports_a_row_fault_at_its_own_line(tmp_path, fault):
     ("# qubits: 3", "# qubits: 2", 2, "qubits header says 2, the rows have 3 axes"),
     ("# qubits: 3", "# qubits: three", 2, "bad qubits value 'three'"),
     ("# seed: 4", "# seed: 4\n# shots_per_setting: 30", 5, "repeated shots_per_setting header"),
+    ("# shots_per_setting: 30", "# shots_per_setting: 0", 3, "shots_per_setting must be positive"),
 ])
 def test_read_counts_checks_the_headers(tmp_path, old, new, line, message):
     path = tmp_path / "counts.txt"
