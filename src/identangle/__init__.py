@@ -40,6 +40,7 @@ from .reduction import (
     DelayModel,
     GramMatrix,
     NoBunchingOutcomes,
+    density_matrices_from_spec,
     density_matrix_from_spec,
     gram_from_delays,
     gram_from_labels,
@@ -106,6 +107,7 @@ __all__ = [
     "brute_density_matrix",
     "classify",
     "custom_spec",
+    "density_matrices_from_spec",
     "density_matrix_from_spec",
     "dft_tritter_rows",
     "exact_counts",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -38,6 +39,9 @@ from .errors import ConfigError, PostselectionImpossibleError, ValidationError
 from .reduction import (
     DelayModel,
     GramMatrix,
+    _delay_overlaps,
+    _uniform_overlaps,
+    density_matrices_from_spec,
     density_matrix_from_spec,
     gram_from_delays,
 )
@@ -417,7 +421,45 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _delay_grams(point: dict, path: str, num_particles: int, index: int, values):
+    """Gram matrices of a delay scan whose first value is already in
+    ``point``: the longest valid prefix and the error of the first invalid
+    point, as ``GramMatrix._stack`` gives them. The first point goes through
+    :func:`build_gram`, which checks the whole section in its own order; the
+    others move only delay ``index`` of that checked model, built as one stack."""
+    try:
+        first = build_gram(point, path, num_particles)
+    except ValidationError as exc:
+        return [], exc
+    section = point["distinguishability"]
+    table = np.tile([float(d) for d in section["delays"]], (len(values) - 1, 1))
+    table[:, index] = values[1:]
+    grams, error = GramMatrix._stack(
+        _delay_overlaps(table, float(section["coherence_length"]))
+    )
+    if error is not None:
+        error = ConfigError(path, "distinguishability", str(error))
+    return [first, *grams], error
+
+
+def _then_raise(solutions, error):
+    """``solutions``, then ``error`` (if any) where the next point would be."""
+    yield from solutions
+    if error is not None:
+        raise error
+
+
 def cmd_scan(args) -> int:
+    """Sweep one parameter and classify the state at every point.
+
+    A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so its Gram
+    matrices are built and validated as one stack and solved by one
+    :func:`density_matrices_from_spec` call, which enumerates the outcomes
+    once. An amplitude scan changes the routing at every point and solves
+    point by point. Either way each point is classified on its own, and the
+    first point that fails, in scan order, ends the scan with its error
+    prefixed by ``--param NAME = VALUE``; no file is written then.
+    """
     path, parameter = args.config, args.param
     config = _load_config(path)
     values = _scan_values(args.start, args.stop, args.steps)
@@ -441,6 +483,21 @@ def cmd_scan(args) -> int:
         if not isinstance(amplitudes, dict):
             raise ConfigError(path, "ghz", "expected an object")
         partner = _GHZ_FIELDS[_GHZ_FIELDS.index(parameter) ^ 1]
+
+        def solve_each():
+            gram = None
+            for value in map(float, values):
+                amplitudes[parameter] = value
+                amplitudes[partner] = math.sqrt(1.0 - value * value)
+                spec = build_spec(point, path)
+                if gram is None:
+                    # The amplitudes leave the distinguishability section
+                    # alone, so its Gram matrix, or its error, is the first
+                    # point's.
+                    gram = build_gram(point, path, spec.num_particles)
+                yield density_matrix_from_spec(spec, gram)
+
+        solutions = solve_each()
     else:
         if parameter != "g":
             section = point.get("distinguishability")
@@ -459,21 +516,17 @@ def cmd_scan(args) -> int:
                     f"{parameter} is out of range for {len(delays)} delays",
                 )
         spec = build_spec(point, path)
+        if parameter == "g":
+            grams, error = GramMatrix._stack(_uniform_overlaps(spec.num_particles, values))
+        else:
+            delays[index] = float(values[0])
+            grams, error = _delay_grams(point, path, spec.num_particles, index, values)
+        solutions = _then_raise(density_matrices_from_spec(spec, grams), error)
 
     rows = []
     for value in map(float, values):
         try:
-            if parameter == "g":
-                gram = GramMatrix.uniform(spec.num_particles, value)
-            elif parameter in _GHZ_FIELDS:
-                amplitudes[parameter] = value
-                amplitudes[partner] = math.sqrt(1.0 - value * value)
-                spec = build_spec(point, path)
-                gram = build_gram(point, path, spec.num_particles)
-            else:
-                delays[index] = value
-                gram = build_gram(point, path, spec.num_particles)
-            rho, p_success = density_matrix_from_spec(spec, gram)
+            rho, p_success = next(solutions)
             row = {parameter: value, "p_success": p_success}
             row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
         except PostselectionImpossibleError as exc:
@@ -532,7 +585,9 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description=(
@@ -581,8 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PostselectionImpossibleError as exc:

@@ -29,6 +29,7 @@ p_k = v_k^dagger rho v_k:
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -175,11 +176,24 @@ class CountsTable:
         if not shots > 0:
             raise ValidationError("shots_per_setting must be positive")
         width = len(str(self.rows[0][0]))
-        rows = []
+        self._group(tuple(_check_row(*row, width) for row in self.rows), shots)
+
+    @classmethod
+    def _of_checked_rows(cls, rows: tuple[CountRow, ...], shots: float, seed) -> "CountsTable":
+        """A table of nonempty rows that already passed the row rule, with a
+        finite positive float ``shots``, as :func:`read_counts` has them; the
+        rule is not applied a second time."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "shots_per_setting", shots)
+        object.__setattr__(table, "seed", seed)
+        table._group(rows, shots)
+        return table
+
+    def _group(self, rows: tuple[CountRow, ...], shots: float) -> None:
+        """Checks every setting's total against ``shots`` and stores the
+        checked rows, the shot count and the settings in first-seen order."""
         totals: dict[str, float] = {}
-        for row in self.rows:
-            row = _check_row(*row, width)
-            rows.append(row)
+        for row in rows:
             totals[row.setting] = totals.get(row.setting, 0.0) + row.count
         tol = 1e-6 * max(1.0, shots)
         for setting, total in totals.items():
@@ -188,7 +202,7 @@ class CountsTable:
                     f"setting {setting}: counts sum to {total!r}, expected "
                     f"{self.shots_per_setting}"
                 )
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shots_per_setting", shots)
         # Position of every setting in first-seen order: its row of ``_grid``.
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(totals)})
@@ -339,11 +353,28 @@ def _likelihood(counts: np.ndarray, mask: np.ndarray, probs: np.ndarray) -> floa
     return float(np.sum(counts[mask] * np.log(probs[mask])))
 
 
+@contextlib.contextmanager
+def _refusing_overflow(table: CountsTable):
+    """Context for likelihood arithmetic on ``table``'s counts: an overflow
+    inside it is refused with a ValidationError naming ``shots_per_setting``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValidationError(
+            f"shots_per_setting {table.shots_per_setting!r} overflows the likelihood arithmetic"
+        ) from None
+
+
 def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
-    """Multinomial log-likelihood of a candidate state given the counts."""
+    """Multinomial log-likelihood of a candidate state given the counts.
+
+    Counts so large that the likelihood overflows are refused as
+    :func:`reconstruct_mle` refuses them."""
     vectors, counts = _stacked_vectors(table)
     probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
-    return _likelihood(counts, counts > 0, np.clip(probs, 1e-12, None))
+    with _refusing_overflow(table):
+        return _likelihood(counts, counts > 0, np.clip(probs, 1e-12, None))
 
 
 def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
@@ -381,13 +412,8 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
     that names ``shots_per_setting``.
     """
     _require_complete(table)
-    try:
-        with np.errstate(over="raise"):
-            rho = _mle_fit(table, max_iters)
-    except FloatingPointError:
-        raise ValidationError(
-            f"shots_per_setting {table.shots_per_setting!r} overflows the likelihood arithmetic"
-        ) from None
+    with _refusing_overflow(table):
+        rho = _mle_fit(table, max_iters)
     return DensityMatrix(rho)
 
 
@@ -518,7 +544,7 @@ def read_counts(path) -> CountsTable:
         raise CountsParseError(f"qubits header says {qubits}, the rows have {width} axes", line)
     shots, seed = headers["shots_per_setting"][1], headers.get("seed", (0, None))[1]
     try:
-        return CountsTable(rows=tuple(rows), shots_per_setting=shots, seed=seed)
+        return CountsTable._of_checked_rows(tuple(rows), shots, seed)
     except ValidationError as exc:
         # Per-setting totals off usually means the file was cut short.
         raise CountsParseError(str(exc), lineno) from exc

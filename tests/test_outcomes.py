@@ -1,4 +1,4 @@
-"""The no-bunching expansion: one outcome per detector bijection sigma with a
+"""The no-bunching outcomes: one per detector bijection sigma with a
 nonzero amplitude prod_i t[i, sigma(i)], as no_bunching_outcomes enumerates it."""
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from identangle import (
     w_state,
     write_counts,
 )
+from identangle import tomography
 from identangle.tomography import _project_density
 
 PAULI = {
@@ -425,6 +426,35 @@ def test_counts_file_round_trip_with_float_counts(tmp_path):
     loaded = read_counts(path)
     assert loaded.rows == table.rows
     assert loaded.seed is None
+
+
+def test_read_counts_applies_the_row_rule_once_per_row(tmp_path, monkeypatch):
+    table = simulate_counts(ghz_rho(), shots=50, seed=2)
+    path = tmp_path / "counts.txt"
+    write_counts(table, path)
+    calls = []
+
+    def counted(*row):
+        calls.append(row)
+        return check_row(*row)
+
+    check_row = tomography._check_row
+    monkeypatch.setattr(tomography, "_check_row", counted)
+    loaded = read_counts(path)
+    assert len(calls) == len(table.rows) == 216
+    assert loaded == table and loaded._index == table._index
+
+
+def test_log_likelihood_refuses_counts_whose_likelihood_overflows():
+    # As in reconstruct_mle: the total, 27 * 6e306, is finite, the sum of
+    # n_k log p_k is not. The project-wide filterwarnings setting turns a
+    # numpy overflow warning into a failure.
+    rows = tuple(CountRow("".join(s), f"{o:03b}", 7.5e305)
+                 for s in itertools.product("XYZ", repeat=3) for o in range(8))
+    table = CountsTable(rows=rows, shots_per_setting=6e306)
+    with pytest.raises(ValidationError, match="shots_per_setting 6e[+]306 overflows"):
+        log_likelihood(np.eye(8) / 8, table)
+    assert log_likelihood(np.eye(8) / 8, exact_counts(ghz_rho(), shots=1e300)) < 0
 
 
 def test_read_counts_reports_malformed_row_line(tmp_path):

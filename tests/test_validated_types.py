@@ -49,6 +49,36 @@ def test_checks_that_overflow_refuse_without_warning(make, message):
         make()
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: GramMatrix([[1, 2], [3]]), "Gram matrix"),
+    (lambda: DensityMatrix([[10**400]]), "density matrix"),
+    (lambda: DensityMatrix.from_pure([1, "up"]), "state vector"),
+    (lambda: TargetState("x", ["a"]), "target state"),
+], ids=["ragged-gram", "huge-int-density", "text-pure", "text-target"])
+def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
+    with pytest.raises(ValidationError, match=f"^{name} is not an array of complex numbers"):
+        make()
+
+
+def test_a_stack_reports_its_first_failing_matrix():
+    # Matrix 1 fails the PSD check, matrix 2 the finite check that comes
+    # before it; matrix 1 fails first in stack order, so its error wins.
+    good = np.eye(4) / 4
+    stack = np.array([good, np.diag([1.5, -0.5, 0, 0]), np.full((4, 4), np.nan), good],
+                     dtype=complex)
+    valid, error = DensityMatrix._stack(stack)
+    assert [rho.matrix.tobytes() for rho in valid] == [DensityMatrix(good).matrix.tobytes()]
+    assert str(error) == str(pytest.raises(ValidationError, DensityMatrix, stack[1]).value)
+    assert not valid[0].matrix.flags.writeable
+    overlaps = np.array([np.eye(2), [[1, 0.5], [0.5, 1]], [[2, 0], [0, 2]], np.eye(2)],
+                        dtype=complex)
+    valid, error = GramMatrix._stack(overlaps)
+    assert [g.overlaps.tolist() for g in valid] == overlaps[:2].tolist()
+    assert str(error).startswith("Gram matrix diagonal must be all ones")
+    valid, error = GramMatrix._stack(overlaps[:2])
+    assert len(valid) == 2 and error is None
+
+
 # Any finite float, with the extremes and the subnormals drawn often.
 EXTREMES = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324,
                             2.2250738585072014e-308, 0.0, 0.5, 1.0])
