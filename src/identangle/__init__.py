@@ -49,10 +49,6 @@ from .reduction import (
 from .tomography import (
     CountRow,
     CountsTable,
-    all_pauli_settings,
-    axis_eigenvectors,
-    born_probabilities,
-    exact_counts,
     log_likelihood,
     read_counts,
     reconstruct_linear,
@@ -99,18 +95,14 @@ __all__ = [
     "VERDICT_W",
     "ValidationError",
     "W_WITNESS_BOUND",
-    "all_pauli_settings",
-    "axis_eigenvectors",
     "balanced_ghz_params",
     "balanced_tritter_rows",
-    "born_probabilities",
     "brute_density_matrix",
     "classify",
     "custom_spec",
     "density_matrices_from_spec",
     "density_matrix_from_spec",
     "dft_tritter_rows",
-    "exact_counts",
     "fidelity_mixed",
     "fidelity_pure",
     "ghz_preset",

@@ -421,44 +421,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _delay_grams(point: dict, path: str, num_particles: int, index: int, values):
-    """Gram matrices of a delay scan whose first value is already in
-    ``point``: the longest valid prefix and the error of the first invalid
-    point, as ``GramMatrix._stack`` gives them. The first point goes through
-    :func:`build_gram`, which checks the whole section in its own order; the
-    others move only delay ``index`` of that checked model, built as one stack."""
-    try:
-        first = build_gram(point, path, num_particles)
-    except ValidationError as exc:
-        return [], exc
-    section = point["distinguishability"]
-    table = np.tile([float(d) for d in section["delays"]], (len(values) - 1, 1))
-    table[:, index] = values[1:]
-    grams, error = GramMatrix._stack(
-        _delay_overlaps(table, float(section["coherence_length"]))
-    )
-    if error is not None:
-        error = ConfigError(path, "distinguishability", str(error))
-    return [first, *grams], error
-
-
-def _then_raise(solutions, error):
-    """``solutions``, then ``error`` (if any) where the next point would be."""
-    yield from solutions
-    if error is not None:
-        raise error
-
-
 def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
-    A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so its Gram
-    matrices are built and validated as one stack and solved by one
+    Each parameter has one ``solve(value)`` for a single point: an amplitude
+    rebuilds the routing, ``g`` builds ``GramMatrix.uniform`` and a delay
+    builds the point's distinguishability section with :func:`build_gram`.
+    A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so it first builds
+    and validates its Gram matrices as one stack and solves them with one
     :func:`density_matrices_from_spec` call, which enumerates the outcomes
-    once. An amplitude scan changes the routing at every point and solves
-    point by point. Either way each point is classified on its own, and the
-    first point that fails, in scan order, ends the scan with its error
-    prefixed by ``--param NAME = VALUE``; no file is written then.
+    once. That batch only saves time: if any of it fails, the points it has
+    not classified are solved again one by one. The first point that fails,
+    in scan order, ends the scan with its error prefixed by
+    ``--param NAME = VALUE``; no file is written then.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)
@@ -483,21 +458,17 @@ def cmd_scan(args) -> int:
         if not isinstance(amplitudes, dict):
             raise ConfigError(path, "ghz", "expected an object")
         partner = _GHZ_FIELDS[_GHZ_FIELDS.index(parameter) ^ 1]
+        # The amplitudes leave the distinguishability section alone, so its
+        # Gram matrix, or its error, is the first point's.
+        point_gram = functools.cache(lambda n: build_gram(point, path, n))
 
-        def solve_each():
-            gram = None
-            for value in map(float, values):
-                amplitudes[parameter] = value
-                amplitudes[partner] = math.sqrt(1.0 - value * value)
-                spec = build_spec(point, path)
-                if gram is None:
-                    # The amplitudes leave the distinguishability section
-                    # alone, so its Gram matrix, or its error, is the first
-                    # point's.
-                    gram = build_gram(point, path, spec.num_particles)
-                yield density_matrix_from_spec(spec, gram)
+        def solve(value):
+            amplitudes[parameter] = value
+            amplitudes[partner] = math.sqrt(1.0 - value * value)
+            spec = build_spec(point, path)
+            return density_matrix_from_spec(spec, point_gram(spec.num_particles))
 
-        solutions = solve_each()
+        batch = None
     else:
         if parameter != "g":
             section = point.get("distinguishability")
@@ -516,24 +487,47 @@ def cmd_scan(args) -> int:
                     f"{parameter} is out of range for {len(delays)} delays",
                 )
         spec = build_spec(point, path)
-        if parameter == "g":
-            grams, error = GramMatrix._stack(_uniform_overlaps(spec.num_particles, values))
-        else:
-            delays[index] = float(values[0])
-            grams, error = _delay_grams(point, path, spec.num_particles, index, values)
-        solutions = _then_raise(density_matrices_from_spec(spec, grams), error)
+        n = spec.num_particles
+
+        def solve(value):
+            if parameter == "g":
+                return density_matrix_from_spec(spec, GramMatrix.uniform(n, value))
+            delays[index] = value
+            return density_matrix_from_spec(spec, build_gram(point, path, n))
+
+        def batch():
+            if parameter == "g":
+                grams = GramMatrix._stack(_uniform_overlaps(n, values))
+            else:
+                # build_gram checks the section at the first point; the
+                # stack then moves only the scanned delay.
+                delays[index] = float(values[0])
+                build_gram(point, path, n)
+                table = np.tile(np.array(delays, dtype=float), (len(values), 1))
+                table[:, index] = values
+                grams = GramMatrix._stack(
+                    _delay_overlaps(table, float(section["coherence_length"]))
+                )
+            return density_matrices_from_spec(spec, grams)
+
+    def scan_row(value, rho, p_success):
+        row = {parameter: value, "p_success": p_success}
+        row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
+        return row
 
     rows = []
-    for value in map(float, values):
+    if batch is not None:
+        # Whatever the batch fails on is found again, and reported, below.
+        with contextlib.suppress(ValidationError, PostselectionImpossibleError):
+            for value, solution in zip(map(float, values), batch()):
+                rows.append(scan_row(value, *solution))
+    for value in map(float, values[len(rows):]):
         try:
-            rho, p_success = next(solutions)
-            row = {parameter: value, "p_success": p_success}
-            row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
+            rows.append(scan_row(value, *solve(value)))
         except PostselectionImpossibleError as exc:
             raise PostselectionImpossibleError(f"--param {parameter} = {value!r}: {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"--param {parameter} = {value!r}: {exc}") from None
-        rows.append(row)
 
     if args.format == "json":
         payload = {

@@ -10,7 +10,8 @@ basis is |ddd>, |ddu>, |dud>, |duu>, |udd>, |udu>, |uud>, |uuu> at indices
 The checks shared by the validated types live here: one Hermitian-PSD rule
 (also behind ``reduction.GramMatrix``) and one unit-vector rule (also behind
 ``entanglement.TargetState``). The Hermitian-PSD rule checks a stack of
-matrices at once; a single matrix is a stack of one.
+matrices at once, all or nothing: it raises the error of the first matrix
+that fails its earliest failing check. A single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -42,36 +43,29 @@ def _complex_array(data, name: str) -> np.ndarray:
         raise ValidationError(f"{name} is not an array of complex numbers ({exc})") from None
 
 
-def _cut(stack: np.ndarray, error, defect: np.ndarray, limit, message):
-    """``stack`` cut before its first matrix whose ``defect`` is not at most
-    ``limit`` (a NaN defect is not), and that matrix's error,
-    ``message(index)``; unchanged, with ``error``, when every defect is within
-    the limit. A check run on the prefix that earlier checks left finds a
-    failure before theirs, so its error replaces theirs."""
+def _check(defect: np.ndarray, limit, message) -> None:
+    """Raises ``message(index)`` for the first matrix of a stack whose
+    ``defect`` is not at most ``limit`` (a NaN defect is not)."""
     for index, value in enumerate(defect.tolist()):
         if not value <= limit:
-            return stack[:index], ValidationError(message(index))
-    return stack, error
+            raise ValidationError(message(index))
 
 
-def _hermitian_psd(stack: np.ndarray, name: str, hermitian_tol: float):
+def _hermitian_psd(stack: np.ndarray, name: str, hermitian_tol: float) -> None:
     """The Hermitian-PSD rule on a complex stack (P, d, d): every matrix is
     finite, Hermitian within ``hermitian_tol`` and positive semidefinite
     within ``PSD_TOL``, checked in that order with one ``eigvalsh`` for the
-    stack. Returns the longest prefix that passes and the error of the first
-    matrix that fails (None when all pass); ``name`` starts the message.
-    Rules run with overflow ignored: an overflowing defect is inf, and
-    refused."""
-    non_finite = ~np.isfinite(stack).all(axis=(1, 2))
-    stack, error = _cut(stack, None, non_finite, False, lambda i: f"{name} entries must be finite")
+    stack; ``name`` starts the message. Rules run with overflow ignored: an
+    overflowing defect is inf, and refused."""
+    _check(~np.isfinite(stack).all(axis=(1, 2)), False, lambda i: f"{name} entries must be finite")
     herm_defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    stack, error = _cut(
-        stack, error, herm_defect, hermitian_tol,
+    _check(
+        herm_defect, hermitian_tol,
         lambda i: f"{name} is not Hermitian (defect {herm_defect[i]:.3e} > {hermitian_tol})",
     )
     min_eig = np.linalg.eigvalsh(stack).min(axis=1)
-    return _cut(
-        stack, error, -min_eig, PSD_TOL,
+    _check(
+        -min_eig, PSD_TOL,
         lambda i: f"{name} is not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
     )
 
@@ -84,30 +78,25 @@ def _single(matrix, name: str, rule) -> np.ndarray:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     m.setflags(write=False)
     with np.errstate(over="ignore"):
-        _, error = rule(m[None])
-    if error is not None:
-        raise error
+        rule(m[None])
     return m
 
 
-def _validated_stack(
-    cls, field: str, stack: np.ndarray, rule
-) -> tuple[list, ValidationError | None]:
+def _validated_stack(cls, field: str, stack: np.ndarray, rule) -> list:
     """Instances of ``cls``, a frozen dataclass whose one array ``field`` its
-    ``__post_init__`` checks with ``rule``, around the matrices of a complex
-    stack (P, d, d) checked together by ``rule``: those before the first
-    matrix that fails, and that one's error (None when all pass). They are
+    ``__post_init__`` checks with ``rule``, one per matrix of a complex stack
+    (P, d, d) that ``rule`` checks at once; raises the rule's error. They are
     built from that one check, without ``__post_init__``. Marks ``stack``
     read-only; each instance holds a view of it."""
     stack.setflags(write=False)
     with np.errstate(over="ignore"):
-        valid, error = rule(stack)
+        rule(stack)
     made = []
-    for matrix in valid:
+    for matrix in stack:
         instance = object.__new__(cls)
         object.__setattr__(instance, field, matrix)
         made.append(instance)
-    return made, error
+    return made
 
 
 def _unit_vector(vector, name: str, tol: float) -> np.ndarray:
@@ -122,19 +111,16 @@ def _unit_vector(vector, name: str, tol: float) -> np.ndarray:
     return v
 
 
-def _density_rule(stack: np.ndarray):
+def _density_rule(stack: np.ndarray) -> None:
     """The Hermitian-PSD rule, a power-of-two dimension and unit trace within
-    ``TRACE_TOL`` on a stack (P, d, d); the passing prefix and the first
-    failing matrix's error, as :func:`_hermitian_psd` returns them."""
-    stack, error = _hermitian_psd(stack, "density matrix", HERMITIAN_TOL)
+    ``TRACE_TOL`` on a stack (P, d, d); raises as :func:`_hermitian_psd`."""
+    _hermitian_psd(stack, "density matrix", HERMITIAN_TOL)
     dim = stack.shape[1]
     if len(stack) and (dim < 2 or dim & (dim - 1)):
-        return stack[:0], ValidationError(
-            f"density matrix dimension must be a power of two, got {dim}"
-        )
+        raise ValidationError(f"density matrix dimension must be a power of two, got {dim}")
     trace_defect = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    return _cut(
-        stack, error, trace_defect, TRACE_TOL,
+    _check(
+        trace_defect, TRACE_TOL,
         lambda i: f"matrix trace differs from 1 by {trace_defect[i]:.3e}",
     )
 
@@ -154,7 +140,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _single(self.matrix, "density matrix", _density_rule))
 
     @classmethod
-    def _stack(cls, stack: np.ndarray) -> tuple[list["DensityMatrix"], ValidationError | None]:
+    def _stack(cls, stack: np.ndarray) -> list["DensityMatrix"]:
         """Density matrices of a stack, validated at once (see _validated_stack)."""
         return _validated_stack(cls, "matrix", stack, _density_rule)
 

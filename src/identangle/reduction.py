@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .density import DensityMatrix, _cut, _hermitian_psd, _single, _validated_stack
+from .density import DensityMatrix, _check, _hermitian_psd, _single, _validated_stack
 from .errors import (
     PostselectionImpossibleError,
     UnsupportedConfigurationError,
@@ -63,19 +63,18 @@ SUCCESS_FLOOR = 1e-15
 PAIR_BLOCK = 1 << 14
 
 
-def _gram_rule(stack: np.ndarray):
+def _gram_rule(stack: np.ndarray) -> None:
     """The Hermitian-PSD rule, a unit diagonal and entries of magnitude at most
-    1 on a stack (P, n, n); the passing prefix and the first failing matrix's
-    error, as ``density._hermitian_psd`` returns them."""
-    stack, error = _hermitian_psd(stack, "Gram matrix", GRAM_HERMITIAN_TOL)
+    1 on a stack (P, n, n); raises as ``density._hermitian_psd``."""
+    _hermitian_psd(stack, "Gram matrix", GRAM_HERMITIAN_TOL)
     diag_defect = np.abs(np.diagonal(stack, axis1=1, axis2=2) - 1.0).max(axis=1)
-    stack, error = _cut(
-        stack, error, diag_defect, GRAM_HERMITIAN_TOL,
+    _check(
+        diag_defect, GRAM_HERMITIAN_TOL,
         lambda i: "Gram matrix diagonal must be all ones (a state overlaps itself "
         f"perfectly); max defect {diag_defect[i]:.3e}",
     )
-    return _cut(
-        stack, error, np.abs(stack).max(axis=(1, 2)), 1.0 + 1e-9,
+    _check(
+        np.abs(stack).max(axis=(1, 2)), 1.0 + 1e-9,
         lambda i: "Gram matrix entries must have magnitude at most 1",
     )
 
@@ -109,7 +108,7 @@ class GramMatrix:
         object.__setattr__(self, "overlaps", _single(self.overlaps, "Gram matrix", _gram_rule))
 
     @classmethod
-    def _stack(cls, stack: np.ndarray) -> tuple[list["GramMatrix"], ValidationError | None]:
+    def _stack(cls, stack: np.ndarray) -> list["GramMatrix"]:
         """Gram matrices of a stack, validated at once (see density._validated_stack)."""
         return _validated_stack(cls, "overlaps", stack, _gram_rule)
 
@@ -297,10 +296,12 @@ def density_matrices_from_spec(
     real and imaginary parts in the oracle's factor order, so every point is
     byte-identical to ``brute_density_matrix`` on its own.
 
-    A point that fails raises when the iteration reaches it, after every
-    point before it: a Gram matrix of the wrong size (ValidationError),
-    a vanishing success probability (PostselectionImpossibleError, fully
-    destructive interference) or a result that is not a density matrix.
+    Each chunk is yielded whole or raises before yielding any of its points:
+    when one of its points has a Gram matrix of the wrong size
+    (ValidationError), a vanishing success probability
+    (PostselectionImpossibleError, fully destructive interference) or a
+    result that is not a density matrix, checked in that order over the
+    chunk.
     """
     if not grams:
         return
@@ -309,33 +310,23 @@ def density_matrices_from_spec(
     points = max(1, PAIR_BLOCK // max(len(outcomes) ** 2, 1))
     for start in range(0, len(grams), points):
         chunk = grams[start:start + points]
-        error = None
-        for i, gram in enumerate(chunk):
+        for gram in chunk:
             if gram.num_particles != n:
                 size = gram.num_particles
-                error = ValidationError(
+                raise ValidationError(
                     f"Gram matrix is {size}x{size} but the state has {n} particles"
                 )
-                chunk = chunk[:i]
-                break
-        raw = _trace(outcomes, np.array([gram.overlaps for gram in chunk]).reshape(-1, n, n))
+        raw = _trace(outcomes, np.array([gram.overlaps for gram in chunk]))
         p_success = np.trace(raw, axis1=1, axis2=2).real
         values = p_success.tolist()
-        for i, p in enumerate(values):
+        for p in values:
             if not p > SUCCESS_FLOOR:
-                error = PostselectionImpossibleError(
+                raise PostselectionImpossibleError(
                     "the all-detectors coincidence has probability "
                     f"{p:.3e}; nothing survives postselection"
                 )
-                raw, p_success = raw[:i], p_success[:i]
-                break
         raw /= p_success[:, None, None]
-        rhos, invalid = DensityMatrix._stack(raw)
-        yield from zip(rhos, values)
-        # Each check ran on the points before the previous one's failure.
-        error = invalid or error
-        if error is not None:
-            raise error
+        yield from zip(DensityMatrix._stack(raw), values)
 
 
 def density_matrix_from_spec(

@@ -43,13 +43,9 @@ from .errors import CountsParseError, IncompleteSettingsError, ValidationError
 
 __all__ = [
     "PAULI_AXES",
-    "all_pauli_settings",
-    "axis_eigenvectors",
-    "born_probabilities",
     "CountRow",
     "CountsTable",
     "simulate_counts",
-    "exact_counts",
     "reconstruct_linear",
     "reconstruct_mle",
     "log_likelihood",
@@ -76,14 +72,14 @@ _AXIS_VECTORS = {
 _AXIS_STACK = np.stack([_AXIS_VECTORS[axis] for axis in PAULI_AXES])
 
 
-def axis_eigenvectors(axis: str) -> np.ndarray:
+def _axis_eigenvectors(axis: str) -> np.ndarray:
     """2x2 array whose rows are the measurement eigenvectors of one axis."""
     if axis not in _AXIS_VECTORS:
         raise ValidationError(f"unknown measurement axis {axis!r}, expected one of XYZ")
     return _AXIS_VECTORS[axis].copy()
 
 
-def all_pauli_settings(num_qubits: int) -> list[str]:
+def _all_pauli_settings(num_qubits: int) -> list[str]:
     """All 3^N Pauli strings in lexicographic order: informationally complete."""
     if num_qubits < 1:
         raise ValidationError("need at least one qubit")
@@ -116,7 +112,7 @@ def _setting_vectors(settings: Sequence[str]) -> np.ndarray:
     return rows.reshape(-1, rows.shape[-1])
 
 
-def born_probabilities(rho: DensityMatrix, setting: str) -> np.ndarray:
+def _born_probabilities(rho: DensityMatrix, setting: str) -> np.ndarray:
     """Outcome distribution of one setting, clipped and renormalized."""
     _validate_setting(setting, rho.num_qubits)
     vectors = _setting_vectors([setting])
@@ -236,11 +232,11 @@ class CountsTable:
 def _counts_table(rho: DensityMatrix, settings, counts_of, shots, seed) -> CountsTable:
     """One row per outcome of every setting; ``counts_of(index, probs)`` gives the counts."""
     if settings is None:
-        settings = all_pauli_settings(rho.num_qubits)
+        settings = _all_pauli_settings(rho.num_qubits)
     outcomes = [format(o, f"0{rho.num_qubits}b") for o in range(2**rho.num_qubits)]
     rows = []
     for index, setting in enumerate(settings):
-        counts = counts_of(index, born_probabilities(rho, setting))
+        counts = counts_of(index, _born_probabilities(rho, setting))
         rows.extend(CountRow(setting, outcome, c) for outcome, c in zip(outcomes, counts))
     return CountsTable(rows=tuple(rows), shots_per_setting=shots, seed=seed)
 
@@ -268,7 +264,7 @@ def simulate_counts(
     return _counts_table(rho, settings, draw, int(shots), int(seed))
 
 
-def exact_counts(
+def _exact_counts(
     rho: DensityMatrix,
     settings: Sequence[str] | None = None,
     shots: float = 1.0,

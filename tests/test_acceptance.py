@@ -21,7 +21,6 @@ from identangle import (
     CountsTable,
     DensityMatrix,
     GramMatrix,
-    all_pauli_settings,
     balanced_tritter_rows,
     brute_density_matrix,
     classify,
@@ -39,6 +38,7 @@ from identangle import (
     w_state,
 )
 from identangle.cli import main as cli_main
+from identangle.tomography import _all_pauli_settings
 
 # Every density matrix any criterion produces lands here; the final
 # criterion re-validates all of them with raw numpy.
@@ -209,7 +209,7 @@ def test_criterion_07_tomography_round_trip():
         assert fidelity_pure(estimate, ghz_state()) >= 0.99
 
         rng = np.random.default_rng(2024)
-        settings = all_pauli_settings(3)
+        settings = _all_pauli_settings(3)
         outcomes = [format(o, "03b") for o in range(8)]
         for index in range(50):
             rows = []

@@ -17,13 +17,13 @@ from identangle import (
     GramMatrix,
     balanced_tritter_rows,
     density_matrix_from_spec,
-    exact_counts,
     ghz_state,
     simulate_counts,
     w_preset,
     write_counts,
 )
 from identangle.cli import main, read_density_matrix
+from identangle.tomography import _exact_counts
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -548,7 +548,7 @@ def test_reconstruct_refuses_a_shot_total_that_overflows(tmp_path, capsys, shots
     # 27 settings of 1e307 shots sum past the largest float; the project-wide
     # filterwarnings setting turns any numpy overflow warning into a failure.
     counts = tmp_path / "counts.txt"
-    write_counts(exact_counts(DensityMatrix.from_pure(ghz_state().vector), shots=shots), counts)
+    write_counts(_exact_counts(DensityMatrix.from_pure(ghz_state().vector), shots=shots), counts)
     out = tmp_path / "out"
     assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == rc
     if rc == 0:
@@ -592,7 +592,7 @@ def test_reconstruct_refuses_a_table_that_is_not_three_qubit_before_fitting(
 
     monkeypatch.setattr("identangle.cli.reconstruct_mle", never)
     counts = tmp_path / "counts.txt"
-    write_counts(exact_counts(DensityMatrix.from_pure(ghz_state(2).vector), shots=100), counts)
+    write_counts(_exact_counts(DensityMatrix.from_pure(ghz_state(2).vector), shots=100), counts)
     out = tmp_path / "out"
     assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
     assert "needs three particles, got 2" in capsys.readouterr().err

@@ -20,8 +20,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identangle import DensityMatrix, exact_counts, write_counts
+from identangle import DensityMatrix, write_counts
 from identangle.cli import main
+from identangle.tomography import _exact_counts
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 ONES = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
@@ -107,7 +108,7 @@ def test_one_bad_config_leaf_in_a_scan_exits_cleanly(data, value, param):
 
 
 # The maximally mixed state's table: every count is 1, and the MLE stops at once.
-COUNTS_TABLE = exact_counts(DensityMatrix(np.eye(8) / 8), shots=8)
+COUNTS_TABLE = _exact_counts(DensityMatrix(np.eye(8) / 8), shots=8)
 
 
 @QUICK_FUZZ

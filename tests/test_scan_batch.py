@@ -1,9 +1,11 @@
 """Scans solved as one batch: the routing side of a g or delay scan is built
 once and every point is traced in one stack, bit for bit as the one-point
-kernel traces it, and the scan meets its errors in scan order."""
+kernel traces it. The batch only saves time: a scan whose batch fails is
+solved again point by point, and meets its errors in scan order."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import subprocess
@@ -99,32 +101,35 @@ def test_batched_scan_split_across_chunks_stays_bit_equal(monkeypatch, block):
 
 def test_scan_gram_stacks_equal_the_one_point_builders():
     values = np.linspace(-0.5, 1.0, 31)
-    stacked, error = GramMatrix._stack(reduction._uniform_overlaps(3, values))
-    assert error is None
+    stacked = GramMatrix._stack(reduction._uniform_overlaps(3, values))
+    assert len(stacked) == len(values)
     for gram, value in zip(stacked, values):
         assert np.array_equal(gram.overlaps, GramMatrix.uniform(3, float(value)).overlaps)
     table = np.tile(DELAYS, (len(values), 1))
     table[:, 1] = values
-    stacked, error = GramMatrix._stack(reduction._delay_overlaps(table, 1.0))
-    assert error is None
+    stacked = GramMatrix._stack(reduction._delay_overlaps(table, 1.0))
+    assert len(stacked) == len(values)
     for gram, value in zip(stacked, values):
         assert np.array_equal(gram.overlaps, delay_gram(DELAYS, 1, float(value)).overlaps)
 
 
-def test_batch_yields_every_point_before_the_first_failure():
+def test_batch_yields_whole_chunks_before_a_failing_one(monkeypatch):
+    # The HOM routing has two outcomes, so a block of 8 pairs holds two
+    # points per chunk: g = 1 fails in the second chunk, after g = 0.2.
+    monkeypatch.setattr(reduction, "PAIR_BLOCK", 8)
     spec = cli.build_spec(HOM_PLUS_ONE, "config.json")
-    grams = [GramMatrix.uniform(3, g) for g in (0.0, 0.5, 1.0, 0.2)]
+    grams = [GramMatrix.uniform(3, g) for g in (0.0, 0.5, 0.2, 1.0)]
     solutions = density_matrices_from_spec(spec, grams)
     assert [p for _, p in (next(solutions), next(solutions))] == [
         density_matrix_from_spec(spec, gram)[1] for gram in grams[:2]
     ]
-    with pytest.raises(PostselectionImpossibleError, match="probability 0.000e"):
+    with pytest.raises(PostselectionImpossibleError, match="probability 0.000e") as raised:
         next(solutions)
+    alone = pytest.raises(PostselectionImpossibleError, density_matrix_from_spec, spec, grams[3])
+    assert str(raised.value) == str(alone.value)
     mixed = [GramMatrix.uniform(3, 0.1), GramMatrix.uniform(2, 0.1)]
-    solutions = density_matrices_from_spec(ghz_preset(), mixed)
-    next(solutions)
-    with pytest.raises(ValidationError, match="Gram matrix is 2x2 but the state has 3"):
-        next(solutions)
+    with pytest.raises(ValidationError, match="^Gram matrix is 2x2 but the state has 3 particles"):
+        next(density_matrices_from_spec(spec, mixed))
     assert list(density_matrices_from_spec(ghz_preset(), [])) == []
 
 
@@ -154,34 +159,65 @@ def test_scan_rows_equal_per_point_library_calls(tmp_path, preset, param):
         assert row["verdict"] == report.verdict
 
 
-@pytest.mark.parametrize("data,start,stop,steps,rc,texts", [
+@pytest.mark.parametrize("data,param,start,stop,steps,rc,texts", [
     # Uniform overlaps below -1/2 are not positive semidefinite for three
     # particles: -0.75 is the first such point from 1 down to -1.
-    ({"preset": "ghz", "distinguishability": {"gram": np.eye(3).tolist()}}, "1", "-1", "9", 2,
-     ["invalid input: --param g = -0.75: Gram matrix is not positive semidefinite "
-      "(min eigenvalue -5.000e-01)"]),
-    (HOM_PLUS_ONE, "0", "1", "3", 3,
+    ({"preset": "ghz", "distinguishability": {"gram": np.eye(3).tolist()}}, "g", "1", "-1", "9",
+     2, ["invalid input: --param g = -0.75: Gram matrix is not positive semidefinite "
+         "(min eigenvalue -5.000e-01)"]),
+    (HOM_PLUS_ONE, "g", "0", "1", "3", 3,
      ["numerical failure: --param g = 1.0: the all-detectors coincidence has probability"]),
+    # Particle 1's delay meets particle 0's at L2 = 0, the third point, where
+    # the HOM coincidence vanishes.
+    (dict(HOM_PLUS_ONE, distinguishability={"delays": [0, 1, 0.5], "coherence_length": 1}),
+     "L2", "1", "-1", "5", 3,
+     ["numerical failure: --param L2 = 0.0: the all-detectors coincidence has probability"]),
     # Point 0 fails its witness report before point 2's Gram matrix (g = 1.5
     # is not positive semidefinite for two particles) is reached.
-    (TWO_PARTICLES, "0", "1.5", "3", 2,
+    (TWO_PARTICLES, "g", "0", "1.5", "3", 2,
      ["invalid input: --param g = 0.0: ", ": custom: the witness report needs three particles"]),
-], ids=["psd-mid-scan", "hom-mid-scan", "two-particles-first-point"])
+], ids=["psd-mid-scan", "hom-mid-scan", "hom-delay-mid-scan", "two-particles-first-point"])
 # A block of 4 pairs puts every point of these two-outcome routings in a
 # chunk of its own, so the failing point sits in a later chunk.
 @pytest.mark.parametrize("block", [1 << 14, 4])
 def test_a_scan_reports_its_first_failing_point(
-    tmp_path, capsys, monkeypatch, data, start, stop, steps, rc, texts, block
+    tmp_path, capsys, monkeypatch, data, param, start, stop, steps, rc, texts, block
 ):
     monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
     out = tmp_path / "out"
-    argv = ["scan", "--config", write_config(tmp_path, data), "--param", "g", "--start", start,
+    argv = ["scan", "--config", write_config(tmp_path, data), "--param", param, "--start", start,
             "--stop", stop, "--steps", steps, "--out-dir", str(out)]
     assert cli.main(argv) == rc
     err = capsys.readouterr().err
     assert all(text in err for text in texts)
     assert err.count("--param") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fail_after", [0, 3])
+@pytest.mark.parametrize("param", ["g", "L1", "L2", "L3"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_scan_whose_batch_fails_is_solved_point_by_point(
+    tmp_path, monkeypatch, preset, param, fail_after
+):
+    config = dict(PRESETS[preset][0],
+                  distinguishability={"delays": DELAYS, "coherence_length": 1.0})
+    path = write_config(tmp_path, config)
+
+    def scan(out):
+        assert cli.main(["scan", "--config", path, "--param", param, "--start", "0",
+                         "--stop", "1", "--steps", "7", "--out-dir", str(out)]) == 0
+        return (out / "scan.json").read_bytes()
+
+    expected = scan(tmp_path / "batched")
+    batched = cli.density_matrices_from_spec
+
+    def failing(spec, grams):
+        yield from itertools.islice(batched(spec, grams), fail_after)
+        raise ValidationError("the batch failed")
+
+    monkeypatch.setattr(cli, "density_matrices_from_spec", failing)
+    assert scan(tmp_path / "point-by-point") == expected
 
 
 def test_a_delay_scan_reports_its_config_errors_at_the_first_point(tmp_path, capsys):

@@ -16,12 +16,8 @@ from identangle import (
     DensityMatrix,
     IncompleteSettingsError,
     ValidationError,
-    all_pauli_settings,
-    axis_eigenvectors,
     balanced_tritter_rows,
-    born_probabilities,
     density_matrix_from_spec,
-    exact_counts,
     fidelity_pure,
     ghz_state,
     gram_from_delays,
@@ -35,7 +31,13 @@ from identangle import (
     write_counts,
 )
 from identangle import tomography
-from identangle.tomography import _project_density
+from identangle.tomography import (
+    _all_pauli_settings,
+    _axis_eigenvectors,
+    _born_probabilities,
+    _exact_counts,
+    _project_density,
+)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -50,19 +52,19 @@ def ghz_rho():
 
 
 def test_all_pauli_settings():
-    assert all_pauli_settings(1) == ["X", "Y", "Z"]
-    two = all_pauli_settings(2)
+    assert _all_pauli_settings(1) == ["X", "Y", "Z"]
+    two = _all_pauli_settings(2)
     assert len(two) == 9
     assert two[0] == "XX" and two[-1] == "ZZ"
     assert two == sorted(two)
-    assert len(all_pauli_settings(3)) == 27
+    assert len(_all_pauli_settings(3)) == 27
     with pytest.raises(ValidationError):
-        all_pauli_settings(0)
+        _all_pauli_settings(0)
 
 
 @pytest.mark.parametrize("axis", "XYZ")
 def test_eigenvectors_diagonalize_each_axis(axis):
-    vectors = axis_eigenvectors(axis)
+    vectors = _axis_eigenvectors(axis)
     plus, minus = vectors[0], vectors[1]
     np.testing.assert_allclose(PAULI[axis] @ plus, plus, atol=1e-15)
     np.testing.assert_allclose(PAULI[axis] @ minus, -minus, atol=1e-15)
@@ -71,11 +73,11 @@ def test_eigenvectors_diagonalize_each_axis(axis):
 
 def test_unknown_axis_rejected():
     with pytest.raises(ValidationError):
-        axis_eigenvectors("Q")
+        _axis_eigenvectors("Q")
 
 
 def test_born_probabilities_ghz_z_basis():
-    probs = born_probabilities(ghz_rho(), "ZZZ")
+    probs = _born_probabilities(ghz_rho(), "ZZZ")
     expected = np.zeros(8)
     expected[0] = expected[7] = 0.5
     np.testing.assert_allclose(probs, expected, atol=1e-12)
@@ -83,7 +85,7 @@ def test_born_probabilities_ghz_z_basis():
 
 def test_born_probabilities_ghz_x_basis():
     # GHZ correlations in the X basis: only even-parity outcomes appear.
-    probs = born_probabilities(ghz_rho(), "XXX")
+    probs = _born_probabilities(ghz_rho(), "XXX")
     expected = np.zeros(8)
     expected[[0, 3, 5, 6]] = 0.25
     np.testing.assert_allclose(probs, expected, atol=1e-12)
@@ -93,13 +95,13 @@ def test_born_probabilities_maximally_mixed():
     rho = DensityMatrix(np.eye(8) / 8)
     for setting in ("XXX", "XYZ", "ZZZ"):
         np.testing.assert_allclose(
-            born_probabilities(rho, setting), np.full(8, 1 / 8), atol=1e-12
+            _born_probabilities(rho, setting), np.full(8, 1 / 8), atol=1e-12
         )
 
 
 def test_born_probabilities_rejects_wrong_width():
     with pytest.raises(ValidationError):
-        born_probabilities(ghz_rho(), "ZZ")
+        _born_probabilities(ghz_rho(), "ZZ")
 
 
 def test_simulate_counts_is_deterministic_per_seed():
@@ -128,7 +130,7 @@ def test_simulate_counts_totals_and_validation():
 def test_linear_inversion_inverts_exact_statistics():
     rng = np.random.default_rng(42)
     rho = random_density(rng)
-    table = exact_counts(rho)
+    table = _exact_counts(rho)
     estimate = reconstruct_linear(table)
     np.testing.assert_allclose(estimate, rho.matrix, atol=1e-9)
 
@@ -163,14 +165,14 @@ def test_linear_inversion_averages_pauli_expectations_on_finite_statistics(num_q
 
 def test_linear_inversion_rejects_a_setting_without_counts():
     # Totals of zero are within tolerance of a tiny shot count.
-    rows = tuple(CountRow(setting, "0", 0.0) for setting in all_pauli_settings(1))
+    rows = tuple(CountRow(setting, "0", 0.0) for setting in _all_pauli_settings(1))
     table = CountsTable(rows=rows, shots_per_setting=1e-7)
     with pytest.raises(ValidationError, match="has no counts"):
         reconstruct_linear(table)
 
 
 def test_linear_inversion_requires_complete_settings():
-    table = exact_counts(ghz_rho(), settings=["ZZZ"])
+    table = _exact_counts(ghz_rho(), settings=["ZZZ"])
     with pytest.raises(IncompleteSettingsError):
         reconstruct_linear(table)
     with pytest.raises(IncompleteSettingsError):
@@ -187,7 +189,7 @@ def test_completeness_check_stays_cheap_on_wide_tables():
 
 def test_mle_on_exact_statistics_recovers_truth():
     rho = ghz_rho()
-    estimate = reconstruct_mle(exact_counts(rho))
+    estimate = reconstruct_mle(_exact_counts(rho))
     np.testing.assert_allclose(estimate.matrix, rho.matrix, atol=1e-6)
 
 
@@ -210,7 +212,7 @@ def dirichlet_tables() -> tuple[CountsTable, ...]:
     tables = []
     for _ in range(10):
         rows = []
-        for setting in all_pauli_settings(3):
+        for setting in _all_pauli_settings(3):
             counts = rng.multinomial(300, rng.dirichlet(np.ones(8)))
             rows.extend(CountRow(setting, outcomes[o], int(c)) for o, c in enumerate(counts))
         tables.append(CountsTable(rows=tuple(rows), shots_per_setting=300))
@@ -227,7 +229,7 @@ def stacked_outcomes(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """Outcome eigenvectors of every setting and their counts, one row each."""
     settings = table.settings()
     vectors = np.vstack(
-        [reduce(np.kron, [axis_eigenvectors(axis) for axis in s]) for s in settings]
+        [reduce(np.kron, [_axis_eigenvectors(axis) for axis in s]) for s in settings]
     )
     return vectors, np.concatenate([table.counts_for(s) for s in settings])
 
@@ -369,7 +371,7 @@ def test_mle_returns_physical_state_on_arbitrary_counts():
     # Counts need not come from any quantum state; the estimator must still
     # produce a valid density matrix (the constructor enforces it).
     rng = np.random.default_rng(99)
-    settings = all_pauli_settings(2)
+    settings = _all_pauli_settings(2)
     outcomes = [format(o, "02b") for o in range(4)]
     for _ in range(10):
         rows = []
@@ -420,7 +422,7 @@ def test_counts_file_round_trip(tmp_path):
 
 
 def test_counts_file_round_trip_with_float_counts(tmp_path):
-    table = exact_counts(ghz_rho(), shots=2.5)
+    table = _exact_counts(ghz_rho(), shots=2.5)
     path = tmp_path / "counts.txt"
     write_counts(table, path)
     loaded = read_counts(path)
@@ -454,7 +456,7 @@ def test_log_likelihood_refuses_counts_whose_likelihood_overflows():
     table = CountsTable(rows=rows, shots_per_setting=6e306)
     with pytest.raises(ValidationError, match="shots_per_setting 6e[+]306 overflows"):
         log_likelihood(np.eye(8) / 8, table)
-    assert log_likelihood(np.eye(8) / 8, exact_counts(ghz_rho(), shots=1e300)) < 0
+    assert log_likelihood(np.eye(8) / 8, _exact_counts(ghz_rho(), shots=1e300)) < 0
 
 
 def test_read_counts_reports_malformed_row_line(tmp_path):
@@ -550,7 +552,7 @@ def test_counts_for_matches_a_naive_accumulation_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     shots = float(rng.uniform(1.0, 1000.0))
-    chosen = rng.permutation(all_pauli_settings(n))[: rng.integers(1, 3**n + 1)]
+    chosen = rng.permutation(_all_pauli_settings(n))[: rng.integers(1, 3**n + 1)]
     rows = []
     for setting in chosen:
         outcomes = rng.integers(0, 2**n, size=rng.integers(1, 3 * 2**n))

@@ -61,22 +61,31 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
 
 
 def test_a_stack_reports_its_first_failing_matrix():
+    good, diagonal = np.eye(4) / 4, np.diag([0.1, 0.2, 0.3, 0.4])
+    valid = DensityMatrix._stack(np.array([good, diagonal], dtype=complex))
+    assert [rho.matrix.tobytes() for rho in valid] == [
+        DensityMatrix(m).matrix.tobytes() for m in (good, diagonal)
+    ]
+    assert not any(rho.matrix.flags.writeable for rho in valid)
     # Matrix 1 fails the PSD check, matrix 2 the finite check that comes
-    # before it; matrix 1 fails first in stack order, so its error wins.
-    good = np.eye(4) / 4
+    # before it; the stack raises the error of the earliest check.
     stack = np.array([good, np.diag([1.5, -0.5, 0, 0]), np.full((4, 4), np.nan), good],
                      dtype=complex)
-    valid, error = DensityMatrix._stack(stack)
-    assert [rho.matrix.tobytes() for rho in valid] == [DensityMatrix(good).matrix.tobytes()]
-    assert str(error) == str(pytest.raises(ValidationError, DensityMatrix, stack[1]).value)
-    assert not valid[0].matrix.flags.writeable
+    for failing, index in ((stack, 2), (stack[[0, 1, 3]], 1)):
+        alone = pytest.raises(ValidationError, DensityMatrix, stack[index])
+        assert str(pytest.raises(ValidationError, DensityMatrix._stack, failing).value) == str(
+            alone.value
+        )
     overlaps = np.array([np.eye(2), [[1, 0.5], [0.5, 1]], [[2, 0], [0, 2]], np.eye(2)],
                         dtype=complex)
-    valid, error = GramMatrix._stack(overlaps)
-    assert [g.overlaps.tolist() for g in valid] == overlaps[:2].tolist()
-    assert str(error).startswith("Gram matrix diagonal must be all ones")
-    valid, error = GramMatrix._stack(overlaps[:2])
-    assert len(valid) == 2 and error is None
+    raised = pytest.raises(ValidationError, GramMatrix._stack, overlaps)
+    assert str(raised.value) == str(pytest.raises(ValidationError, GramMatrix, overlaps[2]).value)
+    assert str(raised.value).startswith("Gram matrix diagonal must be all ones")
+    valid = GramMatrix._stack(overlaps[:2].copy())
+    assert [g.overlaps.tobytes() for g in valid] == [
+        GramMatrix(m).overlaps.tobytes() for m in overlaps[:2]
+    ]
+    assert not any(g.overlaps.flags.writeable for g in valid)
 
 
 # Any finite float, with the extremes and the subnormals drawn often.
