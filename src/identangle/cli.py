@@ -395,6 +395,12 @@ def cmd_run(args) -> int:
         seed = args.seed
         if seed is None:
             seed = _parse_integer(tomography.get("seed", 0), path, "tomography.seed", 0)
+    # The label is echoed into the report, where NaN or Infinity is not JSON.
+    label = config.get("label")
+    try:
+        json.dumps(label, allow_nan=False)
+    except ValueError:
+        raise ConfigError(path, "label", f"must hold finite numbers only, got {label!r}") from None
 
     # The solve comes first: a config whose postselection is impossible exits 3.
     rho, p_success = density_matrix_from_spec(spec, gram)
@@ -402,7 +408,7 @@ def cmd_run(args) -> int:
         "tool": TOOL_NAME,
         "version": __version__,
         "config_hash": config_hash(config),
-        "label": config.get("label"),
+        "label": label,
         "p_success": p_success,
         **_classification_fields(rho, f"{path}: {config['preset']}"),
     }
@@ -424,16 +430,16 @@ def cmd_run(args) -> int:
 def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
-    Each parameter has one ``solve(value)`` for a single point: an amplitude
-    rebuilds the routing, ``g`` builds ``GramMatrix.uniform`` and a delay
-    builds the point's distinguishability section with :func:`build_gram`.
-    A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so it first builds
-    and validates its Gram matrices as one stack and solves them with one
-    :func:`density_matrices_from_spec` call, which enumerates the outcomes
-    once. That batch only saves time: if any of it fails, the points it has
-    not classified are solved again one by one. The first point that fails,
-    in scan order, ends the scan with its error prefixed by
-    ``--param NAME = VALUE``; no file is written then.
+    Each parameter kind has one ``solve(values)``, which yields the solution
+    of each value in order. An amplitude rebuilds the routing point by
+    point. A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so it
+    builds and validates its Gram matrices as one stack and solves them with
+    one :func:`density_matrices_from_spec` call, which enumerates the
+    outcomes once. The scan runs ``solve`` on all its values; if that fails,
+    the points it has not classified are solved again with ``solve([value])``,
+    one by one, so the first point that fails, in scan order, ends the scan
+    with its own error prefixed by ``--param NAME = VALUE``; no file is
+    written then.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)
@@ -462,13 +468,12 @@ def cmd_scan(args) -> int:
         # Gram matrix, or its error, is the first point's.
         point_gram = functools.cache(lambda n: build_gram(point, path, n))
 
-        def solve(value):
-            amplitudes[parameter] = value
-            amplitudes[partner] = math.sqrt(1.0 - value * value)
-            spec = build_spec(point, path)
-            return density_matrix_from_spec(spec, point_gram(spec.num_particles))
-
-        batch = None
+        def solve(values):
+            for value in map(float, values):
+                amplitudes[parameter] = value
+                amplitudes[partner] = math.sqrt(1.0 - value * value)
+                spec = build_spec(point, path)
+                yield density_matrix_from_spec(spec, point_gram(spec.num_particles))
     else:
         if parameter != "g":
             section = point.get("distinguishability")
@@ -489,13 +494,7 @@ def cmd_scan(args) -> int:
         spec = build_spec(point, path)
         n = spec.num_particles
 
-        def solve(value):
-            if parameter == "g":
-                return density_matrix_from_spec(spec, GramMatrix.uniform(n, value))
-            delays[index] = value
-            return density_matrix_from_spec(spec, build_gram(point, path, n))
-
-        def batch():
+        def solve(values):
             if parameter == "g":
                 grams = GramMatrix._stack(_uniform_overlaps(n, values))
             else:
@@ -516,14 +515,17 @@ def cmd_scan(args) -> int:
         return row
 
     rows = []
-    if batch is not None:
-        # Whatever the batch fails on is found again, and reported, below.
+    try:
+        # Whatever this fails on is found again, and reported, below.
         with contextlib.suppress(ValidationError, PostselectionImpossibleError):
-            for value, solution in zip(map(float, values), batch()):
+            for value, solution in zip(map(float, values), solve(values)):
                 rows.append(scan_row(value, *solution))
+    except MemoryError:  # a scan too large for this host's memory
+        message = f"--steps {args.steps} asks for more points than fit in memory"
+        raise ValidationError(message) from None
     for value in map(float, values[len(rows):]):
         try:
-            rows.append(scan_row(value, *solve(value)))
+            rows.append(scan_row(value, *next(solve([value]))))
         except PostselectionImpossibleError as exc:
             raise PostselectionImpossibleError(f"--param {parameter} = {value!r}: {exc}") from None
         except ValidationError as exc:

@@ -30,7 +30,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .density import DensityMatrix, _check, _hermitian_psd, _single, _validated_stack
+from .density import (
+    DensityMatrix,
+    _check,
+    _complex_array,
+    _hermitian_psd,
+    _single,
+    _validated_stack,
+)
 from .errors import (
     PostselectionImpossibleError,
     UnsupportedConfigurationError,
@@ -83,7 +90,7 @@ def _uniform_overlaps(n: int, overlaps) -> np.ndarray:
     """Stack (P, n, n) of Gram entries in which every pair of particles shares
     the same overlap, one matrix per entry of ``overlaps``."""
     g = np.empty((len(overlaps), n, n), dtype=complex)
-    g[:] = np.asarray(overlaps, dtype=complex)[:, None, None]
+    g[:] = _complex_array(overlaps, "Gram matrix overlap")[:, None, None]
     g[:, range(n), range(n)] = 1.0
     return g
 
@@ -161,13 +168,16 @@ class DelayModel:
     delays: tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.coherence_length > 0.0):
-            raise ValidationError(
-                f"coherence length must be positive, got {self.coherence_length}"
-            )
-        delays = tuple(float(d) for d in self.delays)
+        try:
+            length = float(self.coherence_length)
+            delays = tuple(float(d) for d in self.delays)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"delay model needs real numbers ({exc})") from None
+        if not (length > 0.0):
+            raise ValidationError(f"coherence length must be positive, got {length}")
         if len(delays) == 0:
             raise ValidationError("need at least one delay")
+        object.__setattr__(self, "coherence_length", length)
         object.__setattr__(self, "delays", delays)
 
 

@@ -253,9 +253,10 @@ def simulate_counts(
     so the same seed always reproduces the same table regardless of how the
     settings are processed.
     """
-    if shots < 1 or int(shots) != shots:
-        raise ValidationError(f"shots must be a positive integer, got {shots!r}")
-    if seed < 0 or int(seed) != seed:
+    # numpy's multinomial sampler takes at most a signed 64-bit count.
+    if not (1 <= shots <= 2**63 - 1 and int(shots) == shots):
+        raise ValidationError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
+    if not (0 <= seed < math.inf and int(seed) == seed):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
     def draw(index: int, probs: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .density import _complex_array
 from .errors import ValidationError
 
 __all__ = [
@@ -56,7 +57,7 @@ UNUSED = -1
 
 
 def _as_amplitude_matrix(values) -> np.ndarray:
-    t = np.array(values, dtype=complex)
+    t = _complex_array(values, "amplitude matrix")
     if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
         raise ValidationError(
             f"amplitude matrix must be 2-dimensional and non-empty, got shape {t.shape}"
@@ -67,14 +68,20 @@ def _as_amplitude_matrix(values) -> np.ndarray:
 
 
 def _as_spin_matrix(values) -> np.ndarray:
-    s = np.array(values, dtype=np.int8)
-    allowed = (s == int(Spin.DOWN)) | (s == int(Spin.UP)) | (s == UNUSED)
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:
+        raise ValidationError(f"spin matrix is not a rectangular array ({exc})") from None
+    # Checked before the int8 cast, which would truncate 1.9 to 1 and refuse
+    # 257, NaN or "up" with a raw error. An allowed complex entry such as
+    # 1+0j is real, so its real part is cast.
+    allowed = (raw == int(Spin.DOWN)) | (raw == int(Spin.UP)) | (raw == UNUSED)
     if not allowed.all():
-        bad = sorted(set(s[~allowed].tolist()))
+        bad = raw[~allowed].tolist()[0]
         raise ValidationError(
-            f"spin matrix entries must be Spin.DOWN, Spin.UP or UNUSED, got {bad}"
+            f"spin matrix entries must be Spin.DOWN, Spin.UP or UNUSED, got {bad!r}"
         )
-    return s
+    return raw.real.astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,19 @@ def test_run_rejects_nan_delay(tmp_path, capsys):
     assert "distinguishability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["NaN", "-Infinity", '["ghz", [1, NaN]]'])
+def test_run_rejects_a_label_json_cannot_hold(tmp_path, capsys, label):
+    # Python's json reads NaN and Infinity; echoed into report.json they
+    # would make it invalid JSON.
+    path = tmp_path / "label.json"
+    path.write_text(f'{{"preset": "ghz", "label": {label}, "distinguishability": '
+                    '{"gram": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]}}', encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert f"{path}: label: must hold finite numbers only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_run_rejects_boolean_spin(tmp_path, capsys, flag):
     config = {

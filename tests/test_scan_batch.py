@@ -1,7 +1,8 @@
 """Scans solved as one batch: the routing side of a g or delay scan is built
 once and every point is traced in one stack, bit for bit as the one-point
 kernel traces it. The batch only saves time: a scan whose batch fails is
-solved again point by point, and meets its errors in scan order."""
+solved again point by point, by the same solver on one value at a time, and
+meets its errors in scan order."""
 
 from __future__ import annotations
 
@@ -176,7 +177,13 @@ def test_scan_rows_equal_per_point_library_calls(tmp_path, preset, param):
     # is not positive semidefinite for two particles) is reached.
     (TWO_PARTICLES, "g", "0", "1.5", "3", 2,
      ["invalid input: --param g = 0.0: ", ": custom: the witness report needs three particles"]),
-], ids=["psd-mid-scan", "hom-mid-scan", "hom-delay-mid-scan", "two-particles-first-point"])
+    # With gamma1 = 0, alpha1 = 0 sends particles 0 and 2 to detectors 1 and
+    # 2, leaving detector 0 dark: the last point has no coincidence at all.
+    ({"preset": "ghz", "ghz": dict(dict.fromkeys(cli._GHZ_FIELDS, INV_SQRT2), gamma1=0, gamma3=1),
+      "distinguishability": {"gram": np.eye(3).tolist()}}, "alpha1", "1", "0", "5", 3,
+     ["numerical failure: --param alpha1 = 0.0: the all-detectors coincidence"]),
+], ids=["psd-mid-scan", "hom-mid-scan", "hom-delay-mid-scan", "two-particles-first-point",
+        "ghz-amplitude-mid-scan"])
 # A block of 4 pairs puts every point of these two-outcome routings in a
 # chunk of its own, so the failing point sits in a later chunk.
 @pytest.mark.parametrize("block", [1 << 14, 4])
@@ -213,11 +220,34 @@ def test_a_scan_whose_batch_fails_is_solved_point_by_point(
     batched = cli.density_matrices_from_spec
 
     def failing(spec, grams):
+        # The retry solves one point per call, with the same function.
+        if len(grams) == 1:
+            yield from batched(spec, grams)
+            return
         yield from itertools.islice(batched(spec, grams), fail_after)
         raise ValidationError("the batch failed")
 
     monkeypatch.setattr(cli, "density_matrices_from_spec", failing)
     assert scan(tmp_path / "point-by-point") == expected
+
+
+@pytest.mark.parametrize("param,builder", [("g", "_uniform_overlaps"), ("L1", "_delay_overlaps")])
+def test_a_scan_too_large_for_its_gram_stack_is_refused(
+    tmp_path, capsys, monkeypatch, param, builder
+):
+    # Stands in for a stack of 10^8 points, which fails to allocate.
+    def too_large(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, builder, too_large)
+    data = {"preset": "ghz", "distinguishability": {"delays": DELAYS, "coherence_length": 1.0}}
+    out = tmp_path / "out"
+    argv = ["scan", "--config", write_config(tmp_path, data), "--param", param, "--start", "0",
+            "--stop", "1", "--steps", "7", "--out-dir", str(out)]
+    assert cli.main(argv) == 2
+    assert ("invalid input: --steps 7 asks for more points than fit in memory"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_a_delay_scan_reports_its_config_errors_at_the_first_point(tmp_path, capsys):

@@ -126,6 +126,35 @@ def test_custom_spec_rejects_bad_spin_values():
         custom_spec([[1.0]], [[5]])
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: custom_spec([[1.0]], [[0.5]]), "spin matrix entries must be .* got 0.5$"),
+    (lambda: custom_spec([[1.0]], [[1.9]]), "spin matrix entries must be .* got 1.9$"),
+    (lambda: custom_spec([[1.0]], [[257]]), "spin matrix entries must be .* got 257$"),
+    (lambda: custom_spec([[1.0]], [[math.nan]]), "spin matrix entries must be .* got nan$"),
+    (lambda: custom_spec([[1.0]], [["up"]]), "spin matrix entries must be .* got 'up'$"),
+    (lambda: custom_spec([[1.0]], [[1 + 1j]]), r"spin matrix entries must be .* got \(1\+1j\)$"),
+    (lambda: custom_spec([[1.0]], [[10**400]]), "spin matrix entries must be .* got 1000"),
+    (lambda: custom_spec([[1.0]], [[U], [U, D]]), "^spin matrix is not a rectangular array"),
+    (lambda: custom_spec([[1.0], [1.0, 0.0]], [[U], [U, D]]),
+     "^amplitude matrix is not an array of complex numbers"),
+    (lambda: custom_spec([[10**400]], [[U]]),
+     "^amplitude matrix is not an array of complex numbers"),
+    (lambda: w_preset([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+     "^amplitude matrix is not an array of complex numbers"),
+], ids=["truncates-to-down", "truncates-to-up", "wraps-int8", "nan", "text", "complex",
+        "huge-int", "ragged-spins", "ragged-amplitudes", "huge-amplitude", "ragged-w-rows"])
+def test_entries_the_casts_would_change_or_reject_are_refused(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("spins", [[[1.0, -1.0]], [[1 + 0j, -1 + 0j]]], ids=["float", "complex"])
+def test_spins_equal_to_an_allowed_value_are_accepted(spins):
+    spec = custom_spec([[1.0, 0.0]], spins)
+    np.testing.assert_array_equal(spec.spins, [[U, UNUSED]])
+    assert spec.spins.dtype == np.int8
+
+
 def test_custom_spec_rejects_shape_mismatch():
     with pytest.raises(ValidationError):
         custom_spec([[1.0, 0.0]], [[D]])

@@ -10,13 +10,22 @@ filterwarnings setting turns a numpy overflow warning into a failure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from identangle import DensityMatrix, GramMatrix, TargetState, ValidationError
+from identangle import (
+    DelayModel,
+    DensityMatrix,
+    GramMatrix,
+    TargetState,
+    ValidationError,
+    simulate_counts,
+)
 
 
 @pytest.mark.parametrize("matrix,message", [
@@ -57,6 +66,22 @@ def test_checks_that_overflow_refuse_without_warning(make, message):
 ], ids=["ragged-gram", "huge-int-density", "text-pure", "text-target"])
 def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
     with pytest.raises(ValidationError, match=f"^{name} is not an array of complex numbers"):
+        make()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: DelayModel(1.0, ("a",)), "^delay model needs real numbers"),
+    (lambda: DelayModel("x", (0,)), "^delay model needs real numbers"),
+    (lambda: DelayModel(1.0, (10**400,)), "^delay model needs real numbers"),
+    (lambda: GramMatrix.uniform(3, 10**400), "^Gram matrix overlap is not an array of complex"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots=2**63),
+     r"^shots must be an integer in \[1, 2\*\*63 - 1\]"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), seed=math.inf),
+     "^seed must be a nonnegative integer"),
+], ids=["text-delay", "text-coherence-length", "huge-delay", "huge-overlap", "shots-past-int64",
+        "infinite-seed"])
+def test_library_constructors_refuse_bad_numbers_with_validation_error(make, message):
+    with pytest.raises(ValidationError, match=message):
         make()
 
 
