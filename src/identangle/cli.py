@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import hashlib
@@ -46,6 +47,7 @@ from .reduction import (
     gram_from_delays,
 )
 from .tomography import (
+    _MAX_SHOTS,
     CountsTable,
     read_counts,
     reconstruct_mle,
@@ -57,6 +59,7 @@ from .transform import (
     GHZParams,
     Spin,
     TransformSpec,
+    balanced_ghz_params,
     balanced_tritter_rows,
     custom_spec,
     dft_tritter_rows,
@@ -388,9 +391,8 @@ def cmd_run(args) -> int:
     if tomography is not None:
         if not isinstance(tomography, dict):
             raise ConfigError(path, "tomography", "expected an object")
-        # numpy's multinomial sampler takes at most a signed 64-bit count.
         shots = _parse_integer(
-            tomography.get("shots", 1000), path, "tomography.shots", 1, 2**63 - 1
+            tomography.get("shots", 1000), path, "tomography.shots", 1, _MAX_SHOTS
         )
         seed = args.seed
         if seed is None:
@@ -430,7 +432,7 @@ def cmd_run(args) -> int:
 def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
-    Each parameter kind has one ``solve(values)``, which yields the solution
+    Each parameter kind has one ``solve(values)``, which gives the solution
     of each value in order. An amplitude rebuilds the routing point by
     point. A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so it
     builds and validates its Gram matrices as one stack and solves them with
@@ -460,7 +462,7 @@ def cmd_scan(args) -> int:
             raise ValidationError(f"amplitude {parameter} must lie in [0, 1], got {outside[0]}")
         amplitudes = point.get("ghz")
         if amplitudes is None:
-            amplitudes = point["ghz"] = {name: 1.0 / math.sqrt(2.0) for name in _GHZ_FIELDS}
+            amplitudes = point["ghz"] = dataclasses.asdict(balanced_ghz_params())
         if not isinstance(amplitudes, dict):
             raise ConfigError(path, "ghz", "expected an object")
         partner = _GHZ_FIELDS[_GHZ_FIELDS.index(parameter) ^ 1]
@@ -525,7 +527,8 @@ def cmd_scan(args) -> int:
         raise ValidationError(message) from None
     for value in map(float, values[len(rows):]):
         try:
-            rows.append(scan_row(value, *next(solve([value]))))
+            (solution,) = solve([value])
+            rows.append(scan_row(value, *solution))
         except PostselectionImpossibleError as exc:
             raise PostselectionImpossibleError(f"--param {parameter} = {value!r}: {exc}") from None
         except ValidationError as exc:

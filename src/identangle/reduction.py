@@ -20,13 +20,15 @@ postselection success probability.
 
 Only the Gram factor depends on G, so a scan of G over one routing shares
 the outcomes: :func:`density_matrices_from_spec` traces a stack of Gram
-matrices at once, and :func:`density_matrix_from_spec` is its one-point case.
+matrices in one all-or-nothing call, and :func:`density_matrix_from_spec` is
+its one-point case.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,10 +65,9 @@ GRAM_HERMITIAN_TOL = 1e-12
 # Success probabilities at or below this are treated as exact destructive
 # interference rather than a usable postselection.
 SUCCESS_FLOOR = 1e-15
-# (ket, bra) pairs traced per step, over all points of a scan chunk, in whole
-# ket rows; bounds scratch memory while a ket row fits, else a step holds one
-# row of len(outcomes) pairs. A chunk holds at most PAIR_BLOCK // K^2 points
-# of K outcomes each, and at least one.
+# (ket, bra) pairs traced per step, in whole ket rows of every point of the
+# call; bounds scratch memory while a ket row fits, else a step holds one ket
+# row of every point.
 PAIR_BLOCK = 1 << 14
 
 
@@ -126,16 +127,18 @@ class GramMatrix:
     @classmethod
     def fully_indistinguishable(cls, n: int) -> "GramMatrix":
         """All pairwise overlaps equal to 1."""
-        return cls(np.ones((n, n)))
+        return cls.uniform(n, 1.0)
 
     @classmethod
     def fully_distinguishable(cls, n: int) -> "GramMatrix":
         """All off-diagonal overlaps equal to 0."""
-        return cls(np.eye(n))
+        return cls.uniform(n, 0.0)
 
     @classmethod
     def uniform(cls, n: int, overlap: float) -> "GramMatrix":
         """Every pair of particles shares the same real overlap."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValidationError(f"particle count must be an integer of at least 1, got {n!r}")
         return cls(_uniform_overlaps(n, [overlap])[0])
 
 
@@ -146,6 +149,8 @@ def gram_from_labels(labels: Sequence) -> GramMatrix:
     labels not at all. ``gram_from_labels(("a", "b", "a"))`` says particles
     0 and 2 are clones while particle 1 is distinguishable from both.
     """
+    if not isinstance(labels, Sequence) and np.ndim(labels) != 1:
+        raise ValidationError(f"labels must be a sequence, got {labels!r}")
     n = len(labels)
     if n == 0:
         raise ValidationError("need at least one label")
@@ -292,7 +297,7 @@ def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
 
 def density_matrices_from_spec(
     spec: TransformSpec, grams: Sequence[GramMatrix]
-) -> Iterator[tuple[DensityMatrix, float]]:
+) -> list[tuple[DensityMatrix, float]]:
     """Postselected density matrix and success probability at each Gram
     matrix of a scan over one routing, in order.
 
@@ -300,43 +305,36 @@ def density_matrices_from_spec(
     the no-bunching outcomes, their label tables and scatter indices -- is
     built once. Each point's matrix sums amp_ket * conj(amp_bra) *
     prod_d G[label_bra(d), label_ket(d)] over every (ket, bra) pair of
-    outcomes; the points of a chunk of at most PAIR_BLOCK // K^2 (K outcomes)
-    are traced as one stack, normalized, and validated together as
-    DensityMatrix. Pairs are taken ket-major and each product is formed from
-    real and imaginary parts in the oracle's factor order, so every point is
-    byte-identical to ``brute_density_matrix`` on its own.
+    outcomes; all points are traced as one stack, normalized, and validated
+    together as DensityMatrix. Pairs are taken ket-major and each product is
+    formed from real and imaginary parts in the oracle's factor order, so
+    every point is byte-identical to ``brute_density_matrix`` on its own.
 
-    Each chunk is yielded whole or raises before yielding any of its points:
-    when one of its points has a Gram matrix of the wrong size
-    (ValidationError), a vanishing success probability
-    (PostselectionImpossibleError, fully destructive interference) or a
-    result that is not a density matrix, checked in that order over the
-    chunk.
+    The call is all-or-nothing: it returns every point or raises, when a
+    point has a Gram matrix of the wrong size (ValidationError), a vanishing
+    success probability (PostselectionImpossibleError, fully destructive
+    interference) or a result that is not a density matrix, checked in that
+    order over all points.
     """
     if not grams:
-        return
+        return []
     outcomes = no_bunching_outcomes(spec)
     n = outcomes.num_particles
-    points = max(1, PAIR_BLOCK // max(len(outcomes) ** 2, 1))
-    for start in range(0, len(grams), points):
-        chunk = grams[start:start + points]
-        for gram in chunk:
-            if gram.num_particles != n:
-                size = gram.num_particles
-                raise ValidationError(
-                    f"Gram matrix is {size}x{size} but the state has {n} particles"
-                )
-        raw = _trace(outcomes, np.array([gram.overlaps for gram in chunk]))
-        p_success = np.trace(raw, axis1=1, axis2=2).real
-        values = p_success.tolist()
-        for p in values:
-            if not p > SUCCESS_FLOOR:
-                raise PostselectionImpossibleError(
-                    "the all-detectors coincidence has probability "
-                    f"{p:.3e}; nothing survives postselection"
-                )
-        raw /= p_success[:, None, None]
-        yield from zip(DensityMatrix._stack(raw), values)
+    for gram in grams:
+        if gram.num_particles != n:
+            size = gram.num_particles
+            raise ValidationError(f"Gram matrix is {size}x{size} but the state has {n} particles")
+    raw = _trace(outcomes, np.array([gram.overlaps for gram in grams]))
+    p_success = np.trace(raw, axis1=1, axis2=2).real
+    values = p_success.tolist()
+    for p in values:
+        if not p > SUCCESS_FLOOR:
+            raise PostselectionImpossibleError(
+                "the all-detectors coincidence has probability "
+                f"{p:.3e}; nothing survives postselection"
+            )
+    raw /= p_success[:, None, None]
+    return list(zip(DensityMatrix._stack(raw), values))
 
 
 def density_matrix_from_spec(
@@ -348,4 +346,4 @@ def density_matrix_from_spec(
     to ``brute_density_matrix``. Raises PostselectionImpossibleError when the
     success probability vanishes (fully destructive interference).
     """
-    return next(density_matrices_from_spec(spec, [gram]))
+    return density_matrices_from_spec(spec, [gram])[0]

@@ -61,6 +61,9 @@ _MLE_BACKTRACK = 0.5  # factor on the step while a candidate fails the increase 
 _MLE_MIN_STEP = 1e-10  # the step is not cut further below this
 _MLE_GROWTH = 1.1  # factor on the step after each accepted step
 
+# Counts are held as float64, which holds every integer up to 2**53 exactly.
+_MAX_SHOTS = 2**53
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Eigenbases, +1 eigenvector first. Z's +1 eigenvector is DOWN (bit 0).
@@ -253,9 +256,8 @@ def simulate_counts(
     so the same seed always reproduces the same table regardless of how the
     settings are processed.
     """
-    # numpy's multinomial sampler takes at most a signed 64-bit count.
-    if not (1 <= shots <= 2**63 - 1 and int(shots) == shots):
-        raise ValidationError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
+    if not (1 <= shots <= _MAX_SHOTS and int(shots) == shots):
+        raise ValidationError(f"shots must be an integer in [1, 2**53], got {shots!r}")
     if not (0 <= seed < math.inf and int(seed) == seed):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 

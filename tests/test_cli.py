@@ -521,16 +521,47 @@ TWO_PARTICLE_HOM = {
     "distinguishability": {"gram": [[1, 1], [1, 1]]},
 }
 SCAN_G = ["scan", "--param", "g", "--start", "0", "--stop", "1", "--steps", "2"]
+SCAN_ALPHA1 = ["scan", "--param", "alpha1", "--start", "0", "--stop", "1", "--steps", "2"]
 
 
 @pytest.mark.parametrize("command,data,rc,text", [
     pytest.param(["run"], dict(GHZ_CONFIG, tomography={"shots": 0}), 2, "tomography.shots",
                  id="run-bad-shots"),
+    # Counts are float64, so a count past 2**53 would be rounded in counts.txt.
+    pytest.param(["run"], dict(GHZ_CONFIG, tomography={"shots": 2**53 + 1}), 2,
+                 "tomography.shots: expected an integer in [1, 9007199254740992], got "
+                 "9007199254740993", id="run-shots-past-exact-float"),
     pytest.param(["run"], CUSTOM_CONFIG, 2, ": custom: the witness report needs three",
                  id="run-two-particles"),
     pytest.param(SCAN_G, CUSTOM_CONFIG, 2, ": custom: the witness report needs three",
                  id="scan-two-particles"),
     pytest.param(["run"], TWO_PARTICLE_HOM, 3, "numerical failure", id="run-hom"),
+    pytest.param(["run"], dict(GHZ_CONFIG, ghz=5), 2, "ghz: expected an object",
+                 id="run-ghz-not-an-object"),
+    pytest.param(["run"], dict(GHZ_CONFIG, ghz={"alpha1": INV_SQRT2}), 2,
+                 "ghz: missing amplitudes: alpha2, beta2, beta3, gamma1, gamma3",
+                 id="run-ghz-missing-amplitudes"),
+    pytest.param(["run"], dict(GHZ_CONFIG, preset="w", w=5), 2, "w: expected an object",
+                 id="run-w-not-an-object"),
+    pytest.param(["run"], dict(GHZ_CONFIG, preset="custom", custom=5), 2,
+                 "custom: expected an object with amplitudes and spins",
+                 id="run-custom-not-an-object"),
+    pytest.param(["run"], {"preset": "ghz"}, 2, "distinguishability: section is required",
+                 id="run-no-distinguishability"),
+    pytest.param(["run"], dict(GHZ_CONFIG, distinguishability=dict(
+                     DELAY_CONFIG["distinguishability"], gram=np.eye(3).tolist())), 2,
+                 'exactly one of "gram" or "delays" must be present', id="run-gram-and-delays"),
+    pytest.param(["run"], dict(GHZ_CONFIG, tomography=5), 2, "tomography: expected an object",
+                 id="run-tomography-not-an-object"),
+    pytest.param(["scan", "--param", "alpha1", "--start", "0", "--stop", "2", "--steps", "3"],
+                 GHZ_CONFIG, 2, "amplitude alpha1 must lie in [0, 1], got 2.0",
+                 id="scan-amplitude-past-one"),
+    pytest.param(SCAN_ALPHA1, dict(GHZ_CONFIG, ghz=5), 2, "ghz: expected an object",
+                 id="scan-ghz-not-an-object"),
+    pytest.param(["scan", "--param", "L3", "--start", "0", "--stop", "1", "--steps", "2"],
+                 dict(GHZ_CONFIG, distinguishability={"delays": [0.0, 0.1],
+                                                      "coherence_length": 1.0}),
+                 2, "L3 is out of range for 2 delays", id="scan-delay-out-of-range"),
 ])
 def test_failed_command_writes_no_file(tmp_path, capsys, command, data, rc, text):
     out = tmp_path / "out"
@@ -538,6 +569,35 @@ def test_failed_command_writes_no_file(tmp_path, capsys, command, data, rc, text
     assert main(argv) == rc
     assert text in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_scan_with_one_step_has_one_row_at_start(tmp_path):
+    out = tmp_path / "out"
+    argv = ["scan", "--config", write_config(tmp_path, GHZ_CONFIG), "--param", "g",
+            "--start", "0.3", "--stop", "0.9", "--steps", "1", "--out-dir", str(out)]
+    assert main(argv) == 0
+    rows = json.loads((out / "scan.json").read_text(encoding="utf-8"))["rows"]
+    assert [row["g"] for row in rows] == [0.3]
+
+
+def test_custom_spins_may_be_written_as_integers(tmp_path):
+    named = {
+        "preset": "custom",
+        "custom": {
+            "amplitudes": [[INV_SQRT2, INV_SQRT2, 0], [INV_SQRT2, -INV_SQRT2, 0], [0, 0, 1]],
+            "spins": [["down", "up", None], ["up", "down", None], [None, None, "up"]],
+        },
+        "distinguishability": {"gram": np.eye(3).tolist()},
+    }
+    numbered = dict(named, custom=dict(named["custom"], spins=[[0, 1, -1], [1, 0, -1],
+                                                               [-1, -1, 1]]))
+    matrices = []
+    for name, data in (("named", named), ("numbered", numbered)):
+        out = tmp_path / name
+        assert main(["run", "--config", write_config(tmp_path, data, f"{name}.json"),
+                     "--out-dir", str(out)]) == 0
+        matrices.append((out / "density_matrix.txt").read_bytes())
+    assert matrices[0] == matrices[1]
 
 
 def test_unusable_out_dir_exits_2(tmp_path, capsys):

@@ -25,6 +25,7 @@ from identangle import (
     ValidationError,
     balanced_tritter_rows,
     classify,
+    custom_spec,
     density_matrices_from_spec,
     density_matrix_from_spec,
     dft_tritter_rows,
@@ -91,9 +92,9 @@ def test_batched_scan_is_bit_equal_to_per_point_solves(preset, param):
 
 @pytest.mark.parametrize("block", [1, 40, 100])
 def test_batched_scan_split_across_chunks_stays_bit_equal(monkeypatch, block):
-    # W presets have 6 outcomes: a block of 40 pairs holds one point per
-    # chunk, 100 pairs two (the last chunk of 41 points holding one), and a
-    # block below one ket row still takes one row at a time.
+    # 41 points of 6 W outcomes give 246 pairs per ket row: every block here
+    # is below one ket row, so each step traces one ket row of all points,
+    # and a block of 1 still takes one row at a time.
     grams = scan_grams("g", np.linspace(0.0, 1.0, 41))
     monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
     for _, spec in PRESETS.values():
@@ -114,24 +115,30 @@ def test_scan_gram_stacks_equal_the_one_point_builders():
         assert np.array_equal(gram.overlaps, delay_gram(DELAYS, 1, float(value)).overlaps)
 
 
-def test_batch_yields_whole_chunks_before_a_failing_one(monkeypatch):
-    # The HOM routing has two outcomes, so a block of 8 pairs holds two
-    # points per chunk: g = 1 fails in the second chunk, after g = 0.2.
-    monkeypatch.setattr(reduction, "PAIR_BLOCK", 8)
+# A block of 8 pairs traces one ket row of all four HOM points per step; a
+# block of 1 does the same for the routing with no outcomes.
+@pytest.mark.parametrize("block", [1 << 14, 8, 1])
+def test_a_batch_is_all_or_nothing(monkeypatch, block):
+    monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
     spec = cli.build_spec(HOM_PLUS_ONE, "config.json")
+    # g = 1 fails after three points that succeed on their own; the batch
+    # returns none of them and raises the one-point call's error.
     grams = [GramMatrix.uniform(3, g) for g in (0.0, 0.5, 0.2, 1.0)]
-    solutions = density_matrices_from_spec(spec, grams)
-    assert [p for _, p in (next(solutions), next(solutions))] == [
-        density_matrix_from_spec(spec, gram)[1] for gram in grams[:2]
-    ]
     with pytest.raises(PostselectionImpossibleError, match="probability 0.000e") as raised:
-        next(solutions)
+        density_matrices_from_spec(spec, grams)
     alone = pytest.raises(PostselectionImpossibleError, density_matrix_from_spec, spec, grams[3])
     assert str(raised.value) == str(alone.value)
     mixed = [GramMatrix.uniform(3, 0.1), GramMatrix.uniform(2, 0.1)]
     with pytest.raises(ValidationError, match="^Gram matrix is 2x2 but the state has 3 particles"):
-        next(density_matrices_from_spec(spec, mixed))
-    assert list(density_matrices_from_spec(ghz_preset(), [])) == []
+        density_matrices_from_spec(spec, mixed)
+    assert density_matrices_from_spec(ghz_preset(), []) == []
+    # Both particles reach detector 0 only: no bijection survives (K = 0).
+    dark = custom_spec([[1, 0], [1, 0]], [[0, -1], [0, -1]])
+    pair = GramMatrix.uniform(2, 0.5)
+    alone = pytest.raises(PostselectionImpossibleError, density_matrix_from_spec, dark, pair)
+    with pytest.raises(PostselectionImpossibleError) as raised:
+        density_matrices_from_spec(dark, [pair, GramMatrix.fully_distinguishable(2)])
+    assert str(raised.value) == str(alone.value)
 
 
 def write_config(tmp_path, data):
@@ -184,8 +191,8 @@ def test_scan_rows_equal_per_point_library_calls(tmp_path, preset, param):
      ["numerical failure: --param alpha1 = 0.0: the all-detectors coincidence"]),
 ], ids=["psd-mid-scan", "hom-mid-scan", "hom-delay-mid-scan", "two-particles-first-point",
         "ghz-amplitude-mid-scan"])
-# A block of 4 pairs puts every point of these two-outcome routings in a
-# chunk of its own, so the failing point sits in a later chunk.
+# A block of 4 pairs traces a call of two or more points of these two-outcome
+# routings one ket row at a time.
 @pytest.mark.parametrize("block", [1 << 14, 4])
 def test_a_scan_reports_its_first_failing_point(
     tmp_path, capsys, monkeypatch, data, param, start, stop, steps, rc, texts, block

@@ -24,6 +24,7 @@ from identangle import (
     GramMatrix,
     TargetState,
     ValidationError,
+    gram_from_labels,
     simulate_counts,
 )
 
@@ -75,11 +76,24 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
     (lambda: DelayModel(1.0, (10**400,)), "^delay model needs real numbers"),
     (lambda: GramMatrix.uniform(3, 10**400), "^Gram matrix overlap is not an array of complex"),
     (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots=2**63),
-     r"^shots must be an integer in \[1, 2\*\*63 - 1\]"),
+     r"^shots must be an integer in \[1, 2\*\*53\]"),
+    # Counts are float64, which stops holding every integer past 2**53.
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots=2**53 + 1),
+     r"^shots must be an integer in \[1, 2\*\*53\]"),
     (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), seed=math.inf),
      "^seed must be a nonnegative integer"),
+    (lambda: GramMatrix.uniform(-1, 0.5), "^particle count must be an integer of at least 1"),
+    (lambda: GramMatrix.uniform("a", 0.5), "^particle count must be an integer of at least 1"),
+    (lambda: GramMatrix.uniform(2.5, 0.5), "^particle count must be an integer of at least 1"),
+    (lambda: GramMatrix.fully_indistinguishable(-1),
+     "^particle count must be an integer of at least 1"),
+    (lambda: GramMatrix.fully_distinguishable(-2),
+     "^particle count must be an integer of at least 1"),
+    (lambda: gram_from_labels(5), "^labels must be a sequence"),
 ], ids=["text-delay", "text-coherence-length", "huge-delay", "huge-overlap", "shots-past-int64",
-        "infinite-seed"])
+        "shots-past-exact-float", "infinite-seed", "negative-uniform", "text-uniform",
+        "fractional-uniform", "negative-indistinguishable", "negative-distinguishable",
+        "int-labels"])
 def test_library_constructors_refuse_bad_numbers_with_validation_error(make, message):
     with pytest.raises(ValidationError, match=message):
         make()
