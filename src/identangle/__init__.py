@@ -1,7 +1,7 @@
 """Entanglement from spatial overlap of partially distinguishable particles.
 
 The package models N identical particles sent through a linear transformation
-onto M detectors, keeps the outcomes where every detector fires exactly once,
+onto N detectors, keeps the outcomes where every detector fires exactly once,
 and traces out whatever hidden degrees of freedom make the particles partially
 distinguishable. The result is a spin-register density matrix plus the
 postselection success probability, ready for witness checks, phase searches

@@ -13,11 +13,7 @@ import itertools
 import numpy as np
 
 from .density import DensityMatrix
-from .errors import (
-    PostselectionImpossibleError,
-    UnsupportedConfigurationError,
-    ValidationError,
-)
+from .errors import PostselectionImpossibleError, ValidationError
 from .reduction import SUCCESS_FLOOR, GramMatrix
 from .transform import TransformSpec
 
@@ -56,17 +52,14 @@ def brute_density_matrix(
 ) -> tuple[DensityMatrix, float]:
     """Postselected density matrix by direct enumeration of all N! routings.
 
-    A no-bunching outcome is a bijection sigma from particles to detectors;
-    its amplitude is prod_i t[i, sigma(i)], the spin at detector d is
+    A no-bunching outcome of the square routing (TransformSpec refuses any
+    other shape) is a bijection sigma from particles to detectors; its
+    amplitude is prod_i t[i, sigma(i)], the spin at detector d is
     s[sigma^-1(d), d] and the label there is sigma^-1(d). Bra and ket
     bijections are enumerated independently and every pair contributes
     amp_ket * conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)].
     """
     n = spec.num_particles
-    if spec.num_modes != n:
-        raise UnsupportedConfigurationError(
-            f"need a square routing, got {n} particles over {spec.num_modes} detectors"
-        )
     if n > _BRUTE_MAX:
         raise ValidationError(f"brute force limited to {_BRUTE_MAX} particles, got {n}")
     if gram.num_particles != n:

@@ -71,7 +71,7 @@ TOOL_NAME = "identangle"
 
 # Adjacent fields share a routing row: scanning one GHZ amplitude rescales its
 # partner (index ^ 1) to keep the row normalized.
-_GHZ_FIELDS = ("alpha1", "alpha2", "beta2", "beta3", "gamma1", "gamma3")
+_GHZ_FIELDS = tuple(field.name for field in dataclasses.fields(GHZParams))
 
 
 def config_hash(config: dict) -> str:

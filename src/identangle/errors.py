@@ -19,7 +19,8 @@ class ValidationError(IdentangleError, ValueError):
 
 
 class UnsupportedConfigurationError(ValidationError):
-    """The requested operation is outside the supported problem shape."""
+    """The input is outside the supported problem shape: a routing spec
+    whose detector count differs from its particle count."""
 
 
 class IncompleteSettingsError(ValidationError):

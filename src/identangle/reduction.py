@@ -40,11 +40,7 @@ from .density import (
     _single,
     _validated_stack,
 )
-from .errors import (
-    PostselectionImpossibleError,
-    UnsupportedConfigurationError,
-    ValidationError,
-)
+from .errors import PostselectionImpossibleError, ValidationError
 from .transform import TransformSpec
 
 __all__ = [
@@ -226,17 +222,14 @@ def _complex_product(ar, ai, br, bi):
 def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
     """Enumerate the routings in which every detector receives one particle.
 
-    Routings grow row by row, skipping zero entries and taken detectors, so
-    zero-amplitude routings are never built. Amplitudes multiply up along
-    the way from complex(1.0), in the oracle's order; a routing whose
-    amplitude still underflows to zero is dropped at the end.
+    A TransformSpec is square, so each such routing is a bijection from
+    particles to detectors. Routings grow row by row, skipping zero entries
+    and taken detectors, so zero-amplitude routings are never built.
+    Amplitudes multiply up along the way from complex(1.0), in the oracle's
+    order; a routing whose amplitude still underflows to zero is dropped at
+    the end.
     """
     n = spec.num_particles
-    if spec.num_modes != n:
-        raise UnsupportedConfigurationError(
-            "no-bunching postselection needs as many detectors as particles, got "
-            f"{n} particles over {spec.num_modes} detectors"
-        )
     routes = [((), complex(1.0))]
     for row in spec.amplitudes.tolist():
         columns = [j for j, entry in enumerate(row) if entry != 0]

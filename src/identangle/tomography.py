@@ -66,20 +66,16 @@ _MAX_SHOTS = 2**53
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Eigenbases, +1 eigenvector first. Z's +1 eigenvector is DOWN (bit 0).
-_AXIS_VECTORS = {
-    "X": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
-    "Y": np.array([[_INV_SQRT2, 1j * _INV_SQRT2], [_INV_SQRT2, -1j * _INV_SQRT2]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-}
-_AXIS_STACK = np.stack([_AXIS_VECTORS[axis] for axis in PAULI_AXES])
-
-
-def _axis_eigenvectors(axis: str) -> np.ndarray:
-    """2x2 array whose rows are the measurement eigenvectors of one axis."""
-    if axis not in _AXIS_VECTORS:
-        raise ValidationError(f"unknown measurement axis {axis!r}, expected one of XYZ")
-    return _AXIS_VECTORS[axis].copy()
+# Eigenbases of X, Y and Z in PAULI_AXES order, one eigenvector per row, +1
+# eigenvector first. Z's +1 eigenvector is DOWN (bit 0).
+_AXIS_STACK = np.array(
+    [
+        [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]],
+        [[_INV_SQRT2, 1j * _INV_SQRT2], [_INV_SQRT2, -1j * _INV_SQRT2]],
+        [[1.0, 0.0], [0.0, 1.0]],
+    ],
+    dtype=complex,
+)
 
 
 def _all_pauli_settings(num_qubits: int) -> list[str]:
@@ -120,11 +116,14 @@ def _born_probabilities(rho: DensityMatrix, setting: str) -> np.ndarray:
     _validate_setting(setting, rho.num_qubits)
     vectors = _setting_vectors([setting])
     probs = np.einsum("oi,ij,oj->o", vectors.conj(), rho.matrix, vectors).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
+    # A setting's outcomes form a basis, so the sum is rho's unit trace;
+    # clipping the negative probabilities of a state whose eigenvalues dip
+    # below 0 within PSD_TOL can move the sum by more than this tolerance.
+    total = float(probs.sum())
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValidationError(f"outcome probabilities sum to {total!r}, expected 1")
-    return probs / total
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 class CountRow(NamedTuple):
@@ -291,11 +290,6 @@ def _require_complete(table: CountsTable) -> None:
         )
 
 
-def _stacked_vectors(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
-    """All outcome eigenvectors and aligned counts across the table."""
-    return _setting_vectors(table.settings()), table._grid.ravel()
-
-
 def _inverse_frame(vectors: np.ndarray, frequencies: np.ndarray, num_qubits: int) -> np.ndarray:
     """Sum of f_k v_k v_k^dagger with the Pauli frame operator undone, Hermitised."""
     n = num_qubits
@@ -370,7 +364,7 @@ def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
 
     Counts so large that the likelihood overflows are refused as
     :func:`reconstruct_mle` refuses them."""
-    vectors, counts = _stacked_vectors(table)
+    vectors, counts = _setting_vectors(table.settings()), table._grid.ravel()
     probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
     with _refusing_overflow(table):
         return _likelihood(counts, counts > 0, np.clip(probs, 1e-12, None))
@@ -418,7 +412,7 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
 
 def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
     """The iteration of :func:`reconstruct_mle` on a complete table."""
-    vectors, counts = _stacked_vectors(table)
+    vectors, counts = _setting_vectors(table.settings()), table._grid.ravel()
     total = counts.sum()
     if not total > 0:
         raise ValidationError("counts table is all zeros")

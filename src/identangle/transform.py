@@ -1,8 +1,9 @@
 """Transformation specs: how input particles spread over detector modes.
 
 A transformation takes N identical particles, one per input port, and sends
-them onto M spatially separated detectors. It is described by two matrices of
-the same shape:
+them onto N spatially separated detectors, as many detectors as particles,
+since postselection keeps the outcomes in which every detector fires exactly
+once. It is described by two square matrices of the same shape:
 
 * an amplitude matrix ``t`` where ``t[i, j]`` is the complex amplitude for
   particle ``i`` to reach detector ``j``, and
@@ -26,7 +27,7 @@ from enum import IntEnum
 import numpy as np
 
 from .density import _complex_array
-from .errors import ValidationError
+from .errors import UnsupportedConfigurationError, ValidationError
 
 __all__ = [
     "ROW_NORM_TOL",
@@ -86,9 +87,12 @@ def _as_spin_matrix(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Validated pair of amplitude and spin matrices, shape (n inputs, m detectors).
+    """Validated pair of amplitude and spin matrices, shape (n inputs, n detectors).
 
-    Instances are immutable; the wrapped arrays are marked read-only.
+    A routing with as many detectors as particles is the only shape the
+    no-bunching postselection can solve, so any other is refused with
+    UnsupportedConfigurationError. Instances are immutable; the wrapped
+    arrays are marked read-only.
     """
 
     amplitudes: np.ndarray
@@ -100,6 +104,11 @@ class TransformSpec:
         if t.shape != s.shape:
             raise ValidationError(
                 f"amplitude matrix {t.shape} and spin matrix {s.shape} differ in shape"
+            )
+        if t.shape[0] != t.shape[1]:
+            raise UnsupportedConfigurationError(
+                "no-bunching postselection needs as many detectors as particles, got "
+                f"{t.shape[0]} particles over {t.shape[1]} detectors"
             )
         # An amplitude too large to square gives an infinite norm, refused below.
         with np.errstate(over="ignore"):
@@ -126,10 +135,6 @@ class TransformSpec:
     @property
     def num_particles(self) -> int:
         return self.amplitudes.shape[0]
-
-    @property
-    def num_modes(self) -> int:
-        return self.amplitudes.shape[1]
 
 
 def custom_spec(amplitudes, spins) -> TransformSpec:
@@ -202,7 +207,6 @@ def ghz_preset(params: GHZParams | None = None) -> TransformSpec:
         dtype=np.int8,
     )
     # Degenerate parameter choices (say alpha2 = 0) close a path entirely.
-    s = s.copy()
     s[t == 0] = UNUSED
     return TransformSpec(t, s)
 

@@ -123,11 +123,9 @@ def test_brute_destructive_interference_raises():
 def test_brute_rejects_rectangular_and_oversized():
     rng = np.random.default_rng(7)
     t = random_row_normalized(rng, 2, 3)
+    # A rectangular routing is refused when the spec is built.
     with pytest.raises(UnsupportedConfigurationError):
-        brute_density_matrix(
-            custom_spec(t, rng.integers(0, 2, size=(2, 3))),
-            GramMatrix.fully_distinguishable(2),
-        )
+        custom_spec(t, rng.integers(0, 2, size=(2, 3)))
     t7 = random_row_normalized(rng, 7, 7)
     with pytest.raises(ValidationError):
         brute_density_matrix(

@@ -15,6 +15,7 @@ from conftest import ROW_FAULT_FILES
 from identangle import (
     DensityMatrix,
     GramMatrix,
+    ValidationError,
     balanced_tritter_rows,
     density_matrix_from_spec,
     ghz_state,
@@ -569,6 +570,37 @@ def test_failed_command_writes_no_file(tmp_path, capsys, command, data, rc, text
     assert main(argv) == rc
     assert text in capsys.readouterr().err
     assert not out.exists()
+
+
+RECTANGULAR_CUSTOM = {
+    "preset": "custom",
+    "custom": {
+        "amplitudes": [[INV_SQRT2, INV_SQRT2, 0], [0, INV_SQRT2, INV_SQRT2]],
+        "spins": [["down", "up", None], [None, "down", "up"]],
+    },
+    "distinguishability": {"gram": [[1, 1], [1, 1]]},
+}
+
+
+@pytest.mark.parametrize("command", [["run"], SCAN_G], ids=["run", "scan-g"])
+def test_a_rectangular_custom_routing_is_refused_at_its_field(tmp_path, capsys, command):
+    # A config fault, so the scan reports it once, not as its first point's.
+    out = tmp_path / "out"
+    config = write_config(tmp_path, RECTANGULAR_CUSTOM)
+    assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"identangle: invalid input: {config}: custom: no-bunching postselection needs as "
+        "many detectors as particles, got 2 particles over 3 detectors\n"
+    )
+    assert not out.exists()
+
+
+def test_read_density_matrix_refuses_a_file_that_is_not_two_stacked_blocks(tmp_path):
+    path = tmp_path / "rho.txt"
+    np.savetxt(path, np.eye(3))
+    message = r"rho.txt: expected two stacked dim x dim blocks, got shape \(3, 3\)$"
+    with pytest.raises(ValidationError, match=message):
+        read_density_matrix(path)
 
 
 def test_scan_with_one_step_has_one_row_at_start(tmp_path):

@@ -90,11 +90,13 @@ def test_batched_scan_is_bit_equal_to_per_point_solves(preset, param):
     assert_batch_matches_points(PRESETS[preset][1], scan_grams(param, values))
 
 
-@pytest.mark.parametrize("block", [1, 40, 100])
-def test_batched_scan_split_across_chunks_stays_bit_equal(monkeypatch, block):
-    # 41 points of 6 W outcomes give 246 pairs per ket row: every block here
-    # is below one ket row, so each step traces one ket row of all points,
-    # and a block of 1 still takes one row at a time.
+@pytest.mark.parametrize("block", [1, 40, 100, 500, 1000])
+def test_batched_scan_traced_in_blocks_stays_bit_equal(monkeypatch, block):
+    # A step traces max(1, block // 246) whole ket rows of every point: 41
+    # points of 6 W outcomes give 246 pairs per ket row. Blocks 1 to 100 take
+    # one row per step, 500 two rows (three steps), 1000 four rows and then
+    # two. GHZ's 2 outcomes give 82 pairs per row: one row per step up to 100,
+    # both rows in one step from 500.
     grams = scan_grams("g", np.linspace(0.0, 1.0, 41))
     monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
     for _, spec in PRESETS.values():

@@ -32,8 +32,8 @@ from identangle import (
 )
 from identangle import tomography
 from identangle.tomography import (
+    _AXIS_STACK,
     _all_pauli_settings,
-    _axis_eigenvectors,
     _born_probabilities,
     _exact_counts,
     _project_density,
@@ -64,16 +64,15 @@ def test_all_pauli_settings():
 
 @pytest.mark.parametrize("axis", "XYZ")
 def test_eigenvectors_diagonalize_each_axis(axis):
-    vectors = _axis_eigenvectors(axis)
-    plus, minus = vectors[0], vectors[1]
+    plus, minus = _AXIS_STACK[tomography.PAULI_AXES.index(axis)]
     np.testing.assert_allclose(PAULI[axis] @ plus, plus, atol=1e-15)
     np.testing.assert_allclose(PAULI[axis] @ minus, -minus, atol=1e-15)
     assert abs(plus.conj() @ minus) < 1e-15
 
 
 def test_unknown_axis_rejected():
-    with pytest.raises(ValidationError):
-        _axis_eigenvectors("Q")
+    with pytest.raises(ValidationError, match="'XQZ' must be a nonempty string over the axes XYZ"):
+        simulate_counts(ghz_rho(), settings=["XQZ"])
 
 
 def test_born_probabilities_ghz_z_basis():
@@ -102,6 +101,15 @@ def test_born_probabilities_maximally_mixed():
 def test_born_probabilities_rejects_wrong_width():
     with pytest.raises(ValidationError):
         _born_probabilities(ghz_rho(), "ZZ")
+
+
+def test_counts_of_a_state_with_eigenvalues_just_below_zero():
+    # The smallest eigenvalue, -9e-10, is within PSD_TOL, and the trace is 1;
+    # the clipped Z-basis probabilities alone sum to 1 + 6.3e-9.
+    rho = DensityMatrix(np.diag([1 + 6.3e-9] + [-9e-10] * 7))
+    assert _born_probabilities(rho, "ZZZ").tolist() == [1.0] + [0.0] * 7
+    assert simulate_counts(rho, shots=100, seed=1).counts_for("ZZZ").tolist() == [100] + [0] * 7
+    assert _exact_counts(rho).counts_for("ZZZ").tolist() == [1.0] + [0.0] * 7
 
 
 def test_simulate_counts_is_deterministic_per_seed():
@@ -228,8 +236,9 @@ def w_balanced_with_delays_table() -> CountsTable:
 def stacked_outcomes(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """Outcome eigenvectors of every setting and their counts, one row each."""
     settings = table.settings()
+    axes = tomography.PAULI_AXES
     vectors = np.vstack(
-        [reduce(np.kron, [_axis_eigenvectors(axis) for axis in s]) for s in settings]
+        [reduce(np.kron, [_AXIS_STACK[axes.index(axis)] for axis in s]) for s in settings]
     )
     return vectors, np.concatenate([table.counts_for(s) for s in settings])
 

@@ -86,14 +86,14 @@ def test_dft_tritter_rows_are_unitary():
     t = dft_tritter_rows()
     np.testing.assert_allclose(t @ t.conj().T, np.eye(3), atol=1e-12)
     spec = w_preset(t)  # also passes row normalization
-    assert spec.num_modes == 3
+    assert spec.amplitudes.shape == (3, 3)
 
 
 def test_custom_spec_two_particle_beamsplitter():
     r = 1.0 / math.sqrt(2.0)
     spec = custom_spec([[r, r], [r, r]], [[D, U], [U, D]])
     assert spec.num_particles == 2
-    assert spec.num_modes == 2
+    assert spec.amplitudes.shape == spec.spins.shape == (2, 2)
 
 
 def test_custom_spec_rejects_unnormalized_row():
@@ -148,10 +148,11 @@ def test_entries_the_casts_would_change_or_reject_are_refused(make, message):
         make()
 
 
-@pytest.mark.parametrize("spins", [[[1.0, -1.0]], [[1 + 0j, -1 + 0j]]], ids=["float", "complex"])
+@pytest.mark.parametrize("spins", [[[1.0, -1.0], [-1.0, 0.0]],
+                                   [[1 + 0j, -1 + 0j], [-1 + 0j, 0j]]], ids=["float", "complex"])
 def test_spins_equal_to_an_allowed_value_are_accepted(spins):
-    spec = custom_spec([[1.0, 0.0]], spins)
-    np.testing.assert_array_equal(spec.spins, [[U, UNUSED]])
+    spec = custom_spec(np.eye(2), spins)
+    np.testing.assert_array_equal(spec.spins, [[U, UNUSED], [UNUSED, D]])
     assert spec.spins.dtype == np.int8
 
 

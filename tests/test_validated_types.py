@@ -19,12 +19,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from identangle import (
+    CountRow,
+    CountsTable,
     DelayModel,
     DensityMatrix,
     GramMatrix,
     TargetState,
     ValidationError,
+    classify,
+    fidelity_mixed,
+    ghz_state,
     gram_from_labels,
+    permanent,
     simulate_counts,
 )
 
@@ -90,10 +96,21 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
     (lambda: GramMatrix.fully_distinguishable(-2),
      "^particle count must be an integer of at least 1"),
     (lambda: gram_from_labels(5), "^labels must be a sequence"),
+    (lambda: gram_from_labels([]), "^need at least one label$"),
+    (lambda: permanent(np.zeros((0, 0))), "^permanent of an empty matrix is not defined here$"),
+    (lambda: ghz_state(1), "^a GHZ state needs at least two qubits$"),
+    (lambda: fidelity_mixed(DensityMatrix(np.eye(4) / 4), DensityMatrix(np.eye(8) / 8)),
+     "^dimension mismatch: 4 vs 8$"),
+    (lambda: classify(DensityMatrix(np.eye(4) / 4)),
+     "^classification is defined for three qubits$"),
+    (lambda: CountsTable((CountRow("Z", "0", 1.0), CountRow("Z", "1", 0.0)),
+                         shots_per_setting=0),
+     "^shots_per_setting must be positive$"),
 ], ids=["text-delay", "text-coherence-length", "huge-delay", "huge-overlap", "shots-past-int64",
         "shots-past-exact-float", "infinite-seed", "negative-uniform", "text-uniform",
         "fractional-uniform", "negative-indistinguishable", "negative-distinguishable",
-        "int-labels"])
+        "int-labels", "no-labels", "empty-permanent", "one-qubit-ghz", "fidelity-dimensions",
+        "two-qubit-classify", "zero-shots"])
 def test_library_constructors_refuse_bad_numbers_with_validation_error(make, message):
     with pytest.raises(ValidationError, match=message):
         make()
