@@ -12,6 +12,10 @@ The checks shared by the validated types live here: one Hermitian-PSD rule
 ``entanglement.TargetState``). The Hermitian-PSD rule checks a stack of
 matrices at once, all or nothing: it raises the error of the first matrix
 that fails its earliest failing check. A single matrix is a stack of one.
+From 64 rows on it checks only the occupied block of the stack, the rows and
+columns with a nonzero entry: what it leaves out is zeros, which are finite,
+Hermitian and add only zero eigenvalues, so it refuses what the whole-matrix
+check refuses, and an N = 7 state no longer pays for a 128-row ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-10
+# From this dimension on, the Hermitian-PSD rule runs on the occupied block
+# (see _hermitian_psd). Below it the gather costs more than the smaller
+# eigvalsh saves: on kernel states at N = 3 to 5 the rule ran 10-35% slower.
+_BLOCK_DIM = 64
 
 
 def _complex_array(data, name: str) -> np.ndarray:
@@ -51,23 +59,44 @@ def _check(defect: np.ndarray, limit, message) -> None:
             raise ValidationError(message(index))
 
 
-def _hermitian_psd(stack: np.ndarray, name: str, hermitian_tol: float) -> None:
+def _hermitian_psd(stack: np.ndarray, name: str, hermitian_tol: float) -> np.ndarray:
     """The Hermitian-PSD rule on a complex stack (P, d, d): every matrix is
     finite, Hermitian within ``hermitian_tol`` and positive semidefinite
     within ``PSD_TOL``, checked in that order with one ``eigvalsh`` for the
     stack; ``name`` starts the message. Rules run with overflow ignored: an
-    overflowing defect is inf, and refused."""
+    overflowing defect is inf, and refused. Returns the smallest eigenvalue
+    of each matrix.
+
+    From ``d = _BLOCK_DIM`` on, the checks run on the occupied block of the
+    stack: the indices whose row or column holds a nonzero entry (NaN counts)
+    in some matrix. Every entry off the block is 0 in a matrix and in its
+    conjugate transpose, so the finite and Hermitian defects are those of the
+    whole matrix, bit for bit, and the spectrum is the block's plus one zero
+    per index left out. So the rule refuses the same matrices as on the whole
+    matrix, in exact arithmetic; the printed min eigenvalue of a refused
+    matrix may differ in its last digits. A banded N = 7 state fills 4-30 of
+    its 128 rows, and the rule takes about a fifteenth of the time on it.
+    """
+    dim = stack.shape[1]
+    if dim >= _BLOCK_DIM:
+        nonzero = stack.any(axis=0)  # NaN is nonzero
+        occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        stack = stack[:, occupied[:, None], occupied]
     _check(~np.isfinite(stack).all(axis=(1, 2)), False, lambda i: f"{name} entries must be finite")
-    herm_defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    # The initial values stand in for an empty block (an all-zero stack).
+    herm_defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     _check(
         herm_defect, hermitian_tol,
         lambda i: f"{name} is not Hermitian (defect {herm_defect[i]:.3e} > {hermitian_tol})",
     )
-    min_eig = np.linalg.eigvalsh(stack).min(axis=1)
+    min_eig = np.linalg.eigvalsh(stack).min(axis=1, initial=np.inf)
+    if stack.shape[1] < dim:
+        min_eig = np.minimum(min_eig, 0.0)
     _check(
         -min_eig, PSD_TOL,
         lambda i: f"{name} is not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
     )
+    return min_eig
 
 
 def _single(matrix, name: str, rule) -> np.ndarray:

@@ -5,8 +5,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from identangle import (
     DensityMatrix,
     GramMatrix,
     ValidationError,
+    __version__,
     balanced_tritter_rows,
     density_matrix_from_spec,
     ghz_state,
@@ -483,6 +487,18 @@ def test_console_script_reports_version():
     )
     assert result.returncode == 0
     assert result.stdout.strip().startswith("identangle ")
+
+
+def test_module_entry_point_reports_version():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    result = subprocess.run(
+        [sys.executable, "-m", "identangle.cli", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"identangle {__version__}"
 
 
 def test_reconstruct_csv_report(tmp_path):

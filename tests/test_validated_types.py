@@ -6,6 +6,10 @@ refusal is a ValidationError, also for entries near the float limit, where
 the arithmetic of a check could overflow, and the property test at the end
 feeds them arbitrary finite floats of arbitrary shape. The project-wide
 filterwarnings setting turns a numpy overflow warning into a failure.
+
+From 64 rows on, the Hermitian-PSD rule checks the occupied block of a stack;
+the tests after the stack test show that it refuses what the whole-matrix
+check refuses, with the same message.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import random_banded_spec, random_gram
 from identangle import (
+    UNUSED,
     CountRow,
     CountsTable,
     DelayModel,
@@ -27,12 +33,16 @@ from identangle import (
     TargetState,
     ValidationError,
     classify,
+    custom_spec,
+    density_matrices_from_spec,
+    density_matrix_from_spec,
     fidelity_mixed,
     ghz_state,
     gram_from_labels,
     permanent,
     simulate_counts,
 )
+from identangle import density
 
 
 @pytest.mark.parametrize("matrix,message", [
@@ -142,6 +152,110 @@ def test_a_stack_reports_its_first_failing_matrix():
         GramMatrix(m).overlaps.tobytes() for m in overlaps[:2]
     ]
     assert not any(g.overlaps.flags.writeable for g in valid)
+
+
+def refusal(make) -> str:
+    return str(pytest.raises(ValidationError, make).value)
+
+
+def whole_matrix_refusal(monkeypatch, make) -> str:
+    """What ``make`` raises when the rule checks every row, as it does below
+    its block size."""
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "_BLOCK_DIM", math.inf)
+        return refusal(make)
+
+
+def two_row_state(dim: int = 128) -> np.ndarray:
+    """A valid density matrix on rows 3 and 40; every other row is empty."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[3, 3] = m[40, 40] = 0.5
+    m[3, 40], m[40, 3] = 0.25j, -0.25j
+    return m
+
+
+def with_entry(m: np.ndarray, i: int, j: int, value) -> np.ndarray:
+    out = m.copy()
+    out[i, j] = value
+    return out
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (with_entry(two_row_state(), 90, 7, np.nan), "density matrix entries must be finite"),
+    (with_entry(two_row_state(), 3, 100, 0.125),
+     "density matrix is not Hermitian (defect 1.250e-01 > 1e-10)"),
+    (np.zeros((128, 128)), "matrix trace differs from 1 by 1.000e+00"),
+], ids=["nan-in-empty-row", "entry-facing-an-empty-row", "all-zero"])
+def test_block_rule_refuses_as_the_whole_matrix_check(monkeypatch, matrix, message):
+    assert refusal(lambda: DensityMatrix(matrix)) == message
+    assert whole_matrix_refusal(monkeypatch, lambda: DensityMatrix(matrix)) == message
+
+
+def test_a_fully_occupied_block_keeps_a_small_negative_eigenvalue():
+    rng = np.random.default_rng(64)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    eigenvalues = rng.uniform(size=64)
+    eigenvalues *= (1 + 1e-8) / eigenvalues.sum()
+    eigenvalues[0] = -1e-8
+    m = (q * eigenvalues) @ q.conj().T
+    m = (m + m.conj().T) / 2
+    assert np.all(m != 0)
+    assert refusal(lambda: DensityMatrix(m)) == (
+        "density matrix is not positive semidefinite (min eigenvalue -1.000e-08)"
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("width", [3, 4], ids=["banded", "wide"])
+def test_block_rule_min_eigenvalue_matches_the_whole_matrix(n, width):
+    rng = np.random.default_rng(10 * n + width)
+    rows_left_out = 0
+    for _ in range(4):
+        spec, gram = random_banded_spec(rng, n, width), random_gram(rng, n)
+        m = density_matrix_from_spec(spec, gram)[0].matrix
+        min_eig = density._hermitian_psd(m[None], "density matrix", density.HERMITIAN_TOL)[0]
+        assert abs(min_eig - np.linalg.eigvalsh(m).min()) <= 1e-12
+        rows_left_out += np.count_nonzero(~(m.any(axis=0) | m.any(axis=1)))
+    assert rows_left_out  # so the block is smaller than the matrix
+
+
+def two_point_spec():
+    """N = 7 routing whose rows depend on the overlap. Particles 0 and 1 meet
+    on a balanced splitter into detectors 0 and 1; particle 1 can also reach
+    detector 2, the one path with spin UP, and particle 2 detectors 1 and 2.
+    Particles 3-6 go straight to their own detectors. For indistinguishable
+    particles the two outcomes that read DOWN on detectors 0-2 cancel exactly
+    (Hong-Ou-Mandel), so their row is empty; for distinguishable ones it is
+    occupied."""
+    r2, r3 = 1 / math.sqrt(2), 1 / math.sqrt(3)
+    t = np.zeros((7, 7), dtype=complex)
+    s = np.full((7, 7), UNUSED)
+    t[0, :2], s[0, :2] = r2, 0
+    t[1, :3], s[1, :3] = [r3, -r3, r3], [0, 0, 1]
+    t[2, 1:3], s[2, 1:3] = r2, 0
+    t[range(3, 7), range(3, 7)], s[range(3, 7), range(3, 7)] = 1, [0, 1, 1, 0]
+    return custom_spec(t, s)
+
+
+def test_a_stack_is_checked_on_the_union_of_its_occupied_rows():
+    spec = two_point_spec()
+    grams = [GramMatrix.uniform(7, g) for g in (1.0, 0.0)]
+    points = [rho.matrix for rho, _ in density_matrices_from_spec(spec, grams)]
+    assert [np.flatnonzero(m.any(axis=0) | m.any(axis=1)).tolist() for m in points] == [
+        [22], [6, 22]
+    ]
+    assert [m.tobytes() for m in points] == [
+        density_matrix_from_spec(spec, gram)[0].matrix.tobytes() for gram in grams
+    ]
+    # Matrices 1 and 2 of the stack are point 0 with a negative diagonal
+    # entry on a row it leaves empty: row 6, which point 1 fills, and row 50,
+    # which no point fills. The stack raises matrix 1's error, as per-point
+    # construction does.
+    broken = [with_entry(points[0], row, row, value) for row, value in ((6, -2e-3), (50, -5e-3))]
+    stack = np.array([points[1], *broken])
+    message = "density matrix is not positive semidefinite (min eigenvalue -2.000e-03)"
+    assert refusal(lambda: DensityMatrix._stack(stack)) == message
+    assert refusal(lambda: [DensityMatrix(m) for m in stack]) == message
 
 
 # Any finite float, with the extremes and the subnormals drawn often.
