@@ -22,11 +22,19 @@ Only the Gram factor depends on G, so a scan of G over one routing shares
 the outcomes: :func:`density_matrices_from_spec` traces a stack of Gram
 matrices in one all-or-nothing call, and :func:`density_matrix_from_spec` is
 its one-point case.
+
+Since G is Hermitian, the (bra, ket) term is the complex conjugate of the
+(ket, bra) term, and the kernel computes only one of each such pair. Both
+terms are formed from the same rounded products up to sign, so the conjugate
+is exact once G is exactly Hermitian: :class:`GramMatrix` checks its input
+and then holds the Hermitian part (G + G^H) / 2, which equals the input for
+every exactly Hermitian G.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,8 +71,21 @@ GRAM_HERMITIAN_TOL = 1e-12
 SUCCESS_FLOOR = 1e-15
 # (ket, bra) pairs traced per step, in whole ket rows of every point of the
 # call; bounds scratch memory while a ket row fits, else a step holds one ket
-# row of every point.
+# row of every point. Memory trade-off: the values that steps set aside for
+# later steps (see _trace) peak a little above a quarter of all pairs, at 16
+# bytes each: 2.4 MiB at dense N = 6 (720 outcomes). ru_maxrss of one dense
+# N = 7 solve (5,040 outcomes) went from 48 to 156 MiB, and that of a
+# 100,000-step w-dft g scan from 420 to 410 MiB.
 PAIR_BLOCK = 1 << 14
+# From this many pairs in a call on, a step holds at most half the ket rows,
+# so that later steps take mirrored values. With the cap, in the benchmark's
+# forward loop, a dense N = 5 solve (14,400 pairs) took 1.5-1.7 ms and no
+# page faults against 1.9-2.0 ms and 193 faults, and a wide N = 7 solve
+# (20,736 pairs) 3.1 against 3.8 ms. Below this the extra step costs more
+# than it saves: capped, the trace alone ran about 2x slower at banded N = 7
+# (961 pairs) and 1.4-1.8x at dense N = 3 and 4 and on 9- and 25-point N = 3
+# scans (36 to 900 pairs). A quarter-row cap ran 16-27% slower than half.
+_MIRROR_PAIRS = 1 << 12
 
 
 def _gram_rule(stack: np.ndarray) -> None:
@@ -81,6 +102,18 @@ def _gram_rule(stack: np.ndarray) -> None:
         np.abs(stack).max(axis=(1, 2)), 1.0 + 1e-9,
         lambda i: "Gram matrix entries must have magnitude at most 1",
     )
+
+
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """Read-only (G + G^H) / 2 of every matrix G of a stack (P, n, n), which is
+    exactly Hermitian: entries (i, j) and (j, i) sum the same two numbers. For
+    an exactly Hermitian G the sum doubles each entry and the halving undoes
+    it, both exactly, so G comes back value for value (a real symmetric G bit
+    for bit)."""
+    held = stack + stack.conj().swapaxes(1, 2)
+    held *= 0.5
+    held.setflags(write=False)
+    return held
 
 
 def _uniform_overlaps(n: int, overlaps) -> np.ndarray:
@@ -109,12 +142,17 @@ class GramMatrix:
     overlaps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "overlaps", _single(self.overlaps, "Gram matrix", _gram_rule))
+        checked = _single(self.overlaps, "Gram matrix", _gram_rule)
+        object.__setattr__(self, "overlaps", _hermitian_part(checked[None])[0])
 
     @classmethod
     def _stack(cls, stack: np.ndarray) -> list["GramMatrix"]:
-        """Gram matrices of a stack, validated at once (see density._validated_stack)."""
-        return _validated_stack(cls, "overlaps", stack, _gram_rule)
+        """Gram matrices of a stack, validated at once (see density._validated_stack);
+        each holds the Hermitian part of its matrix, as one built alone does."""
+        grams = _validated_stack(cls, "overlaps", stack, _gram_rule)
+        for gram, held in zip(grams, _hermitian_part(stack)):
+            object.__setattr__(gram, "overlaps", held)
+        return grams
 
     @property
     def num_particles(self) -> int:
@@ -214,9 +252,14 @@ def _complex_product(ar, ai, br, bi):
     """(ar + i ai)(br + i bi) as four rounded products and two rounded sums.
 
     These are the operations of a scalar complex product, so the vectorised
-    kernel rounds exactly as the oracle's Python loops do.
+    kernel rounds exactly as the oracle's Python loops do. The sums are taken
+    in place, which saves two temporaries and changes no bit.
     """
-    return ar * br - ai * bi, ar * bi + ai * br
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
 
 
 def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
@@ -253,7 +296,19 @@ def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
 
 def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
     """Unnormalized matrices (P, 2^N, 2^N), one per Gram matrix of ``overlaps``
-    (P, N, N): the pair sum of :func:`density_matrices_from_spec`."""
+    (P, N, N): the pair sum of :func:`density_matrices_from_spec`.
+
+    Each Gram matrix must be exactly Hermitian, as ``GramMatrix`` holds it.
+    Then the value of the pair (ket b, bra k) equals the conjugate of the
+    value of (ket k, bra b): the amplitude and Gram products of the two
+    differ only in the signs of their imaginary inputs, and rounding is
+    symmetric in sign. So a step, a run of whole ket rows, computes values
+    only for the bras from its own first ket on. The values of earlier bras
+    it takes, conjugated, from tiles that earlier steps set aside, and it
+    hands every pair of its rows to ``np.add.at`` in ket-major order, so the
+    sums are the oracle's, bit for bit. (A zero may come out with the other
+    sign; no sum that starts from +0 can tell.)
+    """
     n = outcomes.num_particles
     points = len(overlaps)
     # factor[:, p, d, l, b]: real and imaginary part of G_p[label of bra b at
@@ -275,14 +330,42 @@ def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
     # np.add.at adds them in that order.
     offsets = np.arange(0, points * dim * dim, dim * dim)[:, None, None]
     rows = max(1, PAIR_BLOCK // max(points * count, 1))
-    for k0 in range(0, count, rows):
-        kets = slice(k0, k0 + rows)
-        re, im = _complex_product(amp_re[kets, None], amp_im[kets, None], amp_re, conj_im)
-        f_re, f_im = factor[:, :, 0, labels[0, kets]]
+    if points * count * count >= _MIRROR_PAIRS:
+        rows = min(rows, max(1, count // 2))
+    starts = range(0, count, rows)
+    # Steps are grouped into at most 16 bands of whole steps, so a step moves
+    # set-aside values in one array operation per band, not per earlier step.
+    # tiles[j0][i0][:, b - j0, k - i0] holds conj(value of ket k, bra b) for k
+    # in the band at i0, b in the band at j0 and k < b; the steps of the band
+    # at j0 read them, and the tiles are dropped after its last step.
+    band = rows * -(-len(starts) // 16)
+    tiles = defaultdict(dict)
+    for k0 in starts:
+        k1 = min(k0 + rows, count)
+        kets, bras = slice(k0, k1), slice(k0, None)
+        re, im = _complex_product(
+            amp_re[kets, None], amp_im[kets, None], amp_re[bras], conj_im[bras]
+        )
+        f_re, f_im = factor[:, :, 0, :, bras].take(labels[0, kets], axis=2)
         for d in range(1, n):
-            f_re, f_im = _complex_product(f_re, f_im, *factor[:, :, d, labels[d, kets]])
-        value = np.empty(f_re.shape, dtype=complex)
-        value.real, value.imag = _complex_product(re, im, f_re, f_im)
+            f_d = factor[:, :, d, :, bras].take(labels[d, kets], axis=2)
+            f_re, f_im = _complex_product(f_re, f_im, *f_d)
+        value = np.empty((points, k1 - k0, count), dtype=complex)
+        upper = value[:, :, bras]
+        upper.real, upper.imag = _complex_product(re, im, f_re, f_im)
+        j0 = k0 - k0 % band
+        for i0, tile in tiles[j0].items():
+            stop = min(i0 + band, k0)
+            value[:, :, i0:stop] = tile[:, k0 - j0:k1 - j0, :stop - i0]
+        for m0 in range(j0, count, band):
+            lo, hi = max(k1, m0), min(m0 + band, count)
+            if lo < hi:
+                if j0 not in tiles[m0]:
+                    tiles[m0][j0] = np.empty((points, hi - m0, min(band, count - j0)), complex)
+                out = tiles[m0][j0][:, lo - m0:, k0 - j0:k1 - j0]
+                np.conjugate(value[:, :, lo:hi].swapaxes(1, 2), out=out)
+        if k1 == min(j0 + band, count):
+            del tiles[j0]
         pairs = (offsets + indices[kets, None] * dim) + indices
         np.add.at(raw, pairs.ravel(), value.ravel())
     return raw.reshape(points, dim, dim)

@@ -166,14 +166,59 @@ def test_gram_size_must_match_particle_count():
 
 
 def test_gram_validation_rejects_bad_matrices():
-    with pytest.raises(ValidationError):
-        GramMatrix([[1.0, 0.5], [0.4, 1.0]])  # not Hermitian
+    # Not Hermitian: refused before the Hermitian part is taken, alone or in a stack.
+    message = "^Gram matrix is not Hermitian \\(defect 1.000e-01 > 1e-12\\)$"
+    with pytest.raises(ValidationError, match=message):
+        GramMatrix([[1.0, 0.5], [0.4, 1.0]])
+    with pytest.raises(ValidationError, match=message):
+        GramMatrix._stack(np.array([np.eye(2), [[1.0, 0.5], [0.4, 1.0]]], dtype=complex))
     with pytest.raises(ValidationError):
         GramMatrix([[1.0, 0.0], [0.0, 0.9]])  # diagonal off
     with pytest.raises(ValidationError):
         GramMatrix.uniform(3, -0.9)  # not positive semidefinite
     with pytest.raises(ValidationError, match="Gram matrix must be square"):
         GramMatrix(np.eye(2, 3))
+
+
+def test_gram_matrices_hold_exactly_hermitian_matrices():
+    # Unit-diagonal PSD matrices with Hermitian defects up to 5e-13, which the
+    # rule accepts; each is held as its Hermitian part, alone or in a stack.
+    rng = np.random.default_rng(441)
+    stack = np.array([random_gram(rng, 4).overlaps for _ in range(6)])
+    upper = np.triu(rng.uniform(-5e-13, 5e-13, size=stack.shape), k=1)
+    stack = stack + upper + 1j * upper
+    alone = [GramMatrix(m) for m in stack]
+    stacked = GramMatrix._stack(stack.copy())
+    assert len(stacked) == len(alone)
+    for m, one, many in zip(stack, alone, stacked):
+        assert not np.array_equal(m, m.conj().T)
+        for held in (one.overlaps, many.overlaps):
+            assert np.array_equal(held, held.conj().T)
+            assert not held.flags.writeable
+            np.testing.assert_allclose(held, m, rtol=0, atol=5e-13)
+        assert one.overlaps.tobytes() == many.overlaps.tobytes()
+
+
+def test_gram_builders_are_held_bit_for_bit():
+    values = np.linspace(0.0, 1.0, 17)
+    for value, built in zip(values, reduction._uniform_overlaps(3, values)):
+        assert GramMatrix.uniform(3, float(value)).overlaps.tobytes() == built.tobytes()
+    stacked = GramMatrix._stack(reduction._uniform_overlaps(3, values))
+    assert b"".join(g.overlaps.tobytes() for g in stacked) == (
+        reduction._uniform_overlaps(3, values).tobytes()
+    )
+    table = np.array([[0.0, 0.35, 0.8], [0.1, -0.4, 2.0], [0.0, 0.0, 1e-9]])
+    for delays, built in zip(table, reduction._delay_overlaps(table, 0.7)):
+        model = DelayModel(coherence_length=0.7, delays=tuple(delays))
+        assert gram_from_delays(model).overlaps.tobytes() == built.astype(complex).tobytes()
+    stacked = GramMatrix._stack(reduction._delay_overlaps(table, 0.7).astype(complex))
+    for gram, built in zip(stacked, reduction._delay_overlaps(table, 0.7)):
+        assert gram.overlaps.tobytes() == built.astype(complex).tobytes()
+    same = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=complex)
+    assert gram_from_labels("abab").overlaps.tobytes() == same.tobytes()
+    ones, eye = np.ones((4, 4), complex), np.eye(4, dtype=complex)
+    assert GramMatrix.fully_indistinguishable(4).overlaps.tobytes() == ones.tobytes()
+    assert GramMatrix.fully_distinguishable(4).overlaps.tobytes() == eye.tobytes()
 
 
 def test_gram_entry_too_large_to_subtract_is_refused_without_warning():
@@ -306,10 +351,75 @@ def test_kernel_is_byte_identical_to_oracle_on_presets(spec):
 
 
 def test_kernel_blocks_keep_byte_identity(monkeypatch):
-    # 120 outcomes: blocks of 50 pairs fall back to one whole ket row,
-    # blocks of 250 take two.
+    # 120 outcomes: blocks of 50 pairs fall back to one ket row per step (120
+    # steps in 15 bands), blocks of 250 take two (60 steps, again 15 bands).
+    # Every step after the first reads the values of its earlier bras from
+    # tiles that steps of its own band and of earlier bands set aside.
     rng = np.random.default_rng(407)
     spec, gram = random_spec(rng, 5, 5), random_gram(rng, 5)
     for block in (50, 250):
+        monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
+        assert_byte_identical(spec, gram)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_mirrored_trace_is_byte_identical_to_oracle(monkeypatch, n):
+    # A dense routing keeps all K = n! outcomes. A block of one pair traces
+    # one ket row per step (K steps in up to 16 bands); K * ceil(K / 3) pairs
+    # give three steps; the default gives one step up to N = 4, two (the cap
+    # of half the rows) at N = 5 and 33 in 11 bands at N = 6.
+    rng = np.random.default_rng(420 + n)
+    spec, gram = random_spec(rng, n, n), random_gram(rng, n)
+    count = math.factorial(n)
+    assert len(no_bunching_outcomes(spec)) == count
+    expected, expected_p = brute_density_matrix(spec, gram)
+    for block in (1, count * -(-count // 3), reduction.PAIR_BLOCK):
+        monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
+        rho, p = density_matrix_from_spec(spec, gram)
+        assert rho.matrix.tobytes() == expected.matrix.tobytes()
+        assert p == expected_p
+
+
+@pytest.mark.parametrize("block", [600, 1 << 14])
+def test_a_scan_traced_in_split_blocks_matches_the_oracle(monkeypatch, block):
+    # 8 points of 24 outcomes: 192 pairs per ket row of every point, so a
+    # block of 600 takes three ket rows per step (8 steps), and the default,
+    # over 4,096 pairs in all, takes the cap of half the rows (2 steps).
+    rng = np.random.default_rng(431)
+    spec = random_spec(rng, 4, 4)
+    grams = [random_gram(rng, 4) for _ in range(8)]
+    monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
+    batch = reduction.density_matrices_from_spec(spec, grams)
+    for (rho, p), gram in zip(batch, grams, strict=True):
+        expected, expected_p = brute_density_matrix(spec, gram)
+        assert rho.matrix.tobytes() == expected.matrix.tobytes()
+        assert p == expected_p
+
+
+@pytest.mark.parametrize("block", [1, 1 << 14])
+def test_mirrored_trace_on_routings_with_no_or_one_outcome(monkeypatch, block):
+    monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
+    # Both particles reach detector 0 only: no bijection survives.
+    dark = custom_spec([[1, 0], [1, 0]], [[D, -1], [D, -1]])
+    assert len(no_bunching_outcomes(dark)) == 0
+    assert_byte_identical(dark, GramMatrix.uniform(2, 0.5))
+    # Each particle goes straight to its own detector: one bijection.
+    straight = custom_spec(np.eye(3), [[U, -1, -1], [-1, D, -1], [-1, -1, U]])
+    assert len(no_bunching_outcomes(straight)) == 1
+    assert_byte_identical(straight, random_gram(np.random.default_rng(432), 3))
+
+
+def test_a_gram_matrix_hermitian_within_tolerance_is_traced_as_its_hermitian_part(
+    monkeypatch,
+):
+    rng = np.random.default_rng(433)
+    spec = random_spec(rng, 5, 5)
+    g = np.array(random_gram(rng, 5).overlaps)
+    g[1, 3] += 5e-13
+    gram = GramMatrix(g)
+    assert not np.array_equal(g, g.conj().T)
+    assert np.array_equal(gram.overlaps, gram.overlaps.conj().T)
+    assert np.abs(gram.overlaps - g).max() == pytest.approx(2.5e-13, rel=1e-3)
+    for block in (1, 1 << 14):
         monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
         assert_byte_identical(spec, gram)
