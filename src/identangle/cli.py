@@ -383,6 +383,8 @@ def _classification_fields(rho: DensityMatrix, where: str) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be a nonnegative integer, got {args.seed}")
     path = args.config
     config = _load_config(path)
     spec = build_spec(config, path)
@@ -420,7 +422,7 @@ def cmd_run(args) -> int:
         report["tomography"] = {
             "shots_per_setting": shots,
             "seed": seed,
-            "num_settings": len(table.settings()),
+            "num_settings": len(table.settings),
             "counts_file": "counts.txt",
             "mle_fidelity_vs_simulated": fidelity_mixed(reconstruct_mle(table), rho),
         }
@@ -574,7 +576,7 @@ def cmd_reconstruct(args) -> int:
         "version": __version__,
         "counts_file": str(args.counts),
         "shots_per_setting": table.shots_per_setting,
-        "num_settings": len(table.settings()),
+        "num_settings": len(table.settings),
         **_classification_fields(estimate, args.counts),
     }
 

@@ -5,26 +5,12 @@ For every axis the eigenbasis is listed +1 eigenvector first, so outcome bit
 0 always means the +1 eigenvalue; in the Z basis bit 0 is spin DOWN. Outcome
 bitstrings follow the same detector-major order as the density-matrix basis.
 
-Counts are drawn per setting from the Born-rule multinomial with an RNG
-stream derived from (seed, setting index), which makes runs reproducible and
-settings independent of each other. Both estimators work on the stacked
+A :class:`CountsTable` is a grid of counts, one row per setting and one
+column per outcome index. Both estimators read it against the stacked
 outcome eigenvectors v_k of all settings, whose Born probabilities are
-p_k = v_k^dagger rho v_k:
-
-* linear inversion, the sum of f_k v_k v_k^dagger over the per-setting
-  frequencies f_k with the Pauli frame operator undone qubit by qubit, which
-  can return a slightly non-positive matrix on finite statistics, and
-* a maximum-likelihood fit by accelerated projected gradient (Shang, Zhang
-  & Ng, PRA 95, 062336 (2017)). It starts from the inverse-frame sum of the
-  pooled frequencies times 3^N, projected onto the density matrices; that is
-  the linear estimate only when every setting's total is exactly
-  ``shots_per_setting``. Each step moves along the likelihood gradient and
-  projects back by clipping the eigenvalues onto the probability simplex
-  (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)), with Nesterov momentum
-  that restarts from the last accepted state whenever a step would lower the
-  likelihood. It always returns a proper density matrix, its accepted states
-  never decrease the likelihood, and it stops once a step gains less than
-  ``_MLE_TOL``.
+p_k = v_k^dagger rho v_k: :func:`reconstruct_linear` undoes the Pauli frame
+operator, and :func:`reconstruct_mle` maximises the likelihood by
+accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017)).
 """
 
 from __future__ import annotations
@@ -33,7 +19,6 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +48,9 @@ _MLE_GROWTH = 1.1  # factor on the step after each accepted step
 
 # Counts are held as float64, which holds every integer up to 2**53 exactly.
 _MAX_SHOTS = 2**53
+# The widest table held. Its grid takes 2^N float64 counts per setting, 8 MiB
+# at this width, while no estimator here fits a state past N = 5.
+_MAX_QUBITS = 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -94,6 +82,21 @@ def _validate_setting(setting: str, num_qubits: int) -> None:
         raise ValidationError(
             f"setting {setting!r} has {len(setting)} axes, expected {num_qubits}"
         )
+    if num_qubits > _MAX_QUBITS:
+        raise ValidationError(f"settings have {num_qubits} axes, at most {_MAX_QUBITS} are held")
+
+
+def _checked_settings(settings: Sequence[str], num_qubits: int | None = None) -> tuple[str, ...]:
+    """Distinct valid ``settings`` as a tuple of str, each ``num_qubits`` or the first one wide."""
+    checked = () if isinstance(settings, str) else tuple(map(str, settings))
+    if not checked:
+        raise ValidationError(f"need a nonempty sequence of settings, got {settings!r}")
+    width = len(checked[0]) if num_qubits is None else num_qubits
+    for setting in checked:
+        _validate_setting(setting, width)
+    if len(set(checked)) < len(checked):
+        raise ValidationError("settings must be distinct")
+    return checked
 
 
 def _setting_vectors(settings: Sequence[str]) -> np.ndarray:
@@ -111,19 +114,27 @@ def _setting_vectors(settings: Sequence[str]) -> np.ndarray:
     return rows.reshape(-1, rows.shape[-1])
 
 
-def _born_probabilities(rho: DensityMatrix, setting: str) -> np.ndarray:
-    """Outcome distribution of one setting, clipped and renormalized."""
-    _validate_setting(setting, rho.num_qubits)
-    vectors = _setting_vectors([setting])
-    probs = np.einsum("oi,ij,oj->o", vectors.conj(), rho.matrix, vectors).real
-    # A setting's outcomes form a basis, so the sum is rho's unit trace;
-    # clipping the negative probabilities of a state whose eigenvalues dip
-    # below 0 within PSD_TOL can move the sum by more than this tolerance.
-    total = float(probs.sum())
-    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValidationError(f"outcome probabilities sum to {total!r}, expected 1")
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+def _born_grid(rho: DensityMatrix, settings) -> tuple[tuple[str, ...], np.ndarray]:
+    """The checked settings, all 3^N when None, and their outcome
+    distributions, one row each, clipped and renormalized."""
+    if settings is None:
+        settings = _all_pauli_settings(rho.num_qubits)
+    settings = _checked_settings(settings, rho.num_qubits)
+    dim = 2**rho.num_qubits
+    grid = np.empty((len(settings), dim))
+    # One einsum per setting: a single einsum over the stack differs from it
+    # in the last bit for some states at N = 1.
+    for block, row in zip(_setting_vectors(settings).reshape(-1, dim, dim), grid):
+        probs = np.einsum("oi,ij,oj->o", block.conj(), rho.matrix, block).real
+        # A setting's outcomes form a basis, so the sum is rho's unit trace;
+        # clipping the negative probabilities of a state whose eigenvalues dip
+        # below 0 within PSD_TOL can move the sum by more than this tolerance.
+        total = float(probs.sum())
+        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
+            raise ValidationError(f"outcome probabilities sum to {total!r}, expected 1")
+        probs = np.clip(probs, 0.0, None)
+        row[:] = probs / probs.sum()
+    return settings, grid
 
 
 class CountRow(NamedTuple):
@@ -151,96 +162,87 @@ def _check_row(setting, outcome, count, width: int) -> CountRow:
     return CountRow(setting, outcome, value)
 
 
-@dataclass(frozen=True)
+def _add_row(grid: dict[str, np.ndarray], setting, outcome, count) -> None:
+    """Applies the row rule, the first row fixing the width, and adds the count
+    to its cell of ``grid``, which holds one count array per setting."""
+    width = len(next(iter(grid))) if grid else len(str(setting))
+    row = _check_row(setting, outcome, count, width)
+    if row.setting not in grid:
+        grid[row.setting] = np.zeros(2**width)
+    grid[row.setting][int(row.outcome, 2)] += row.count
+
+
+@dataclass(frozen=True, eq=False)
 class CountsTable:
-    """Tomography outcomes grouped by measurement setting.
+    """Tomography counts as a read-only float64 grid: ``counts[i, o]`` counts
+    outcome index ``o`` of ``settings[i]``, the settings distinct.
 
-    Counts are usually integers from a simulated run; float counts are
-    accepted so that infinite-statistics tables (exact probabilities times
-    shots) flow through the same estimators. Counts and the shot total must
-    be finite, and per-setting totals must match ``shots_per_setting``.
-    """
+    Float counts are accepted so that infinite-statistics tables (exact
+    probabilities times shots) flow through the same estimators. Counts must
+    be finite and non-negative, and every setting's total must match a
+    finite, positive ``shots_per_setting``."""
 
-    rows: tuple[CountRow, ...]
+    settings: tuple[str, ...]
+    counts: np.ndarray
     shots_per_setting: float
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.rows:
-            raise ValidationError("counts table has no rows")
+        settings = _checked_settings(self.settings)
+        shape = (len(settings), 2 ** len(settings[0]))
+        try:
+            counts = np.array(self.counts, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("counts must be an array of numbers") from None
+        if counts.shape != shape:
+            raise ValidationError(f"counts have shape {counts.shape}, expected {shape}")
+        if not ((counts >= 0) & (counts < math.inf)).all():
+            raise ValidationError("counts must be finite and non-negative")
+        if not (self.seed is None or type(self.seed) is int):  # a bool is no seed
+            raise ValidationError(f"seed must be None or an integer, got {self.seed!r}")
         shots = float(self.shots_per_setting)
         if not math.isfinite(shots):
             raise ValidationError(f"shots_per_setting must be finite, got {shots!r}")
         if not shots > 0:
             raise ValidationError("shots_per_setting must be positive")
-        width = len(str(self.rows[0][0]))
-        self._group(tuple(_check_row(*row, width) for row in self.rows), shots)
-
-    @classmethod
-    def _of_checked_rows(cls, rows: tuple[CountRow, ...], shots: float, seed) -> "CountsTable":
-        """A table of nonempty rows that already passed the row rule, with a
-        finite positive float ``shots``, as :func:`read_counts` has them; the
-        rule is not applied a second time."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "shots_per_setting", shots)
-        object.__setattr__(table, "seed", seed)
-        table._group(rows, shots)
-        return table
-
-    def _group(self, rows: tuple[CountRow, ...], shots: float) -> None:
-        """Checks every setting's total against ``shots`` and stores the
-        checked rows, the shot count and the settings in first-seen order."""
-        totals: dict[str, float] = {}
-        for row in rows:
-            totals[row.setting] = totals.get(row.setting, 0.0) + row.count
         tol = 1e-6 * max(1.0, shots)
-        for setting, total in totals.items():
+        for setting, total in zip(settings, counts.sum(axis=1).tolist()):
             if not abs(total - shots) <= tol:
                 raise ValidationError(
                     f"setting {setting}: counts sum to {total!r}, expected "
                     f"{self.shots_per_setting}"
                 )
-        object.__setattr__(self, "rows", rows)
+        counts.flags.writeable = False
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots_per_setting", shots)
-        # Position of every setting in first-seen order: its row of ``_grid``.
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(totals)})
+
+    @classmethod
+    def from_rows(cls, rows, shots_per_setting: float, seed: int | None = None) -> "CountsTable":
+        """The table of ``(setting, outcome, count)`` rows in any order, each passing
+        the row rule; counts add up per cell in row order, a cell no row names is 0."""
+        grid: dict[str, np.ndarray] = {}
+        for row in rows:
+            _add_row(grid, *row)
+        return cls(tuple(grid), list(grid.values()), shots_per_setting, seed)
 
     @property
     def num_qubits(self) -> int:
-        return len(self.rows[0].setting)
+        return len(self.settings[0])
 
-    def settings(self) -> list[str]:
-        return list(self._index)
+    @property
+    def rows(self) -> tuple[CountRow, ...]:
+        """Every outcome of every setting in grid order, zero counts included."""
+        outcomes = [format(o, f"0{self.num_qubits}b") for o in range(self.counts.shape[1])]
+        cells = itertools.product(self.settings, outcomes)
+        return tuple(CountRow(*cell, c) for cell, c in zip(cells, self.counts.ravel().tolist()))
 
     def counts_for(self, setting: str) -> np.ndarray:
         """Counts of one setting indexed by outcome index, a read-only view of
-        the table's grid; zeros for a setting the table does not have."""
-        if setting not in self._index:
-            return np.zeros(2**self.num_qubits)
-        return self._grid[self._index[setting]]
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        """Read-only counts, one row per setting in first-seen order, summed in
-        row order; built on first use, so a wide table that is only checked
-        for completeness never allocates it."""
-        grid = np.zeros((len(self._index), 2**self.num_qubits))
-        for setting, outcome, count in self.rows:
-            grid[self._index[setting], int(outcome, 2)] += count
-        grid.flags.writeable = False
-        return grid
-
-
-def _counts_table(rho: DensityMatrix, settings, counts_of, shots, seed) -> CountsTable:
-    """One row per outcome of every setting; ``counts_of(index, probs)`` gives the counts."""
-    if settings is None:
-        settings = _all_pauli_settings(rho.num_qubits)
-    outcomes = [format(o, f"0{rho.num_qubits}b") for o in range(2**rho.num_qubits)]
-    rows = []
-    for index, setting in enumerate(settings):
-        counts = counts_of(index, _born_probabilities(rho, setting))
-        rows.extend(CountRow(setting, outcome, c) for outcome, c in zip(outcomes, counts))
-    return CountsTable(rows=tuple(rows), shots_per_setting=shots, seed=seed)
+        the grid; zeros for a setting the table does not have."""
+        if setting not in self.settings:
+            return np.zeros(self.counts.shape[1])
+        return self.counts[self.settings.index(setting)]
 
 
 def simulate_counts(
@@ -259,20 +261,16 @@ def simulate_counts(
         raise ValidationError(f"shots must be an integer in [1, 2**53], got {shots!r}")
     if not (0 <= seed < math.inf and int(seed) == seed):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    settings, probs = _born_grid(rho, settings)
+    rngs = (np.random.default_rng((int(seed), index)) for index in range(len(settings)))
+    counts = [rng.multinomial(int(shots), row) for rng, row in zip(rngs, probs)]
+    return CountsTable(settings, counts, int(shots), int(seed))
 
-    def draw(index: int, probs: np.ndarray) -> np.ndarray:
-        return np.random.default_rng((int(seed), index)).multinomial(int(shots), probs)
 
-    return _counts_table(rho, settings, draw, int(shots), int(seed))
-
-
-def _exact_counts(
-    rho: DensityMatrix,
-    settings: Sequence[str] | None = None,
-    shots: float = 1.0,
-) -> CountsTable:
+def _exact_counts(rho: DensityMatrix, settings=None, shots: float = 1.0) -> CountsTable:
     """Infinite-statistics table: exact Born probabilities times shots."""
-    return _counts_table(rho, settings, lambda _, probs: probs * shots, float(shots), None)
+    settings, probs = _born_grid(rho, settings)
+    return CountsTable(settings, probs * shots, float(shots))
 
 
 def _require_complete(table: CountsTable) -> None:
@@ -280,10 +278,10 @@ def _require_complete(table: CountsTable) -> None:
 
     Counts instead of listing all 3^N strings, so a wide table fails fast.
     """
-    unmeasured = 3**table.num_qubits - len(table._index)
+    unmeasured = 3**table.num_qubits - len(table.settings)
     if unmeasured:
         every = map("".join, itertools.product(PAULI_AXES, repeat=table.num_qubits))
-        shown = ", ".join(itertools.islice((s for s in every if s not in table._index), 6))
+        shown = ", ".join(itertools.islice((s for s in every if s not in table.settings), 6))
         more = "" if unmeasured <= 6 else f" and {unmeasured - 6} more"
         raise IncompleteSettingsError(
             f"settings are not informationally complete; missing {shown}{more}"
@@ -318,12 +316,12 @@ def reconstruct_linear(table: CountsTable) -> np.ndarray:
     matrix rather than a DensityMatrix.
     """
     _require_complete(table)
-    totals = table._grid.sum(axis=1)
-    for setting, total in zip(table.settings(), totals):
+    totals = table.counts.sum(axis=1)
+    for setting, total in zip(table.settings, totals):
         if not total > 0:
             raise ValidationError(f"setting {setting} has no counts")
-    frequencies = (table._grid / totals[:, None]).ravel()
-    return _inverse_frame(_setting_vectors(table.settings()), frequencies, table.num_qubits)
+    frequencies = (table.counts / totals[:, None]).ravel()
+    return _inverse_frame(_setting_vectors(table.settings), frequencies, table.num_qubits)
 
 
 def _project_density(matrix: np.ndarray) -> np.ndarray:
@@ -362,9 +360,12 @@ def _refusing_overflow(table: CountsTable):
 def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
     """Multinomial log-likelihood of a candidate state given the counts.
 
-    Counts so large that the likelihood overflows are refused as
-    :func:`reconstruct_mle` refuses them."""
-    vectors, counts = _setting_vectors(table.settings()), table._grid.ravel()
+    ``matrix`` must be a finite 2^N x 2^N array. Counts so large that the
+    likelihood overflows are refused as :func:`reconstruct_mle` refuses them."""
+    matrix, dim = np.asarray(matrix), table.counts.shape[1]
+    if matrix.shape != (dim, dim) or not np.isfinite(matrix).all():
+        raise ValidationError(f"matrix must be a finite {dim} x {dim} array")
+    vectors, counts = _setting_vectors(table.settings), table.counts.ravel()
     probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
     with _refusing_overflow(table):
         return _likelihood(counts, counts > 0, np.clip(probs, 1e-12, None))
@@ -412,7 +413,7 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
 
 def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
     """The iteration of :func:`reconstruct_mle` on a complete table."""
-    vectors, counts = _setting_vectors(table.settings()), table._grid.ravel()
+    vectors, counts = _setting_vectors(table.settings), table.counts.ravel()
     total = counts.sum()
     if not total > 0:
         raise ValidationError("counts table is all zeros")
@@ -507,7 +508,7 @@ def read_counts(path) -> CountsTable:
     the rows. A missing ``shots_per_setting`` header is reported too.
     """
     headers: dict[str, tuple[int, float | int | None]] = {}  # key: (line, value)
-    rows: list[CountRow] = []
+    grid: dict[str, np.ndarray] = {}  # as CountsTable.from_rows accumulates it
     lineno = 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
@@ -522,22 +523,21 @@ def read_counts(path) -> CountsTable:
             fields = line.split()
             if len(fields) != 3:
                 raise CountsParseError(f"expected 'setting outcome count', got {line!r}", lineno)
-            width = len(rows[0].setting if rows else fields[0])
             try:
-                rows.append(_check_row(*fields, width))
+                _add_row(grid, *fields)
             except ValidationError as exc:
                 raise CountsParseError(str(exc), lineno) from None
     if "shots_per_setting" not in headers:
         raise CountsParseError("missing 'shots_per_setting' header", max(lineno, 1))
-    if not rows:
+    if not grid:
         raise CountsParseError("file contains no count rows", max(lineno, 1))
-    width = len(rows[0].setting)
+    width = len(next(iter(grid)))
     if headers.get("qubits", (0, width))[1] != width:
         line, qubits = headers["qubits"]
         raise CountsParseError(f"qubits header says {qubits}, the rows have {width} axes", line)
     shots, seed = headers["shots_per_setting"][1], headers.get("seed", (0, None))[1]
     try:
-        return CountsTable._of_checked_rows(tuple(rows), shots, seed)
+        return CountsTable(tuple(grid), list(grid.values()), shots, seed)
     except ValidationError as exc:
         # Per-setting totals off usually means the file was cut short.
         raise CountsParseError(str(exc), lineno) from exc

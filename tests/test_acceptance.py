@@ -219,7 +219,7 @@ def test_criterion_07_tomography_round_trip():
                     CountRow(setting, outcomes[o], int(c))
                     for o, c in enumerate(counts)
                 )
-            fuzz_table = CountsTable(rows=tuple(rows), shots_per_setting=300)
+            fuzz_table = CountsTable.from_rows(rows, shots_per_setting=300)
             _collect(f"fuzz-{index}", reconstruct_mle(fuzz_table))
         assert time.perf_counter() - start < 60.0
 

@@ -148,6 +148,18 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     assert (out_default / "counts.txt").read_bytes() != (out_seeded / "counts.txt").read_bytes()
 
 
+def test_negative_seed_flag_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    def never(spec, gram):
+        raise AssertionError("solved a run whose --seed is invalid")
+
+    monkeypatch.setattr("identangle.cli.density_matrix_from_spec", never)
+    config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={"shots": 10}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out-dir", str(out), "--seed", "-1"]) == 2
+    assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_is_refused_outside_run(tmp_path, capsys):
     config = write_config(tmp_path, GHZ_CONFIG)
     counts = tmp_path / "counts.txt"
@@ -702,6 +714,16 @@ def test_reconstruct_reports_a_non_positive_shot_header_at_its_line(tmp_path, ca
     out = tmp_path / "out"
     assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
     assert "line 1: shots_per_setting must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_refuses_a_counts_file_wider_than_20_qubits_at_its_line(tmp_path, capsys):
+    counts = tmp_path / "counts.txt"
+    counts.write_text(f"# shots_per_setting: 1\n# seed: none\n{'Z' * 40} {'0' * 40} 1\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--counts", str(counts), "--out-dir", str(out)]) == 2
+    assert "line 3: settings have 40 axes, at most 20 are held" in capsys.readouterr().err
     assert not out.exists()
 
 

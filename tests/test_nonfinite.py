@@ -121,14 +121,14 @@ def test_counts_table_rejects_non_finite_counts(seed, qubits, cell, bad):
     k = cell.draw(st.integers(0, len(rows) - 1))
     rows[k] = CountRow(rows[k].setting, rows[k].outcome, bad)
     with pytest.raises(ValidationError):
-        CountsTable(rows=tuple(rows), shots_per_setting=table.shots_per_setting)
+        CountsTable.from_rows(rows, shots_per_setting=table.shots_per_setting)
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), qubits=st.integers(1, 3), bad=NON_FINITE_REAL)
 def test_counts_table_rejects_non_finite_shots(seed, qubits, bad):
     with pytest.raises(ValidationError):
-        CountsTable(rows=valid_table(seed, qubits).rows, shots_per_setting=bad)
+        CountsTable.from_rows(valid_table(seed, qubits).rows, shots_per_setting=bad)
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])

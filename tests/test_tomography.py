@@ -6,6 +6,8 @@ from functools import cache, reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ROW_FAULT_FILES, random_density
 from identangle import (
@@ -34,7 +36,6 @@ from identangle import tomography
 from identangle.tomography import (
     _AXIS_STACK,
     _all_pauli_settings,
-    _born_probabilities,
     _exact_counts,
     _project_density,
 )
@@ -75,8 +76,13 @@ def test_unknown_axis_rejected():
         simulate_counts(ghz_rho(), settings=["XQZ"])
 
 
+def born(rho: DensityMatrix, setting: str) -> np.ndarray:
+    """The outcome distribution of one setting: its counts at one shot."""
+    return _exact_counts(rho, settings=[setting]).counts[0]
+
+
 def test_born_probabilities_ghz_z_basis():
-    probs = _born_probabilities(ghz_rho(), "ZZZ")
+    probs = born(ghz_rho(), "ZZZ")
     expected = np.zeros(8)
     expected[0] = expected[7] = 0.5
     np.testing.assert_allclose(probs, expected, atol=1e-12)
@@ -84,7 +90,7 @@ def test_born_probabilities_ghz_z_basis():
 
 def test_born_probabilities_ghz_x_basis():
     # GHZ correlations in the X basis: only even-parity outcomes appear.
-    probs = _born_probabilities(ghz_rho(), "XXX")
+    probs = born(ghz_rho(), "XXX")
     expected = np.zeros(8)
     expected[[0, 3, 5, 6]] = 0.25
     np.testing.assert_allclose(probs, expected, atol=1e-12)
@@ -94,20 +100,20 @@ def test_born_probabilities_maximally_mixed():
     rho = DensityMatrix(np.eye(8) / 8)
     for setting in ("XXX", "XYZ", "ZZZ"):
         np.testing.assert_allclose(
-            _born_probabilities(rho, setting), np.full(8, 1 / 8), atol=1e-12
+            born(rho, setting), np.full(8, 1 / 8), atol=1e-12
         )
 
 
 def test_born_probabilities_rejects_wrong_width():
-    with pytest.raises(ValidationError):
-        _born_probabilities(ghz_rho(), "ZZ")
+    with pytest.raises(ValidationError, match="'ZZ' has 2 axes, expected 3"):
+        born(ghz_rho(), "ZZ")
 
 
 def test_counts_of_a_state_with_eigenvalues_just_below_zero():
     # The smallest eigenvalue, -9e-10, is within PSD_TOL, and the trace is 1;
     # the clipped Z-basis probabilities alone sum to 1 + 6.3e-9.
     rho = DensityMatrix(np.diag([1 + 6.3e-9] + [-9e-10] * 7))
-    assert _born_probabilities(rho, "ZZZ").tolist() == [1.0] + [0.0] * 7
+    assert born(rho, "ZZZ").tolist() == [1.0] + [0.0] * 7
     assert simulate_counts(rho, shots=100, seed=1).counts_for("ZZZ").tolist() == [100] + [0] * 7
     assert _exact_counts(rho).counts_for("ZZZ").tolist() == [1.0] + [0.0] * 7
 
@@ -124,15 +130,19 @@ def test_simulate_counts_is_deterministic_per_seed():
 
 def test_simulate_counts_totals_and_validation():
     table = simulate_counts(ghz_rho(), settings=["ZZZ", "XYZ"], shots=321, seed=1)
-    assert table.settings() == ["ZZZ", "XYZ"]
-    for setting in table.settings():
+    assert table.settings == ("ZZZ", "XYZ")
+    for setting in table.settings:
         assert table.counts_for(setting).sum() == 321
     with pytest.raises(ValidationError):
         simulate_counts(ghz_rho(), shots=0)
     with pytest.raises(ValidationError):
         simulate_counts(ghz_rho(), seed=-1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="nonempty sequence of settings"):
         simulate_counts(ghz_rho(), settings=[])
+    with pytest.raises(ValidationError, match="nonempty sequence of settings, got 'ZZZ'"):
+        simulate_counts(ghz_rho(), settings="ZZZ")
+    with pytest.raises(ValidationError, match="settings must be distinct"):
+        simulate_counts(ghz_rho(), settings=["ZZZ", "XYZ", "ZZZ"])
 
 
 def test_linear_inversion_inverts_exact_statistics():
@@ -147,7 +157,7 @@ def pauli_average_estimate(table: CountsTable) -> np.ndarray:
     """rho = (1/d) sum_P <P> P, each <P> averaged over the settings measuring P."""
     n = table.num_qubits
     outcomes = [format(o, f"0{n}b") for o in range(2**n)]
-    counts = {setting: table.counts_for(setting) for setting in table.settings()}
+    counts = dict(zip(table.settings, table.counts))
     estimate = np.zeros((2**n, 2**n), dtype=complex)
     for pauli in itertools.product("IXYZ", repeat=n):
         support = [q for q, axis in enumerate(pauli) if axis != "I"]
@@ -174,7 +184,7 @@ def test_linear_inversion_averages_pauli_expectations_on_finite_statistics(num_q
 def test_linear_inversion_rejects_a_setting_without_counts():
     # Totals of zero are within tolerance of a tiny shot count.
     rows = tuple(CountRow(setting, "0", 0.0) for setting in _all_pauli_settings(1))
-    table = CountsTable(rows=rows, shots_per_setting=1e-7)
+    table = CountsTable.from_rows(rows, shots_per_setting=1e-7)
     with pytest.raises(ValidationError, match="has no counts"):
         reconstruct_linear(table)
 
@@ -188,11 +198,19 @@ def test_linear_inversion_requires_complete_settings():
 
 
 def test_completeness_check_stays_cheap_on_wide_tables():
-    # 3^40 settings could never be listed; the check must not try.
-    row = CountRow("Z" * 40, "0" * 40, 1)
-    table = CountsTable(rows=(row,), shots_per_setting=1)
-    with pytest.raises(IncompleteSettingsError, match=f"and {3**40 - 7} more"):
+    # 3^20 settings could never be listed; the check must not try.
+    row = CountRow("Z" * 20, "0" * 20, 1)
+    table = CountsTable.from_rows((row,), shots_per_setting=1)
+    with pytest.raises(IncompleteSettingsError, match=f"and {3**20 - 7} more"):
         reconstruct_mle(table)
+
+
+def test_a_table_wider_than_20_qubits_is_refused():
+    # Its grid would hold 2^N counts per setting.
+    with pytest.raises(ValidationError, match="21 axes, at most 20 are held"):
+        CountsTable.from_rows([("Z" * 21, "0" * 21, 1)], shots_per_setting=1)
+    with pytest.raises(ValidationError, match="40 axes, at most 20 are held"):
+        CountsTable(("Z" * 40,), np.ones((1, 1)), shots_per_setting=1)
 
 
 def test_mle_on_exact_statistics_recovers_truth():
@@ -223,7 +241,7 @@ def dirichlet_tables() -> tuple[CountsTable, ...]:
         for setting in _all_pauli_settings(3):
             counts = rng.multinomial(300, rng.dirichlet(np.ones(8)))
             rows.extend(CountRow(setting, outcomes[o], int(c)) for o, c in enumerate(counts))
-        tables.append(CountsTable(rows=tuple(rows), shots_per_setting=300))
+        tables.append(CountsTable.from_rows(rows, shots_per_setting=300))
     return tuple(tables)
 
 
@@ -235,7 +253,7 @@ def w_balanced_with_delays_table() -> CountsTable:
 
 def stacked_outcomes(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """Outcome eigenvectors of every setting and their counts, one row each."""
-    settings = table.settings()
+    settings = table.settings
     axes = tomography.PAULI_AXES
     vectors = np.vstack(
         [reduce(np.kron, [_AXIS_STACK[axes.index(axis)] for axis in s]) for s in settings]
@@ -390,7 +408,7 @@ def test_mle_returns_physical_state_on_arbitrary_counts():
             rows.extend(
                 CountRow(setting, outcomes[o], int(c)) for o, c in enumerate(counts)
             )
-        table = CountsTable(rows=tuple(rows), shots_per_setting=400)
+        table = CountsTable.from_rows(rows, shots_per_setting=400)
         estimate = reconstruct_mle(table)
         assert estimate.matrix.shape == (4, 4)
         assert np.trace(estimate.matrix).real == pytest.approx(1.0, abs=1e-9)
@@ -400,23 +418,23 @@ def test_mle_refuses_an_all_zero_table():
     # Zero counts match a tiny shot total within the table's tolerance.
     rows = tuple(CountRow(s, o, 0.0) for s in "XYZ" for o in "01")
     with pytest.raises(ValidationError, match="counts table is all zeros"):
-        reconstruct_mle(CountsTable(rows=rows, shots_per_setting=1e-7))
+        reconstruct_mle(CountsTable.from_rows(rows, shots_per_setting=1e-7))
 
 
 def test_counts_table_validation():
     good = CountRow("ZZ", "00", 5)
     with pytest.raises(ValidationError):
-        CountsTable(rows=(), shots_per_setting=5)
+        CountsTable.from_rows((), shots_per_setting=5)
     with pytest.raises(ValidationError):
-        CountsTable(rows=(CountRow("ZZ", "0", 5),), shots_per_setting=5)
+        CountsTable.from_rows((CountRow("ZZ", "0", 5),), shots_per_setting=5)
     with pytest.raises(ValidationError):
-        CountsTable(rows=(CountRow("ZZ", "02", 5),), shots_per_setting=5)
+        CountsTable.from_rows((CountRow("ZZ", "02", 5),), shots_per_setting=5)
     with pytest.raises(ValidationError):
-        CountsTable(rows=(CountRow("ZZ", "00", -1),), shots_per_setting=5)
+        CountsTable.from_rows((CountRow("ZZ", "00", -1),), shots_per_setting=5)
     with pytest.raises(ValidationError):
         # 5 counted, 6 promised.
-        CountsTable(rows=(good,), shots_per_setting=6)
-    table = CountsTable(rows=(good,), shots_per_setting=5)
+        CountsTable.from_rows((good,), shots_per_setting=6)
+    table = CountsTable.from_rows((good,), shots_per_setting=5)
     assert table.num_qubits == 2
 
 
@@ -453,7 +471,8 @@ def test_read_counts_applies_the_row_rule_once_per_row(tmp_path, monkeypatch):
     monkeypatch.setattr(tomography, "_check_row", counted)
     loaded = read_counts(path)
     assert len(calls) == len(table.rows) == 216
-    assert loaded == table and loaded._index == table._index
+    assert loaded.settings == table.settings
+    assert loaded.counts.tobytes() == table.counts.tobytes()
 
 
 def test_log_likelihood_refuses_counts_whose_likelihood_overflows():
@@ -462,7 +481,7 @@ def test_log_likelihood_refuses_counts_whose_likelihood_overflows():
     # numpy overflow warning into a failure.
     rows = tuple(CountRow("".join(s), f"{o:03b}", 7.5e305)
                  for s in itertools.product("XYZ", repeat=3) for o in range(8))
-    table = CountsTable(rows=rows, shots_per_setting=6e306)
+    table = CountsTable.from_rows(rows, shots_per_setting=6e306)
     with pytest.raises(ValidationError, match="shots_per_setting 6e[+]306 overflows"):
         log_likelihood(np.eye(8) / 8, table)
     assert log_likelihood(np.eye(8) / 8, _exact_counts(ghz_rho(), shots=1e300)) < 0
@@ -569,16 +588,16 @@ def test_counts_for_matches_a_naive_accumulation_bit_for_bit(seed):
         rows += [CountRow(str(setting), format(o, f"0{n}b"), float(c))
                  for o, c in zip(outcomes, shares)]
     rows = [rows[i] for i in rng.permutation(len(rows))]
-    table = CountsTable(rows=tuple(rows), shots_per_setting=shots)
+    table = CountsTable.from_rows(rows, shots_per_setting=shots)
     expected = naive_counts(rows, n)
-    assert table.settings() == list(expected)
+    assert table.settings == tuple(expected)
     for setting, counts in expected.items():
         assert table.counts_for(setting).tobytes() == np.array(counts).tobytes()
 
 
 def test_counts_for_gives_zeros_for_an_absent_setting_and_cannot_change_the_table():
     table = simulate_counts(ghz_rho(), settings=["ZZZ", "XXX"], shots=50, seed=1)
-    before = {setting: table.counts_for(setting).copy() for setting in table.settings()}
+    before = {setting: table.counts_for(setting).copy() for setting in table.settings}
     np.testing.assert_array_equal(table.counts_for("YYY"), np.zeros(8))
     for setting in ("ZZZ", "XXX", "YYY"):
         vector = table.counts_for(setting)
@@ -587,3 +606,123 @@ def test_counts_for_gives_zeros_for_an_absent_setting_and_cannot_change_the_tabl
     for setting, counts in before.items():
         np.testing.assert_array_equal(table.counts_for(setting), counts)
     np.testing.assert_array_equal(table.counts_for("YYY"), np.zeros(8))
+
+
+def per_setting_born(rho: DensityMatrix, setting: str) -> np.ndarray:
+    """One setting's outcome distribution on its own: the Kronecker product of
+    its axis eigenbases, one einsum, clipped at zero and renormalized."""
+    vectors = reduce(np.kron, [_AXIS_STACK[tomography.PAULI_AXES.index(a)] for a in setting])
+    probs = np.einsum("oi,ij,oj->o", vectors.conj(), rho.matrix, vectors).real
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("num_qubits,states", [(1, 40), (2, 20), (3, 20), (4, 4), (5, 2)])
+def test_born_pass_over_all_settings_is_bit_equal_to_one_setting_at_a_time(num_qubits, states):
+    rng = np.random.default_rng(100 + num_qubits)
+    dim = 2**num_qubits
+    for index in range(states):
+        if index % 2:
+            rho = random_density(rng, dim)
+        else:
+            vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            rho = DensityMatrix.from_pure(vector / np.linalg.norm(vector))
+        expected = np.array([per_setting_born(rho, s) for s in _all_pauli_settings(num_qubits)])
+        assert _exact_counts(rho).counts.tobytes() == expected.tobytes(), index
+        drawn = [np.random.default_rng((index, k)).multinomial(100, p)
+                 for k, p in enumerate(expected)]
+        table = simulate_counts(rho, shots=100, seed=index)
+        assert table.counts.tobytes() == np.array(drawn, dtype=float).tobytes(), index
+
+
+def test_a_file_with_shuffled_repeated_and_missing_rows_writes_back_in_grid_order(tmp_path):
+    path, back = tmp_path / "counts.txt", tmp_path / "back.txt"
+    path.write_text("# shots_per_setting: 4\n# seed: 3\nZ 1 1\nX 1 2.5\nZ 1 2\nX 0 1.5\nZ 1 1\n",
+                    encoding="utf-8")
+    write_counts(read_counts(path), back)
+    # Settings in first-seen order, every outcome listed, repeats summed.
+    assert back.read_text(encoding="utf-8") == (
+        "# identangle tomography counts\n# qubits: 1\n# shots_per_setting: 4\n# seed: 3\n"
+        "# columns: setting outcome count\nZ 0 0\nZ 1 4\nX 0 1.5\nX 1 2.5\n"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3),
+       table_seed=st.none() | st.integers(-(2**70), 2**70), integral=st.booleans())
+def test_every_valid_table_round_trips_through_its_file(
+    tmp_path_factory, seed, num_qubits, table_seed, integral
+):
+    rng = np.random.default_rng(seed)
+    chosen = rng.permutation(_all_pauli_settings(num_qubits))[: rng.integers(1, 3**num_qubits + 1)]
+    dim = 2**num_qubits
+    if integral:
+        shots = int(rng.integers(1, 10**6))
+        counts = [rng.multinomial(shots, rng.dirichlet(np.ones(dim))) for _ in chosen]
+    else:
+        shots = float(rng.uniform(1e-3, 1e6))
+        counts = [rng.dirichlet(np.ones(dim)) * shots for _ in chosen]
+    table = CountsTable(chosen, counts, shots, table_seed)
+    path = tmp_path_factory.mktemp("round-trip") / "counts.txt"
+    write_counts(table, path)
+    loaded = read_counts(path)
+    assert loaded.settings == table.settings
+    assert loaded.counts.tobytes() == table.counts.tobytes()
+    assert loaded.shots_per_setting == table.shots_per_setting
+    assert loaded.seed == table.seed
+
+
+@pytest.mark.parametrize("settings_,counts,seed,message", [
+    (("Z",), [[1.0]], None, r"^counts have shape \(1, 1\), expected \(1, 2\)$"),
+    (("Z",), [[np.nan, 1.0]], None, "^counts must be finite and non-negative$"),
+    (("Z",), [[np.inf, 0.0]], None, "^counts must be finite and non-negative$"),
+    (("Z",), [[-1.0, 2.0]], None, "^counts must be finite and non-negative$"),
+    (("Z",), [["one", 0.0]], None, "^counts must be an array of numbers$"),
+    (("Z", "Z"), [[1.0, 0.0], [0.0, 1.0]], None, "^settings must be distinct$"),
+    ("ZX", [[1.0, 0.0, 0.0, 0.0]], None, "^need a nonempty sequence of settings, got 'ZX'$"),
+    ((), np.zeros((0, 2)), None, r"^need a nonempty sequence of settings, got \(\)$"),
+    (("Z", "XY"), [[1.0, 0.0], [1.0, 0.0]], None, "^setting 'XY' has 2 axes, expected 1$"),
+    ((3,), [[1.0, 0.0]], None, "^setting '3' must be a nonempty string over the axes XYZ$"),
+    (("Z",), [[1.0, 0.0]], "abc", "^seed must be None or an integer, got 'abc'$"),
+    (("Z",), [[1.0, 0.0]], True, "^seed must be None or an integer, got True$"),
+    (("Z",), [[1.0, 0.0]], 1.0, "^seed must be None or an integer, got 1.0$"),
+    (("Z",), [[0.5, 0.0]], None, "^setting Z: counts sum to 0.5, expected 1$"),
+])
+def test_counts_table_refuses_a_bad_grid_at_construction(settings_, counts, seed, message):
+    with pytest.raises(ValidationError, match=message):
+        CountsTable(settings_, counts, 1, seed)
+
+
+def test_counts_table_holds_a_read_only_copy_of_its_grid():
+    grid = np.array([[1.0, 0.0], [0.25, 0.75]])
+    table = CountsTable(["Z", "X"], grid, 1, seed=-4)
+    grid[0, 0] = 7.0
+    assert table.settings == ("Z", "X")
+    assert table.counts.tolist() == [[1.0, 0.0], [0.25, 0.75]]
+    with pytest.raises(ValueError):
+        table.counts[0, 0] = 2.0
+    assert table.rows == (CountRow("Z", "0", 1.0), CountRow("Z", "1", 0.0),
+                          CountRow("X", "0", 0.25), CountRow("X", "1", 0.75))
+
+
+def test_from_rows_applies_the_row_rule_once_per_row(monkeypatch):
+    rows = simulate_counts(ghz_rho(), shots=50, seed=2).rows
+    calls = []
+    check_row = tomography._check_row
+
+    def counted(*row):
+        calls.append(row)
+        return check_row(*row)
+
+    monkeypatch.setattr(tomography, "_check_row", counted)
+    table = CountsTable.from_rows(rows, shots_per_setting=50)
+    assert len(calls) == len(rows) == 216
+    assert table.rows == rows
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(4) / 4, np.eye(8)[:, :4], np.full((8, 8), np.nan), np.diag([np.inf] + [0.0] * 7),
+])
+def test_log_likelihood_refuses_a_matrix_that_is_not_a_finite_state_sized_array(matrix):
+    with pytest.raises(ValidationError, match="^matrix must be a finite 8 x 8 array$"):
+        log_likelihood(matrix, _exact_counts(ghz_rho()))

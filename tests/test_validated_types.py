@@ -113,8 +113,8 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
      "^dimension mismatch: 4 vs 8$"),
     (lambda: classify(DensityMatrix(np.eye(4) / 4)),
      "^classification is defined for three qubits$"),
-    (lambda: CountsTable((CountRow("Z", "0", 1.0), CountRow("Z", "1", 0.0)),
-                         shots_per_setting=0),
+    (lambda: CountsTable.from_rows((CountRow("Z", "0", 1.0), CountRow("Z", "1", 0.0)),
+                                   shots_per_setting=0),
      "^shots_per_setting must be positive$"),
 ], ids=["text-delay", "text-coherence-length", "huge-delay", "huge-overlap", "shots-past-int64",
         "shots-past-exact-float", "infinite-seed", "negative-uniform", "text-uniform",
