@@ -435,11 +435,13 @@ def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
     Each parameter kind has one ``solve(values)``, which gives the solution
-    of each value in order. An amplitude rebuilds the routing point by
-    point. A ``g`` or ``L1``-``L3`` scan keeps the routing fixed, so it
-    builds and validates its Gram matrices as one stack and solves them with
-    one :func:`density_matrices_from_spec` call, which enumerates the
-    outcomes once. The scan runs ``solve`` on all its values; if that fails,
+    of each value in order from one :func:`density_matrices_from_spec` call,
+    the one batch every kind solves in. A ``g`` or ``L1``-``L3`` scan keeps
+    the routing fixed, so it builds and validates its Gram matrices as one
+    stack and the batch enumerates the outcomes once. An amplitude scan
+    keeps the Gram matrix and builds and validates every point's routing,
+    and the batch traces the points as one stack of amplitude rows. The scan
+    runs ``solve`` on all its values; if that fails,
     the points it has not classified are solved again with ``solve([value])``,
     one by one, so the first point that fails, in scan order, ends the scan
     with its own error prefixed by ``--param NAME = VALUE``; no file is
@@ -473,11 +475,12 @@ def cmd_scan(args) -> int:
         point_gram = functools.cache(lambda n: build_gram(point, path, n))
 
         def solve(values):
+            specs = []
             for value in map(float, values):
                 amplitudes[parameter] = value
                 amplitudes[partner] = math.sqrt(1.0 - value * value)
-                spec = build_spec(point, path)
-                yield density_matrix_from_spec(spec, point_gram(spec.num_particles))
+                specs.append(build_spec(point, path))
+            return density_matrices_from_spec(specs, [point_gram(specs[0].num_particles)])
     else:
         if parameter != "g":
             section = point.get("distinguishability")

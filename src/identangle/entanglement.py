@@ -183,9 +183,15 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     nor tie with it. The rows kept are evaluated entry for entry as in the
     full grid, so a row-major argmax over them in ascending order picks the
     full grid's first flat index, and (phi1, phi2, fidelity) are bit-equal to
-    a search over the whole grid. When c12 = c14 = c24 = 0 the grid is
-    constant and row 0 alone is evaluated; when a single row survives, the
-    first evaluation of it is reused.
+    a search over the whole grid. When a single row survives, the first
+    evaluation of it is reused.
+
+    A state with no W coherence, c12 = c14 = c24 = 0 (any GHZ-support state),
+    has the constant objective d / 3: every grid entry and every descent
+    candidate is (d + a signed zero) / 3, so the first grid point wins and
+    the descent never moves. The search then returns (0, 0, d / 3) at once,
+    bit-equal to the whole search (which also clips a zero of either sign
+    to +0).
 
     The fine stage runs on Python floats. With a = Re c and b = Im c and
     p21 = phi2 - phi1, each candidate is
@@ -207,21 +213,19 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     if rho.num_qubits != 3:
         raise ValidationError("the W phase search is defined for three qubits")
     d, c12, c14, c24 = _w_objective_terms(rho)
-
     if c12 == 0 and c14 == 0 and c24 == 0:
-        rows = np.zeros(1, dtype=np.intp)
+        return 0.0, 0.0, min(1.0, max(0.0, d / 3.0))
+
+    e1 = _W_E1[:, 0]
+    bound = (d + 2.0 * (np.real(c12 * e1) + np.abs(c14 + c24 * e1.conj()))) / 3.0
+    first = bound.argmax(keepdims=True)
+    grid = _w_grid_rows(d, c12, c14, c24, first)
+    row_best = float(grid.max())
+    scale = abs(d) + 2.0 * (abs(c12) + abs(c14) + abs(c24))
+    margin = _W_BOUND_MARGIN * np.finfo(float).eps * scale
+    rows = np.flatnonzero(bound + margin >= row_best)
+    if rows.size != 1 or rows[0] != first[0]:
         grid = _w_grid_rows(d, c12, c14, c24, rows)
-    else:
-        e1 = _W_E1[:, 0]
-        bound = (d + 2.0 * (np.real(c12 * e1) + np.abs(c14 + c24 * e1.conj()))) / 3.0
-        first = bound.argmax(keepdims=True)
-        grid = _w_grid_rows(d, c12, c14, c24, first)
-        row_best = float(grid.max())
-        scale = abs(d) + 2.0 * (abs(c12) + abs(c14) + abs(c24))
-        margin = _W_BOUND_MARGIN * np.finfo(float).eps * scale
-        rows = np.flatnonzero(bound + margin >= row_best)
-        if rows.size != 1 or rows[0] != first[0]:
-            grid = _w_grid_rows(d, c12, c14, c24, rows)
     row, j = divmod(int(np.argmax(grid)), _W_GRID_SIZE)
     i = int(rows[row])
     phi1, phi2 = float(_W_PHIS[i]), float(_W_PHIS[j])

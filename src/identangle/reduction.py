@@ -18,10 +18,14 @@ amp_ket * conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)] to the entry
 their mutual coherence. The trace of the unnormalized result is the
 postselection success probability.
 
-Only the Gram factor depends on G, so a scan of G over one routing shares
-the outcomes: :func:`density_matrices_from_spec` traces a stack of Gram
-matrices in one all-or-nothing call, and :func:`density_matrix_from_spec` is
-its one-point case.
+A scan solves all its points in one all-or-nothing call,
+:func:`density_matrices_from_spec`, whose one-point case is
+:func:`density_matrix_from_spec`. A point is a routing and a Gram matrix. A
+scan of G keeps one routing, so its points share the outcomes and are traced
+as one stack of Gram matrices. A scan of a routing amplitude keeps G and
+traces a stack of amplitude rows, one per point, in runs of consecutive
+points whose outcomes have the same labels and spin patterns: an amplitude
+of exactly 0 or 1 drops outcomes and starts a new run.
 
 Since G is Hermitian, the (bra, ket) term is the complex conjugate of the
 (ket, bra) term, and the kernel computes only one of each such pair. Both
@@ -33,6 +37,7 @@ every exactly Hermitian G.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from collections import defaultdict
 from collections.abc import Sequence
@@ -294,11 +299,15 @@ def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
     return NoBunchingOutcomes(amplitudes, indices, labels)
 
 
-def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
-    """Unnormalized matrices (P, 2^N, 2^N), one per Gram matrix of ``overlaps``
-    (P, N, N): the pair sum of :func:`density_matrices_from_spec`.
+def _trace(outcomes: NoBunchingOutcomes, amplitudes: np.ndarray, overlaps: np.ndarray,
+           out: np.ndarray) -> None:
+    """Adds the pair sum of :func:`density_matrices_from_spec` of every point
+    into ``out`` (P, 2^N, 2^N), a C-contiguous stack.
 
-    Each Gram matrix must be exactly Hermitian, as ``GramMatrix`` holds it.
+    Every point has the labels and spin patterns of ``outcomes``; point p has
+    amplitude row p of ``amplitudes`` (P or 1 rows of K) and Gram matrix p of
+    ``overlaps`` (P or 1 of N x N); a stack of one serves every point. Each
+    Gram matrix must be exactly Hermitian, as ``GramMatrix`` holds it.
     Then the value of the pair (ket b, bra k) equals the conjugate of the
     value of (ket k, bra b): the amplitude and Gram products of the two
     differ only in the signs of their imaginary inputs, and rounding is
@@ -310,7 +319,7 @@ def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
     sign; no sum that starts from +0 can tell.)
     """
     n = outcomes.num_particles
-    points = len(overlaps)
+    points = len(out)
     # factor[:, p, d, l, b]: real and imaginary part of G_p[label of bra b at
     # detector d, l] for every ket label l. At d = 0 it is 1 * G_p, since the
     # oracle starts each product from complex(1.0).
@@ -319,12 +328,12 @@ def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
     factor = np.array([g_t.real, g_t.imag])[:, :, :, labels].swapaxes(2, 3).copy()
     factor[:, :, 0] = _complex_product(1.0, 0.0, *factor[:, :, 0])
 
-    amp_re, amp_im = outcomes.amplitudes.real, outcomes.amplitudes.imag
+    amp_re, amp_im = amplitudes.real, amplitudes.imag
     conj_im = -amp_im
     indices = outcomes.indices
     count = len(outcomes)
     dim = 2**n
-    raw = np.zeros(points * dim * dim, dtype=complex)
+    raw = out.reshape(-1)
     # Point p's entries start at p * dim^2 of raw. Blocks of whole ket rows
     # keep each point's pairs ket-major, the order the oracle accumulates in;
     # np.add.at adds them in that order.
@@ -344,7 +353,8 @@ def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
         k1 = min(k0 + rows, count)
         kets, bras = slice(k0, k1), slice(k0, None)
         re, im = _complex_product(
-            amp_re[kets, None], amp_im[kets, None], amp_re[bras], conj_im[bras]
+            amp_re[:, kets, None], amp_im[:, kets, None], amp_re[:, None, bras],
+            conj_im[:, None, bras],
         )
         f_re, f_im = factor[:, :, 0, :, bras].take(labels[0, kets], axis=2)
         for d in range(1, n):
@@ -368,39 +378,64 @@ def _trace(outcomes: NoBunchingOutcomes, overlaps: np.ndarray) -> np.ndarray:
             del tiles[j0]
         pairs = (offsets + indices[kets, None] * dim) + indices
         np.add.at(raw, pairs.ravel(), value.ravel())
-    return raw.reshape(points, dim, dim)
 
 
 def density_matrices_from_spec(
-    spec: TransformSpec, grams: Sequence[GramMatrix]
+    spec: TransformSpec | Sequence[TransformSpec], grams: Sequence[GramMatrix]
 ) -> list[tuple[DensityMatrix, float]]:
-    """Postselected density matrix and success probability at each Gram
-    matrix of a scan over one routing, in order.
+    """Postselected density matrix and success probability at each point of
+    a scan, in order.
 
-    Partial distinguishability enters only through G, so the routing side --
-    the no-bunching outcomes, their label tables and scatter indices -- is
-    built once. Each point's matrix sums amp_ket * conj(amp_bra) *
-    prod_d G[label_bra(d), label_ket(d)] over every (ket, bra) pair of
-    outcomes; all points are traced as one stack, normalized, and validated
-    together as DensityMatrix. Pairs are taken ket-major and each product is
-    formed from real and imaginary parts in the oracle's factor order, so
-    every point is byte-identical to ``brute_density_matrix`` on its own.
+    A point is a routing and a Gram matrix. ``spec`` is one routing for
+    every point or a sequence of one routing per point, and ``grams`` a
+    sequence of one Gram matrix per point or of one for every point: P
+    points take 1 or P of each. The no-bunching outcomes are enumerated once
+    per routing. Each point's matrix sums amp_ket * conj(amp_bra) * prod_d
+    G[label_bra(d), label_ket(d)] over every (ket, bra) pair of its
+    outcomes. Consecutive points whose outcomes share labels and spin
+    patterns are traced as one stack; then all points are normalized and
+    validated together as DensityMatrix. Pairs are taken ket-major and each
+    product is formed from real and imaginary parts in the oracle's factor
+    order, so every point is byte-identical to ``brute_density_matrix`` on
+    its own.
 
-    The call is all-or-nothing: it returns every point or raises, when a
-    point has a Gram matrix of the wrong size (ValidationError), a vanishing
-    success probability (PostselectionImpossibleError, fully destructive
-    interference) or a result that is not a density matrix, checked in that
-    order over all points.
+    The call is all-or-nothing: it returns every point or raises, when the
+    routings or Gram matrices are neither 1 nor P, the routings differ in
+    particle count, or a point has a Gram matrix of the wrong size
+    (ValidationError), a vanishing success probability
+    (PostselectionImpossibleError, fully destructive interference) or a
+    result that is not a density matrix, checked in that order over all
+    points.
     """
-    if not grams:
+    specs = [spec] if isinstance(spec, TransformSpec) else list(spec)
+    if not specs or not grams:
         return []
-    outcomes = no_bunching_outcomes(spec)
-    n = outcomes.num_particles
+    points = max(len(specs), len(grams))
+    if {len(specs), len(grams)} - {1, points}:
+        raise ValidationError(
+            f"a batch takes 1 or P routings and Gram matrices, got {len(specs)} and {len(grams)}"
+        )
+    outcomes = [no_bunching_outcomes(s) for s in specs]
+    n = outcomes[0].num_particles
+    for other in outcomes:
+        if other.num_particles != n:
+            raise ValidationError(
+                f"the routings of a batch have {n} and {other.num_particles} particles"
+            )
     for gram in grams:
         if gram.num_particles != n:
             size = gram.num_particles
             raise ValidationError(f"Gram matrix is {size}x{size} but the state has {n} particles")
-    raw = _trace(outcomes, np.array([gram.overlaps for gram in grams]))
+    overlaps = np.array([gram.overlaps for gram in grams])
+    raw = np.zeros((points, 2**n, 2**n), dtype=complex)
+    start = 0
+    for _, run in itertools.groupby(outcomes, lambda o: (o.labels.tobytes(), o.indices.tobytes())):
+        run = list(run)
+        stop = start + len(run)
+        at = slice(start, stop) if len(specs) > 1 else slice(None)
+        amplitudes = np.array([o.amplitudes for o in run])
+        _trace(run[0], amplitudes, overlaps[at] if len(grams) > 1 else overlaps, raw[at])
+        start = stop
     p_success = np.trace(raw, axis1=1, axis2=2).real
     values = p_success.tolist()
     for p in values:

@@ -18,12 +18,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import DensityMatrix, _complex_array
 from .errors import CountsParseError, IncompleteSettingsError, ValidationError
 
 __all__ = [
@@ -200,7 +201,13 @@ class CountsTable:
             raise ValidationError("counts must be finite and non-negative")
         if not (self.seed is None or type(self.seed) is int):  # a bool is no seed
             raise ValidationError(f"seed must be None or an integer, got {self.seed!r}")
-        shots = float(self.shots_per_setting)
+        shots = self.shots_per_setting
+        if isinstance(shots, bool) or not isinstance(shots, numbers.Real):
+            raise ValidationError(f"shots_per_setting must be a real number, got {shots!r}")
+        try:
+            shots = float(shots)
+        except OverflowError:  # an integer beyond float range
+            shots = math.inf
         if not math.isfinite(shots):
             raise ValidationError(f"shots_per_setting must be finite, got {shots!r}")
         if not shots > 0:
@@ -230,11 +237,14 @@ class CountsTable:
     def num_qubits(self) -> int:
         return len(self.settings[0])
 
+    def _outcomes(self) -> list[str]:
+        """The outcome bit strings, by outcome index."""
+        return [format(o, f"0{self.num_qubits}b") for o in range(self.counts.shape[1])]
+
     @property
     def rows(self) -> tuple[CountRow, ...]:
         """Every outcome of every setting in grid order, zero counts included."""
-        outcomes = [format(o, f"0{self.num_qubits}b") for o in range(self.counts.shape[1])]
-        cells = itertools.product(self.settings, outcomes)
+        cells = itertools.product(self.settings, self._outcomes())
         return tuple(CountRow(*cell, c) for cell, c in zip(cells, self.counts.ravel().tolist()))
 
     def counts_for(self, setting: str) -> np.ndarray:
@@ -362,7 +372,7 @@ def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
 
     ``matrix`` must be a finite 2^N x 2^N array. Counts so large that the
     likelihood overflows are refused as :func:`reconstruct_mle` refuses them."""
-    matrix, dim = np.asarray(matrix), table.counts.shape[1]
+    matrix, dim = _complex_array(matrix, "matrix"), table.counts.shape[1]
     if matrix.shape != (dim, dim) or not np.isfinite(matrix).all():
         raise ValidationError(f"matrix must be a finite {dim} x {dim} array")
     vectors, counts = _setting_vectors(table.settings), table.counts.ravel()
@@ -466,7 +476,8 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
 
 
 def write_counts(table: CountsTable, path) -> None:
-    """Persist a counts table as delimited text with a descriptive header."""
+    """Persist a counts table as delimited text with a descriptive header and
+    one line per cell of the grid, the table's ``rows`` in grid order."""
     lines = [
         "# identangle tomography counts",
         f"# qubits: {table.num_qubits}",
@@ -474,8 +485,9 @@ def write_counts(table: CountsTable, path) -> None:
         f"# seed: {'none' if table.seed is None else table.seed}",
         "# columns: setting outcome count",
     ]
-    for row in table.rows:
-        lines.append(f"{row.setting} {row.outcome} {_format_count(row.count)}")
+    outcomes = table._outcomes()
+    for setting, counts in zip(table.settings, table.counts.tolist()):
+        lines.extend(f"{setting} {o} {_format_count(c)}" for o, c in zip(outcomes, counts))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -278,6 +279,17 @@ def test_pruned_w_search_is_bit_equal_to_full_grid_with_zero_coherences():
     for _ in range(4):
         p = rng.dirichlet(np.ones(8))
         _assert_bit_equal_to_full_grid(DensityMatrix(np.diag(p).astype(complex)))
+    # Coherences with +-0.0 real and imaginary parts, on a W block with d > 0
+    # and on GHZ-support states with d = +0.0 and d = -0.0.
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    for c12, c14, c24 in itertools.product(zeros, repeat=3):
+        for diag in ((0.3, 0.3, 0.4), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)):
+            m = np.zeros((8, 8), dtype=complex)
+            m[0, 0] = m[7, 7] = m[0, 7] = m[7, 0] = (1.0 - sum(diag)) / 2.0
+            m[1, 1], m[2, 2], m[4, 4] = diag
+            m[1, 2], m[1, 4], m[2, 4] = c12, c14, c24
+            m[2, 1], m[4, 1], m[4, 2] = c12.conjugate(), c14.conjugate(), c24.conjugate()
+            _assert_bit_equal_to_full_grid(DensityMatrix(m))
     # One coherence alone: whole rows or columns tie, on and off grid phases.
     for slot in range(3):
         for angle in (0.0, math.pi / 2, math.pi, -math.pi / 4, 1.234):

@@ -1,11 +1,13 @@
 """Scans solved as one batch: the routing side of a g or delay scan is built
-once and every point is traced in one stack, bit for bit as the one-point
-kernel traces it. The batch only saves time: a scan whose batch fails is
-solved again point by point, by the same solver on one value at a time, and
-meets its errors in scan order."""
+once, an amplitude scan traces a stack of amplitude rows per run of points
+with the same outcomes, and every point comes out bit for bit as the
+one-point kernel traces it. The batch only saves time: a scan whose batch
+fails is solved again point by point, by the same solver on one value at a
+time, and meets its errors in scan order."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -20,9 +22,11 @@ import identangle
 from identangle import (
     DelayModel,
     DensityMatrix,
+    GHZParams,
     GramMatrix,
     PostselectionImpossibleError,
     ValidationError,
+    balanced_ghz_params,
     balanced_tritter_rows,
     classify,
     custom_spec,
@@ -101,6 +105,47 @@ def test_batched_scan_traced_in_blocks_stays_bit_equal(monkeypatch, block):
     monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
     for _, spec in PRESETS.values():
         assert_batch_matches_points(spec, grams)
+
+
+def ghz_specs(field, values):
+    """The GHZ routings of an amplitude scan, each built by the public path."""
+    partner = cli._GHZ_FIELDS[cli._GHZ_FIELDS.index(field) ^ 1]
+    params = dataclasses.asdict(balanced_ghz_params())
+    specs = []
+    for value in map(float, values):
+        params.update({field: value, partner: math.sqrt(1.0 - value * value)})
+        specs.append(ghz_preset(GHZParams(**params)))
+    return specs
+
+
+@pytest.mark.parametrize("block", [1 << 14, 40, 1])
+@pytest.mark.parametrize("field", ["alpha1", "gamma3"])
+def test_an_amplitude_batch_is_bit_equal_to_per_point_solves(monkeypatch, field, block):
+    # 33 points over [0, 1]: each endpoint drops one of the two GHZ outcomes,
+    # so the batch traces three runs, of 1, 31 and 1 points.
+    monkeypatch.setattr(reduction, "PAIR_BLOCK", block)
+    specs = ghz_specs(field, np.linspace(0.0, 1.0, 33))
+    assert [len(reduction.no_bunching_outcomes(s)) for s in specs[:2] + specs[-1:]] == [1, 2, 1]
+    gram = delay_gram(DELAYS, 1, 0.2)
+    for grams in ([gram], scan_grams("g", np.linspace(0.0, 1.0, 33))):
+        batch = density_matrices_from_spec(specs, grams)
+        assert len(batch) == len(specs)
+        for (rho, p), spec, point_gram in zip(batch, specs, itertools.cycle(grams)):
+            expected_rho, expected_p = density_matrix_from_spec(spec, point_gram)
+            assert rho.matrix.tobytes() == expected_rho.matrix.tobytes()
+            assert p.hex() == expected_p.hex()
+
+
+def test_a_batch_takes_one_or_p_routings_and_grams_of_one_particle_count():
+    specs = ghz_specs("alpha1", [0.2, 0.4])
+    grams = [GramMatrix.uniform(3, g) for g in (0.1, 0.2, 0.3)]
+    with pytest.raises(ValidationError, match="^a batch takes 1 or P routings and Gram "
+                       "matrices, got 2 and 3$"):
+        density_matrices_from_spec(specs, grams)
+    two = cli.build_spec(TWO_PARTICLES, "config.json")
+    with pytest.raises(ValidationError, match="^the routings of a batch have 3 and 2 particles$"):
+        density_matrices_from_spec([specs[0], two], grams[:1])
+    assert density_matrices_from_spec([], grams) == []
 
 
 def test_scan_gram_stacks_equal_the_one_point_builders():
@@ -211,8 +256,10 @@ def test_a_scan_reports_its_first_failing_point(
 
 
 @pytest.mark.parametrize("fail_after", [0, 3])
-@pytest.mark.parametrize("param", ["g", "L1", "L2", "L3"])
-@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("preset,param", [
+    *itertools.product(sorted(PRESETS), ["g", "L1", "L2", "L3"]),
+    ("ghz", "alpha1"), ("ghz", "gamma3"),
+])
 def test_a_scan_whose_batch_fails_is_solved_point_by_point(
     tmp_path, monkeypatch, preset, param, fail_after
 ):
@@ -230,17 +277,22 @@ def test_a_scan_whose_batch_fails_is_solved_point_by_point(
 
     def failing(spec, grams):
         # The retry solves one point per call, with the same function.
-        if len(grams) == 1:
-            yield from batched(spec, grams)
+        solved = batched(spec, grams)
+        if len(solved) == 1:
+            yield from solved
             return
-        yield from itertools.islice(batched(spec, grams), fail_after)
+        yield from solved[:fail_after]
         raise ValidationError("the batch failed")
 
     monkeypatch.setattr(cli, "density_matrices_from_spec", failing)
     assert scan(tmp_path / "point-by-point") == expected
 
 
-@pytest.mark.parametrize("param,builder", [("g", "_uniform_overlaps"), ("L1", "_delay_overlaps")])
+@pytest.mark.parametrize("param,builder", [
+    ("g", "_uniform_overlaps"), ("L1", "_delay_overlaps"),
+    # An amplitude scan's largest stack is the batch's own.
+    ("alpha1", "density_matrices_from_spec"), ("gamma3", "density_matrices_from_spec"),
+])
 def test_a_scan_too_large_for_its_gram_stack_is_refused(
     tmp_path, capsys, monkeypatch, param, builder
 ):

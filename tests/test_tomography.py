@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from fractions import Fraction
 from functools import cache, reduce
 
 import numpy as np
@@ -693,6 +694,20 @@ def test_counts_table_refuses_a_bad_grid_at_construction(settings_, counts, seed
         CountsTable(settings_, counts, 1, seed)
 
 
+@pytest.mark.parametrize("shots", ["abc", None, "1", True, 1 + 0j, [1]])
+def test_counts_table_refuses_shots_that_are_not_a_real_number(shots):
+    with pytest.raises(ValidationError, match="^shots_per_setting must be a real number, got "):
+        CountsTable(("Z",), [[1, 0]], shots)
+
+
+def test_counts_table_holds_any_real_shots_as_a_float():
+    for shots in (1, 1.0, np.int64(1), np.float32(1.0), Fraction(1)):
+        assert CountsTable(("Z",), [[1, 0]], shots).shots_per_setting.hex() == (1.0).hex()
+    # An integer beyond float range is infinite shots, not an OverflowError.
+    with pytest.raises(ValidationError, match="^shots_per_setting must be finite, got inf$"):
+        CountsTable(("Z",), [[1, 0]], 10**400)
+
+
 def test_counts_table_holds_a_read_only_copy_of_its_grid():
     grid = np.array([[1.0, 0.0], [0.25, 0.75]])
     table = CountsTable(["Z", "X"], grid, 1, seed=-4)
@@ -722,7 +737,11 @@ def test_from_rows_applies_the_row_rule_once_per_row(monkeypatch):
 
 @pytest.mark.parametrize("matrix", [
     np.eye(4) / 4, np.eye(8)[:, :4], np.full((8, 8), np.nan), np.diag([np.inf] + [0.0] * 7),
+    [["a", "b"], ["c", "d"]], [[1, 2], [3]],
 ])
 def test_log_likelihood_refuses_a_matrix_that_is_not_a_finite_state_sized_array(matrix):
-    with pytest.raises(ValidationError, match="^matrix must be a finite 8 x 8 array$"):
+    # A list that is not an array of numbers fails its conversion first.
+    message = ("^matrix is not an array of complex numbers " if isinstance(matrix, list)
+               else "^matrix must be a finite 8 x 8 array$")
+    with pytest.raises(ValidationError, match=message):
         log_likelihood(matrix, _exact_counts(ghz_rho()))
