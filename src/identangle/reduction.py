@@ -372,8 +372,8 @@ def _trace(outcomes: NoBunchingOutcomes, amplitudes: np.ndarray, overlaps: np.nd
             if lo < hi:
                 if j0 not in tiles[m0]:
                     tiles[m0][j0] = np.empty((points, hi - m0, min(band, count - j0)), complex)
-                out = tiles[m0][j0][:, lo - m0:, k0 - j0:k1 - j0]
-                np.conjugate(value[:, :, lo:hi].swapaxes(1, 2), out=out)
+                mirror = tiles[m0][j0][:, lo - m0:, k0 - j0:k1 - j0]
+                np.conjugate(value[:, :, lo:hi].swapaxes(1, 2), out=mirror)
         if k1 == min(j0 + band, count):
             del tiles[j0]
         pairs = (offsets + indices[kets, None] * dim) + indices

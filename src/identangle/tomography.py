@@ -10,7 +10,9 @@ column per outcome index. Both estimators read it against the stacked
 outcome eigenvectors v_k of all settings, whose Born probabilities are
 p_k = v_k^dagger rho v_k: :func:`reconstruct_linear` undoes the Pauli frame
 operator, and :func:`reconstruct_mle` maximises the likelihood by
-accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017)).
+accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336 (2017)),
+finishing a fit that crawls by Newton's method on a low-rank factor of the
+state (Burer & Monteiro, Math. Program. 95, 329 (2003)).
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ _MLE_STEP = 1.0  # the MLE's first trial step along the likelihood gradient
 _MLE_BACKTRACK = 0.5  # factor on the step while a candidate fails the increase test
 _MLE_MIN_STEP = 1e-10  # the step is not cut further below this
 _MLE_GROWTH = 1.1  # factor on the step after each accepted step
+_MLE_BUDGET = 150  # likelihood evaluations after which a fit still running takes the Newton stage
+_NEWTON_MAX_PARAMS = 128  # the Newton stage runs on factors with at most this many real entries
 
 # Counts are held as float64, which holds every integer up to 2**53 exactly.
 _MAX_SHOTS = 2**53
@@ -407,9 +411,25 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
       Nesterov's weights, theta' = (1 + sqrt(1 + 4 theta^2)) / 2. A candidate
       that would lower the likelihood is rejected and the momentum restarts
       from the last accepted state, so accepted states never lower it.
+    * Newton stage: a fit still running after ``_MLE_BUDGET`` likelihood
+      evaluations crawls, typically on a near-pure state whose small
+      eigenvalue makes the likelihood stiff along one direction, so that
+      every Euclidean step stays short. Once, the accepted state is factored
+      as rho = A A^dagger / |A|^2, A keeping the eigenvectors whose
+      eigenvalues exceed 1e-9 times the largest, scaled by their square
+      roots (Burer & Monteiro, Math. Program. 95, 329 (2003)). Over A the
+      1/lambda stiffness becomes curvature of order one, and Newton's method
+      with Levenberg-Marquardt damping, on the exact gradient and Hessian in
+      the real coordinates of A, maximises the likelihood in a few steps.
+      The result replaces the accepted state only if it raises the
+      likelihood, and the gradient iteration resumes from it with the
+      momentum restarted. The stage runs only when A has at most
+      ``_NEWTON_MAX_PARAMS`` real entries, which every 3-qubit factor has;
+      a larger Hessian costs more time and memory than the crawl it saves.
     * Stop: when an accepted step gains less than ``_MLE_TOL``, when no step
       from the accepted state itself gains, or after ``max_iters``
-      iterations, each rejected candidate counting as one.
+      iterations, each rejected candidate and each Newton candidate counting
+      as one.
 
     Counts so large that the total count, the likelihood or the
     sufficient-increase test overflows are refused with a ValidationError
@@ -435,7 +455,11 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
     # w_k being real, sum_k w_k v_k v_k^dagger = conj(sum_k w_k row_k).
     projectors = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
 
+    evaluations = 0
+
     def evaluate(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
         probs = np.clip((projectors @ matrix.ravel()).real, 1e-12, None)
         return _likelihood(counts, mask, probs), probs
 
@@ -449,7 +473,26 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
     current, probs = evaluate(rho)
     sigma, sigma_value, sigma_probs = rho, current, probs
     theta, step = 1.0, _MLE_STEP
-    for _ in range(max_iters):
+    iterations, staged = 0, False
+    while iterations < max_iters:
+        if evaluations >= _MLE_BUDGET and not staged:
+            staged = True
+            values, basis = np.linalg.eigh(rho)
+            keep = values > 1e-9 * values[-1]
+            factor = basis[:, keep] * np.sqrt(values[keep])
+            if 2 * factor.size <= _NEWTON_MAX_PARAMS:
+                factor, trials = _low_rank_newton(
+                    factor, vectors, counts, mask, current, max_iters - iterations
+                )
+                iterations += trials
+                candidate = factor @ factor.conj().T
+                candidate = (candidate + candidate.conj().T) / 2.0
+                value, candidate_probs = evaluate(candidate)
+                if value > current:
+                    rho, current, probs = candidate, value, candidate_probs
+                    sigma, sigma_value, sigma_probs, theta = rho, current, probs, 1.0
+                continue
+        iterations += 1
         r_op = gradient(sigma_probs)
         while True:
             candidate = _project_density(sigma + step * r_op)
@@ -473,6 +516,84 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
         sigma_value, sigma_probs = evaluate(sigma)
         step *= _MLE_GROWTH
     return rho
+
+
+def _low_rank_newton(
+    factor: np.ndarray, vectors: np.ndarray, counts: np.ndarray, mask: np.ndarray,
+    value: float, trials: int,
+) -> tuple[np.ndarray, int]:
+    """The Newton stage of :func:`reconstruct_mle` from the d x r ``factor``
+    A of rho = A A^dagger / |A|^2 (Burer & Monteiro, Math. Program. 95, 329
+    (2003)), whose likelihood is ``value``.
+
+    Newton's method with Levenberg-Marquardt damping on the per-shot
+    likelihood F(x) = sum_k f_k log q_k - log |x|^2 in the real coordinates
+    x = (Re A, Im A), q_k = |A^dagger v_k|^2 over the counted outcomes. A
+    candidate solves (C + mu I) dx = grad F, C being -Hessian(F) and mu
+    being c |grad F| plus the shift that makes C + mu I positive definite;
+    c starts at 1 and grows by 1 / ``_MLE_BACKTRACK`` with each rejected
+    candidate. A candidate is accepted when it raises the likelihood and
+    keeps every counted probability above the 1e-12 floor that the
+    likelihood applies, so F is exact there and f_k / q_k^2 stays finite.
+    Stops when the model predicts a gain below ``_MLE_TOL``, when an
+    accepted candidate gains less, or after ``trials`` candidates. Returns
+    the last accepted factor, scaled to unit norm, and the number of
+    candidates tried.
+    """
+    dim, rank = factor.shape
+    weights = counts[mask] / counts.sum()
+    min_gain = _MLE_TOL / counts.sum()  # _MLE_TOL, per shot
+    block = np.eye(rank)
+
+    def amplitudes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w_kj = v_k^dagger a_j and q_k = |w_k|^2, for every outcome."""
+        w = vectors.conj() @ a
+        return w, (w.real**2 + w.imag**2).sum(axis=1)
+
+    def derivatives(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple:
+        """grad F and the eigenpairs of C at a unit-norm factor."""
+        rows, w, q = vectors[mask], w[mask], q[mask]
+        # Row k: the gradient of q_k, the real view of 2 v_k w_k.
+        jac = 2.0 * rows[:, :, None] * w[:, None, :]
+        jac = np.concatenate([jac.real.reshape(len(q), -1), jac.imag.reshape(len(q), -1)], 1)
+        x = np.concatenate([a.real.ravel(), a.imag.ravel()])
+        scale = weights / q
+        # A -> sum_k (f_k / q_k) v_k v_k^dagger A, then in real coordinates.
+        op = np.kron((rows.T * scale) @ rows.conj(), block)
+        op = np.block([[op.real, -op.imag], [op.imag, op.real]])
+        curvature = (jac.T * (scale / q)) @ jac - 2.0 * op
+        curvature += 2.0 * np.eye(len(x)) - 4.0 * np.outer(x, x)
+        return (scale @ jac - 2.0 * x, *np.linalg.eigh(curvature))
+
+    a = factor / np.linalg.norm(factor)
+    w, q = amplitudes(a)
+    if not q[mask].min() > 1e-12:
+        return a, 0
+    grad, lam, basis = derivatives(a, w, q)
+    damping = 1.0
+    for trial in range(trials):
+        # lam - min(lam_0, 0) >= 0 exactly, so only a zero gradient, which is
+        # stationary, leaves a denominator at 0.
+        denominators = (lam - min(lam[0], 0.0)) + damping * np.linalg.norm(grad)
+        if not denominators[0] > 0:
+            return a, trial
+        projected = basis.T @ grad
+        coef = projected / denominators
+        if not coef @ projected - 0.5 * (coef * coef) @ lam >= min_gain:
+            return a, trial
+        x = basis @ coef
+        candidate = a + (x[: a.size] + 1j * x[a.size :]).reshape(dim, rank)
+        candidate /= np.linalg.norm(candidate)
+        w, q = amplitudes(candidate)
+        candidate_value = _likelihood(counts, mask, np.clip(q, 1e-12, None))
+        if candidate_value > value and q[mask].min() > 1e-12:
+            gain, a, value = candidate_value - value, candidate, candidate_value
+            if gain < _MLE_TOL:
+                return a, trial + 1
+            grad, lam, basis = derivatives(a, w, q)
+        else:
+            damping /= _MLE_BACKTRACK
+    return a, trials
 
 
 def write_counts(table: CountsTable, path) -> None:

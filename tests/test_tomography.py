@@ -22,6 +22,7 @@ from identangle import (
     balanced_tritter_rows,
     density_matrix_from_spec,
     fidelity_pure,
+    ghz_preset,
     ghz_state,
     gram_from_delays,
     log_likelihood,
@@ -221,10 +222,16 @@ def test_mle_on_exact_statistics_recovers_truth():
 
 
 def test_mle_likelihood_never_decreases_with_more_iterations():
-    for table in (simulate_counts(ghz_rho(), shots=500, seed=3), dirichlet_tables()[0]):
+    # The crawling table takes the Newton stage at iteration 66: its fits
+    # stop before it, inside it and after it.
+    for table, iterations in (
+        (simulate_counts(ghz_rho(), shots=500, seed=3), (1, 2, 5, 20, 100, 200)),
+        (dirichlet_tables()[0], (1, 2, 5, 20, 100, 200)),
+        (crawling_ghz_table(), (20, 60, 65, 66, 67, 68, 100, 200)),
+    ):
         values = [
             log_likelihood(reconstruct_mle(table, max_iters=k).matrix, table)
-            for k in (1, 2, 5, 20, 100, 200)
+            for k in iterations
         ]
         for earlier, later in zip(values, values[1:]):
             assert later >= earlier - 1e-9
@@ -250,6 +257,55 @@ def w_balanced_with_delays_table() -> CountsTable:
     gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.13, 0.07)))
     rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
     return simulate_counts(rho, shots=10_000, seed=5)
+
+
+@cache
+def crawling_ghz_table() -> CountsTable:
+    """A near-pure GHZ-preset state, eigenvalues 0.99998 and 1.6e-5: the
+    projected gradient alone takes 2,034 likelihood evaluations on it."""
+    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.002895, 0.00651)))
+    rho, _ = density_matrix_from_spec(ghz_preset(), gram)
+    return simulate_counts(rho, shots=10_000, seed=23)
+
+
+@cache
+def full_rank_four_qubit_table() -> CountsTable:
+    """200 shots of a random full-rank 4-qubit state, whose fit runs past
+    the evaluation budget with a factor above the Newton stage's size cap."""
+    return simulate_counts(random_density(np.random.default_rng(4), 16), shots=200, seed=4)
+
+
+@contextlib.contextmanager
+def counted_likelihoods(monkeypatch):
+    """Counts the likelihood evaluations made inside the block."""
+    calls = []
+    likelihood = tomography._likelihood
+
+    def counted(*args):
+        calls.append(args)
+        return likelihood(*args)
+
+    monkeypatch.setattr(tomography, "_likelihood", counted)
+    yield calls
+    monkeypatch.setattr(tomography, "_likelihood", likelihood)
+
+
+def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
+    with counted_likelihoods(monkeypatch) as calls:
+        reconstruct_mle(crawling_ghz_table())
+    assert tomography._MLE_BUDGET < len(calls) < 200
+
+
+def test_mle_does_not_take_the_newton_stage_before_the_budget_or_above_the_cap(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the Newton stage was entered")
+
+    monkeypatch.setattr(tomography, "_low_rank_newton", refused)
+    for table in (*dirichlet_tables(), simulate_counts(ghz_rho(), shots=100_000, seed=7)):
+        reconstruct_mle(table)
+    with counted_likelihoods(monkeypatch) as calls:
+        reconstruct_mle(full_rank_four_qubit_table())
+    assert len(calls) > tomography._MLE_BUDGET
 
 
 def stacked_outcomes(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
@@ -314,6 +370,7 @@ def test_mle_reaches_at_least_the_diluted_rrhor_likelihood():
         *dirichlet_tables()[:8],
         simulate_counts(ghz_rho(), shots=100_000, seed=7),
         w_balanced_with_delays_table(),
+        crawling_ghz_table(),
     ]
     for index, table in enumerate(tables):
         shots = sum(row.count for row in table.rows)
@@ -327,7 +384,12 @@ def test_mle_satisfies_the_optimality_condition():
     # rho maximises the likelihood over density matrices iff R(rho) <= I,
     # with equality on the support of rho.
     for index, table in enumerate(
-        [*dirichlet_tables(), simulate_counts(ghz_rho(), shots=100_000, seed=7)]
+        [
+            *dirichlet_tables(),
+            simulate_counts(ghz_rho(), shots=100_000, seed=7),
+            w_balanced_with_delays_table(),
+            crawling_ghz_table(),
+        ]
     ):
         vectors, counts = stacked_outcomes(table)
         rho = reconstruct_mle(table).matrix
