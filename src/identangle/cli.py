@@ -434,18 +434,19 @@ def cmd_run(args) -> int:
 def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
-    Each parameter kind has one ``solve(values)``, which gives the solution
-    of each value in order from one :func:`density_matrices_from_spec` call,
-    the one batch every kind solves in. A ``g`` or ``L1``-``L3`` scan keeps
-    the routing fixed, so it builds and validates its Gram matrices as one
-    stack and the batch enumerates the outcomes once. An amplitude scan
+    Each parameter kind has one ``solve(values)``, which builds each point
+    from the loaded config and its value, never changing the config, and
+    gives the solution of each value in order from one
+    :func:`density_matrices_from_spec` call. A ``g`` or ``L1``-``L3`` scan
+    keeps the routing fixed, so it builds and validates its Gram matrices as
+    one stack and the batch enumerates the outcomes once. An amplitude scan
     keeps the Gram matrix and builds and validates every point's routing,
-    and the batch traces the points as one stack of amplitude rows. The scan
-    runs ``solve`` on all its values; if that fails,
-    the points it has not classified are solved again with ``solve([value])``,
-    one by one, so the first point that fails, in scan order, ends the scan
-    with its own error prefixed by ``--param NAME = VALUE``; no file is
-    written then.
+    from a ``ghz`` section with the scanned pair written in, and the batch
+    traces the points as one stack of amplitude rows. The scan runs
+    ``solve`` on all its values; if that fails, the points it has not
+    classified are solved again with ``solve([value])``, one by one, so the
+    first point that fails, in scan order, ends the scan with its own error
+    prefixed by ``--param NAME = VALUE``; no file is written then.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)
@@ -456,34 +457,31 @@ def cmd_scan(args) -> int:
             f"{sorted(_GHZ_FIELDS)}"
         )
     # Preconditions that do not depend on the scanned value are checked once;
-    # each scan point writes its value into ``point``, a copy of the config.
-    point = json.loads(json.dumps(config))
+    # each point is built from the config and its value, never written into it.
     if parameter in _GHZ_FIELDS:
-        if point.get("preset") != "ghz":
+        if config.get("preset") != "ghz":
             raise ValidationError(f"amplitude parameter {parameter!r} needs the ghz preset")
         outside = [float(v) for v in values if not 0.0 <= v <= 1.0]
         if outside:
             raise ValidationError(f"amplitude {parameter} must lie in [0, 1], got {outside[0]}")
-        amplitudes = point.get("ghz")
+        amplitudes = config.get("ghz")
         if amplitudes is None:
-            amplitudes = point["ghz"] = dataclasses.asdict(balanced_ghz_params())
+            amplitudes = dataclasses.asdict(balanced_ghz_params())
         if not isinstance(amplitudes, dict):
             raise ConfigError(path, "ghz", "expected an object")
         partner = _GHZ_FIELDS[_GHZ_FIELDS.index(parameter) ^ 1]
-        # The amplitudes leave the distinguishability section alone, so its
-        # Gram matrix, or its error, is the first point's.
-        point_gram = functools.cache(lambda n: build_gram(point, path, n))
 
         def solve(values):
             specs = []
             for value in map(float, values):
-                amplitudes[parameter] = value
-                amplitudes[partner] = math.sqrt(1.0 - value * value)
-                specs.append(build_spec(point, path))
-            return density_matrices_from_spec(specs, [point_gram(specs[0].num_particles)])
+                pair = {parameter: value, partner: math.sqrt(1.0 - value * value)}
+                specs.append(build_spec(dict(config, ghz={**amplitudes, **pair}), path))
+            # The amplitudes leave the distinguishability section alone.
+            gram = build_gram(config, path, specs[0].num_particles)
+            return density_matrices_from_spec(specs, [gram])
     else:
         if parameter != "g":
-            section = point.get("distinguishability")
+            section = config.get("distinguishability")
             delays = section.get("delays") if isinstance(section, dict) else None
             if not isinstance(delays, list):
                 raise ConfigError(
@@ -498,7 +496,7 @@ def cmd_scan(args) -> int:
                     "distinguishability.delays",
                     f"{parameter} is out of range for {len(delays)} delays",
                 )
-        spec = build_spec(point, path)
+        spec = build_spec(config, path)
         n = spec.num_particles
 
         def solve(values):
@@ -507,9 +505,9 @@ def cmd_scan(args) -> int:
             else:
                 # build_gram checks the section at the first point; the
                 # stack then moves only the scanned delay.
-                delays[index] = float(values[0])
-                build_gram(point, path, n)
-                table = np.tile(np.array(delays, dtype=float), (len(values), 1))
+                first = [*delays[:index], float(values[0]), *delays[index + 1:]]
+                build_gram({"distinguishability": dict(section, delays=first)}, path, n)
+                table = np.tile(np.array(first, dtype=float), (len(values), 1))
                 table[:, index] = values
                 grams = GramMatrix._stack(
                     _delay_overlaps(table, float(section["coherence_length"]))

@@ -321,12 +321,11 @@ def _trace(outcomes: NoBunchingOutcomes, amplitudes: np.ndarray, overlaps: np.nd
     n = outcomes.num_particles
     points = len(out)
     # factor[:, p, d, l, b]: real and imaginary part of G_p[label of bra b at
-    # detector d, l] for every ket label l. At d = 0 it is 1 * G_p, since the
-    # oracle starts each product from complex(1.0).
+    # detector d, l] for every ket label l. The oracle's products start from
+    # complex(1.0); 1 * G_p only flips zero signs, so it is left out (see above).
     labels = np.ascontiguousarray(outcomes.labels.T)
     g_t = overlaps.swapaxes(1, 2)
     factor = np.array([g_t.real, g_t.imag])[:, :, :, labels].swapaxes(2, 3).copy()
-    factor[:, :, 0] = _complex_product(1.0, 0.0, *factor[:, :, 0])
 
     amp_re, amp_im = amplitudes.real, amplitudes.imag
     conj_im = -amp_im

@@ -251,13 +251,6 @@ class CountsTable:
         cells = itertools.product(self.settings, self._outcomes())
         return tuple(CountRow(*cell, c) for cell, c in zip(cells, self.counts.ravel().tolist()))
 
-    def counts_for(self, setting: str) -> np.ndarray:
-        """Counts of one setting indexed by outcome index, a read-only view of
-        the grid; zeros for a setting the table does not have."""
-        if setting not in self.settings:
-            return np.zeros(self.counts.shape[1])
-        return self.counts[self.settings.index(setting)]
-
 
 def simulate_counts(
     rho: DensityMatrix,

@@ -7,7 +7,10 @@ time, and meets its errors in scan order."""
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -46,6 +49,7 @@ PRESETS = {
     "w-dft": ({"preset": "w", "w": {"variant": "dft"}}, w_preset(dft_tritter_rows())),
 }
 DELAYS = [0.0, 0.35, 0.8]
+DROP = object()  # marks a config entry to leave out
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Particles 0 and 1 meet on a 50:50 splitter with equal spins; particle 2
 # goes straight to detector 2. The coincidence vanishes at g = 1 (HOM).
@@ -289,7 +293,7 @@ def test_a_scan_whose_batch_fails_is_solved_point_by_point(
 
 
 @pytest.mark.parametrize("param,builder", [
-    ("g", "_uniform_overlaps"), ("L1", "_delay_overlaps"),
+    ("g", "np.linspace"), ("g", "_uniform_overlaps"), ("L1", "_delay_overlaps"),
     # An amplitude scan's largest stack is the batch's own.
     ("alpha1", "density_matrices_from_spec"), ("gamma3", "density_matrices_from_spec"),
 ])
@@ -300,7 +304,7 @@ def test_a_scan_too_large_for_its_gram_stack_is_refused(
     def too_large(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, builder, too_large)
+    monkeypatch.setattr(f"identangle.cli.{builder}", too_large)
     data = {"preset": "ghz", "distinguishability": {"delays": DELAYS, "coherence_length": 1.0}}
     out = tmp_path / "out"
     argv = ["scan", "--config", write_config(tmp_path, data), "--param", param, "--start", "0",
@@ -340,3 +344,68 @@ def test_main_calls_share_one_parser(tmp_path, capsys):
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert "config file not found" in capsys.readouterr().err
+
+
+def scan_csv(tmp_path, name, data, param):
+    """Exit code, stdout and scan.csv bytes of one scan; the CSV, unlike the
+    JSON report, holds no hash of the config."""
+    out = tmp_path / name
+    argv = ["scan", "--config", write_config(tmp_path, data), "--param", param, "--start", "0",
+            "--stop", "1", "--steps", "5", "--format", "csv", "--out-dir", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        rc = cli.main(argv)
+    return rc, stdout.getvalue().replace(str(out), "<out>"), (out / "scan.csv").read_bytes()
+
+
+@pytest.mark.parametrize("param", ["alpha1", "alpha2"])
+@pytest.mark.parametrize("scanned", [
+    {"alpha1": "x"}, {"alpha2": [1, 2, 3]}, {"alpha1": None, "alpha2": "y"},
+    {"alpha1": DROP}, {"alpha1": DROP, "alpha2": DROP},
+], ids=["alpha1-string", "alpha2-triple", "both-malformed", "alpha1-missing", "both-missing"])
+def test_an_amplitude_scan_never_reads_the_scanned_pair(tmp_path, param, scanned):
+    ghz = dataclasses.asdict(balanced_ghz_params())
+    well_formed = {"preset": "ghz", "ghz": ghz, "distinguishability": {"gram": np.eye(3).tolist()}}
+    section = {k: v for k, v in {**ghz, **scanned}.items() if v is not DROP}
+    expected = scan_csv(tmp_path, "well-formed", well_formed, param)
+    assert expected[0] == 0
+    assert scan_csv(tmp_path, "malformed", dict(well_formed, ghz=section), param) == expected
+
+
+@pytest.mark.parametrize("entry", ["x", None, [0.35], True])
+def test_a_delay_scan_ignores_the_entry_it_scans(tmp_path, entry):
+    well_formed = {"preset": "ghz", "distinguishability": {"delays": DELAYS, "coherence_length": 1}}
+    malformed = [DELAYS[0], entry, DELAYS[2]]
+    expected = scan_csv(tmp_path, "well-formed", well_formed, "L2")
+    assert expected[0] == 0
+    config = dict(well_formed, distinguishability={"delays": malformed, "coherence_length": 1})
+    assert scan_csv(tmp_path, "malformed", config, "L2") == expected
+
+
+@pytest.mark.parametrize("data,param,rc", [
+    ({"preset": "ghz", "distinguishability": {"delays": DELAYS, "coherence_length": 1}}, "g", 0),
+    ({"preset": "w", "distinguishability": {"delays": DELAYS, "coherence_length": 1}}, "L3", 0),
+    ({"preset": "ghz", "distinguishability": {"gram": np.eye(3).tolist()}}, "alpha1", 0),
+    ({"preset": "ghz", "ghz": dataclasses.asdict(balanced_ghz_params()),
+      "distinguishability": {"gram": np.eye(3).tolist()}}, "gamma3", 0),
+    # Fails mid-scan, so the points are solved again one by one.
+    ({"preset": "ghz", "ghz": dict(dict.fromkeys(cli._GHZ_FIELDS, INV_SQRT2), gamma1=0, gamma3=1),
+      "distinguishability": {"gram": np.eye(3).tolist()}}, "alpha1", 3),
+    ({"preset": "ghz", "distinguishability": {"delays": [0, "x", 1], "coherence_length": 1}},
+     "L1", 2),
+], ids=["g", "delay", "amplitude-default", "amplitude-section", "amplitude-retry", "delay-error"])
+def test_a_scan_leaves_the_loaded_config_unchanged(tmp_path, monkeypatch, data, param, rc):
+    loaded = []
+    load = cli._load_config
+
+    def keep(path):
+        config = load(path)
+        loaded.append((config, copy.deepcopy(config)))
+        return config
+
+    monkeypatch.setattr(cli, "_load_config", keep)
+    argv = ["scan", "--config", write_config(tmp_path, data), "--param", param, "--start", "1",
+            "--stop", "0", "--steps", "5", "--out-dir", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == rc
+    ((config, before),) = loaded
+    assert config == before

@@ -116,8 +116,10 @@ def test_counts_of_a_state_with_eigenvalues_just_below_zero():
     # the clipped Z-basis probabilities alone sum to 1 + 6.3e-9.
     rho = DensityMatrix(np.diag([1 + 6.3e-9] + [-9e-10] * 7))
     assert born(rho, "ZZZ").tolist() == [1.0] + [0.0] * 7
-    assert simulate_counts(rho, shots=100, seed=1).counts_for("ZZZ").tolist() == [100] + [0] * 7
-    assert _exact_counts(rho).counts_for("ZZZ").tolist() == [1.0] + [0.0] * 7
+    table = simulate_counts(rho, shots=100, seed=1)
+    assert table.counts[table.settings.index("ZZZ")].tolist() == [100] + [0] * 7
+    table = _exact_counts(rho)
+    assert table.counts[table.settings.index("ZZZ")].tolist() == [1.0] + [0.0] * 7
 
 
 def test_simulate_counts_is_deterministic_per_seed():
@@ -134,7 +136,7 @@ def test_simulate_counts_totals_and_validation():
     table = simulate_counts(ghz_rho(), settings=["ZZZ", "XYZ"], shots=321, seed=1)
     assert table.settings == ("ZZZ", "XYZ")
     for setting in table.settings:
-        assert table.counts_for(setting).sum() == 321
+        assert table.counts[table.settings.index(setting)].sum() == 321
     with pytest.raises(ValidationError):
         simulate_counts(ghz_rho(), shots=0)
     with pytest.raises(ValidationError):
@@ -315,7 +317,7 @@ def stacked_outcomes(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     vectors = np.vstack(
         [reduce(np.kron, [_AXIS_STACK[axes.index(axis)] for axis in s]) for s in settings]
     )
-    return vectors, np.concatenate([table.counts_for(s) for s in settings])
+    return vectors, table.counts.ravel()
 
 
 def clipped_born(vectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -638,7 +640,7 @@ def naive_counts(rows: list[CountRow], num_qubits: int) -> dict[str, list[float]
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_counts_for_matches_a_naive_accumulation_bit_for_bit(seed):
+def test_counts_grid_matches_a_naive_accumulation_bit_for_bit(seed):
     # Shuffled rows, repeated (setting, outcome) pairs and float counts.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
@@ -655,20 +657,16 @@ def test_counts_for_matches_a_naive_accumulation_bit_for_bit(seed):
     expected = naive_counts(rows, n)
     assert table.settings == tuple(expected)
     for setting, counts in expected.items():
-        assert table.counts_for(setting).tobytes() == np.array(counts).tobytes()
+        assert table.counts[table.settings.index(setting)].tobytes() == np.array(counts).tobytes()
 
 
-def test_counts_for_gives_zeros_for_an_absent_setting_and_cannot_change_the_table():
+def test_counts_grid_rows_cannot_change_the_table():
     table = simulate_counts(ghz_rho(), settings=["ZZZ", "XXX"], shots=50, seed=1)
-    before = {setting: table.counts_for(setting).copy() for setting in table.settings}
-    np.testing.assert_array_equal(table.counts_for("YYY"), np.zeros(8))
-    for setting in ("ZZZ", "XXX", "YYY"):
-        vector = table.counts_for(setting)
+    before = table.counts.copy()
+    for vector in table.counts:
         with contextlib.suppress(ValueError):
             vector[:] = -1.0
-    for setting, counts in before.items():
-        np.testing.assert_array_equal(table.counts_for(setting), counts)
-    np.testing.assert_array_equal(table.counts_for("YYY"), np.zeros(8))
+    np.testing.assert_array_equal(table.counts, before)
 
 
 def per_setting_born(rho: DensityMatrix, setting: str) -> np.ndarray:
