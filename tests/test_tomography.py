@@ -444,6 +444,43 @@ def test_project_density_of_a_diagonal_matrix_is_the_simplex_projection():
         )
 
 
+def cumsum_projection(matrix: np.ndarray) -> np.ndarray:
+    """The simplex projection of _project_density with the shift taken from
+    numpy's cumulative sums, as it was first written."""
+    values, basis = np.linalg.eigh(matrix)
+    descending = values[::-1]
+    shifts = (np.cumsum(descending) - 1.0) / np.arange(1, len(values) + 1)
+    shift = shifts[np.nonzero(descending > shifts)[0][-1]]
+    projected = (basis * np.clip(values - shift, 0.0, None)) @ basis.conj().T
+    return (projected + projected.conj().T) / 2.0
+
+
+def projection_inputs() -> list[np.ndarray]:
+    """Seeded Hermitian matrices of dimension 2-32: random at several scales,
+    with repeated eigenvalues, rank-1 projectors, multiples of the identity
+    and density matrices."""
+    rng = np.random.default_rng(24)
+    matrices = []
+    for dim in (2, 3, 4, 5, 8, 16, 32):
+        for scale in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            a = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            matrices.append((a + a.conj().T) / 2.0)
+        unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        for repeated in (rng.choice([-0.5, 0.1, 0.4], size=dim), np.repeat(rng.normal(), dim)):
+            matrices.append((unitary * repeated) @ unitary.conj().T)
+        vector = unitary[:, 0]
+        matrices += [np.outer(vector, vector.conj()), 3.0 * np.outer(vector, vector.conj())]
+        matrices += [c * np.eye(dim, dtype=complex) for c in (0.0, 1.0 / dim, 1.0, -2.0, 7.5)]
+        wishart = a @ a.conj().T
+        matrices.append(wishart / np.trace(wishart).real)
+    return matrices
+
+
+def test_project_density_is_bit_equal_to_the_cumulative_sum_expression():
+    for index, matrix in enumerate(projection_inputs()):
+        assert _project_density(matrix).tobytes() == cumsum_projection(matrix).tobytes(), index
+
+
 @pytest.mark.parametrize("shots,floor", [(1_000, 0.95), (10_000, 0.98)])
 def test_mle_round_trip_fidelity(shots, floor):
     truth = ghz_rho()
@@ -484,6 +521,22 @@ def test_mle_refuses_an_all_zero_table():
     rows = tuple(CountRow(s, o, 0.0) for s in "XYZ" for o in "01")
     with pytest.raises(ValidationError, match="counts table is all zeros"):
         reconstruct_mle(CountsTable.from_rows(rows, shots_per_setting=1e-7))
+
+
+@pytest.mark.parametrize("max_iters", [-3, float("nan"), 2.5, True, False, "10", None])
+def test_mle_refuses_max_iters_that_is_not_a_non_negative_integer(max_iters):
+    with pytest.raises(ValidationError, match="^max_iters must be a non-negative integer, got "):
+        reconstruct_mle(simulate_counts(ghz_rho(), shots=100, seed=1), max_iters=max_iters)
+
+
+def test_mle_with_no_iterations_returns_the_projected_start():
+    table = simulate_counts(ghz_rho(), shots=100, seed=1)
+    start = reconstruct_mle(table, max_iters=0).matrix
+    frequencies = table.counts.ravel() / table.counts.sum()
+    vectors = tomography._setting_vectors(table.settings)
+    expected = _project_density(tomography._inverse_frame(vectors, frequencies * 27, 3))
+    assert start.tobytes() == expected.tobytes()
+    assert reconstruct_mle(table, max_iters=np.int64(0)).matrix.tobytes() == start.tobytes()
 
 
 def test_counts_table_validation():
@@ -550,6 +603,25 @@ def test_log_likelihood_refuses_counts_whose_likelihood_overflows():
     with pytest.raises(ValidationError, match="shots_per_setting 6e[+]306 overflows"):
         log_likelihood(np.eye(8) / 8, table)
     assert log_likelihood(np.eye(8) / 8, _exact_counts(ghz_rho(), shots=1e300)) < 0
+
+
+def test_log_likelihood_is_bit_equal_to_the_masked_sum_of_clipped_logs():
+    # Few shots leave many cells at zero; pure states and matrices that are
+    # not positive put probabilities at 0 or below the 1e-12 floor.
+    rng = np.random.default_rng(2406)
+    for num_qubits in (1, 2, 3):
+        dim = 2**num_qubits
+        vectors = tomography._setting_vectors(_all_pauli_settings(num_qubits))
+        for shots in (3, 20, 1_000):
+            table = simulate_counts(random_density(rng, dim), shots=shots, seed=shots)
+            c = table.counts.ravel()
+            m = c > 0
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            basis = np.eye(dim)[:, :1]
+            for matrix in (random_density(rng, dim).matrix, basis @ basis.T, (a + a.conj().T) / 2):
+                p = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
+                expected = float(np.sum(c[m] * np.log(np.clip(p, 1e-12, None)[m])))
+                assert log_likelihood(matrix, table) == expected
 
 
 def test_read_counts_reports_malformed_row_line(tmp_path):
