@@ -59,6 +59,7 @@ from .transform import (
     GHZParams,
     Spin,
     TransformSpec,
+    _ghz_spins,
     balanced_ghz_params,
     balanced_tritter_rows,
     custom_spec,
@@ -158,6 +159,16 @@ def _parse_spin(value, path: str, field: str) -> int:
     raise ConfigError(path, field, f'expected "down", "up" or null, got {value!r}')
 
 
+def _ghz_section(config: dict, path: str) -> dict:
+    """The config's ``ghz`` amplitudes; the balanced ones when it has none."""
+    section = config.get("ghz")
+    if section is None:
+        return dataclasses.asdict(balanced_ghz_params())
+    if not isinstance(section, dict):
+        raise ConfigError(path, "ghz", "expected an object")
+    return section
+
+
 def build_spec(config: dict, path: str) -> TransformSpec:
     """Transformation described by the config's preset section."""
     preset = config.get("preset")
@@ -165,11 +176,7 @@ def build_spec(config: dict, path: str) -> TransformSpec:
         raise ConfigError(path, "preset", 'must be one of "ghz", "w", "custom"')
     try:
         if preset == "ghz":
-            section = config.get("ghz")
-            if section is None:
-                return ghz_preset()
-            if not isinstance(section, dict):
-                raise ConfigError(path, "ghz", "expected an object")
+            section = _ghz_section(config, path)
             missing = [k for k in _GHZ_FIELDS if k not in section]
             if missing:
                 raise ConfigError(path, "ghz", f"missing amplitudes: {', '.join(missing)}")
@@ -264,17 +271,6 @@ def write_density_matrix(path, matrix: np.ndarray) -> None:
             lines.append(" ".join(f"{value:+.17e}" for value in row))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def read_density_matrix(path) -> np.ndarray:
-    """Inverse of :func:`write_density_matrix`."""
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[0] != 2 * data.shape[1]:
-        raise ValidationError(
-            f"{path}: expected two stacked dim x dim blocks, got shape {data.shape}"
-        )
-    dim = data.shape[1]
-    return data[:dim] + 1j * data[dim:]
 
 
 def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
@@ -440,13 +436,13 @@ def cmd_scan(args) -> int:
     :func:`density_matrices_from_spec` call. A ``g`` or ``L1``-``L3`` scan
     keeps the routing fixed, so it builds and validates its Gram matrices as
     one stack and the batch enumerates the outcomes once. An amplitude scan
-    keeps the Gram matrix and builds and validates every point's routing,
-    from a ``ghz`` section with the scanned pair written in, and the batch
-    traces the points as one stack of amplitude rows. The scan runs
-    ``solve`` on all its values; if that fails, the points it has not
-    classified are solved again with ``solve([value])``, one by one, so the
-    first point that fails, in scan order, ends the scan with its own error
-    prefixed by ``--param NAME = VALUE``; no file is written then.
+    keeps the Gram matrix: it parses the ``ghz`` section once, validates its
+    routings, which differ in the scanned pair only, as one stack, and the
+    batch enumerates once per run of routings with the same support.
+    The scan runs ``solve`` on all its values; if that fails, the points it
+    has not classified are solved again with ``solve([value])``, one by one,
+    so the first point that fails, in scan order, ends the scan with its own
+    error prefixed by ``--param NAME = VALUE``; no file is written then.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)
@@ -464,21 +460,20 @@ def cmd_scan(args) -> int:
         outside = [float(v) for v in values if not 0.0 <= v <= 1.0]
         if outside:
             raise ValidationError(f"amplitude {parameter} must lie in [0, 1], got {outside[0]}")
-        amplitudes = config.get("ghz")
-        if amplitudes is None:
-            amplitudes = dataclasses.asdict(balanced_ghz_params())
-        if not isinstance(amplitudes, dict):
-            raise ConfigError(path, "ghz", "expected an object")
-        partner = _GHZ_FIELDS[_GHZ_FIELDS.index(parameter) ^ 1]
+        index = _GHZ_FIELDS.index(parameter)
+        partner = _GHZ_FIELDS[index ^ 1]
+        ghz = {**_ghz_section(config, path), parameter: 1.0, partner: 0.0}
+        # Field k sits in row k // 2, at the detector its name ends in (from 1).
+        at = (slice(None), index // 2, [int(parameter[-1]) - 1, int(partner[-1]) - 1])
 
         def solve(values):
-            specs = []
-            for value in map(float, values):
-                pair = {parameter: value, partner: math.sqrt(1.0 - value * value)}
-                specs.append(build_spec(dict(config, ghz={**amplitudes, **pair}), path))
-            # The amplitudes leave the distinguishability section alone.
-            gram = build_gram(config, path, specs[0].num_particles)
-            return density_matrices_from_spec(specs, [gram])
+            # Parsed and checked once: the points differ in the scanned pair only.
+            routing = build_spec(dict(config, ghz=ghz), path)
+            stack = np.repeat(routing.amplitudes[None], len(values), axis=0)
+            stack[at] = np.array([values, np.sqrt(1.0 - np.square(values))], dtype=float).T
+            grams = [build_gram(config, path, routing.num_particles)]
+            specs = TransformSpec._stack(stack, _ghz_spins(stack))
+            return density_matrices_from_spec(specs, grams)
     else:
         if parameter != "g":
             section = config.get("distinguishability")

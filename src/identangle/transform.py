@@ -57,9 +57,9 @@ class Spin(IntEnum):
 UNUSED = -1
 
 
-def _as_amplitude_matrix(values) -> np.ndarray:
+def _as_amplitude_matrix(values, stacked: bool = False) -> np.ndarray:
     t = _complex_array(values, "amplitude matrix")
-    if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
+    if t.ndim != 2 + stacked or 0 in t.shape[stacked:]:
         raise ValidationError(
             f"amplitude matrix must be 2-dimensional and non-empty, got shape {t.shape}"
         )
@@ -99,38 +99,53 @@ class TransformSpec:
     spins: np.ndarray
 
     def __post_init__(self):
-        t = _as_amplitude_matrix(self.amplitudes)
-        s = _as_spin_matrix(self.spins)
+        (spec,) = self._stack(self.amplitudes, self.spins, stacked=False)
+        object.__setattr__(self, "amplitudes", spec.amplitudes)
+        object.__setattr__(self, "spins", spec.spins)
+
+    @classmethod
+    def _stack(cls, amplitudes, spins, stacked: bool = True) -> list["TransformSpec"]:
+        """Routings of stacks (P, n, n) of amplitude and spin matrices, holding read-only
+        views of them; the constructor is a stack of one. Rules run over the stacks
+        in turn, so they raise for the first routing that fails the earliest rule."""
+        t, s = _as_amplitude_matrix(amplitudes, stacked), _as_spin_matrix(spins)
+        if not stacked:
+            t, s = t[None], s[None]
         if t.shape != s.shape:
             raise ValidationError(
-                f"amplitude matrix {t.shape} and spin matrix {s.shape} differ in shape"
+                f"amplitude matrix {t.shape[1:]} and spin matrix {s.shape[1:]} differ in shape"
             )
-        if t.shape[0] != t.shape[1]:
+        if t.shape[1] != t.shape[2]:
             raise UnsupportedConfigurationError(
                 "no-bunching postselection needs as many detectors as particles, got "
-                f"{t.shape[0]} particles over {t.shape[1]} detectors"
+                f"{t.shape[1]} particles over {t.shape[2]} detectors"
             )
         # An amplitude too large to square gives an infinite norm, refused below.
         with np.errstate(over="ignore"):
-            row_norms = np.sum(np.abs(t) ** 2, axis=1)
-        for i, norm in enumerate(row_norms):
-            if not abs(norm - 1.0) <= ROW_NORM_TOL:
-                raise ValidationError(
-                    f"row {i} of the amplitude matrix has squared norm {norm:.12g}; "
-                    "each particle must reach the detectors with total probability 1"
-                )
-        zero = t == 0
-        unused = s == UNUSED
-        if (zero != unused).any():
-            i, j = np.argwhere(zero != unused)[0]
+            row_norms = np.sum(np.abs(t) ** 2, axis=2)
+        normalized = np.abs(row_norms - 1.0) <= ROW_NORM_TOL
+        if not normalized.all():
+            p, i = np.argwhere(~normalized)[0]
+            raise ValidationError(
+                f"row {i} of the amplitude matrix has squared norm {row_norms[p, i]:.12g}; "
+                "each particle must reach the detectors with total probability 1"
+            )
+        mismatch = (t == 0) != (s == UNUSED)
+        if mismatch.any():
+            _, i, j = np.argwhere(mismatch)[0]
             raise ValidationError(
                 f"spin entry ({i}, {j}) must be UNUSED exactly where the amplitude "
                 "is zero, and a real spin everywhere else"
             )
         t.setflags(write=False)
         s.setflags(write=False)
-        object.__setattr__(self, "amplitudes", t)
-        object.__setattr__(self, "spins", s)
+        made = []
+        for routing, pattern in zip(t, s):
+            spec = object.__new__(cls)
+            object.__setattr__(spec, "amplitudes", routing)
+            object.__setattr__(spec, "spins", pattern)
+            made.append(spec)
+        return made
 
     @property
     def num_particles(self) -> int:
@@ -190,25 +205,17 @@ def ghz_preset(params: GHZParams | None = None) -> TransformSpec:
     """
     p = params if params is not None else balanced_ghz_params()
     t = np.array(
-        [
-            [p.alpha1, p.alpha2, 0.0],
-            [0.0, p.beta2, p.beta3],
-            [p.gamma1, 0.0, p.gamma3],
-        ],
+        [[p.alpha1, p.alpha2, 0.0], [0.0, p.beta2, p.beta3], [p.gamma1, 0.0, p.gamma3]],
         dtype=complex,
     )
+    return TransformSpec(t, _ghz_spins(t))
+
+
+def _ghz_spins(amplitudes: np.ndarray) -> np.ndarray:
+    """GHZ ring spins of an amplitude matrix or stack, UNUSED on closed paths (t = 0)."""
     d, u = int(Spin.DOWN), int(Spin.UP)
-    s = np.array(
-        [
-            [d, u, UNUSED],
-            [UNUSED, d, u],
-            [u, UNUSED, d],
-        ],
-        dtype=np.int8,
-    )
-    # Degenerate parameter choices (say alpha2 = 0) close a path entirely.
-    s[t == 0] = UNUSED
-    return TransformSpec(t, s)
+    ring = np.array([[d, u, UNUSED], [UNUSED, d, u], [u, UNUSED, d]], dtype=np.int8)
+    return np.where(amplitudes == 0, np.int8(UNUSED), ring)
 
 
 def w_preset(rows) -> TransformSpec:

@@ -27,7 +27,7 @@ from identangle import (
     w_preset,
     write_counts,
 )
-from identangle.cli import main, read_density_matrix
+from identangle.cli import main
 from identangle.tomography import _exact_counts
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -52,6 +52,18 @@ def write_config(tmp_path, data, name="config.json"):
 
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+
+
+def read_density_matrix(path) -> np.ndarray:
+    """Inverse of ``cli.write_density_matrix``: two stacked real blocks, the
+    real part over the imaginary part."""
+    data = np.loadtxt(path)
+    if data.ndim != 2 or data.shape[0] != 2 * data.shape[1]:
+        raise ValidationError(
+            f"{path}: expected two stacked dim x dim blocks, got shape {data.shape}"
+        )
+    dim = data.shape[1]
+    return data[:dim] + 1j * data[dim:]
 
 
 def test_run_ghz_balanced(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Scans solved as one batch: the routing side of a g or delay scan is built
-once, an amplitude scan traces a stack of amplitude rows per run of points
-with the same outcomes, and every point comes out bit for bit as the
+once, an amplitude scan traces one product of amplitude rows per run of
+routings with the same support, and every point comes out bit for bit as the
 one-point kernel traces it. The batch only saves time: a scan whose batch
 fails is solved again point by point, by the same solver on one value at a
 time, and meets its errors in scan order."""
@@ -22,15 +22,18 @@ import numpy as np
 import pytest
 
 import identangle
+from conftest import random_banded_spec, random_gram, random_row_normalized
 from identangle import (
     DelayModel,
     DensityMatrix,
     GHZParams,
     GramMatrix,
     PostselectionImpossibleError,
+    UNUSED,
     ValidationError,
     balanced_ghz_params,
     balanced_tritter_rows,
+    brute_density_matrix,
     classify,
     custom_spec,
     density_matrices_from_spec,
@@ -123,7 +126,7 @@ def ghz_specs(field, values):
 
 
 @pytest.mark.parametrize("block", [1 << 14, 40, 1])
-@pytest.mark.parametrize("field", ["alpha1", "gamma3"])
+@pytest.mark.parametrize("field", cli._GHZ_FIELDS)
 def test_an_amplitude_batch_is_bit_equal_to_per_point_solves(monkeypatch, field, block):
     # 33 points over [0, 1]: each endpoint drops one of the two GHZ outcomes,
     # so the batch traces three runs, of 1, 31 and 1 points.
@@ -138,6 +141,147 @@ def test_an_amplitude_batch_is_bit_equal_to_per_point_solves(monkeypatch, field,
             expected_rho, expected_p = density_matrix_from_spec(spec, point_gram)
             assert rho.matrix.tobytes() == expected_rho.matrix.tobytes()
             assert p.hex() == expected_p.hex()
+
+
+def shared_support(rng, n, width, points, real=False):
+    """``points`` seeded complex routings with the zero pattern and spins of
+    one routing in which row i reaches detectors i to i + width - 1 (mod n);
+    ``real`` ones hold -0.0 imaginary parts."""
+    base = random_banded_spec(rng, n, width)
+    specs = []
+    for _ in range(points):
+        t = random_row_normalized(rng, n, n) * (base.amplitudes != 0)
+        t = np.conj(t.real + 0j) if real else t
+        t /= np.sqrt(np.sum(np.abs(t) ** 2, axis=1))[:, None]
+        specs.append(custom_spec(t, base.spins))
+    return specs
+
+
+def assert_points_match_the_oracle(specs, grams):
+    """Every point of one batch is byte-equal to its one-point solve and to
+    the oracle."""
+    batch = density_matrices_from_spec(specs, grams)
+    assert len(batch) == max(len(specs), len(grams))
+    for (rho, p), spec, gram in zip(batch, itertools.cycle(specs), itertools.cycle(grams)):
+        for expected_rho, expected_p in (density_matrix_from_spec(spec, gram),
+                                         brute_density_matrix(spec, gram)):
+            assert rho.matrix.tobytes() == expected_rho.matrix.tobytes()
+            assert p.hex() == expected_p.hex()
+
+
+# A dense routing has width n. Each point takes its own Gram matrix, or one
+# serves them all; the oracle makes dense N = 6 the slow case.
+@pytest.mark.parametrize("n,width,points,each,real", [
+    (3, 3, 9, True, False), (3, 2, 7, False, True), (3, 3, 1, True, False),
+    (4, 4, 6, True, True), (4, 2, 9, False, False), (5, 5, 3, True, False),
+    (5, 3, 8, False, True), (5, 5, 1, False, False), (6, 2, 9, True, True),
+    (6, 3, 4, True, False), (6, 6, 2, False, False),
+])
+def test_routings_that_share_a_support_match_the_oracle_point_by_point(
+    monkeypatch, n, width, points, each, real
+):
+    rng = np.random.default_rng(2600 + 10 * n + width)
+    specs = shared_support(rng, n, width, points, real)
+    grams = [random_gram(rng, n) for _ in range(points if each else 1)]
+    traced = []
+    trace = reduction._trace
+
+    def spy(outcomes, amplitudes, overlaps, out):
+        traced.append(amplitudes.copy())
+        trace(outcomes, amplitudes, overlaps, out)
+
+    monkeypatch.setattr(reduction, "_trace", spy)
+    assert_points_match_the_oracle(specs, grams)
+    # One run, traced in one call: every point's amplitudes are the ones
+    # no_bunching_outcomes multiplies up, to the sign of each zero part.
+    (batch, *_) = traced
+    assert len(batch) == points
+    for row, spec in zip(batch, specs):
+        assert row.tobytes() == reduction.no_bunching_outcomes(spec).amplitudes.tobytes()
+
+
+def test_exact_zero_and_one_amplitudes_split_the_runs_of_a_batch():
+    rng = np.random.default_rng(2641)
+    specs = shared_support(rng, 4, 3, 7)
+    # Point 2 closes a path of particle 0, point 4 flips a spin on the
+    # shared support, and point 5 sends particle 1 to one detector with
+    # amplitude exactly 1, so the batch traces runs of 2, 1, 1, 1, 1 and 1.
+    t, s = np.array(specs[2].amplitudes), np.array(specs[2].spins)
+    closed = np.flatnonzero(t[0])[0]
+    t[0, closed], s[0, closed] = 0.0, UNUSED
+    specs[2] = custom_spec(t / np.sqrt(np.sum(np.abs(t) ** 2, axis=1))[:, None], s)
+    s = np.array(specs[4].spins)
+    s[2, np.flatnonzero(specs[4].amplitudes[2])[0]] ^= 1
+    specs[4] = custom_spec(specs[4].amplitudes, s)
+    t, s = np.array(specs[5].amplitudes), np.array(specs[5].spins)
+    support = np.flatnonzero(t[1])
+    t[1], s[1, support[1:]] = np.eye(4)[support[0]], UNUSED
+    specs[5] = custom_spec(t, s)
+    traced = []
+    trace = reduction._trace
+
+    def spy(outcomes, amplitudes, overlaps, out):
+        traced.append(len(amplitudes))
+        trace(outcomes, amplitudes, overlaps, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_trace", spy)
+        assert_points_match_the_oracle(specs, [random_gram(rng, 4)])
+    assert traced[:6] == [2, 1, 1, 1, 1, 1]
+
+
+def test_a_point_whose_product_underflows_loses_that_outcome_as_alone():
+    # A GHZ ring whose second and third rows put 1e-200 on the paths of the
+    # first outcome at point 2: its amplitude underflows to 0 there, while
+    # the other points keep both outcomes.
+    values = [0.3, 0.5, 0.6, 0.7, 0.9]
+    specs = ghz_specs("alpha1", values)
+    tiny = dict(dataclasses.asdict(balanced_ghz_params()), alpha1=0.6, alpha2=0.8,
+                beta2=1e-200, beta3=1.0, gamma1=1.0, gamma3=1e-200)
+    specs[2] = ghz_preset(GHZParams(**tiny))
+    assert [len(reduction.no_bunching_outcomes(s)) for s in specs] == [2, 2, 1, 2, 2]
+    assert len(reduction._enumerate(specs[2], underflow=True)) == 2
+    traced = []
+    trace = reduction._trace
+
+    def spy(outcomes, amplitudes, overlaps, out):
+        traced.append((outcomes.indices.tolist(), amplitudes.tolist()))
+        trace(outcomes, amplitudes, overlaps, out)
+
+    gram = GramMatrix.uniform(3, 0.7)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_trace", spy)
+        assert_points_match_the_oracle(specs, [gram])
+        alone = reduction.no_bunching_outcomes(specs[2])
+        # The batch traces points 0-1, 2 and 3-4; point 2 with exactly the
+        # outcomes no_bunching_outcomes gives it, then as a one-point solve.
+        assert [len(amplitudes) for _, amplitudes in traced[:3]] == [2, 1, 2]
+        assert traced[1] == (alone.indices.tolist(), [alone.amplitudes.tolist()])
+
+
+@pytest.mark.parametrize("field", cli._GHZ_FIELDS)
+def test_an_amplitude_scan_equals_per_point_library_solves(tmp_path, field):
+    # Complex amplitudes, so a pair written to the wrong entry of the routing
+    # changes the state.
+    ghz = {"alpha1": [0.6, 0], "alpha2": [0, 0.8], "beta2": [0.36, 0.48], "beta3": [0, 0.8],
+           "gamma1": [0, -0.6], "gamma3": 0.8}
+    config = {"preset": "ghz", "ghz": ghz,
+              "distinguishability": {"delays": DELAYS, "coherence_length": 1.0}}
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", write_config(tmp_path, config), "--param", field,
+                     "--start", "0", "--stop", "1", "--steps", "9", "--out-dir", str(out)]) == 0
+    rows = json.loads((out / "scan.json").read_text(encoding="utf-8"))["rows"]
+    partner = cli._GHZ_FIELDS[cli._GHZ_FIELDS.index(field) ^ 1]
+    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(DELAYS)))
+    for row in rows:
+        value = row[field]
+        params = {k: complex(*v) if isinstance(v, list) else v for k, v in ghz.items()}
+        params.update({field: value, partner: math.sqrt(1.0 - value * value)})
+        rho, p = density_matrix_from_spec(ghz_preset(GHZParams(**params)), gram)
+        report = classify(rho)
+        assert row["p_success"] == p
+        assert row["fidelity_ghz"] == report.fidelity_ghz
+        assert row["fidelity_w_max"] == report.fidelity_w_max
 
 
 def test_a_batch_takes_one_or_p_routings_and_grams_of_one_particle_count():

@@ -7,8 +7,10 @@ import pytest
 
 from identangle import (
     GHZParams,
-    Spin,
     UNUSED,
+    Spin,
+    TransformSpec,
+    UnsupportedConfigurationError,
     ValidationError,
     balanced_ghz_params,
     balanced_tritter_rows,
@@ -167,3 +169,104 @@ def test_spec_arrays_are_read_only():
         spec.amplitudes[0, 0] = 5.0
     with pytest.raises(ValueError):
         spec.spins[0, 0] = U
+
+
+def routing_stack(points=5, seed=2601):
+    """Seeded complex 3x3 routings with random spins, as stacks (P, 3, 3)."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(points, 3, 3)) + 1j * rng.normal(size=(points, 3, 3))
+    t /= np.sqrt(np.sum(np.abs(t) ** 2, axis=2))[:, :, None]
+    return t, rng.integers(0, 2, size=(points, 3, 3)).astype(np.int8)
+
+
+def spoil_finite(t, s):
+    t[2, 1, 0] = np.nan
+
+
+def spoil_norm(t, s):
+    t[2, 1] *= 1.1
+
+
+def spoil_zero(t, s):
+    t[2, 0, 2] = 0.0
+
+
+def spoil_unused(t, s):
+    s[2, 1, 1] = UNUSED
+
+
+def spoil_spin(t, s):
+    s[2, 2, 0] = 7
+
+
+@pytest.mark.parametrize("spoil", [spoil_finite, spoil_norm, spoil_zero, spoil_unused, spoil_spin],
+                         ids=["non-finite", "row-norm", "zero-with-spin", "unused-path", "spin"])
+def test_a_stack_refuses_one_bad_routing_as_the_constructor_does(spoil):
+    t, s = routing_stack()
+    spoil(t, s)
+    with pytest.raises(ValidationError) as alone:
+        TransformSpec(t[2], s[2])
+    with pytest.raises(ValidationError) as stacked:
+        TransformSpec._stack(t, s)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("rows,spin_shape", [(3, (3, 2)), (2, (2, 3))],
+                         ids=["spins-differ", "not-square"])
+def test_a_stack_of_a_bad_shape_is_refused_as_the_constructor_refuses_each_routing(
+    rows, spin_shape
+):
+    # A stack holds one shape, so every routing has the bad one: spins of a
+    # shape the amplitudes do not have, or routings that are not square.
+    t, s = routing_stack()
+    t = t[:, :rows] / np.sqrt(np.sum(np.abs(t[:, :rows]) ** 2, axis=2))[:, :, None]
+    s = s[:, :spin_shape[0], :spin_shape[1]]
+    with pytest.raises(ValidationError) as alone:
+        TransformSpec(t[0], s[0])
+    with pytest.raises(ValidationError) as stacked:
+        TransformSpec._stack(t, s)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+    assert isinstance(stacked.value, UnsupportedConfigurationError) == (rows == 2)
+
+
+def test_a_stack_raises_for_its_first_routing_that_fails_the_earliest_rule():
+    t, s = routing_stack()
+    t[1, 0] *= 1.5  # row norm, an earlier routing
+    t[3, 2] *= 1.2  # row norm, a later routing
+    t[4, 1, 1] = np.inf  # non-finite, the earliest rule
+    with pytest.raises(ValidationError, match="^amplitude matrix entries must be finite$"):
+        TransformSpec._stack(t, s)
+    t[4, 1, 1] = 0.5
+    first = r"^row 0 of the amplitude matrix has squared norm 2\.25;"
+    with pytest.raises(ValidationError, match=first):
+        TransformSpec._stack(t, s)
+
+
+def test_a_stack_of_one_is_the_constructors_spec_bit_for_bit():
+    t, s = routing_stack(points=1)
+    t[0, 1, 2] = 0.0
+    t[0, 1] /= np.sqrt(np.sum(np.abs(t[0, 1]) ** 2))
+    s[0, 1, 2] = UNUSED
+    (stacked,) = TransformSpec._stack(t, s)
+    alone = TransformSpec(t[0], s[0])
+    for held, expected in ((stacked.amplitudes, alone.amplitudes), (stacked.spins, alone.spins)):
+        assert held.dtype == expected.dtype and held.shape == expected.shape
+        assert held.tobytes() == expected.tobytes()
+
+
+def test_a_stack_holds_read_only_views_and_leaves_its_input_alone():
+    t, s = routing_stack()
+    specs = TransformSpec._stack(t, s)
+    assert len(specs) == len(t)
+    for spec, routing, pattern in zip(specs, t, s):
+        assert isinstance(spec, TransformSpec)
+        assert not spec.amplitudes.flags.writeable and not spec.spins.flags.writeable
+        assert spec.amplitudes.tobytes() == routing.tobytes()
+        assert spec.spins.tobytes() == pattern.tobytes()
+    t[0, 0, 0] = 5.0
+    assert specs[0].amplitudes[0, 0] != 5.0
+    with pytest.raises(ValueError):
+        specs[1].amplitudes[0, 0] = 5.0
+    assert TransformSpec._stack(t[:0], s[:0]) == []
