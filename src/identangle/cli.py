@@ -176,6 +176,8 @@ def build_spec(config: dict, path: str) -> TransformSpec:
         raise ConfigError(path, "preset", 'must be one of "ghz", "w", "custom"')
     try:
         if preset == "ghz":
+            if config.get("ghz") is None:
+                return ghz_preset()
             section = _ghz_section(config, path)
             missing = [k for k in _GHZ_FIELDS if k not in section]
             if missing:
@@ -436,13 +438,13 @@ def cmd_scan(args) -> int:
     :func:`density_matrices_from_spec` call. A ``g`` or ``L1``-``L3`` scan
     keeps the routing fixed, so it builds and validates its Gram matrices as
     one stack and the batch enumerates the outcomes once. An amplitude scan
-    keeps the Gram matrix: it parses the ``ghz`` section once, validates its
-    routings, which differ in the scanned pair only, as one stack, and the
-    batch enumerates once per run of routings with the same support.
-    The scan runs ``solve`` on all its values; if that fails, the points it
-    has not classified are solved again with ``solve([value])``, one by one,
-    so the first point that fails, in scan order, ends the scan with its own
-    error prefixed by ``--param NAME = VALUE``; no file is written then.
+    keeps the Gram matrix, parses the ``ghz`` section once and validates its
+    routings, which differ in the scanned pair only, as one stack; the batch
+    traces them in runs of points with the same outcomes. The scan runs
+    ``solve`` on all its values; if that fails, the points it has not
+    classified are solved again with ``solve([value])``, one by one, so the
+    first point that fails, in scan order, ends the scan with its own error
+    prefixed by ``--param NAME = VALUE``; no file is written then.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)

@@ -21,11 +21,12 @@ postselection success probability.
 A scan solves all its points in one all-or-nothing call,
 :func:`density_matrices_from_spec`, whose one-point case is
 :func:`density_matrix_from_spec`. A point is a routing and a Gram matrix. A
-scan of G keeps one routing, enumerated once and traced with a stack of Gram
-matrices. A scan of a routing amplitude keeps G; its routings come validated
-as one stack, and each run of consecutive routings with the same spins, so
-the same support (an amplitude of exactly 0 or 1 starts a new run), is
-enumerated once and traced with one (P, K) product of amplitudes.
+scan of G keeps one routing, so its points share the outcomes and are traced
+as one stack of Gram matrices. A scan of a routing amplitude keeps G; its
+routings come validated as one stack, each is enumerated on its own, and it
+traces a stack of amplitude rows, one per point, in runs of consecutive
+points whose outcomes have the same labels and spin patterns: an amplitude
+of exactly 0 or 1 drops outcomes and starts a new run.
 
 Since G is Hermitian, the (bra, ket) term is the complex conjugate of the
 (ket, bra) term, and the kernel computes only one of each such pair. Both
@@ -267,30 +268,6 @@ def _complex_product(ar, ai, br, bi):
     return re, im
 
 
-def _enumerate(spec: TransformSpec, underflow: bool) -> NoBunchingOutcomes:
-    """:func:`no_bunching_outcomes`, keeping with ``underflow`` every bijection."""
-    n = spec.num_particles
-    routes = [((), complex(1.0))]
-    for row in spec.amplitudes.tolist():
-        columns = [j for j, entry in enumerate(row) if entry != 0]
-        routes = [
-            (sigma + (j,), amplitude * row[j])
-            for sigma, amplitude in routes
-            for j in columns
-            if j not in sigma
-        ]
-    routes = [route for route in routes if route[1] != 0 or underflow]
-    sigma = np.array([route[0] for route in routes], dtype=np.intp).reshape(-1, n)
-    amplitudes = np.array([route[1] for route in routes], dtype=complex)
-
-    rows = np.arange(n)
-    labels = np.empty_like(sigma)
-    labels[np.arange(len(sigma))[:, None], sigma] = rows
-    spins = spec.spins[rows, sigma].astype(np.intp)
-    indices = (spins << (n - 1 - sigma)).sum(axis=1)
-    return NoBunchingOutcomes(amplitudes, indices, labels)
-
-
 def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
     """Enumerate the routings in which every detector receives one particle.
 
@@ -301,34 +278,26 @@ def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
     order; a routing whose amplitude still underflows to zero is dropped at
     the end.
     """
-    return _enumerate(spec, underflow=False)
+    n = spec.num_particles
+    routes = [((), complex(1.0))]
+    for row in spec.amplitudes.tolist():
+        columns = [j for j, entry in enumerate(row) if entry != 0]
+        routes = [
+            (sigma + (j,), amplitude * row[j])
+            for sigma, amplitude in routes
+            for j in columns
+            if j not in sigma
+        ]
+    routes = [route for route in routes if route[1] != 0]
+    sigma = np.array([route[0] for route in routes], dtype=np.intp).reshape(-1, n)
+    amplitudes = np.array([route[1] for route in routes], dtype=complex)
 
-
-def _runs(specs: list[TransformSpec]):
-    """(P, outcomes, amplitudes (P, K)) of each run of points, in order. Routings with
-    the same spins share one support and one product from 1 + 0i in the oracle's row
-    order; a point where it underflows to 0, and a call's one routing, are alone."""
-    if len(specs) == 1:
-        outcomes = no_bunching_outcomes(specs[0])
-        yield 1, outcomes, outcomes.amplitudes[None]
-        return
-    for _, run in itertools.groupby(specs, lambda spec: spec.spins.tobytes()):
-        run = list(run)
-        support = _enumerate(run[0], underflow=True)
-        stack = np.array([spec.amplitudes for spec in run])
-        amplitudes = np.ones((len(run), len(support)), dtype=complex)
-        for i, column in enumerate(np.argsort(support.labels, axis=1).T):
-            entry = stack[:, i, column]
-            amplitudes.real, amplitudes.imag = _complex_product(
-                amplitudes.real, amplitudes.imag, entry.real, entry.imag
-            )
-        underflow = np.flatnonzero((amplitudes == 0).any(axis=1))
-        if len(underflow):  # split the run around its first such point
-            first = underflow[0]
-            for part in (run[:first], run[first:first + 1], run[first + 1:]):
-                yield from _runs(part)
-        else:
-            yield len(run), support, amplitudes
+    rows = np.arange(n)
+    labels = np.empty_like(sigma)
+    labels[np.arange(len(sigma))[:, None], sigma] = rows
+    spins = spec.spins[rows, sigma].astype(np.intp)
+    indices = (spins << (n - 1 - sigma)).sum(axis=1)
+    return NoBunchingOutcomes(amplitudes, indices, labels)
 
 
 def _trace(outcomes: NoBunchingOutcomes, amplitudes: np.ndarray, overlaps: np.ndarray,
@@ -420,15 +389,15 @@ def density_matrices_from_spec(
     A point is a routing and a Gram matrix. ``spec`` is one routing for
     every point or a sequence of one routing per point, and ``grams`` a
     sequence of one Gram matrix per point or of one for every point: P
-    points take 1 or P of each. Outcomes are enumerated once per run of
-    consecutive routings with the same spins, and a run's amplitudes are
-    formed as one (P, K) product. Each point's matrix sums amp_ket *
-    conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)] over every (ket,
-    bra) pair of its outcomes. Each run is traced as one stack; then all
-    points are normalized and validated together as DensityMatrix. Pairs
-    are taken ket-major and each product is formed from real and imaginary
-    parts in the oracle's factor order, so every point is byte-identical to
-    ``brute_density_matrix`` on its own.
+    points take 1 or P of each. The no-bunching outcomes are enumerated once
+    per routing. Each point's matrix sums amp_ket * conj(amp_bra) * prod_d
+    G[label_bra(d), label_ket(d)] over every (ket, bra) pair of its
+    outcomes. Consecutive points whose outcomes share labels and spin
+    patterns are traced as one stack; then all points are normalized and
+    validated together as DensityMatrix. Pairs are taken ket-major and each
+    product is formed from real and imaginary parts in the oracle's factor
+    order, so every point is byte-identical to ``brute_density_matrix`` on
+    its own.
 
     The call is all-or-nothing: it returns every point or raises, when the
     routings or Gram matrices are neither 1 nor P, the routings differ in
@@ -446,8 +415,9 @@ def density_matrices_from_spec(
         raise ValidationError(
             f"a batch takes 1 or P routings and Gram matrices, got {len(specs)} and {len(grams)}"
         )
-    n = specs[0].num_particles
-    for other in specs:
+    outcomes = [no_bunching_outcomes(s) for s in specs]
+    n = outcomes[0].num_particles
+    for other in outcomes:
         if other.num_particles != n:
             raise ValidationError(
                 f"the routings of a batch have {n} and {other.num_particles} particles"
@@ -459,10 +429,13 @@ def density_matrices_from_spec(
     overlaps = np.array([gram.overlaps for gram in grams])
     raw = np.zeros((points, 2**n, 2**n), dtype=complex)
     start = 0
-    for count, outcomes, amplitudes in _runs(specs):
-        at = slice(start, start + count) if len(specs) > 1 else slice(None)
-        _trace(outcomes, amplitudes, overlaps[at] if len(grams) > 1 else overlaps, raw[at])
-        start += count
+    for _, run in itertools.groupby(outcomes, lambda o: (o.labels.tobytes(), o.indices.tobytes())):
+        run = list(run)
+        stop = start + len(run)
+        at = slice(start, stop) if len(specs) > 1 else slice(None)
+        amplitudes = np.array([o.amplitudes for o in run])
+        _trace(run[0], amplitudes, overlaps[at] if len(grams) > 1 else overlaps, raw[at])
+        start = stop
     p_success = np.trace(raw, axis1=1, axis2=2).real
     values = p_success.tolist()
     for p in values:

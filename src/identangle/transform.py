@@ -123,13 +123,13 @@ class TransformSpec:
         # An amplitude too large to square gives an infinite norm, refused below.
         with np.errstate(over="ignore"):
             row_norms = np.sum(np.abs(t) ** 2, axis=2)
-        normalized = np.abs(row_norms - 1.0) <= ROW_NORM_TOL
-        if not normalized.all():
-            p, i = np.argwhere(~normalized)[0]
-            raise ValidationError(
-                f"row {i} of the amplitude matrix has squared norm {row_norms[p, i]:.12g}; "
-                "each particle must reach the detectors with total probability 1"
-            )
+        for norms in row_norms.tolist():
+            for i, norm in enumerate(norms):
+                if not abs(norm - 1.0) <= ROW_NORM_TOL:
+                    raise ValidationError(
+                        f"row {i} of the amplitude matrix has squared norm {norm:.12g}; "
+                        "each particle must reach the detectors with total probability 1"
+                    )
         mismatch = (t == 0) != (s == UNUSED)
         if mismatch.any():
             _, i, j = np.argwhere(mismatch)[0]

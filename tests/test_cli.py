@@ -599,6 +599,12 @@ SCAN_ALPHA1 = ["scan", "--param", "alpha1", "--start", "0", "--stop", "1", "--st
                  id="scan-amplitude-past-one"),
     pytest.param(SCAN_ALPHA1, dict(GHZ_CONFIG, ghz=5), 2, "ghz: expected an object",
                  id="scan-ghz-not-an-object"),
+    # An empty section is not an absent one: it lacks every amplitude.
+    pytest.param(["run"], dict(GHZ_CONFIG, ghz={}), 2,
+                 "ghz: missing amplitudes: alpha1, alpha2, beta2, beta3, gamma1, gamma3",
+                 id="run-ghz-empty"),
+    pytest.param(SCAN_ALPHA1, dict(GHZ_CONFIG, ghz={}), 2,
+                 "ghz: missing amplitudes: beta2, beta3, gamma1, gamma3", id="scan-ghz-empty"),
     pytest.param(["scan", "--param", "L3", "--start", "0", "--stop", "1", "--steps", "2"],
                  dict(GHZ_CONFIG, distinguishability={"delays": [0.0, 0.1],
                                                       "coherence_length": 1.0}),

@@ -1,6 +1,6 @@
 """Scans solved as one batch: the routing side of a g or delay scan is built
-once, an amplitude scan traces one product of amplitude rows per run of
-routings with the same support, and every point comes out bit for bit as the
+once, an amplitude scan traces a stack of amplitude rows per run of points
+with the same outcomes, and every point comes out bit for bit as the
 one-point kernel traces it. The batch only saves time: a scan whose batch
 fails is solved again point by point, by the same solver on one value at a
 time, and meets its errors in scan order."""
@@ -193,7 +193,7 @@ def test_routings_that_share_a_support_match_the_oracle_point_by_point(
     monkeypatch.setattr(reduction, "_trace", spy)
     assert_points_match_the_oracle(specs, grams)
     # One run, traced in one call: every point's amplitudes are the ones
-    # no_bunching_outcomes multiplies up, to the sign of each zero part.
+    # no_bunching_outcomes gives it, bit for bit.
     (batch, *_) = traced
     assert len(batch) == points
     for row, spec in zip(batch, specs):
@@ -230,7 +230,7 @@ def test_exact_zero_and_one_amplitudes_split_the_runs_of_a_batch():
     assert traced[:6] == [2, 1, 1, 1, 1, 1]
 
 
-def test_a_point_whose_product_underflows_loses_that_outcome_as_alone():
+def test_a_point_whose_amplitude_underflows_loses_that_outcome():
     # A GHZ ring whose second and third rows put 1e-200 on the paths of the
     # first outcome at point 2: its amplitude underflows to 0 there, while
     # the other points keep both outcomes.
@@ -240,7 +240,6 @@ def test_a_point_whose_product_underflows_loses_that_outcome_as_alone():
                 beta2=1e-200, beta3=1.0, gamma1=1.0, gamma3=1e-200)
     specs[2] = ghz_preset(GHZParams(**tiny))
     assert [len(reduction.no_bunching_outcomes(s)) for s in specs] == [2, 2, 1, 2, 2]
-    assert len(reduction._enumerate(specs[2], underflow=True)) == 2
     traced = []
     trace = reduction._trace
 
@@ -280,6 +279,35 @@ def test_an_amplitude_scan_equals_per_point_library_solves(tmp_path, field):
         rho, p = density_matrix_from_spec(ghz_preset(GHZParams(**params)), gram)
         report = classify(rho)
         assert row["p_success"] == p
+        assert row["fidelity_ghz"] == report.fidelity_ghz
+        assert row["fidelity_w_max"] == report.fidelity_w_max
+
+
+def test_a_long_scan_whose_points_all_underflow_equals_per_point_solves(tmp_path):
+    # beta2 = gamma3 = 1e-200: the alpha1 * beta2 * gamma3 outcome underflows
+    # to 0 at every one of the 1,500 points, each of which keeps one outcome.
+    ghz = dict(dataclasses.asdict(balanced_ghz_params()), beta2=1e-200, beta3=1.0,
+               gamma1=1.0, gamma3=1e-200)
+    config = {"preset": "ghz", "ghz": ghz,
+              "distinguishability": {"delays": DELAYS, "coherence_length": 1.0}}
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--config", write_config(tmp_path, config), "--param", "alpha1",
+                     "--start", "0.01", "--stop", "0.99", "--steps", "1500",
+                     "--out-dir", str(out)]) == 0
+    rows = json.loads((out / "scan.json").read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == 1500
+    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(DELAYS)))
+    specs = []
+    for row in rows:
+        value = row["alpha1"]
+        params = dict(ghz, alpha1=value, alpha2=math.sqrt(1.0 - value * value))
+        specs.append(ghz_preset(GHZParams(**params)))
+        assert len(reduction.no_bunching_outcomes(specs[-1])) == 1
+    for row, spec, (rho, p) in zip(rows, specs, density_matrices_from_spec(specs, [gram])):
+        expected_rho, expected_p = density_matrix_from_spec(spec, gram)
+        assert rho.matrix.tobytes() == expected_rho.matrix.tobytes()
+        assert p.hex() == expected_p.hex() == row["p_success"].hex()
+        report = classify(expected_rho)
         assert row["fidelity_ghz"] == report.fidelity_ghz
         assert row["fidelity_w_max"] == report.fidelity_w_max
 
