@@ -269,7 +269,7 @@ def write_density_matrix(path, matrix: np.ndarray) -> None:
         f"# blocks: rows 1-{dim} real part, rows {dim + 1}-{2 * dim} imaginary part",
     ]
     for block in (matrix.real, matrix.imag):
-        for row in block:
+        for row in block.tolist():
             lines.append(" ".join(f"{value:+.17e}" for value in row))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -49,6 +49,9 @@ _MLE_BACKTRACK = 0.5  # factor on the step while a candidate fails the increase 
 _MLE_MIN_STEP = 1e-10  # the step is not cut further below this
 _MLE_GROWTH = 1.1  # factor on the step after each accepted step
 _MLE_BUDGET = 150  # likelihood evaluations after which a fit still running takes the Newton stage
+_MLE_RANK_CHECK = 40  # likelihood evaluations after which a low-rank fit takes it
+_NEWTON_LOW_RANK = 3  # the most factor columns of a low-rank fit
+_MLE_FLOOR = 16 * 2.0**-52  # a gain below this fraction of |L| is the likelihood's rounding
 _NEWTON_MAX_PARAMS = 128  # the Newton stage runs on factors with at most this many real entries
 
 # Counts are held as float64, which holds every integer up to 2**53 exactly.
@@ -411,28 +414,37 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
       Nesterov's weights, theta' = (1 + sqrt(1 + 4 theta^2)) / 2. A candidate
       that would lower the likelihood is rejected and the momentum restarts
       from the last accepted state, so accepted states never lower it.
-    * Newton stage: a fit still running after ``_MLE_BUDGET`` likelihood
-      evaluations crawls, typically on a near-pure state whose small
-      eigenvalue makes the likelihood stiff along one direction, so that
-      every Euclidean step stays short. Once, the accepted state is factored
+    * Newton stage: a fit on a near-pure state crawls, because the state's
+      small eigenvalues make the likelihood stiff along a few directions, so
+      that every Euclidean step stays short. The accepted state is factored
       as rho = A A^dagger / |A|^2, A keeping the eigenvectors whose
       eigenvalues exceed 1e-9 times the largest, scaled by their square
       roots (Burer & Monteiro, Math. Program. 95, 329 (2003)). Over A the
       1/lambda stiffness becomes curvature of order one, and Newton's method
       with Levenberg-Marquardt damping, on the exact gradient and Hessian in
       the real coordinates of A, maximises the likelihood in a few steps.
+      The accepted state is checked once, at the first iteration with at
+      least ``_MLE_RANK_CHECK`` likelihood evaluations, and the stage runs
+      there if A has at most ``_NEWTON_LOW_RANK`` columns and the last
+      accepted step gained more than ``_MLE_FLOOR`` times |L|: a smaller
+      gain is the rounding of L itself, which no Newton candidate can beat.
+      The stage also runs, whatever the rank, on a fit still running after
+      ``_MLE_BUDGET`` evaluations, a second time if it ran at the check.
       The result replaces the accepted state only if it raises the
       likelihood, and the gradient iteration resumes from it with the
-      momentum restarted. The stage runs only when A has at most
-      ``_NEWTON_MAX_PARAMS`` real entries, which every 3-qubit factor has;
-      a larger Hessian costs more time and memory than the crawl it saves.
+      momentum restarted and t back at ``_MLE_STEP``: a step cut short
+      before the stage would gain less than ``_MLE_TOL`` from its optimum,
+      which lacks the eigenvalues that A has no column for. The stage runs
+      only when A has at most ``_NEWTON_MAX_PARAMS`` real entries, which
+      every 3-qubit factor has; a larger Hessian costs more time and memory
+      than the crawl it saves.
     * Stop: when an accepted step gains less than ``_MLE_TOL``, when no step
       from the accepted state itself gains, or after ``max_iters``
       iterations, each rejected candidate and each Newton candidate counting
       as one. ``_MLE_TOL`` is an absolute gain of the whole table's
       log-likelihood in nats, not a gain per shot, so scaling every count by
       c scales every gain by c and the fit stops later: the crawling GHZ
-      table of the tests takes 159 likelihood evaluations, and 492 with its
+      table of the tests takes 53 likelihood evaluations, and 386 with its
       counts times 1e100.
 
     ``max_iters`` must be a non-negative integer (not a bool); 0 returns the
@@ -482,14 +494,18 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
     current, probs = evaluate(rho)
     sigma, sigma_value, sigma_probs = rho, current, probs
     theta, step = 1.0, _MLE_STEP
-    iterations, staged = 0, False
+    iterations, checked, staged, gain = 0, False, False, math.inf
     while iterations < max_iters:
-        if evaluations >= _MLE_BUDGET and not staged:
-            staged = True
+        # The Newton stage: at the rank check on a low-rank fit whose gains
+        # are above the likelihood's rounding, at the budget on any fit.
+        budget = not staged and evaluations >= _MLE_BUDGET
+        if budget or (not checked and evaluations >= _MLE_RANK_CHECK):
+            checked, staged = True, budget
             values, basis = np.linalg.eigh(rho)
             keep = values > 1e-9 * values[-1]
             factor = basis[:, keep] * np.sqrt(values[keep])
-            if 2 * factor.size <= _NEWTON_MAX_PARAMS:
+            crawls = factor.shape[1] <= _NEWTON_LOW_RANK and gain > _MLE_FLOOR * abs(current)
+            if (budget or crawls) and 2 * factor.size <= _NEWTON_MAX_PARAMS:
                 factor, trials = _low_rank_newton(
                     factor, vectors, counts, mask, current, max_iters - iterations
                 )
@@ -500,6 +516,7 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
                 if value > current:
                     rho, current, probs = candidate, value, candidate_probs
                     sigma, sigma_value, sigma_probs, theta = rho, current, probs, 1.0
+                    step = _MLE_STEP
                 continue
         iterations += 1
         r_op = gradient(sigma_probs)

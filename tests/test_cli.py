@@ -27,6 +27,7 @@ from identangle import (
     w_preset,
     write_counts,
 )
+from identangle import cli
 from identangle.cli import main
 from identangle.tomography import _exact_counts
 
@@ -647,6 +648,28 @@ def test_read_density_matrix_refuses_a_file_that_is_not_two_stacked_blocks(tmp_p
     message = r"rho.txt: expected two stacked dim x dim blocks, got shape \(3, 3\)$"
     with pytest.raises(ValidationError, match=message):
         read_density_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[-0.0, 5e-324], [1e300, -1e300]]) + 1j * np.array([[2.0, -0.0], [-5e-324, 0.1]]),
+        np.array([[1.0, -7.0], [2.2250738585072014e-308 / 3, 3.0]]),
+        np.array([[1, -2], [3, 0]]),
+    ],
+    ids=["complex", "real", "integer"],
+)
+def test_density_matrix_file_holds_each_numpy_scalar_as_formatted(tmp_path, matrix):
+    # The file formats Python floats from each row's list; these bytes are
+    # those of formatting every numpy scalar on its own.
+    path = tmp_path / "rho.txt"
+    cli.write_density_matrix(path, matrix)
+    rows = [
+        " ".join(f"{value:+.17e}" for value in row)
+        for block in (matrix.real, matrix.imag)
+        for row in block
+    ]
+    assert path.read_text(encoding="utf-8").splitlines()[4:] == rows
 
 
 def test_scan_with_one_step_has_one_row_at_start(tmp_path):

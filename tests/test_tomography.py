@@ -21,6 +21,7 @@ from identangle import (
     ValidationError,
     balanced_tritter_rows,
     density_matrix_from_spec,
+    dft_tritter_rows,
     fidelity_pure,
     ghz_preset,
     ghz_state,
@@ -224,12 +225,14 @@ def test_mle_on_exact_statistics_recovers_truth():
 
 
 def test_mle_likelihood_never_decreases_with_more_iterations():
-    # The crawling table takes the Newton stage at iteration 66: its fits
-    # stop before it, inside it and after it.
+    # The crawling table takes the Newton stage at iteration 12, its rank
+    # check, and the stage tries 2 candidates: its fits stop before it,
+    # inside it and after it. 60-68 bracket iteration 66, where the
+    # 150-evaluation budget alone would start it.
     for table, iterations in (
         (simulate_counts(ghz_rho(), shots=500, seed=3), (1, 2, 5, 20, 100, 200)),
         (dirichlet_tables()[0], (1, 2, 5, 20, 100, 200)),
-        (crawling_ghz_table(), (20, 60, 65, 66, 67, 68, 100, 200)),
+        (crawling_ghz_table(), (10, 11, 12, 13, 14, 20, 60, 65, 66, 67, 68, 100, 200)),
     ):
         values = [
             log_likelihood(reconstruct_mle(table, max_iters=k).matrix, table)
@@ -293,9 +296,87 @@ def counted_likelihoods(monkeypatch):
 
 
 def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
+    # The state is near-pure, so the stage starts at the rank check, long
+    # before the budget, and the fit ends without reaching the budget.
+    starts = []
+    newton = tomography._low_rank_newton
+
+    def spied(*args):
+        starts.append(len(calls))
+        return newton(*args)
+
+    monkeypatch.setattr(tomography, "_low_rank_newton", spied)
     with counted_likelihoods(monkeypatch) as calls:
         reconstruct_mle(crawling_ghz_table())
-    assert tomography._MLE_BUDGET < len(calls) < 200
+    assert len(starts) == 1
+    assert tomography._MLE_RANK_CHECK <= starts[0] < tomography._MLE_BUDGET
+    assert len(calls) < 80
+
+
+def test_mle_rank_check_leaves_a_fit_at_the_likelihood_rounding_alone(monkeypatch):
+    # These pure-GHZ fits are low-rank and still running at the rank check,
+    # but each step there gains a few ulps of the likelihood, its rounding,
+    # which no Newton candidate can beat. Without the floor they take it.
+    def refused(*args):
+        raise AssertionError("the Newton stage was entered")
+
+    monkeypatch.setattr(tomography, "_low_rank_newton", refused)
+    tables = [simulate_counts(ghz_rho(), shots=100_000, seed=seed) for seed in (32, 33)]
+    for table in tables:
+        with counted_likelihoods(monkeypatch) as calls:
+            reconstruct_mle(table)
+        assert len(calls) > tomography._MLE_RANK_CHECK
+    monkeypatch.setattr(tomography, "_MLE_FLOOR", 0.0)
+    for table in tables:
+        with pytest.raises(AssertionError, match="the Newton stage was entered"):
+            reconstruct_mle(table)
+
+
+def test_mle_resumes_with_a_full_step_after_the_newton_stage(monkeypatch):
+    # The step of this fit collapses to the 1e-10 floor before the rank
+    # check, and the rank-2 Newton optimum lacks the fit's third eigenvalue,
+    # 5e-5. Resumed with that step, the gradient would gain less than
+    # _MLE_TOL at once and stop 2.3e-8 nat/shot below the fit without the
+    # rank check.
+    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.100463, 0.070791)))
+    rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
+    table = simulate_counts(rho, shots=10_000, seed=732477250)
+    early = log_likelihood(reconstruct_mle(table).matrix, table)
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+    late = log_likelihood(reconstruct_mle(table).matrix, table)
+    assert early >= late - 1e-12 * table.counts.sum()
+
+
+def run_kind_tables() -> list[CountsTable]:
+    """Seeded tables of the kinds ``run`` simulates: GHZ at 300 and 1,000
+    shots and W-balanced at 10,000 and W-dft at 3,000, each with two delays
+    drawn from [0, 0.2] coherence lengths."""
+    rng = np.random.default_rng(27)
+    kinds = ((ghz_preset(), 300), (ghz_preset(), 1_000),
+             (w_preset(balanced_tritter_rows()), 10_000), (w_preset(dft_tritter_rows()), 3_000))
+    tables = []
+    for spec, shots in kinds * 3:
+        delays = (0.0, *rng.uniform(0.0, 0.2, size=2))
+        gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=delays))
+        rho, _ = density_matrix_from_spec(spec, gram)
+        tables.append(simulate_counts(rho, shots=shots, seed=int(rng.integers(2**31))))
+    return tables
+
+
+def test_mle_rank_check_takes_fewer_evaluations_and_keeps_the_likelihood(monkeypatch):
+    def fits():
+        with counted_likelihoods(monkeypatch) as calls:
+            states = [reconstruct_mle(table).matrix for table in tables]
+        values = [log_likelihood(rho, t) / t.counts.sum() for rho, t in zip(states, tables)]
+        return values, len(calls)
+
+    tables = run_kind_tables()
+    early, early_evaluations = fits()
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+    late, late_evaluations = fits()
+    for with_check, without in zip(early, late):
+        assert with_check >= without - 1e-12
+    assert early_evaluations < late_evaluations
 
 
 def test_mle_does_not_take_the_newton_stage_before_the_budget_or_above_the_cap(monkeypatch):
