@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from identangle import (
-    DelayModel,
     density_matrix_from_spec,
     fidelity_pure,
     ghz_preset,
@@ -30,8 +29,8 @@ def run(steps: int, max_delay: float, coherence_length: float, out_csv: str) -> 
     delays = np.linspace(0.0, max_delay, steps)
     rows = []
     for delay in delays:
-        model = DelayModel(coherence_length=coherence_length, delays=(0.0, 0.0, delay))
-        rho, p = density_matrix_from_spec(spec, gram_from_delays(model))
+        gram = gram_from_delays((0.0, 0.0, delay), coherence_length)
+        rho, p = density_matrix_from_spec(spec, gram)
         fidelity = fidelity_pure(rho, ghz_state())
         overlap = np.exp(-((delay / coherence_length) ** 2))
         rows.append((delay, overlap, p, fidelity, (1 + overlap**2) / 2))

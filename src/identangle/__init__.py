@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .reduction import (
-    DelayModel,
     GramMatrix,
     NoBunchingOutcomes,
     density_matrices_from_spec,
@@ -76,7 +75,6 @@ __all__ = [
     "CountRow",
     "CountsParseError",
     "CountsTable",
-    "DelayModel",
     "DensityMatrix",
     "GHZParams",
     "GHZ_WITNESS_BOUND",

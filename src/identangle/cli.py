@@ -38,7 +38,6 @@ from .density import DensityMatrix
 from .entanglement import classify, fidelity_mixed
 from .errors import ConfigError, PostselectionImpossibleError, ValidationError
 from .reduction import (
-    DelayModel,
     GramMatrix,
     _delay_overlaps,
     _uniform_overlaps,
@@ -163,7 +162,7 @@ def _ghz_section(config: dict, path: str) -> dict:
     """The config's ``ghz`` amplitudes; the balanced ones when it has none."""
     section = config.get("ghz")
     if section is None:
-        return dataclasses.asdict(balanced_ghz_params())
+        return vars(balanced_ghz_params())  # a fresh instance's fields, cheaper than asdict
     if not isinstance(section, dict):
         raise ConfigError(path, "ghz", "expected an object")
     return section
@@ -176,8 +175,6 @@ def build_spec(config: dict, path: str) -> TransformSpec:
         raise ConfigError(path, "preset", 'must be one of "ghz", "w", "custom"')
     try:
         if preset == "ghz":
-            if config.get("ghz") is None:
-                return ghz_preset()
             section = _ghz_section(config, path)
             missing = [k for k in _GHZ_FIELDS if k not in section]
             if missing:
@@ -241,11 +238,7 @@ def build_gram(config: dict, path: str, num_particles: int) -> GramMatrix:
                     "distinguishability.coherence_length",
                     f"a number is required together with delays, got {length!r}",
                 )
-            model = DelayModel(
-                coherence_length=float(length),
-                delays=tuple(float(d) for d in delays),
-            )
-            gram = gram_from_delays(model)
+            gram = gram_from_delays(delays, length)
     except ConfigError:
         raise
     except ValidationError as exc:
@@ -495,6 +488,8 @@ def cmd_scan(args) -> int:
                 )
         spec = build_spec(config, path)
         n = spec.num_particles
+        if parameter == "g":
+            build_gram(config, path, n)  # checked as run checks it; each point replaces it
 
         def solve(values):
             if parameter == "g":

@@ -11,7 +11,10 @@ The checks shared by the validated types live here: one Hermitian-PSD rule
 (also behind ``reduction.GramMatrix``) and one unit-vector rule (also behind
 ``entanglement.TargetState``). The Hermitian-PSD rule checks a stack of
 matrices at once, all or nothing: it raises the error of the first matrix
-that fails its earliest failing check. A single matrix is a stack of one.
+that fails its earliest failing check. A single matrix is a stack of one:
+``TransformSpec``, ``GramMatrix`` and ``DensityMatrix`` construct one as
+their ``_stack`` of one, and one factory, :func:`_made`, makes the instances
+of every stack.
 From 64 rows on it checks only the occupied block of the stack, the rows and
 columns with a nonzero entry: what it leaves out is zeros, which are finite,
 Hermitian and add only zero eigenvalues, so it refuses what the whole-matrix
@@ -99,31 +102,25 @@ def _hermitian_psd(stack: np.ndarray, name: str, hermitian_tol: float) -> np.nda
     return min_eig
 
 
-def _single(matrix, name: str, rule) -> np.ndarray:
-    """Read-only complex copy of one nonempty square matrix that passes
-    ``rule`` as a stack of one; raises the rule's error."""
+def _square(matrix, name: str) -> np.ndarray:
+    """Complex copy of one nonempty square matrix, as a stack of one; ``name``
+    starts the error message."""
     m = _complex_array(matrix, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    m.setflags(write=False)
-    with np.errstate(over="ignore"):
-        rule(m[None])
-    return m
+    return m[None]
 
 
-def _validated_stack(cls, field: str, stack: np.ndarray, rule) -> list:
-    """Instances of ``cls``, a frozen dataclass whose one array ``field`` its
-    ``__post_init__`` checks with ``rule``, one per matrix of a complex stack
-    (P, d, d) that ``rule`` checks at once; raises the rule's error. They are
-    built from that one check, without ``__post_init__``. Marks ``stack``
-    read-only; each instance holds a view of it."""
-    stack.setflags(write=False)
-    with np.errstate(over="ignore"):
-        rule(stack)
+def _made(cls, *held: np.ndarray) -> list:
+    """Instances of ``cls``, a frozen dataclass of validated arrays, one per
+    row of the stacks ``held``, which its ``_stack`` has checked: instance p
+    holds row p of each stack in its fields, in order. Every validated
+    instance is made here: a constructor is the stack of one, and holds what
+    the one instance made for it holds."""
     made = []
-    for matrix in stack:
+    for p in range(len(held[0])):  # indexed: iterating an array costs more
         instance = object.__new__(cls)
-        object.__setattr__(instance, field, matrix)
+        instance.__dict__.update(zip(cls.__dataclass_fields__, [stack[p] for stack in held]))
         made.append(instance)
     return made
 
@@ -147,7 +144,7 @@ def _density_rule(stack: np.ndarray) -> None:
     dim = stack.shape[1]
     if len(stack) and (dim < 2 or dim & (dim - 1)):
         raise ValidationError(f"density matrix dimension must be a power of two, got {dim}")
-    trace_defect = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    trace_defect = np.abs(stack.trace(axis1=1, axis2=2) - 1.0)
     _check(
         trace_defect, TRACE_TOL,
         lambda i: f"matrix trace differs from 1 by {trace_defect[i]:.3e}",
@@ -166,12 +163,16 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _single(self.matrix, "density matrix", _density_rule))
+        vars(self).update(vars(self._stack(_square(self.matrix, "density matrix"))[0]))
 
     @classmethod
     def _stack(cls, stack: np.ndarray) -> list["DensityMatrix"]:
-        """Density matrices of a stack, validated at once (see _validated_stack)."""
-        return _validated_stack(cls, "matrix", stack, _density_rule)
+        """Density matrices of a complex stack (P, d, d), validated at once and
+        holding read-only views of it."""
+        stack.setflags(write=False)
+        with np.errstate(over="ignore"):
+            _density_rule(stack)
+        return _made(cls, stack)
 
     @property
     def dim(self) -> int:

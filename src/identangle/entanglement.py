@@ -67,9 +67,8 @@ del _table
 
 @dataclass(frozen=True)
 class TargetState:
-    """A named pure target state with a unit-norm vector."""
+    """A pure target state with a unit-norm vector."""
 
-    kind: str
     vector: np.ndarray
 
     def __post_init__(self):
@@ -82,7 +81,7 @@ def ghz_state(num_qubits: int = 3) -> TargetState:
         raise ValidationError("a GHZ state needs at least two qubits")
     v = np.zeros(2**num_qubits, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
-    return TargetState("ghz", v)
+    return TargetState(v)
 
 
 _GHZ3 = ghz_state(3)  # classify's GHZ target
@@ -95,7 +94,7 @@ def w_state(phi1: float = 0.0, phi2: float = 0.0) -> TargetState:
     v[_W_SUPPORT[0]] = amp
     v[_W_SUPPORT[1]] = amp * np.exp(1j * phi1)
     v[_W_SUPPORT[2]] = amp * np.exp(1j * phi2)
-    return TargetState("w", v)
+    return TargetState(v)
 
 
 def fidelity_pure(rho: DensityMatrix, target: TargetState) -> float:

@@ -46,14 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    DensityMatrix,
-    _check,
-    _complex_array,
-    _hermitian_psd,
-    _single,
-    _validated_stack,
-)
+from .density import DensityMatrix, _check, _complex_array, _hermitian_psd, _made, _square
 from .errors import PostselectionImpossibleError, ValidationError
 from .transform import TransformSpec
 
@@ -63,7 +56,6 @@ __all__ = [
     "PAIR_BLOCK",
     "GramMatrix",
     "gram_from_labels",
-    "DelayModel",
     "gram_from_delays",
     "NoBunchingOutcomes",
     "no_bunching_outcomes",
@@ -98,7 +90,7 @@ def _gram_rule(stack: np.ndarray) -> None:
     """The Hermitian-PSD rule, a unit diagonal and entries of magnitude at most
     1 on a stack (P, n, n); raises as ``density._hermitian_psd``."""
     _hermitian_psd(stack, "Gram matrix", GRAM_HERMITIAN_TOL)
-    diag_defect = np.abs(np.diagonal(stack, axis1=1, axis2=2) - 1.0).max(axis=1)
+    diag_defect = np.abs(stack.diagonal(axis1=1, axis2=2) - 1.0).max(axis=1)
     _check(
         diag_defect, GRAM_HERMITIAN_TOL,
         lambda i: "Gram matrix diagonal must be all ones (a state overlaps itself "
@@ -132,13 +124,13 @@ def _uniform_overlaps(n: int, overlaps) -> np.ndarray:
 
 
 def _delay_overlaps(delays: np.ndarray, coherence_length: float) -> np.ndarray:
-    """Stack (P, n, n) of G[i, j] = exp(-((L_i - L_j) / L_c)^2), one matrix per
-    row of ``delays`` (P, n)."""
+    """Complex stack (P, n, n) of G[i, j] = exp(-((L_i - L_j) / L_c)^2), one
+    matrix per row of ``delays`` (P, n)."""
     # A difference too large to represent gives the overlap exp(-inf) = 0; an
     # infinite delay gives NaN, which the Gram rule refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         diff = delays[:, :, None] - delays[:, None, :]
-        return np.exp(-((diff / coherence_length) ** 2))
+        return np.exp(-((diff / coherence_length) ** 2)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -148,17 +140,15 @@ class GramMatrix:
     overlaps: np.ndarray
 
     def __post_init__(self):
-        checked = _single(self.overlaps, "Gram matrix", _gram_rule)
-        object.__setattr__(self, "overlaps", _hermitian_part(checked[None])[0])
+        vars(self).update(vars(self._stack(_square(self.overlaps, "Gram matrix"))[0]))
 
     @classmethod
     def _stack(cls, stack: np.ndarray) -> list["GramMatrix"]:
-        """Gram matrices of a stack, validated at once (see density._validated_stack);
-        each holds the Hermitian part of its matrix, as one built alone does."""
-        grams = _validated_stack(cls, "overlaps", stack, _gram_rule)
-        for gram, held in zip(grams, _hermitian_part(stack)):
-            object.__setattr__(gram, "overlaps", held)
-        return grams
+        """Gram matrices of a complex stack (P, n, n), validated at once; each
+        holds the Hermitian part of its matrix."""
+        with np.errstate(over="ignore"):
+            _gram_rule(stack)
+        return _made(cls, _hermitian_part(stack))
 
     @property
     def num_particles(self) -> int:
@@ -200,36 +190,20 @@ def gram_from_labels(labels: Sequence) -> GramMatrix:
     return GramMatrix(g)
 
 
-@dataclass(frozen=True)
-class DelayModel:
-    """Relative path delays mapped to overlaps by a Gaussian envelope.
-
-    Two wave packets separated by delay difference dL out of coherence length
-    Lc overlap by exp(-(dL/Lc)^2). Delays are in the same length unit as the
-    coherence length.
-    """
-
-    coherence_length: float
-    delays: tuple[float, ...]
-
-    def __post_init__(self):
-        try:
-            length = float(self.coherence_length)
-            delays = tuple(float(d) for d in self.delays)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"delay model needs real numbers ({exc})") from None
-        if not (length > 0.0):
-            raise ValidationError(f"coherence length must be positive, got {length}")
-        if len(delays) == 0:
-            raise ValidationError("need at least one delay")
-        object.__setattr__(self, "coherence_length", length)
-        object.__setattr__(self, "delays", delays)
-
-
-def gram_from_delays(model: DelayModel) -> GramMatrix:
-    """Overlap matrix G[i, j] = exp(-((L_i - L_j) / L_c)^2)."""
-    delays = np.asarray(model.delays, dtype=float)[None]
-    return GramMatrix(_delay_overlaps(delays, model.coherence_length)[0])
+def gram_from_delays(delays: Sequence, coherence_length: float) -> GramMatrix:
+    """Overlap matrix G[i, j] = exp(-((L_i - L_j) / L_c)^2) of relative path
+    delays L_i under a Gaussian envelope of coherence length L_c, in the same
+    length unit: two wave packets separated by dL overlap by exp(-(dL/L_c)^2)."""
+    try:
+        length = float(coherence_length)
+        table = np.array([[float(d) for d in delays]])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"delay model needs real numbers ({exc})") from None
+    if not (length > 0.0):
+        raise ValidationError(f"coherence length must be positive, got {length}")
+    if table.size == 0:
+        raise ValidationError("need at least one delay")
+    return GramMatrix(_delay_overlaps(table, length)[0])
 
 
 @dataclass(frozen=True)

@@ -567,7 +567,7 @@ def _low_rank_newton(
     candidates tried.
     """
     dim, rank = factor.shape
-    counted = counts[mask]
+    rows, counted = vectors[mask], counts[mask]
     weights = counted / counts.sum()
     min_gain = _MLE_TOL / counts.sum()  # _MLE_TOL, per shot
     block = np.eye(rank)
@@ -579,7 +579,7 @@ def _low_rank_newton(
 
     def derivatives(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple:
         """grad F and the eigenpairs of C at a unit-norm factor."""
-        rows, w, q = vectors[mask], w[mask], q[mask]
+        w, q = w[mask], q[mask]
         # Row k: the gradient of q_k, the real view of 2 v_k w_k.
         jac = 2.0 * rows[:, :, None] * w[:, None, :]
         jac = np.concatenate([jac.real.reshape(len(q), -1), jac.imag.reshape(len(q), -1)], 1)

@@ -26,7 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .density import _complex_array
+from .density import _complex_array, _made
 from .errors import UnsupportedConfigurationError, ValidationError
 
 __all__ = [
@@ -99,9 +99,7 @@ class TransformSpec:
     spins: np.ndarray
 
     def __post_init__(self):
-        (spec,) = self._stack(self.amplitudes, self.spins, stacked=False)
-        object.__setattr__(self, "amplitudes", spec.amplitudes)
-        object.__setattr__(self, "spins", spec.spins)
+        vars(self).update(vars(self._stack(self.amplitudes, self.spins, stacked=False)[0]))
 
     @classmethod
     def _stack(cls, amplitudes, spins, stacked: bool = True) -> list["TransformSpec"]:
@@ -139,13 +137,7 @@ class TransformSpec:
             )
         t.setflags(write=False)
         s.setflags(write=False)
-        made = []
-        for routing, pattern in zip(t, s):
-            spec = object.__new__(cls)
-            object.__setattr__(spec, "amplitudes", routing)
-            object.__setattr__(spec, "spins", pattern)
-            made.append(spec)
-        return made
+        return _made(cls, t, s)
 
     @property
     def num_particles(self) -> int:

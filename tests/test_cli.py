@@ -619,6 +619,27 @@ def test_failed_command_writes_no_file(tmp_path, capsys, command, data, rc, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", [
+    None, {"gram": "nonsense", "delays": 7}, {"gram": "nonsense"},
+    {"delays": 7, "coherence_length": 1.0}, {"delays": [0.0, 0.1, 0.2]},
+    {"delays": [0.0, 0.1, 0.2], "coherence_length": 0.0}, {"gram": np.eye(2).tolist()},
+], ids=["absent", "gram-and-delays", "gram-not-a-matrix", "delays-not-a-list",
+        "no-coherence-length", "zero-coherence-length", "gram-for-two"])
+def test_a_g_scan_refuses_the_distinguishability_section_as_run_does(tmp_path, capsys, section):
+    # A g scan replaces the section's Gram matrix at every point, but a config
+    # whose section run refuses is not a valid config to scan either.
+    data = {"preset": "ghz"} if section is None else {"preset": "ghz", "distinguishability": section}
+    config = write_config(tmp_path, data)
+    errors = []
+    for command in (["run"], SCAN_G):
+        out = tmp_path / command[0]
+        assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"identangle: invalid input: {config}: distinguishability")
+
+
 RECTANGULAR_CUSTOM = {
     "preset": "custom",
     "custom": {

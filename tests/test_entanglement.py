@@ -8,7 +8,6 @@ import pytest
 
 from conftest import random_density
 from identangle import (
-    DelayModel,
     DensityMatrix,
     GHZParams,
     GramMatrix,
@@ -376,13 +375,13 @@ def test_pruned_w_search_is_bit_equal_to_full_grid_along_delay_scans(spec, index
     for value in np.linspace(-1.5, 2.0, 57).tolist():
         delays = [0.0, 0.25, 0.5]
         delays[index] = value
-        gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(delays)))
+        gram = gram_from_delays(tuple(delays), 1.0)
         _assert_bit_equal_to_full_grid(density_matrix_from_spec(spec, gram)[0])
 
 
 def test_pruned_w_search_is_bit_equal_to_full_grid_along_ghz_amplitude():
     half = 1.0 / math.sqrt(2.0)
-    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.25, 0.5)))
+    gram = gram_from_delays((0.0, 0.25, 0.5), 1.0)
     for alpha1 in np.linspace(0.0, 1.0, 41).tolist():
         params = GHZParams(
             alpha1=complex(alpha1),

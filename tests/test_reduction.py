@@ -7,7 +7,6 @@ import pytest
 
 from conftest import random_banded_spec, random_gram, random_spec
 from identangle import (
-    DelayModel,
     GramMatrix,
     PostselectionImpossibleError,
     Spin,
@@ -209,8 +208,7 @@ def test_gram_builders_are_held_bit_for_bit():
     )
     table = np.array([[0.0, 0.35, 0.8], [0.1, -0.4, 2.0], [0.0, 0.0, 1e-9]])
     for delays, built in zip(table, reduction._delay_overlaps(table, 0.7)):
-        model = DelayModel(coherence_length=0.7, delays=tuple(delays))
-        assert gram_from_delays(model).overlaps.tobytes() == built.astype(complex).tobytes()
+        assert gram_from_delays(delays, 0.7).overlaps.tobytes() == built.astype(complex).tobytes()
     stacked = GramMatrix._stack(reduction._delay_overlaps(table, 0.7).astype(complex))
     for gram, built in zip(stacked, reduction._delay_overlaps(table, 0.7)):
         assert gram.overlaps.tobytes() == built.astype(complex).tobytes()
@@ -238,8 +236,7 @@ def test_gram_from_labels_matches_uniform_cases():
 
 
 def test_gram_from_delays():
-    model = DelayModel(coherence_length=0.5, delays=(0.0, 0.0, 1.0))
-    gram = gram_from_delays(model)
+    gram = gram_from_delays((0.0, 0.0, 1.0), 0.5)
     assert gram.overlaps[0, 1] == pytest.approx(1.0)
     expected = math.exp(-((1.0 / 0.5) ** 2))
     assert gram.overlaps[0, 2] == pytest.approx(expected, abs=1e-15)
@@ -248,20 +245,20 @@ def test_gram_from_delays():
 
 
 def test_delays_too_far_apart_to_square_give_zero_overlap():
-    gram = gram_from_delays(DelayModel(coherence_length=1e-200, delays=(0.0, 1e200, 0.0)))
+    gram = gram_from_delays((0.0, 1e200, 0.0), 1e-200)
     np.testing.assert_array_equal(gram.overlaps, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
 
 
 def test_infinite_delay_is_refused_without_warning():
     with pytest.raises(ValidationError, match="must be finite"):
-        gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, math.inf, 0.0)))
+        gram_from_delays((0.0, math.inf, 0.0), 1.0)
 
 
 def test_delay_model_validation():
     with pytest.raises(ValidationError):
-        DelayModel(coherence_length=0.0, delays=(0.0,))
+        gram_from_delays((0.0,), 0.0)
     with pytest.raises(ValidationError):
-        DelayModel(coherence_length=1.0, delays=())
+        gram_from_delays((), 1.0)
 
 
 def test_random_states_are_valid_density_matrices():

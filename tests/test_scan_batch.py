@@ -24,7 +24,6 @@ import pytest
 import identangle
 from conftest import random_banded_spec, random_gram, random_row_normalized
 from identangle import (
-    DelayModel,
     DensityMatrix,
     GHZParams,
     GramMatrix,
@@ -74,7 +73,7 @@ TWO_PARTICLES = {
 def delay_gram(values, index, value):
     delays = list(values)
     delays[index] = value
-    return gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(delays)))
+    return gram_from_delays(tuple(delays), 1.0)
 
 
 def scan_grams(param, values):
@@ -271,7 +270,7 @@ def test_an_amplitude_scan_equals_per_point_library_solves(tmp_path, field):
                      "--start", "0", "--stop", "1", "--steps", "9", "--out-dir", str(out)]) == 0
     rows = json.loads((out / "scan.json").read_text(encoding="utf-8"))["rows"]
     partner = cli._GHZ_FIELDS[cli._GHZ_FIELDS.index(field) ^ 1]
-    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(DELAYS)))
+    gram = gram_from_delays(tuple(DELAYS), 1.0)
     for row in rows:
         value = row[field]
         params = {k: complex(*v) if isinstance(v, list) else v for k, v in ghz.items()}
@@ -296,7 +295,7 @@ def test_a_long_scan_whose_points_all_underflow_equals_per_point_solves(tmp_path
                      "--out-dir", str(out)]) == 0
     rows = json.loads((out / "scan.json").read_text(encoding="utf-8"))["rows"]
     assert len(rows) == 1500
-    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=tuple(DELAYS)))
+    gram = gram_from_delays(tuple(DELAYS), 1.0)
     specs = []
     for row in rows:
         value = row["alpha1"]

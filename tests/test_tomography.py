@@ -15,7 +15,6 @@ from identangle import (
     CountRow,
     CountsTable,
     CountsParseError,
-    DelayModel,
     DensityMatrix,
     IncompleteSettingsError,
     ValidationError,
@@ -259,7 +258,7 @@ def dirichlet_tables() -> tuple[CountsTable, ...]:
 
 
 def w_balanced_with_delays_table() -> CountsTable:
-    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.13, 0.07)))
+    gram = gram_from_delays((0.0, 0.13, 0.07), 1.0)
     rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
     return simulate_counts(rho, shots=10_000, seed=5)
 
@@ -268,7 +267,7 @@ def w_balanced_with_delays_table() -> CountsTable:
 def crawling_ghz_table() -> CountsTable:
     """A near-pure GHZ-preset state, eigenvalues 0.99998 and 1.6e-5: the
     projected gradient alone takes 2,034 likelihood evaluations on it."""
-    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.002895, 0.00651)))
+    gram = gram_from_delays((0.0, 0.002895, 0.00651), 1.0)
     rho, _ = density_matrix_from_spec(ghz_preset(), gram)
     return simulate_counts(rho, shots=10_000, seed=23)
 
@@ -338,7 +337,7 @@ def test_mle_resumes_with_a_full_step_after_the_newton_stage(monkeypatch):
     # 5e-5. Resumed with that step, the gradient would gain less than
     # _MLE_TOL at once and stop 2.3e-8 nat/shot below the fit without the
     # rank check.
-    gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=(0.0, 0.100463, 0.070791)))
+    gram = gram_from_delays((0.0, 0.100463, 0.070791), 1.0)
     rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
     table = simulate_counts(rho, shots=10_000, seed=732477250)
     early = log_likelihood(reconstruct_mle(table).matrix, table)
@@ -357,7 +356,7 @@ def run_kind_tables() -> list[CountsTable]:
     tables = []
     for spec, shots in kinds * 3:
         delays = (0.0, *rng.uniform(0.0, 0.2, size=2))
-        gram = gram_from_delays(DelayModel(coherence_length=1.0, delays=delays))
+        gram = gram_from_delays(delays, 1.0)
         rho, _ = density_matrix_from_spec(spec, gram)
         tables.append(simulate_counts(rho, shots=shots, seed=int(rng.integers(2**31))))
     return tables

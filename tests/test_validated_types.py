@@ -14,7 +14,11 @@ check refuses, with the same message.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -23,26 +27,30 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_banded_spec, random_gram
+import identangle
 from identangle import (
     UNUSED,
     CountRow,
     CountsTable,
-    DelayModel,
     DensityMatrix,
     GramMatrix,
+    IdentangleError,
     TargetState,
+    TransformSpec,
     ValidationError,
     classify,
     custom_spec,
     density_matrices_from_spec,
     density_matrix_from_spec,
     fidelity_mixed,
+    ghz_preset,
     ghz_state,
+    gram_from_delays,
     gram_from_labels,
     permanent,
     simulate_counts,
 )
-from identangle import density
+from identangle import density, reduction
 
 
 @pytest.mark.parametrize("matrix,message", [
@@ -61,14 +69,14 @@ def test_unit_vectors_refuse_a_wrong_norm():
     with pytest.raises(ValidationError, match="state vector norm is 1.41421356237"):
         DensityMatrix.from_pure([1.0, 1.0])
     with pytest.raises(ValidationError, match="target state norm is 2, expected 1"):
-        TargetState("x", [2.0, 0.0])
+        TargetState([2.0, 0.0])
 
 
 @pytest.mark.parametrize("make,message", [
     (lambda: DensityMatrix([[1e308, 1e308], [-1e308, 0.0]]), "not Hermitian"),
     (lambda: DensityMatrix(np.diag([1e308, 1e308])), "trace differs from 1 by inf"),
     (lambda: DensityMatrix.from_pure([1e200, 1e200]), "state vector norm is inf"),
-    (lambda: TargetState("x", [1e200, 0.0]), "target state norm is inf"),
+    (lambda: TargetState([1e200, 0.0]), "target state norm is inf"),
 ], ids=["hermitian-defect", "trace", "from-pure-norm", "target-norm"])
 def test_checks_that_overflow_refuse_without_warning(make, message):
     with pytest.raises(ValidationError, match=message):
@@ -79,7 +87,7 @@ def test_checks_that_overflow_refuse_without_warning(make, message):
     (lambda: GramMatrix([[1, 2], [3]]), "Gram matrix"),
     (lambda: DensityMatrix([[10**400]]), "density matrix"),
     (lambda: DensityMatrix.from_pure([1, "up"]), "state vector"),
-    (lambda: TargetState("x", ["a"]), "target state"),
+    (lambda: TargetState(["a"]), "target state"),
 ], ids=["ragged-gram", "huge-int-density", "text-pure", "text-target"])
 def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
     with pytest.raises(ValidationError, match=f"^{name} is not an array of complex numbers"):
@@ -87,9 +95,9 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda: DelayModel(1.0, ("a",)), "^delay model needs real numbers"),
-    (lambda: DelayModel("x", (0,)), "^delay model needs real numbers"),
-    (lambda: DelayModel(1.0, (10**400,)), "^delay model needs real numbers"),
+    (lambda: gram_from_delays(("a",), 1.0), "^delay model needs real numbers"),
+    (lambda: gram_from_delays((0,), "x"), "^delay model needs real numbers"),
+    (lambda: gram_from_delays((10**400,), 1.0), "^delay model needs real numbers"),
     (lambda: GramMatrix.uniform(3, 10**400), "^Gram matrix overlap is not an array of complex"),
     (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots=2**63),
      r"^shots must be an integer in \[1, 2\*\*53\]"),
@@ -178,6 +186,75 @@ def with_entry(m: np.ndarray, i: int, j: int, value) -> np.ndarray:
     out = m.copy()
     out[i, j] = value
     return out
+
+
+def complex_copy(m) -> np.ndarray:
+    return np.array(m, dtype=complex)
+
+
+def ghz_arrays(**changes):
+    """Amplitude and spin arrays of the balanced GHZ routing, with entries set
+    by ``changes``: name -> ((i, j), value) of the array it names."""
+    spec = ghz_preset()
+    t, s = spec.amplitudes.copy(), spec.spins.copy()
+    for name, (at, value) in changes.items():
+        {"t": t, "s": s}[name][at] = value
+    return t, s
+
+
+@pytest.mark.parametrize("cls,arrays", [
+    (DensityMatrix, (complex_copy(np.eye(4) / 4),)),
+    (DensityMatrix, (complex_copy([[0.5, 0.25j], [-0.25j, 0.5]]),)),
+    (DensityMatrix, (complex_copy(two_row_state()),)),
+    (DensityMatrix, (complex_copy(np.eye(3) / 3),)),
+    (DensityMatrix, (complex_copy([[0.5, 0.1], [0.2, 0.5]]),)),
+    (DensityMatrix, (complex_copy([[1.5, 0.0], [0.0, -0.5]]),)),
+    (DensityMatrix, (complex_copy(np.eye(2)),)),
+    (DensityMatrix, (complex_copy(np.diag([1e308, 1e308])),)),
+    (DensityMatrix, (complex_copy(with_entry(two_row_state(), 90, 7, np.nan)),)),
+    (GramMatrix, (complex_copy([[1.0, 0.5], [0.5, 1.0]]),)),
+    (GramMatrix, (reduction._delay_overlaps(np.array([[0.0, 0.3, 1.0]]), 0.5)[0],)),
+    (GramMatrix, (complex_copy([[1.0, 0.5 + 0.25j], [0.5 - (0.25 + 1e-13) * 1j, 1.0]]),)),
+    (GramMatrix, (complex_copy(np.eye(3)),)),
+    (GramMatrix, (complex_copy([[2.0, 0.0], [0.0, 2.0]]),)),
+    (GramMatrix, (complex_copy([[1.0, 0.5], [0.4, 1.0]]),)),
+    (GramMatrix, (complex_copy([[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]]),)),
+    (GramMatrix, (complex_copy([[complex(1e308, 1e308), 0.0], [0.0, 1.0]]),)),
+    (TransformSpec, ghz_arrays()),
+    (TransformSpec, ghz_arrays(t=((0, 0), 0.5))),
+    (TransformSpec, ghz_arrays(s=((0, 2), 1))),
+    (TransformSpec, ghz_arrays(t=((1, 0), 1e200))),
+    (TransformSpec, (np.ones((2, 3)) / math.sqrt(3), np.zeros((2, 3), dtype=int))),
+], ids=["density", "density-complex", "density-block", "density-dimension", "density-hermitian",
+        "density-psd", "density-trace", "density-trace-overflow", "density-nan-in-empty-row",
+        "gram", "gram-delays", "gram-hermitian-within-tol", "gram-identity", "gram-diagonal", "gram-hermitian",
+        "gram-psd", "gram-overflow", "routing", "routing-row-norm", "routing-unused-spin",
+        "routing-norm-overflow", "routing-not-square"])
+def test_a_constructor_is_the_stack_of_one(cls, arrays):
+    """``cls(*arrays)`` and ``cls._stack`` of the stacks of one agree: on the
+    arrays held, which are read-only, or on the error's class and message."""
+    try:
+        alone = cls(*arrays)
+    except IdentangleError as exc:
+        raised = pytest.raises(type(exc), cls._stack, *(a[None] for a in arrays)).value
+        assert (type(raised), str(raised)) == (type(exc), str(exc))
+        return
+    (stacked,) = cls._stack(*(a[None] for a in arrays))
+    for field in dataclasses.fields(cls):
+        held, held_alone = getattr(stacked, field.name), getattr(alone, field.name)
+        assert (held.dtype, held.shape) == (held_alone.dtype, held_alone.shape)
+        assert held.tobytes() == held_alone.tobytes()
+        assert not held.flags.writeable and not held_alone.flags.writeable
+
+
+def test_every_exported_name_resolves():
+    modules = [identangle, *(importlib.import_module(f"identangle.{info.name}")
+                             for info in pkgutil.iter_modules(identangle.__path__))]
+    exported = {module.__name__: module.__all__ for module in modules if hasattr(module, "__all__")}
+    assert {"identangle", "identangle.density", "identangle.reduction"} <= exported.keys()
+    unresolved = [f"{name}.{attr}" for name, attrs in exported.items() for attr in attrs
+                  if not hasattr(sys.modules[name], attr)]
+    assert unresolved == []
 
 
 @pytest.mark.parametrize("matrix,message", [
@@ -281,7 +358,7 @@ def float_arrays(draw):
 @given(a=float_arrays())
 def test_validated_types_return_or_refuse_any_finite_floats(a):
     for make in (DensityMatrix, GramMatrix, DensityMatrix.from_pure,
-                 lambda v: TargetState("x", v)):
+                 TargetState):
         try:
             make(a)
         except ValidationError:
