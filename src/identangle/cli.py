@@ -6,11 +6,14 @@ results. Reports are JSON (or flat CSV with ``--format csv``), density
 matrices go to text files with the real and imaginary parts stacked as two
 blocks, and all angles are reported in units of pi.
 
-Each command runs in three stages: parse and validate all of its input,
-compute, then write, so a command refused before its write stage (exit 2 or
-3) writes no file. The write stage writes every output under a temporary
-name in the output directory and renames them into place only once all are
-written, so a failed write (exit 2) leaves no output file either.
+Each command runs in three stages: parse, compute, then write. Parsing
+validates all of the input, the witness report's three particles included,
+before the first solve, so a config fault is reported once and only a
+failing scan point carries ``--param NAME = VALUE``. A command refused
+before its write stage (exit 2 or 3) writes no file. The write stage writes
+every output under a temporary name in the output directory and renames
+them into place only once all are written, so a failed write (exit 2)
+leaves no output file either.
 
 Exit codes: 0 on success, 2 for validation and configuration errors
 (including an output directory that cannot be written), 3 when the
@@ -131,8 +134,9 @@ def _parse_matrix(value, path: str, field: str, parse_entry) -> list[list]:
     return rows
 
 
-def _parse_integer(value, path: str, field: str, minimum: int, maximum: int | None = None):
-    """A JSON integer (or integral float) in range; booleans are refused."""
+def _parse_integer(value, path: str, field: str, minimum: int, maximum: int | None = None) -> int:
+    """A JSON integer, or an integral float read as one, in range; booleans
+    are refused."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if (
         integral
@@ -140,7 +144,7 @@ def _parse_integer(value, path: str, field: str, minimum: int, maximum: int | No
         and minimum <= value
         and (maximum is None or value <= maximum)
     ):
-        return value
+        return int(value)
     bound = f"at least {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
     raise ConfigError(path, field, f"expected an integer {bound}, got {value!r}")
 
@@ -184,8 +188,10 @@ def build_spec(config: dict, path: str) -> TransformSpec:
             )
             return ghz_preset(params)
         if preset == "w":
-            section = config.get("w") or {"variant": "balanced"}
-            if not isinstance(section, dict):
+            section = config.get("w")
+            if section is None:
+                section = {"variant": "balanced"}
+            elif not isinstance(section, dict):
                 raise ConfigError(path, "w", "expected an object")
             if "rows" in section:
                 return w_preset(_parse_matrix(section["rows"], path, "w.rows", _parse_complex))
@@ -358,8 +364,7 @@ def _require_three_particles(count: int, where: str) -> None:
         raise ValidationError(f"{where}: the witness report needs three particles, got {count}")
 
 
-def _classification_fields(rho: DensityMatrix, where: str) -> dict:
-    _require_three_particles(rho.num_qubits, where)
+def _classification_fields(rho: DensityMatrix) -> dict:
     report = classify(rho)
     return {
         "fidelity_ghz": report.fidelity_ghz,
@@ -387,17 +392,17 @@ def cmd_run(args) -> int:
         shots = _parse_integer(
             tomography.get("shots", 1000), path, "tomography.shots", 1, _MAX_SHOTS
         )
-        seed = args.seed
-        if seed is None:
-            seed = _parse_integer(tomography.get("seed", 0), path, "tomography.seed", 0)
+        seed = _parse_integer(tomography.get("seed", 0), path, "tomography.seed", 0)
+        if args.seed is not None:
+            seed = args.seed
     # The label is echoed into the report, where NaN or Infinity is not JSON.
     label = config.get("label")
     try:
         json.dumps(label, allow_nan=False)
     except ValueError:
         raise ConfigError(path, "label", f"must hold finite numbers only, got {label!r}") from None
+    _require_three_particles(spec.num_particles, f"{path}: {config['preset']}")
 
-    # The solve comes first: a config whose postselection is impossible exits 3.
     rho, p_success = density_matrix_from_spec(spec, gram)
     report = {
         "tool": TOOL_NAME,
@@ -405,7 +410,7 @@ def cmd_run(args) -> int:
         "config_hash": config_hash(config),
         "label": label,
         "p_success": p_success,
-        **_classification_fields(rho, f"{path}: {config['preset']}"),
+        **_classification_fields(rho),
     }
     table = None
     if tomography is not None:
@@ -425,19 +430,21 @@ def cmd_run(args) -> int:
 def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
-    Each parameter kind has one ``solve(values)``, which builds each point
-    from the loaded config and its value, never changing the config, and
+    The config is parsed and checked as ``run`` checks it before any point
+    is solved, so a fault there is reported once, without a point. Each
+    parameter kind then has one ``solve(values)``, which writes the scanned
+    values into stacks built from the parsed routing, Gram matrix or delay
+    list, never reading the config's own entry at the scanned place, and
     gives the solution of each value in order from one
     :func:`density_matrices_from_spec` call. A ``g`` or ``L1``-``L3`` scan
-    keeps the routing fixed, so it builds and validates its Gram matrices as
-    one stack and the batch enumerates the outcomes once. An amplitude scan
-    keeps the Gram matrix, parses the ``ghz`` section once and validates its
-    routings, which differ in the scanned pair only, as one stack; the batch
-    traces them in runs of points with the same outcomes. The scan runs
-    ``solve`` on all its values; if that fails, the points it has not
-    classified are solved again with ``solve([value])``, one by one, so the
-    first point that fails, in scan order, ends the scan with its own error
-    prefixed by ``--param NAME = VALUE``; no file is written then.
+    keeps the routing fixed, so it validates its Gram matrices as one stack
+    and the batch enumerates the outcomes once. An amplitude scan keeps the
+    Gram matrix and validates its routings, which differ in the scanned pair
+    only, as one stack; the batch traces them in runs of points with the
+    same outcomes. If the batch fails, every point is solved again with
+    ``solve([value])``, one by one, so the first point that fails, in scan
+    order, ends the scan with its own error prefixed by
+    ``--param NAME = VALUE``; no file is written then.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)
@@ -447,8 +454,6 @@ def cmd_scan(args) -> int:
             f"parameter {parameter!r} is not scannable; use g, L1/L2/L3 or one of "
             f"{sorted(_GHZ_FIELDS)}"
         )
-    # Preconditions that do not depend on the scanned value are checked once;
-    # each point is built from the config and its value, never written into it.
     if parameter in _GHZ_FIELDS:
         if config.get("preset") != "ghz":
             raise ValidationError(f"amplitude parameter {parameter!r} needs the ghz preset")
@@ -457,19 +462,20 @@ def cmd_scan(args) -> int:
             raise ValidationError(f"amplitude {parameter} must lie in [0, 1], got {outside[0]}")
         index = _GHZ_FIELDS.index(parameter)
         partner = _GHZ_FIELDS[index ^ 1]
+        # The scanned pair is parsed as (1, 0); each point writes its own.
         ghz = {**_ghz_section(config, path), parameter: 1.0, partner: 0.0}
+        spec = build_spec(dict(config, ghz=ghz), path)
+        gram = build_gram(config, path, spec.num_particles)
         # Field k sits in row k // 2, at the detector its name ends in (from 1).
         at = (slice(None), index // 2, [int(parameter[-1]) - 1, int(partner[-1]) - 1])
 
         def solve(values):
-            # Parsed and checked once: the points differ in the scanned pair only.
-            routing = build_spec(dict(config, ghz=ghz), path)
-            stack = np.repeat(routing.amplitudes[None], len(values), axis=0)
+            stack = np.repeat(spec.amplitudes[None], len(values), axis=0)
             stack[at] = np.array([values, np.sqrt(1.0 - np.square(values))], dtype=float).T
-            grams = [build_gram(config, path, routing.num_particles)]
             specs = TransformSpec._stack(stack, _ghz_spins(stack))
-            return density_matrices_from_spec(specs, grams)
+            return density_matrices_from_spec(specs, [gram])
     else:
+        parsed = config
         if parameter != "g":
             section = config.get("distinguishability")
             delays = section.get("delays") if isinstance(section, dict) else None
@@ -486,48 +492,43 @@ def cmd_scan(args) -> int:
                     "distinguishability.delays",
                     f"{parameter} is out of range for {len(delays)} delays",
                 )
+            # The section is parsed with the first value as the scanned delay;
+            # each point moves only that delay.
+            first = [*delays[:index], float(values[0]), *delays[index + 1:]]
+            parsed = {"distinguishability": dict(section, delays=first)}
         spec = build_spec(config, path)
-        n = spec.num_particles
-        if parameter == "g":
-            build_gram(config, path, n)  # checked as run checks it; each point replaces it
+        # Checked as run checks it, though each point replaces it or one delay.
+        build_gram(parsed, path, spec.num_particles)
 
         def solve(values):
             if parameter == "g":
-                grams = GramMatrix._stack(_uniform_overlaps(n, values))
+                overlaps = _uniform_overlaps(spec.num_particles, values)
             else:
-                # build_gram checks the section at the first point; the
-                # stack then moves only the scanned delay.
-                first = [*delays[:index], float(values[0]), *delays[index + 1:]]
-                build_gram({"distinguishability": dict(section, delays=first)}, path, n)
                 table = np.tile(np.array(first, dtype=float), (len(values), 1))
                 table[:, index] = values
-                grams = GramMatrix._stack(
-                    _delay_overlaps(table, float(section["coherence_length"]))
-                )
-            return density_matrices_from_spec(spec, grams)
+                overlaps = _delay_overlaps(table, float(section["coherence_length"]))
+            return density_matrices_from_spec(spec, GramMatrix._stack(overlaps))
+    _require_three_particles(spec.num_particles, f"{path}: {config['preset']}")
 
-    def scan_row(value, rho, p_success):
-        row = {parameter: value, "p_success": p_success}
-        row.update(_classification_fields(rho, f"{path}: {config['preset']}"))
-        return row
-
-    rows = []
     try:
-        # Whatever this fails on is found again, and reported, below.
-        with contextlib.suppress(ValidationError, PostselectionImpossibleError):
-            for value, solution in zip(map(float, values), solve(values)):
-                rows.append(scan_row(value, *solution))
+        solutions = list(solve(values))
     except MemoryError:  # a scan too large for this host's memory
         message = f"--steps {args.steps} asks for more points than fit in memory"
         raise ValidationError(message) from None
-    for value in map(float, values[len(rows):]):
-        try:
-            (solution,) = solve([value])
-            rows.append(scan_row(value, *solution))
-        except PostselectionImpossibleError as exc:
-            raise PostselectionImpossibleError(f"--param {parameter} = {value!r}: {exc}") from None
-        except ValidationError as exc:
-            raise ValidationError(f"--param {parameter} = {value!r}: {exc}") from None
+    except (ValidationError, PostselectionImpossibleError):
+        solutions = []
+        for value in map(float, values):
+            where = f"--param {parameter} = {value!r}"
+            try:
+                solutions += solve([value])
+            except PostselectionImpossibleError as exc:
+                raise PostselectionImpossibleError(f"{where}: {exc}") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+    rows = [
+        {parameter: value, "p_success": p_success, **_classification_fields(rho)}
+        for value, (rho, p_success) in zip(map(float, values), solutions)
+    ]
 
     if args.format == "json":
         payload = {
@@ -570,7 +571,7 @@ def cmd_reconstruct(args) -> int:
         "counts_file": str(args.counts),
         "shots_per_setting": table.shots_per_setting,
         "num_settings": len(table.settings),
-        **_classification_fields(estimate, args.counts),
+        **_classification_fields(estimate),
     }
 
     _write_results(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from identangle import DensityMatrix, GramMatrix, TransformSpec, custom_spec
@@ -49,6 +51,19 @@ def random_density(rng: np.random.Generator, dim: int = 8) -> DensityMatrix:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Particles 0 and 1 meet on a 50:50 splitter with equal spins; particle 2
+# goes straight to detector 2. The coincidence vanishes at g = 1 (HOM).
+HOM_PLUS_ONE = {
+    "preset": "custom",
+    "custom": {
+        "amplitudes": [[INV_SQRT2, INV_SQRT2, 0], [INV_SQRT2, -INV_SQRT2, 0], [0, 0, 1]],
+        "spins": [["down", "down", None], ["down", "down", None], [None, None, "up"]],
+    },
+    "distinguishability": {"gram": np.eye(3).tolist()},
+}
 
 
 # Counts files with one row-level fault each: id -> (text, line of the faulty

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ROW_FAULT_FILES
+from conftest import HOM_PLUS_ONE, ROW_FAULT_FILES
 from identangle import (
     DensityMatrix,
     GramMatrix,
@@ -43,6 +43,11 @@ DELAY_CONFIG = {
     "preset": "ghz",
     "distinguishability": {"delays": [0.0, 0.0, 0.0], "coherence_length": 1.0},
 }
+
+
+# The HOM pair and a spectator, all three indistinguishable: the coincidence
+# vanishes, so nothing survives postselection.
+VANISHING_HOM = dict(HOM_PLUS_ONE, distinguishability={"gram": np.ones((3, 3)).tolist()})
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -106,6 +111,16 @@ def test_run_w_dft_variant(tmp_path):
     assert report["phi2_pi"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_a_null_w_section_is_the_balanced_tritter(tmp_path):
+    matrices = []
+    for name, section in (("absent", {}), ("null", {"w": None})):
+        data = dict(GHZ_CONFIG, preset="w", **section)
+        out = tmp_path / name
+        assert main(["run", "--config", write_config(tmp_path, data), "--out-dir", str(out)]) == 0
+        matrices.append((out / "density_matrix.txt").read_bytes())
+    assert matrices[0] == matrices[1]
+
+
 def test_config_hash_ignores_formatting_but_not_values(tmp_path):
     compact = tmp_path / "a.json"
     compact.write_text(json.dumps(GHZ_CONFIG, separators=(",", ":")), encoding="utf-8")
@@ -159,6 +174,27 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     ) == 0
     assert read_report(out_seeded)["tomography"]["seed"] == 9
     assert (out_default / "counts.txt").read_bytes() != (out_seeded / "counts.txt").read_bytes()
+
+
+def test_seed_flag_does_not_excuse_a_malformed_config_seed(tmp_path, capsys):
+    config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={"shots": 10, "seed": "abc"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out-dir", str(out), "--seed", "3"]) == 2
+    assert "tomography.seed: expected an integer at least 0, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_shots_and_seed_are_reported_as_integers(tmp_path):
+    outputs = []
+    for number in (int, float):
+        tomography = {"shots": number(300), "seed": number(3)}
+        config = write_config(tmp_path, dict(GHZ_CONFIG, tomography=tomography))
+        out = tmp_path / number.__name__
+        assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
+        report = read_report(out)
+        del report["config_hash"]
+        outputs.append((json.dumps(report, sort_keys=True), (out / "counts.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_negative_seed_flag_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
@@ -311,15 +347,7 @@ def test_run_rejects_non_object_config(tmp_path, capsys):
 
 
 def test_run_total_destructive_interference_exits_3(tmp_path, capsys):
-    hom = {
-        "preset": "custom",
-        "custom": {
-            "amplitudes": [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]],
-            "spins": [["down", "down"], ["down", "down"]],
-        },
-        "distinguishability": {"gram": [[1, 1], [1, 1]]},
-    }
-    config = write_config(tmp_path, hom)
+    config = write_config(tmp_path, VANISHING_HOM)
     rc = main(["run", "--config", config, "--out-dir", str(tmp_path / "out")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -554,16 +582,21 @@ def test_scan_outputs_are_byte_identical_across_runs(tmp_path, param, fmt):
     assert outputs[0] == outputs[1]
 
 
-TWO_PARTICLE_HOM = {
-    "preset": "custom",
-    "custom": {
-        "amplitudes": [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]],
-        "spins": [["down", "down"], ["down", "down"]],
-    },
-    "distinguishability": {"gram": [[1, 1], [1, 1]]},
-}
 SCAN_G = ["scan", "--param", "g", "--start", "0", "--stop", "1", "--steps", "2"]
 SCAN_ALPHA1 = ["scan", "--param", "alpha1", "--start", "0", "--stop", "1", "--steps", "2"]
+SCAN_L1 = ["scan", "--param", "L1", "--start", "0", "--stop", "1", "--steps", "2"]
+
+
+def refusals(tmp_path, capsys, data, *commands):
+    """The config's path and each command's stderr; each exits 2 and writes nothing."""
+    config = write_config(tmp_path, data)
+    errors = []
+    for command in commands:
+        out = tmp_path / "out"
+        assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    return config, errors
 
 
 @pytest.mark.parametrize("command,data,rc,text", [
@@ -577,7 +610,7 @@ SCAN_ALPHA1 = ["scan", "--param", "alpha1", "--start", "0", "--stop", "1", "--st
                  id="run-two-particles"),
     pytest.param(SCAN_G, CUSTOM_CONFIG, 2, ": custom: the witness report needs three",
                  id="scan-two-particles"),
-    pytest.param(["run"], TWO_PARTICLE_HOM, 3, "numerical failure", id="run-hom"),
+    pytest.param(["run"], VANISHING_HOM, 3, "numerical failure", id="run-hom"),
     pytest.param(["run"], dict(GHZ_CONFIG, ghz=5), 2, "ghz: expected an object",
                  id="run-ghz-not-an-object"),
     pytest.param(["run"], dict(GHZ_CONFIG, ghz={"alpha1": INV_SQRT2}), 2,
@@ -585,6 +618,10 @@ SCAN_ALPHA1 = ["scan", "--param", "alpha1", "--start", "0", "--stop", "1", "--st
                  id="run-ghz-missing-amplitudes"),
     pytest.param(["run"], dict(GHZ_CONFIG, preset="w", w=5), 2, "w: expected an object",
                  id="run-w-not-an-object"),
+    # Only a missing or null section is the balanced tritter.
+    *(pytest.param(["run"], dict(GHZ_CONFIG, preset="w", w=w), 2, "w: expected an object",
+                   id=f"run-w-{name}")
+      for name, w in (("zero", 0), ("false", False), ("empty-string", ""), ("empty-list", []))),
     pytest.param(["run"], dict(GHZ_CONFIG, preset="custom", custom=5), 2,
                  "custom: expected an object with amplitudes and spins",
                  id="run-custom-not-an-object"),
@@ -627,17 +664,29 @@ def test_failed_command_writes_no_file(tmp_path, capsys, command, data, rc, text
         "no-coherence-length", "zero-coherence-length", "gram-for-two"])
 def test_a_g_scan_refuses_the_distinguishability_section_as_run_does(tmp_path, capsys, section):
     # A g scan replaces the section's Gram matrix at every point, but a config
-    # whose section run refuses is not a valid config to scan either.
+    # whose section run refuses is not a valid config to scan either. An
+    # amplitude scan refuses it once too, not at its first point.
     data = {"preset": "ghz"} if section is None else {"preset": "ghz", "distinguishability": section}
-    config = write_config(tmp_path, data)
-    errors = []
-    for command in (["run"], SCAN_G):
-        out = tmp_path / command[0]
-        assert main(command + ["--config", config, "--out-dir", str(out)]) == 2
-        errors.append(capsys.readouterr().err)
-        assert not out.exists()
-    assert errors[0] == errors[1]
+    config, errors = refusals(tmp_path, capsys, data, ["run"], SCAN_G, SCAN_ALPHA1)
+    assert errors == [errors[0]] * 3
     assert errors[0].startswith(f"identangle: invalid input: {config}: distinguishability")
+
+
+UNREADABLE_LENGTH = dict(
+    DELAY_CONFIG, distinguishability=dict(DELAY_CONFIG["distinguishability"], coherence_length="x")
+)
+
+
+@pytest.mark.parametrize("data,scan", [
+    (UNREADABLE_LENGTH, SCAN_L1),
+    (UNREADABLE_LENGTH, SCAN_ALPHA1),
+    (dict(AMPLITUDE_CONFIG, ghz=dict(AMPLITUDE_CONFIG["ghz"], beta2="bad")), SCAN_ALPHA1),
+], ids=["L1-coherence-length", "alpha1-coherence-length", "alpha1-ghz-beta2"])
+def test_a_scan_reports_a_config_fault_as_run_does(tmp_path, capsys, data, scan):
+    # The fault is the config's, so no scan point is named.
+    _, errors = refusals(tmp_path, capsys, data, ["run"], scan)
+    assert errors[0] == errors[1]
+    assert "--param" not in errors[1]
 
 
 RECTANGULAR_CUSTOM = {
@@ -661,6 +710,20 @@ def test_a_rectangular_custom_routing_is_refused_at_its_field(tmp_path, capsys, 
         "many detectors as particles, got 2 particles over 3 detectors\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], SCAN_G], ids=["run", "scan-g"])
+def test_a_routing_without_three_particles_is_refused_before_any_solve(
+    tmp_path, capsys, monkeypatch, command
+):
+    def never(*args):
+        raise AssertionError("solved a routing the witness report cannot take")
+
+    monkeypatch.setattr(cli, "density_matrix_from_spec", never)
+    monkeypatch.setattr(cli, "density_matrices_from_spec", never)
+    _, (error,) = refusals(tmp_path, capsys, CUSTOM_CONFIG, command)
+    assert ": custom: the witness report needs three particles, got 2" in error
+    assert "--param" not in error
 
 
 def test_read_density_matrix_refuses_a_file_that_is_not_two_stacked_blocks(tmp_path):
@@ -868,7 +931,7 @@ def test_reconstruct_reports_a_row_fault_at_its_own_line(tmp_path, capsys, fault
 @pytest.mark.parametrize("data,start,stop,rc,text", [
     (GHZ_CONFIG, "0", "1.5", 2,
      "invalid input: --param g = 1.5: Gram matrix is not positive semidefinite"),
-    (TWO_PARTICLE_HOM, "1", "1", 3, "numerical failure: --param g = 1.0: "),
+    (VANISHING_HOM, "1", "1", 3, "numerical failure: --param g = 1.0: "),
 ])
 def test_a_failing_scan_point_names_the_parameter_and_its_value(
     tmp_path, capsys, data, start, stop, rc, text

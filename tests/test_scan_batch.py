@@ -7,6 +7,7 @@ time, and meets its errors in scan order."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -22,7 +23,13 @@ import numpy as np
 import pytest
 
 import identangle
-from conftest import random_banded_spec, random_gram, random_row_normalized
+from conftest import (
+    HOM_PLUS_ONE,
+    INV_SQRT2,
+    random_banded_spec,
+    random_gram,
+    random_row_normalized,
+)
 from identangle import (
     DensityMatrix,
     GHZParams,
@@ -52,17 +59,6 @@ PRESETS = {
 }
 DELAYS = [0.0, 0.35, 0.8]
 DROP = object()  # marks a config entry to leave out
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Particles 0 and 1 meet on a 50:50 splitter with equal spins; particle 2
-# goes straight to detector 2. The coincidence vanishes at g = 1 (HOM).
-HOM_PLUS_ONE = {
-    "preset": "custom",
-    "custom": {
-        "amplitudes": [[INV_SQRT2, INV_SQRT2, 0], [INV_SQRT2, -INV_SQRT2, 0], [0, 0, 1]],
-        "spins": [["down", "down", None], ["down", "down", None], [None, None, "up"]],
-    },
-    "distinguishability": {"gram": np.eye(3).tolist()},
-}
 TWO_PARTICLES = {
     "preset": "custom",
     "custom": {"amplitudes": [[0.6, 0.8], [0.8, -0.6]], "spins": [["down", "up"], ["up", "down"]]},
@@ -402,10 +398,11 @@ def test_scan_rows_equal_per_point_library_calls(tmp_path, preset, param):
     (dict(HOM_PLUS_ONE, distinguishability={"delays": [0, 1, 0.5], "coherence_length": 1}),
      "L2", "1", "-1", "5", 3,
      ["numerical failure: --param L2 = 0.0: the all-detectors coincidence has probability"]),
-    # Point 0 fails its witness report before point 2's Gram matrix (g = 1.5
-    # is not positive semidefinite for two particles) is reached.
+    # Two particles are a config fault, refused once before any point is
+    # solved, point 2's Gram matrix (g = 1.5 is not positive semidefinite for
+    # two particles) included.
     (TWO_PARTICLES, "g", "0", "1.5", "3", 2,
-     ["invalid input: --param g = 0.0: ", ": custom: the witness report needs three particles"]),
+     ["invalid input: ", "config.json: custom: the witness report needs three particles"]),
     # With gamma1 = 0, alpha1 = 0 sends particles 0 and 2 to detectors 1 and
     # 2, leaving detector 0 dark: the last point has no coincidence at all.
     ({"preset": "ghz", "ghz": dict(dict.fromkeys(cli._GHZ_FIELDS, INV_SQRT2), gamma1=0, gamma3=1),
@@ -426,7 +423,8 @@ def test_a_scan_reports_its_first_failing_point(
     assert cli.main(argv) == rc
     err = capsys.readouterr().err
     assert all(text in err for text in texts)
-    assert err.count("--param") == 1
+    # A failing point names itself once; a config fault names no point.
+    assert err.count("--param") == sum("--param" in text for text in texts)
     assert not out.exists()
 
 
@@ -448,11 +446,20 @@ def test_a_scan_whose_batch_fails_is_solved_point_by_point(
         return (out / "scan.json").read_bytes()
 
     expected = scan(tmp_path / "batched")
+    fail_batches(monkeypatch, fail_after)
+    assert scan(tmp_path / "point-by-point") == expected
+
+
+def fail_batches(monkeypatch, fail_after):
+    """Make every batch of more than one point fail after ``fail_after`` of
+    them; returns the list of each call's point count."""
     batched = cli.density_matrices_from_spec
+    sizes = []
 
     def failing(spec, grams):
         # The retry solves one point per call, with the same function.
         solved = batched(spec, grams)
+        sizes.append(len(solved))
         if len(solved) == 1:
             yield from solved
             return
@@ -460,7 +467,26 @@ def test_a_scan_whose_batch_fails_is_solved_point_by_point(
         raise ValidationError("the batch failed")
 
     monkeypatch.setattr(cli, "density_matrices_from_spec", failing)
-    assert scan(tmp_path / "point-by-point") == expected
+    return sizes
+
+
+@pytest.mark.parametrize("retry", [False, True], ids=["batch", "retry"])
+@pytest.mark.parametrize("param", ["g", "L2", "alpha1"])
+def test_a_scan_parses_its_config_once(tmp_path, monkeypatch, param, retry):
+    calls = collections.Counter()
+    for name in ("build_spec", "build_gram"):
+        def counted(*args, name=name, build=getattr(cli, name)):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    sizes = fail_batches(monkeypatch, 3) if retry else []
+    config = dict(PRESETS["ghz"][0], distinguishability={"delays": DELAYS, "coherence_length": 1.0})
+    assert cli.main(["scan", "--config", write_config(tmp_path, config), "--param", param,
+                     "--start", "0", "--stop", "1", "--steps", "7",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == {"build_spec": 1, "build_gram": 1}
+    assert sizes == ([7] + [1] * 7 if retry else [])
 
 
 @pytest.mark.parametrize("param,builder", [
@@ -486,14 +512,16 @@ def test_a_scan_too_large_for_its_gram_stack_is_refused(
     assert not out.exists()
 
 
-def test_a_delay_scan_reports_its_config_errors_at_the_first_point(tmp_path, capsys):
+def test_a_delay_scan_reports_its_config_errors_once(tmp_path, capsys):
     data = {"preset": "ghz", "distinguishability": {"delays": [0.0, 0.1], "coherence_length": 1}}
     out = tmp_path / "out"
     argv = ["scan", "--config", write_config(tmp_path, data), "--param", "L1", "--start", "0",
             "--stop", "1", "--steps", "3", "--out-dir", str(out)]
     assert cli.main(argv) == 2
-    assert ("--param L1 = 0.0: " f"{tmp_path / 'config.json'}: distinguishability: "
-            "Gram matrix is for 2 particles, preset has 3") in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"identangle: invalid input: {tmp_path / 'config.json'}: distinguishability: "
+        "Gram matrix is for 2 particles, preset has 3\n"
+    )
     assert not out.exists()
 
 
