@@ -49,7 +49,7 @@ _MLE_BACKTRACK = 0.5  # factor on the step while a candidate fails the increase 
 _MLE_MIN_STEP = 1e-10  # the step is not cut further below this
 _MLE_GROWTH = 1.1  # factor on the step after each accepted step
 _MLE_BUDGET = 150  # likelihood evaluations after which a fit still running takes the Newton stage
-_MLE_RANK_CHECK = 40  # likelihood evaluations after which a low-rank fit takes it
+_MLE_RANK_CHECK = 10  # likelihood evaluations after which a low-rank fit takes it
 _NEWTON_LOW_RANK = 3  # the most factor columns of a low-rank fit
 _MLE_FLOOR = 16 * 2.0**-52  # a gain below this fraction of |L| is the likelihood's rounding
 _NEWTON_MAX_PARAMS = 128  # the Newton stage runs on factors with at most this many real entries
@@ -334,13 +334,13 @@ def reconstruct_linear(table: CountsTable) -> np.ndarray:
     return _inverse_frame(_setting_vectors(table.settings), frequencies, table.num_qubits)
 
 
-def _project_density(matrix: np.ndarray) -> np.ndarray:
-    """The density matrix nearest a Hermitian matrix in Frobenius norm.
+def _project_density(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """The density matrix nearest a Hermitian matrix in Frobenius norm, and its rank.
 
     Keeps the eigenvectors and projects the eigenvalues onto the probability
     simplex: all are lowered by one shift and clipped at zero, the shift
     chosen so that the clipped values sum to 1 (Smolin, Gambetta & Smith,
-    PRL 108, 070502 (2012)).
+    PRL 108, 070502 (2012)). The rank is the number of values above the shift.
     """
     values, basis = np.linalg.eigh(matrix)
     # The shift (S_k - 1) / k of the last rank k whose k-th largest value v_k
@@ -350,9 +350,9 @@ def _project_density(matrix: np.ndarray) -> np.ndarray:
         total += value
         candidate = (total - 1.0) / rank
         if value > candidate:
-            shift = candidate
+            shift, kept = candidate, rank
     projected = (basis * np.maximum(values - shift, 0.0)) @ basis.conj().T
-    return (projected + projected.conj().T) / 2.0
+    return (projected + projected.conj().T) / 2.0, kept
 
 
 def _likelihood(counted: np.ndarray, probs: np.ndarray) -> float:
@@ -415,37 +415,30 @@ def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
       that would lower the likelihood is rejected and the momentum restarts
       from the last accepted state, so accepted states never lower it.
     * Newton stage: a fit on a near-pure state crawls, because the state's
-      small eigenvalues make the likelihood stiff along a few directions, so
-      that every Euclidean step stays short. The accepted state is factored
-      as rho = A A^dagger / |A|^2, A keeping the eigenvectors whose
-      eigenvalues exceed 1e-9 times the largest, scaled by their square
-      roots (Burer & Monteiro, Math. Program. 95, 329 (2003)). Over A the
-      1/lambda stiffness becomes curvature of order one, and Newton's method
-      with Levenberg-Marquardt damping, on the exact gradient and Hessian in
-      the real coordinates of A, maximises the likelihood in a few steps.
-      The accepted state is checked once, at the first iteration with at
-      least ``_MLE_RANK_CHECK`` likelihood evaluations, and the stage runs
-      there if A has at most ``_NEWTON_LOW_RANK`` columns and the last
-      accepted step gained more than ``_MLE_FLOOR`` times |L|: a smaller
-      gain is the rounding of L itself, which no Newton candidate can beat.
-      The stage also runs, whatever the rank, on a fit still running after
-      ``_MLE_BUDGET`` evaluations, a second time if it ran at the check.
-      The result replaces the accepted state only if it raises the
-      likelihood, and the gradient iteration resumes from it with the
-      momentum restarted and t back at ``_MLE_STEP``: a step cut short
-      before the stage would gain less than ``_MLE_TOL`` from its optimum,
-      which lacks the eigenvalues that A has no column for. The stage runs
-      only when A has at most ``_NEWTON_MAX_PARAMS`` real entries, which
-      every 3-qubit factor has; a larger Hessian costs more time and memory
-      than the crawl it saves.
+      small eigenvalues make the likelihood stiff along a few directions.
+      Over a factor A of rho = A A^dagger / |A|^2, which keeps the
+      eigenvectors of eigenvalues above 1e-9 times the largest, scaled by
+      their square roots (Burer & Monteiro, Math. Program. 95, 329 (2003)),
+      that stiffness becomes curvature of order one, and Levenberg-Marquardt
+      steps on the exact gradient and Hessian in the real coordinates of A
+      maximise the likelihood in a few steps. From ``_MLE_RANK_CHECK``
+      likelihood evaluations on, the stage runs on an accepted state whose
+      projection kept at most ``_NEWTON_LOW_RANK`` eigenvalues, a rank other
+      than that of the fit's last stage, if the last accepted step gained
+      more than ``_MLE_FLOOR`` times |L|: a smaller gain is the rounding of
+      L, which no Newton candidate can beat. It also runs once, whatever the
+      rank, on a fit still running after ``_MLE_BUDGET`` evaluations. Its
+      result replaces the accepted state only if it raises the likelihood;
+      the gradient resumes from it with the momentum restarted and t back at
+      ``_MLE_STEP``. It needs at most ``_NEWTON_MAX_PARAMS`` real entries in A.
     * Stop: when an accepted step gains less than ``_MLE_TOL``, when no step
       from the accepted state itself gains, or after ``max_iters``
       iterations, each rejected candidate and each Newton candidate counting
-      as one. ``_MLE_TOL`` is an absolute gain of the whole table's
-      log-likelihood in nats, not a gain per shot, so scaling every count by
-      c scales every gain by c and the fit stops later: the crawling GHZ
-      table of the tests takes 53 likelihood evaluations, and 386 with its
-      counts times 1e100.
+      as one. The Newton stage also stops at its first rejected candidate
+      whose predicted gain is below ``_MLE_FLOOR`` |L|.
+      ``_MLE_TOL`` is an absolute gain of the whole table's log-likelihood
+      in nats, not a gain per shot, so scaling every count by c scales every
+      gain by c and a fit without the stage stops later.
 
     ``max_iters`` must be a non-negative integer (not a bool); 0 returns the
     projected start. Counts so large that the total count, the likelihood or
@@ -490,22 +483,21 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
 
     # The pooled frequencies times the number of settings; the per-setting
     # ones when every total is exactly shots_per_setting (see Start above).
-    rho = _project_density(_inverse_frame(vectors, frequencies * 3**n, n))
+    rho, rank = _project_density(_inverse_frame(vectors, frequencies * 3**n, n))
     current, probs = evaluate(rho)
     sigma, sigma_value, sigma_probs = rho, current, probs
     theta, step = 1.0, _MLE_STEP
-    iterations, checked, staged, gain = 0, False, False, math.inf
+    iterations, budgeted, staged_rank, gain = 0, False, 0, math.inf
     while iterations < max_iters:
-        # The Newton stage: at the rank check on a low-rank fit whose gains
-        # are above the likelihood's rounding, at the budget on any fit.
-        budget = not staged and evaluations >= _MLE_BUDGET
-        if budget or (not checked and evaluations >= _MLE_RANK_CHECK):
-            checked, staged = True, budget
+        # The Newton stage: at a new low rank above the rounding, once at the budget on any fit.
+        budget = not budgeted and evaluations >= _MLE_BUDGET
+        crawls = evaluations >= _MLE_RANK_CHECK and rank <= _NEWTON_LOW_RANK
+        if budget or (crawls and rank != staged_rank and gain > _MLE_FLOOR * abs(current)):
+            budgeted, staged_rank = budgeted or budget, rank
             values, basis = np.linalg.eigh(rho)
             keep = values > 1e-9 * values[-1]
             factor = basis[:, keep] * np.sqrt(values[keep])
-            crawls = factor.shape[1] <= _NEWTON_LOW_RANK and gain > _MLE_FLOOR * abs(current)
-            if (budget or crawls) and 2 * factor.size <= _NEWTON_MAX_PARAMS:
+            if 2 * factor.size <= _NEWTON_MAX_PARAMS:
                 factor, trials = _low_rank_newton(
                     factor, vectors, counts, mask, current, max_iters - iterations
                 )
@@ -521,7 +513,7 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
         iterations += 1
         r_op = gradient(sigma_probs)
         while True:
-            candidate = _project_density(sigma + step * r_op)
+            candidate, candidate_rank = _project_density(sigma + step * r_op)
             value, candidate_probs = evaluate(candidate)
             delta = candidate - sigma
             increase = np.vdot(r_op, delta).real - np.vdot(delta, delta).real / (2.0 * step)
@@ -533,7 +525,7 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
                 break
             sigma, sigma_value, sigma_probs, theta = rho, current, probs, 1.0
             continue
-        gain = value - current
+        gain, rank = value - current, candidate_rank
         next_theta = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         sigma = candidate + ((theta - 1.0) / next_theta) * (candidate - rho)
         rho, current, probs, theta = candidate, value, candidate_probs, next_theta
@@ -548,79 +540,87 @@ def _low_rank_newton(
     factor: np.ndarray, vectors: np.ndarray, counts: np.ndarray, mask: np.ndarray,
     value: float, trials: int,
 ) -> tuple[np.ndarray, int]:
-    """The Newton stage of :func:`reconstruct_mle` from the d x r ``factor``
-    A of rho = A A^dagger / |A|^2 (Burer & Monteiro, Math. Program. 95, 329
-    (2003)), whose likelihood is ``value``.
+    """The Newton stage of :func:`reconstruct_mle` from the d x r ``factor`` A
+    of rho = A A^dagger / |A|^2 (Burer & Monteiro), whose likelihood is ``value``.
 
-    Newton's method with Levenberg-Marquardt damping on the per-shot
-    likelihood F(x) = sum_k f_k log q_k - log |x|^2 in the real coordinates
-    x = (Re A, Im A), q_k = |A^dagger v_k|^2 over the counted outcomes. A
-    candidate solves (C + mu I) dx = grad F, C being -Hessian(F) and mu
-    being c |grad F| plus the shift that makes C + mu I positive definite;
-    c starts at 1 and grows by 1 / ``_MLE_BACKTRACK`` with each rejected
-    candidate. A candidate is accepted when it raises the likelihood and
-    keeps every counted probability above the 1e-12 floor that the
-    likelihood applies, so F is exact there and f_k / q_k^2 stays finite.
-    Stops when the model predicts a gain below ``_MLE_TOL``, when an
-    accepted candidate gains less, or after ``trials`` candidates. Returns
-    the last accepted factor, scaled to unit norm, and the number of
-    candidates tried.
+    Levenberg-Marquardt steps on the per-shot likelihood F(x) = sum_k f_k
+    log q_k - log |x|^2, q_k = |A^dagger v_k|^2 over the counted outcomes, x
+    the real view of A's columns. A candidate solves (C + mu I) dx = grad F,
+    C = -Hessian(F), mu = c |grad F|, c starting at 1 and growing by 1 /
+    ``_MLE_BACKTRACK`` per rejected candidate; eigvalsh(C) runs only where a
+    Cholesky check finds C + mu I indefinite, to shift mu (:func:`_damped_step`).
+    A candidate is accepted when it raises the likelihood and keeps every
+    counted q_k above the likelihood's 1e-12 floor, so F is exact there.
+    Stops when the model predicts a gain below ``_MLE_TOL``, or on rejecting
+    a candidate predicted to gain less than ``_MLE_FLOOR`` |value|, the
+    likelihood's rounding (gains per shot); when an accepted candidate gains
+    less than ``_MLE_TOL``; or after ``trials`` candidates. Returns the last
+    accepted factor, scaled to unit norm, and the number of candidates tried.
     """
     dim, rank = factor.shape
-    rows, counted = vectors[mask], counts[mask]
-    weights = counted / counts.sum()
-    min_gain = _MLE_TOL / counts.sum()  # _MLE_TOL, per shot
-    block = np.eye(rank)
+    rows, counted, total = vectors[mask], counts[mask], counts.sum()
+    weights, min_gain, floor = counted / total, _MLE_TOL / total, _MLE_FLOOR * abs(value) / total
+    real_rows = np.concatenate([rows, 1j * rows]).view(float)  # real views u_k, u'_k of v_k, i v_k
 
     def amplitudes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """w_kj = v_k^dagger a_j and q_k = |w_k|^2, for every outcome."""
-        w = vectors.conj() @ a
+        """w_kj = v_k^dagger a_j and q_k = |w_k|^2, for every counted outcome."""
+        w = rows.conj() @ a
         return w, (w.real**2 + w.imag**2).sum(axis=1)
 
     def derivatives(a: np.ndarray, w: np.ndarray, q: np.ndarray) -> tuple:
-        """grad F and the eigenpairs of C at a unit-norm factor."""
-        w, q = w[mask], q[mask]
-        # Row k: the gradient of q_k, the real view of 2 v_k w_k.
-        jac = 2.0 * rows[:, :, None] * w[:, None, :]
-        jac = np.concatenate([jac.real.reshape(len(q), -1), jac.imag.reshape(len(q), -1)], 1)
-        x = np.concatenate([a.real.ravel(), a.imag.ravel()])
+        """grad F and C at a unit-norm factor."""
         scale = weights / q
-        # A -> sum_k (f_k / q_k) v_k v_k^dagger A, then in real coordinates.
-        op = np.kron((rows.T * scale) @ rows.conj(), block)
-        op = np.block([[op.real, -op.imag], [op.imag, op.real]])
-        curvature = (jac.T * (scale / q)) @ jac - 2.0 * op
-        curvature += 2.0 * np.eye(len(x)) - 4.0 * np.outer(x, x)
-        return (scale @ jac - 2.0 * x, *np.linalg.eigh(curvature))
+        # Row k: the gradient of q_k, the real view of 2 v_k w_k.
+        jac = (2.0 * w[:, :, None] * rows[:, None, :]).view(float).reshape(len(q), -1)
+        x = a.T.copy().view(float).ravel()
+        # A -> sum_k (f_k / q_k) v_k v_k^dagger A acts on each column alone,
+        # as sum_k (f_k / q_k) (u_k u_k^T + u'_k u'_k^T) in real coordinates.
+        block = 2.0 * (np.eye(2 * dim) - (real_rows.T * np.tile(scale, 2)) @ real_rows)
+        curvature = (jac.T * (scale / q)) @ jac - 4.0 * np.outer(x, x)
+        curvature.reshape(rank, 2 * dim, rank, 2 * dim)[range(rank), :, range(rank)] += block
+        return scale @ jac - 2.0 * x, curvature
 
     a = factor / np.linalg.norm(factor)
     w, q = amplitudes(a)
-    if not q[mask].min() > 1e-12:
+    if not q.min() > 1e-12:
         return a, 0
-    grad, lam, basis = derivatives(a, w, q)
+    grad, curvature = derivatives(a, w, q)
     damping = 1.0
     for trial in range(trials):
-        # lam - min(lam_0, 0) >= 0 exactly, so only a zero gradient, which is
-        # stationary, leaves a denominator at 0.
-        denominators = (lam - min(lam[0], 0.0)) + damping * np.linalg.norm(grad)
-        if not denominators[0] > 0:
+        mu = damping * np.linalg.norm(grad)
+        if not mu > 0:  # a stationary point
             return a, trial
-        projected = basis.T @ grad
-        coef = projected / denominators
-        if not coef @ projected - 0.5 * (coef * coef) @ lam >= min_gain:
+        dx, predicted = _damped_step(curvature, grad, mu)
+        if not predicted >= min_gain:
             return a, trial
-        x = basis @ coef
-        candidate = a + (x[: a.size] + 1j * x[a.size :]).reshape(dim, rank)
+        candidate = a + dx.view(complex).reshape(rank, dim).T
         candidate /= np.linalg.norm(candidate)
         w, q = amplitudes(candidate)
-        candidate_value = _likelihood(counted, np.maximum(q, 1e-12)[mask])
-        if candidate_value > value and q[mask].min() > 1e-12:
+        candidate_value = _likelihood(counted, np.maximum(q, 1e-12))
+        if candidate_value > value and q.min() > 1e-12:
             gain, a, value = candidate_value - value, candidate, candidate_value
             if gain < _MLE_TOL:
                 return a, trial + 1
-            grad, lam, basis = derivatives(a, w, q)
+            grad, curvature = derivatives(a, w, q)
+        elif predicted < floor:  # more damping only predicts less: the rounding
+            return a, trial + 1
         else:
             damping /= _MLE_BACKTRACK
     return a, trials
+
+
+def _damped_step(curvature: np.ndarray, grad: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
+    """dx solving (C + mu I) dx = grad for C = ``curvature``, and its model gain
+    grad . dx - dx . C dx / 2 = (grad . dx + mu |dx|^2) / 2. If Cholesky finds
+    C + mu I not positive definite, mu is first raised by -lambda_min(C)."""
+    system = curvature + mu * np.eye(len(grad))
+    try:
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        mu -= min(np.linalg.eigvalsh(curvature)[0], 0.0)
+        system = curvature + mu * np.eye(len(grad))
+    dx = np.linalg.solve(system, grad)
+    return dx, (grad @ dx + mu * (dx @ dx)) / 2.0
 
 
 def write_counts(table: CountsTable, path) -> None:

@@ -313,22 +313,41 @@ def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
 
 
 def test_mle_rank_check_leaves_a_fit_at_the_likelihood_rounding_alone(monkeypatch):
-    # These pure-GHZ fits are low-rank and still running at the rank check,
-    # but each step there gains a few ulps of the likelihood, its rounding,
-    # which no Newton candidate can beat. Without the floor they take it.
+    # These pure-GHZ fits are low-rank and still running at a rank check
+    # from 40 evaluations on, but each step there gains a few ulps of the
+    # likelihood, its rounding, which no Newton candidate can beat. Without
+    # the floor they take it.
     def refused(*args):
         raise AssertionError("the Newton stage was entered")
 
-    monkeypatch.setattr(tomography, "_low_rank_newton", refused)
     tables = [simulate_counts(ghz_rho(), shots=100_000, seed=seed) for seed in (32, 33)]
-    for table in tables:
+    with monkeypatch.context() as patched:
+        patched.setattr(tomography, "_MLE_RANK_CHECK", 40)
+        patched.setattr(tomography, "_low_rank_newton", refused)
+        for table in tables:
+            with counted_likelihoods(patched) as calls:
+                reconstruct_mle(table)
+            assert len(calls) > tomography._MLE_RANK_CHECK
+        patched.setattr(tomography, "_MLE_FLOOR", 0.0)
+        for table in tables:
+            with pytest.raises(AssertionError, match="the Newton stage was entered"):
+                reconstruct_mle(table)
+
+    # From the default check on, their gains are still above the rounding:
+    # they take the stage and finish sooner, at the likelihood they reach
+    # with the stage refused.
+    def fit(table):
         with counted_likelihoods(monkeypatch) as calls:
-            reconstruct_mle(table)
-        assert len(calls) > tomography._MLE_RANK_CHECK
-    monkeypatch.setattr(tomography, "_MLE_FLOOR", 0.0)
-    for table in tables:
-        with pytest.raises(AssertionError, match="the Newton stage was entered"):
-            reconstruct_mle(table)
+            rho = reconstruct_mle(table).matrix
+        return log_likelihood(rho, table) / table.counts.sum(), len(calls)
+
+    for table in (*tables, simulate_counts(ghz_rho(), shots=100_000, seed=7)):
+        staged, staged_evaluations = fit(table)
+        with monkeypatch.context() as patched:
+            patched.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+            refused_value, refused_evaluations = fit(table)
+        assert staged >= refused_value - 1e-12
+        assert staged_evaluations < refused_evaluations
 
 
 def test_mle_resumes_with_a_full_step_after_the_newton_stage(monkeypatch):
@@ -344,6 +363,65 @@ def test_mle_resumes_with_a_full_step_after_the_newton_stage(monkeypatch):
     monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
     late = log_likelihood(reconstruct_mle(table).matrix, table)
     assert early >= late - 1e-12 * table.counts.sum()
+
+
+def test_mle_stages_a_fit_again_when_its_rank_grows(monkeypatch):
+    # This W-balanced fit is rank 2 at first and rank 3 later, its third
+    # eigenvalue 5e-5. Staged only at rank 2, it would crawl towards the
+    # budget to grow the third.
+    stages = []
+    newton = tomography._low_rank_newton
+
+    def spied(factor, *args):
+        stages.append((factor.shape[1], len(calls)))
+        return newton(factor, *args)
+
+    gram = gram_from_delays((0.0, 0.100463, 0.070791), 1.0)
+    rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
+    monkeypatch.setattr(tomography, "_low_rank_newton", spied)
+    with counted_likelihoods(monkeypatch) as calls:
+        reconstruct_mle(simulate_counts(rho, shots=10_000, seed=732477250))
+    assert [rank for rank, _ in stages] == [2, 3]
+    assert all(start < tomography._MLE_BUDGET for _, start in stages)
+
+
+def test_newton_stage_at_the_likelihood_rounding_stops_at_once(monkeypatch):
+    # The projected gradient alone takes this fit to the rounding of its
+    # likelihood, where no candidate can gain: the stage stops at its first
+    # rejected candidate instead of damping it 30 times more.
+    table = simulate_counts(ghz_rho(), shots=100_000, seed=32)
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+    fit = reconstruct_mle(table).matrix
+    values, basis = np.linalg.eigh(fit)
+    keep = values > 1e-9 * values[-1]
+    counts = table.counts.ravel()
+    _, trials = tomography._low_rank_newton(
+        basis[:, keep] * np.sqrt(values[keep]), tomography._setting_vectors(table.settings),
+        counts, counts > 0, log_likelihood(fit, table), 100,
+    )
+    assert trials <= 3
+
+
+def test_damped_step_solves_the_shifted_system():
+    rng = np.random.default_rng(30)
+    for size in (2, 16, 48):
+        a = rng.normal(size=(size, size))
+        grad = rng.normal(size=size)
+        # Positive definite: the step of the eigen-decomposition, unshifted.
+        curvature = a @ a.T + 0.1 * np.eye(size)
+        lam, basis = np.linalg.eigh(curvature)
+        expected = basis @ ((basis.T @ grad) / (lam + 0.5))
+        step, gain = tomography._damped_step(curvature, grad, 0.5)
+        np.testing.assert_allclose(step, expected, rtol=1e-10, atol=0)
+        assert gain == pytest.approx(grad @ step - step @ curvature @ step / 2.0, rel=1e-10)
+        # Indefinite beyond the damping: shifted by -lambda_min, still an ascent.
+        basis = np.linalg.qr(a)[0]
+        lam = np.linspace(-2.0, 3.0, size)
+        curvature = (basis * lam) @ basis.T
+        step, gain = tomography._damped_step(curvature, grad, 0.5)
+        expected = basis @ ((basis.T @ grad) / (lam - lam[0] + 0.5))
+        np.testing.assert_allclose(step, expected, rtol=1e-8, atol=0)
+        assert grad @ step > 0 and gain > 0
 
 
 def run_kind_tables() -> list[CountsTable]:
@@ -383,7 +461,7 @@ def test_mle_does_not_take_the_newton_stage_before_the_budget_or_above_the_cap(m
         raise AssertionError("the Newton stage was entered")
 
     monkeypatch.setattr(tomography, "_low_rank_newton", refused)
-    for table in (*dirichlet_tables(), simulate_counts(ghz_rho(), shots=100_000, seed=7)):
+    for table in dirichlet_tables():
         reconstruct_mle(table)
     with counted_likelihoods(monkeypatch) as calls:
         reconstruct_mle(full_rank_four_qubit_table())
@@ -496,7 +574,7 @@ def test_project_density_returns_a_density_matrix():
     for dim in (2, 4, 8):
         for scale in (0.1, 1.0, 10.0):
             a = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-            projected = _project_density((a + a.conj().T) / 2.0)
+            projected, _ = _project_density((a + a.conj().T) / 2.0)
             assert np.array_equal(projected, projected.conj().T)
             assert np.linalg.eigvalsh(projected).min() >= -1e-12
             assert abs(np.trace(projected) - 1.0) <= 1e-12
@@ -509,7 +587,7 @@ def test_project_density_leaves_density_matrices_unchanged():
     states += [ghz_rho(), DensityMatrix(np.eye(8) / 8)]
     for state in states:
         np.testing.assert_allclose(
-            _project_density(state.matrix), state.matrix, rtol=0, atol=1e-12
+            _project_density(state.matrix)[0], state.matrix, rtol=0, atol=1e-12
         )
 
 
@@ -520,7 +598,7 @@ def test_project_density_of_a_diagonal_matrix_is_the_simplex_projection():
     for values in inputs:
         expected = np.diag(simplex_projection(values.tolist()))
         np.testing.assert_allclose(
-            _project_density(np.diag(values).astype(complex)), expected, rtol=0, atol=1e-12
+            _project_density(np.diag(values).astype(complex))[0], expected, rtol=0, atol=1e-12
         )
 
 
@@ -558,7 +636,29 @@ def projection_inputs() -> list[np.ndarray]:
 
 def test_project_density_is_bit_equal_to_the_cumulative_sum_expression():
     for index, matrix in enumerate(projection_inputs()):
-        assert _project_density(matrix).tobytes() == cumsum_projection(matrix).tobytes(), index
+        assert _project_density(matrix)[0].tobytes() == cumsum_projection(matrix).tobytes(), index
+
+
+def cumsum_kept(matrix: np.ndarray) -> int:
+    """The number of eigenvalues above the shift of cumsum_projection."""
+    values, _ = np.linalg.eigh(matrix)
+    descending = values[::-1]
+    shifts = (np.cumsum(descending) - 1.0) / np.arange(1, len(values) + 1)
+    return int(np.count_nonzero(values > shifts[np.nonzero(descending > shifts)[0][-1]]))
+
+
+def test_project_density_returns_the_number_of_eigenvalues_it_keeps():
+    rng = np.random.default_rng(30)
+    matrices = projection_inputs()
+    for dim in (2, 4, 8, 16, 32):
+        for rank in sorted({1, 2, 3, dim // 2, dim - 1} - {0}):
+            b = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+            for scale, offset in ((1e-3, 0.0), (1.0, 0.0), (1.0, -0.3), (1e3, 0.1)):
+                matrices.append(scale * (b @ b.conj().T) + offset * np.eye(dim))
+    for index, matrix in enumerate(matrices):
+        projected, rank = _project_density(matrix)
+        assert projected.tobytes() == cumsum_projection(matrix).tobytes(), index
+        assert rank == cumsum_kept(matrix), index
 
 
 @pytest.mark.parametrize("shots,floor", [(1_000, 0.95), (10_000, 0.98)])
@@ -614,7 +714,7 @@ def test_mle_with_no_iterations_returns_the_projected_start():
     start = reconstruct_mle(table, max_iters=0).matrix
     frequencies = table.counts.ravel() / table.counts.sum()
     vectors = tomography._setting_vectors(table.settings)
-    expected = _project_density(tomography._inverse_frame(vectors, frequencies * 27, 3))
+    expected, _ = _project_density(tomography._inverse_frame(vectors, frequencies * 27, 3))
     assert start.tobytes() == expected.tobytes()
     assert reconstruct_mle(table, max_iters=np.int64(0)).matrix.tobytes() == start.tobytes()
 
