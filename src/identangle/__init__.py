@@ -21,6 +21,7 @@ from .entanglement import (
     ClassificationReport,
     TargetState,
     classify,
+    classify_states,
     fidelity_mixed,
     fidelity_pure,
     ghz_state,
@@ -97,6 +98,7 @@ __all__ = [
     "balanced_tritter_rows",
     "brute_density_matrix",
     "classify",
+    "classify_states",
     "custom_spec",
     "density_matrices_from_spec",
     "density_matrix_from_spec",

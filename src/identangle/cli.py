@@ -37,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import DensityMatrix
-from .entanglement import classify, fidelity_mixed
+from .entanglement import ClassificationReport, classify, classify_states, fidelity_mixed
 from .errors import ConfigError, PostselectionImpossibleError, ValidationError
 from .reduction import (
     GramMatrix,
@@ -317,6 +316,7 @@ def _output_files(out_dir: str):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
         for temp, final in staged.items():
             os.replace(temp, final)
+        staged.clear()  # every file is in place: none is left to remove
     except OSError as exc:
         raise ValidationError(f"{out_dir}: cannot write output files ({exc})") from None
     finally:
@@ -337,9 +337,11 @@ def _write_results(args, report: dict, matrix_name: str, matrix: np.ndarray,
         report["density_matrix_sha256"] = hashlib.sha256(matrix_path.read_bytes()).hexdigest()
         if counts is not None:
             write_counts(counts, stage(report["tomography"]["counts_file"]))
-        stage(report_name).write_text(_report_text(report, args.format), encoding="utf-8")
+        text = _report_text(report, args.format)
+        stage(report_name).write_text(text, encoding="utf-8")
     print(f"wrote {Path(args.out_dir) / report_name}")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # The echo is the JSON report, which a JSON run has just written.
+    print(text if args.format == "json" else _report_text(report, "json"), end="")
 
 
 def _scan_values(start: float, stop: float, steps: int) -> np.ndarray:
@@ -364,8 +366,7 @@ def _require_three_particles(count: int, where: str) -> None:
         raise ValidationError(f"{where}: the witness report needs three particles, got {count}")
 
 
-def _classification_fields(rho: DensityMatrix) -> dict:
-    report = classify(rho)
+def _classification_fields(report: ClassificationReport) -> dict:
     return {
         "fidelity_ghz": report.fidelity_ghz,
         "fidelity_w_max": report.fidelity_w_max,
@@ -410,7 +411,7 @@ def cmd_run(args) -> int:
         "config_hash": config_hash(config),
         "label": label,
         "p_success": p_success,
-        **_classification_fields(rho),
+        **_classification_fields(classify(rho)),
     }
     table = None
     if tomography is not None:
@@ -444,7 +445,9 @@ def cmd_scan(args) -> int:
     same outcomes. If the batch fails, every point is solved again with
     ``solve([value])``, one by one, so the first point that fails, in scan
     order, ends the scan with its own error prefixed by
-    ``--param NAME = VALUE``; no file is written then.
+    ``--param NAME = VALUE``; no file is written then. The states of all
+    points are classified in one :func:`classify_states` call, each as
+    ``classify`` would classify it alone.
     """
     path, parameter = args.config, args.param
     config = _load_config(path)
@@ -526,9 +529,12 @@ def cmd_scan(args) -> int:
             except ValidationError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
     rows = [
-        {parameter: value, "p_success": p_success, **_classification_fields(rho)}
-        for value, (rho, p_success) in zip(map(float, values), solutions)
+        {parameter: value, "p_success": p_success, **_classification_fields(report)}
+        for value, (_, p_success), report in zip(
+            map(float, values), solutions, classify_states(rho for rho, _ in solutions)
+        )
     ]
+    del solutions  # the states are not held while the report is encoded
 
     if args.format == "json":
         payload = {
@@ -543,7 +549,8 @@ def cmd_scan(args) -> int:
         columns = list(rows[0].keys())
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(json.dumps(row[c]) for c in columns))
+            # One encoding per row: a JSON list's items, joined by bare commas.
+            lines.append(json.dumps([row[c] for c in columns], separators=(",", ":"))[1:-1])
         text = "\n".join(lines) + "\n"
     name = f"scan.{args.format}"
     with _output_files(args.out_dir) as stage:
@@ -571,7 +578,7 @@ def cmd_reconstruct(args) -> int:
         "counts_file": str(args.counts),
         "shots_per_setting": table.shots_per_setting,
         "num_settings": len(table.settings),
-        **_classification_fields(estimate),
+        **_classification_fields(classify(estimate)),
     }
 
     _write_results(

@@ -14,13 +14,16 @@ maximized over both phases before the threshold test.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .density import DensityMatrix, _unit_vector
 from .errors import ValidationError
+from .reduction import PAIR_BLOCK
 
 __all__ = [
     "GHZ_WITNESS_BOUND",
@@ -36,6 +39,7 @@ __all__ = [
     "optimize_w_phases",
     "ClassificationReport",
     "classify",
+    "classify_states",
 ]
 
 GHZ_WITNESS_BOUND = 0.5
@@ -49,18 +53,19 @@ VERDICT_INCONCLUSIVE = "witness-inconclusive"
 _W_SUPPORT = (1, 2, 4)
 _W_GRID_SIZE = 256  # W phase search: coarse grid points per phase
 _W_STEP_FLOOR = 1e-6  # W phase search: descent step (radians) that ends it
-# W phase search: rounding margin of the coarse row bound, in units of
-# eps * (|d| + 2 (|c12| + |c14| + |c24|)); see optimize_w_phases.
-_W_BOUND_MARGIN = 64.0
+# W phase search: rounding margin of the coarse row bound, per unit of
+# |d| + 2 (|c12| + |c14| + |c24|): 64 eps; see optimize_w_phases.
+_W_BOUND_MARGIN = 64.0 * np.finfo(float).eps
 
 # Coarse W grid tables, independent of the state: the phases, e^(i phi) as a
 # column (phi1 along rows) and as a row (phi2 along columns), and the
-# conjugated column.
+# conjugated column and row.
 _W_PHIS = np.arange(_W_GRID_SIZE) * (2.0 * math.pi / _W_GRID_SIZE)
 _W_E1 = np.exp(1j * _W_PHIS)[:, None]
 _W_E2 = _W_E1.reshape(1, -1)
 _W_E1_CONJ = _W_E1.conj()
-for _table in (_W_PHIS, _W_E1, _W_E2, _W_E1_CONJ):
+_W_E2_CONJ = _W_E1_CONJ.reshape(1, -1)
+for _table in (_W_PHIS, _W_E1, _W_E2, _W_E1_CONJ, _W_E2_CONJ):
     _table.setflags(write=False)
 del _table
 
@@ -104,8 +109,17 @@ def fidelity_pure(rho: DensityMatrix, target: TargetState) -> float:
         raise ValidationError(
             f"target lives in dimension {v.shape[0]}, the state in {rho.dim}"
         )
-    value = float(np.real(v.conj() @ rho.matrix @ v))
-    return min(1.0, max(0.0, value))
+    return _fidelities(rho.matrix[None], target)[0]
+
+
+def _fidelities(stack: np.ndarray, target: TargetState) -> list[float]:
+    """:func:`fidelity_pure` of each matrix of a stack (P, d, d). Each matrix
+    takes the BLAS calls that ``v.conj() @ matrix @ v`` makes for it alone,
+    a vector-matrix product and then a dot product, so each value is the
+    one-matrix value bit for bit."""
+    v = target.vector
+    values = ((v.conj() @ stack)[:, None] @ v[:, None]).real.ravel().tolist()
+    return [min(1.0, max(0.0, value)) for value in values]
 
 
 def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -124,19 +138,6 @@ def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     eigs = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     value = float(np.sqrt(eigs).sum() ** 2)
     return min(1.0, max(0.0, value))
-
-
-def _w_objective_terms(rho: DensityMatrix):
-    """Constant and coefficients of the W fidelity as a function of phases.
-
-    F(phi1, phi2) = (d + 2 Re(c12 e^(i phi1) + c14 e^(i phi2)
-                    + c24 e^(i (phi2 - phi1)))) / 3
-    where d sums the three diagonal entries on the W support.
-    """
-    m = rho.matrix
-    a, b, c = _W_SUPPORT
-    d = float((m[a, a] + m[b, b] + m[c, c]).real)
-    return d, complex(m[a, b]), complex(m[a, c]), complex(m[b, c])
 
 
 def _w_grid_rows(d: float, c12: complex, c14: complex, c24: complex,
@@ -161,6 +162,15 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     step until it drops below ``_W_STEP_FLOOR`` radians. Returns (phi1, phi2,
     best fidelity) with phases wrapped to (-pi, pi].
 
+    This is the search of a stack of one state: :func:`classify_states` runs
+    it on a whole stack, and its coarse stage there is array operations over
+    the stack, each state's terms a column against the grid's rows, so each
+    state's result is the one it gets alone, bit for bit.
+
+    The fidelity is F(phi1, phi2) = (d + 2 Re(c12 e^(i phi1) + c14 e^(i phi2)
+    + c24 e^(i (phi2 - phi1)))) / 3, where d sums the three diagonal entries
+    on the W support and c12, c14, c24 are its coherences.
+
     The coarse stage evaluates only the grid rows (fixed phi1 = phi_i) that
     can hold the grid's best value. With e_i = e^(i phi_i), row i reads
     F_ij = (d + 2 Re(c12 e_i + (c14 + c24 conj(e_i)) e_j)) / 3, so no entry
@@ -171,8 +181,8 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     The row with the largest B_i is evaluated first; its maximum M is a lower
     bound on the grid's. Then every row with B_i + margin >= M is evaluated,
     in ascending order, with the same expression as the full grid, and
-    ``np.argmax`` runs over those rows. The margin is ``_W_BOUND_MARGIN``
-    * eps * S with S = |d| + 2 (|c12| + |c14| + |c24|), the size of every
+    ``np.argmax`` runs over those rows. The margin is ``_W_BOUND_MARGIN`` * S
+    = 64 eps * S with S = |d| + 2 (|c12| + |c14| + |c24|), the size of every
     term either side sums. A computed grid entry and a computed bound each
     come from a handful of roundings, none larger than eps * S, so each lies
     within a few eps * S of its exact value for the stored e_i; on 30,000
@@ -211,52 +221,117 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     """
     if rho.num_qubits != 3:
         raise ValidationError("the W phase search is defined for three qubits")
-    d, c12, c14, c24 = _w_objective_terms(rho)
-    if c12 == 0 and c14 == 0 and c24 == 0:
-        return 0.0, 0.0, min(1.0, max(0.0, d / 3.0))
+    return _w_phases(rho.matrix[None])[0]
 
-    e1 = _W_E1[:, 0]
-    bound = (d + 2.0 * (np.real(c12 * e1) + np.abs(c14 + c24 * e1.conj()))) / 3.0
-    first = bound.argmax(keepdims=True)
-    grid = _w_grid_rows(d, c12, c14, c24, first)
-    row_best = float(grid.max())
-    scale = abs(d) + 2.0 * (abs(c12) + abs(c14) + abs(c24))
-    margin = _W_BOUND_MARGIN * np.finfo(float).eps * scale
-    rows = np.flatnonzero(bound + margin >= row_best)
-    if rows.size != 1 or rows[0] != first[0]:
-        grid = _w_grid_rows(d, c12, c14, c24, rows)
-    row, j = divmod(int(np.argmax(grid)), _W_GRID_SIZE)
-    i = int(rows[row])
-    phi1, phi2 = float(_W_PHIS[i]), float(_W_PHIS[j])
-    best = float(grid[row, j])
 
-    # Fine stage (see the docstring): t1 and t2 hold the phi1 and phi2 terms
-    # at the current point; phi2 - phi1 moves with every candidate.
+def _w_phases(stack: np.ndarray) -> list[tuple[float, float, float]]:
+    """:func:`optimize_w_phases` of each matrix of a three-qubit stack
+    (P, 8, 8): the no-coherence shortcut for the states it covers, then the
+    search of the others as one stack."""
+    a, b, c = _W_SUPPORT
+    d = (stack[:, a, a] + stack[:, b, b] + stack[:, c, c]).real
+    # c12, c14, c24: entries (a, b), (a, c) and (b, c) of each matrix.
+    terms = stack.reshape(len(stack), -1).take([8 * a + b, 8 * a + c, 8 * b + c], axis=1)
+    values = d.tolist()
+    coherent = [any(coherences) for coherences in terms.tolist()]
+    searched = iter(())
+    if any(coherent):
+        if not all(coherent):
+            d, terms = d[coherent], terms[coherent]
+        searched = iter(_w_search(d, terms))
+    return [
+        next(searched) if live else (0.0, 0.0, min(1.0, max(0.0, value / 3.0)))
+        for value, live in zip(values, coherent)
+    ]
+
+
+def _w_search(d: np.ndarray, terms: np.ndarray) -> list[tuple[float, float, float]]:
+    """Coarse and fine stage of the W search of states with W coherence,
+    given d (P,) and c12, c14, c24 (P, 3); see :func:`optimize_w_phases`.
+
+    The coarse stage runs on the whole stack, each state's terms a column
+    (P, 1) that meets the grid tables as the one state's scalars would, so
+    every bound, first-row entry and argmax is the one-state value. The kept
+    rows are evaluated again, state by state, unless the first row is the
+    only one; the fine stage runs state by state."""
+    points = np.arange(len(d))
+    dc = d[:, None]
+    c12, c14, c24 = terms[:, 0:1], terms[:, 1:2], terms[:, 2:3]
+    t12 = c12 * _W_E2  # c12 e_i for every row i, as the full grid forms it
+    bound = (dc + 2.0 * (t12.real + np.abs(c14 + c24 * _W_E2_CONJ))) / 3.0
+    first = bound.argmax(axis=1)
+    grid = (
+        dc + 2.0 * (t12[points, first, None] + c14 * _W_E2 + c24 * _W_E2 * _W_E1_CONJ[first]).real
+    ) / 3.0
+    j = grid.argmax(axis=1)
+    best = grid[points, j]
+    margin = _W_BOUND_MARGIN * (np.abs(d) + 2.0 * np.abs(terms).sum(axis=1))
+    keep = bound + margin[:, None] >= best[:, None]
+
+    found = []
+    for k, (dk, (c12k, c14k, c24k), i, jk, bk, kept) in enumerate(zip(
+        d.tolist(), terms.tolist(), first.tolist(), j.tolist(), best.tolist(),
+        keep.sum(axis=1).tolist(),
+    )):
+        if kept != 1 or not keep[k, i]:
+            rows = np.flatnonzero(keep[k])
+            grid_k = _w_grid_rows(dk, c12k, c14k, c24k, rows)
+            row, jk = divmod(int(np.argmax(grid_k)), _W_GRID_SIZE)
+            i, bk = int(rows[row]), float(grid_k[row, jk])
+        found.append(_w_descent(dk, c12k, c14k, c24k, float(_W_PHIS[i]), float(_W_PHIS[jk]), bk))
+    return found
+
+
+def _w_descent(d: float, c12: complex, c14: complex, c24: complex,
+               phi1: float, phi2: float, best: float) -> tuple[float, float, float]:
+    """Fine stage of the W search from the grid point (phi1, phi2) of value
+    ``best``; see :func:`optimize_w_phases`. t1 and t2 hold the phi1 and
+    phi2 terms at the current point; phi2 - phi1 moves with every
+    candidate."""
+    cos, sin = math.cos, math.sin
     a12, b12, a14, b14, a24, b24 = c12.real, c12.imag, c14.real, c14.imag, c24.real, c24.imag
-    t1 = a12 * math.cos(phi1) - b12 * math.sin(phi1)
-    t2 = a14 * math.cos(phi2) - b14 * math.sin(phi2)
+    t1 = a12 * cos(phi1) - b12 * sin(phi1)
+    t2 = a14 * cos(phi2) - b14 * sin(phi2)
     step = 2.0 * math.pi / _W_GRID_SIZE
     while step >= _W_STEP_FLOOR:
+        # The four candidates phi1 + step, phi1 - step, phi2 + step and
+        # phi2 - step, in that order, each from the point the last one left;
+        # written out, as a loop over the signs costs an eighth of the stage.
         moved = False
-        for delta in (step, -step):
-            p1 = phi1 + delta
-            u1 = a12 * math.cos(p1) - b12 * math.sin(p1)
-            p21 = phi2 - p1
-            candidate = (d + 2.0 * ((u1 + t2) + (a24 * math.cos(p21) - b24 * math.sin(p21)))) / 3.0
-            if candidate > best:
-                phi1, t1, best, moved = p1, u1, candidate, True
-        for delta in (step, -step):
-            p2 = phi2 + delta
-            u2 = a14 * math.cos(p2) - b14 * math.sin(p2)
-            p21 = p2 - phi1
-            candidate = (d + 2.0 * ((t1 + u2) + (a24 * math.cos(p21) - b24 * math.sin(p21)))) / 3.0
-            if candidate > best:
-                phi2, t2, best, moved = p2, u2, candidate, True
+        p1 = phi1 + step
+        u1 = a12 * cos(p1) - b12 * sin(p1)
+        p21 = phi2 - p1
+        candidate = (d + 2.0 * ((u1 + t2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
+        if candidate > best:
+            phi1, t1, best, moved = p1, u1, candidate, True
+        p1 = phi1 - step
+        u1 = a12 * cos(p1) - b12 * sin(p1)
+        p21 = phi2 - p1
+        candidate = (d + 2.0 * ((u1 + t2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
+        if candidate > best:
+            phi1, t1, best, moved = p1, u1, candidate, True
+        p2 = phi2 + step
+        u2 = a14 * cos(p2) - b14 * sin(p2)
+        p21 = p2 - phi1
+        candidate = (d + 2.0 * ((t1 + u2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
+        if candidate > best:
+            phi2, t2, best, moved = p2, u2, candidate, True
+        p2 = phi2 - step
+        u2 = a14 * cos(p2) - b14 * sin(p2)
+        p21 = p2 - phi1
+        candidate = (d + 2.0 * ((t1 + u2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
+        if candidate > best:
+            phi2, t2, best, moved = p2, u2, candidate, True
         if not moved:
             step /= 2.0
-    phi1 = float(np.angle(np.exp(1j * phi1)))
-    phi2 = float(np.angle(np.exp(1j * phi2)))
-    return phi1, phi2, float(min(1.0, max(0.0, best)))
+    # np.angle(z) is np.arctan2(z.imag, z.real), called here without its
+    # array conversion.
+    z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
+    return (
+        float(np.arctan2(z1.imag, z1.real)),
+        float(np.arctan2(z2.imag, z2.real)),
+        float(min(1.0, max(0.0, best))),
+    )
 
 
 @dataclass(frozen=True)
@@ -277,28 +352,52 @@ def classify(rho: DensityMatrix) -> ClassificationReport:
     """Run both witnesses and report the strongest one that passes.
 
     Both thresholds are strict inequalities, so a fidelity exactly at a bound
-    does not pass.
+    does not pass. This is the classification of a stack of one state (see
+    :func:`classify_states`).
     """
-    if rho.num_qubits != 3:
+    (report,) = _classify_block([rho])
+    return report
+
+
+def classify_states(states: Iterable[DensityMatrix]) -> Iterator[ClassificationReport]:
+    """Yields :func:`classify` of every state, in order, each report bit-equal
+    to the one the state gets alone, from one pass over the stack of their
+    matrices.
+
+    The states are read in blocks of ``PAIR_BLOCK // _W_GRID_SIZE``, and a
+    block's reports are yielded before the next block is read, so neither
+    the scratch memory (the W phase search's (P, 256) arrays) nor the states
+    and reports held here grow with the number of states. A state that is
+    not a three-qubit state raises when its block is read.
+    """
+    states = iter(states)
+    while block := list(itertools.islice(states, PAIR_BLOCK // _W_GRID_SIZE)):
+        yield from _classify_block(block)
+
+
+def _classify_block(states: list[DensityMatrix]) -> list[ClassificationReport]:
+    """The reports of a stack of states: ``offdiag_norm``, the GHZ fidelity
+    and the W phase search's coarse stage are array operations over the
+    stack; the W search keeps its re-evaluation of kept rows and its fine
+    stage per state."""
+    if any(rho.dim != 8 for rho in states):
         raise ValidationError("classification is defined for three qubits")
-    f_ghz = fidelity_pure(rho, _GHZ3)
-    phi1, phi2, f_w = optimize_w_phases(rho)
-    ghz_passed = bool(f_ghz > GHZ_WITNESS_BOUND)
-    w_passed = bool(f_w > W_WITNESS_BOUND)
-    offdiag = float(np.sum(np.abs(rho.matrix)) - np.sum(np.abs(np.diag(rho.matrix))))
-    if ghz_passed:
-        verdict = VERDICT_GHZ
-    elif w_passed:
-        verdict = VERDICT_W
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-    return ClassificationReport(
-        fidelity_ghz=f_ghz,
-        fidelity_w_max=f_w,
-        phi1=phi1,
-        phi2=phi2,
-        ghz_witness_passed=ghz_passed,
-        w_witness_passed=w_passed,
-        offdiag_norm=offdiag,
-        verdict=verdict,
-    )
+    stack = np.array([rho.matrix for rho in states])
+    magnitudes = np.abs(stack)
+    offdiag = magnitudes.sum(axis=(1, 2)) - magnitudes.trace(axis1=1, axis2=2)
+    reports = []
+    for f_ghz, (phi1, phi2, f_w), off in zip(
+        _fidelities(stack, _GHZ3), _w_phases(stack), offdiag.tolist()
+    ):
+        ghz_passed = f_ghz > GHZ_WITNESS_BOUND
+        w_passed = f_w > W_WITNESS_BOUND
+        if ghz_passed:
+            verdict = VERDICT_GHZ
+        elif w_passed:
+            verdict = VERDICT_W
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+        reports.append(
+            ClassificationReport(f_ghz, f_w, phi1, phi2, ghz_passed, w_passed, off, verdict)
+        )
+    return reports

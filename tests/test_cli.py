@@ -582,6 +582,38 @@ def test_scan_outputs_are_byte_identical_across_runs(tmp_path, param, fmt):
     assert outputs[0] == outputs[1]
 
 
+def test_scan_csv_encodes_each_cell_as_its_json_value(tmp_path):
+    config = write_config(tmp_path, DELAY_CONFIG)
+    for fmt in ("json", "csv"):
+        assert main(["scan", "--config", config, "--param", "L2", "--start", "-0.5",
+                     "--stop", "1.5", "--steps", "9", "--out-dir", str(tmp_path / fmt),
+                     "--format", fmt]) == 0
+    rows = json.loads((tmp_path / "json" / "scan.json").read_text(encoding="utf-8"))["rows"]
+    header, *lines = (tmp_path / "csv" / "scan.csv").read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    assert lines == [",".join(json.dumps(row[c]) for c in columns) for row in rows]
+
+
+@pytest.mark.parametrize("command", ["run", "reconstruct"])
+def test_stdout_echoes_the_json_report_in_either_format(tmp_path, capsys, command):
+    config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={"shots": 200}))
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "tables")]) == 0
+    capsys.readouterr()
+    if command == "run":
+        argv, name = ["run", "--config", config], "report.json"
+    else:
+        argv = ["reconstruct", "--counts", str(tmp_path / "tables" / "counts.txt")]
+        name = "reconstruction_report.json"
+    echoes = []
+    for fmt in ("json", "csv"):
+        out = tmp_path / fmt
+        assert main(argv + ["--out-dir", str(out), "--format", fmt]) == 0
+        wrote, echo = capsys.readouterr().out.split("\n", 1)
+        assert wrote.startswith("wrote ")
+        echoes.append(echo)
+    assert echoes == [(tmp_path / "json" / name).read_text(encoding="utf-8")] * 2
+
+
 SCAN_G = ["scan", "--param", "g", "--start", "0", "--stop", "1", "--steps", "2"]
 SCAN_ALPHA1 = ["scan", "--param", "alpha1", "--start", "0", "--stop", "1", "--steps", "2"]
 SCAN_L1 = ["scan", "--param", "L1", "--start", "0", "--stop", "1", "--steps", "2"]

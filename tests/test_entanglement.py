@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_density
+from identangle import entanglement
 from identangle import (
     DensityMatrix,
     GHZParams,
@@ -17,6 +19,7 @@ from identangle import (
     VERDICT_W,
     balanced_tritter_rows,
     classify,
+    classify_states,
     density_matrix_from_spec,
     dft_tritter_rows,
     fidelity_mixed,
@@ -392,3 +395,110 @@ def test_pruned_w_search_is_bit_equal_to_full_grid_along_ghz_amplitude():
             gamma3=complex(half),
         )
         _assert_bit_equal_to_full_grid(density_matrix_from_spec(ghz_preset(params), gram)[0])
+
+
+def _reference_report(rho):
+    """One state classified as before the stacked search: the GHZ fidelity and
+    off-diagonal norm of the one-matrix expressions, the W phases of the
+    whole coarse grid."""
+    m = rho.matrix
+    v = ghz_state().vector
+    f_ghz = min(1.0, max(0.0, float(np.real(v.conj() @ m @ v))))
+    phi1, phi2, f_w = _full_grid_w_phases(rho)
+    offdiag = float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
+    return [f_ghz, f_w, phi1, phi2, f_ghz > 0.5, f_w > 2 / 3, offdiag]
+
+
+def _report_bits(report):
+    return [
+        float(x).hex() if isinstance(x, float) else x
+        for x in (report.fidelity_ghz, report.fidelity_w_max, report.phi1, report.phi2,
+                  report.ghz_witness_passed, report.w_witness_passed, report.offdiag_norm)
+    ] + [report.verdict]
+
+
+def _mixed_stack(rng, size):
+    """GHZ-support, zero-coherence, random, near-tied W-dft and preset states,
+    interleaved so every block of the stack holds each kind."""
+    third = 2.0 * math.pi / 3.0
+    dft = w_preset(dft_tritter_rows())
+    makers = [
+        lambda: random_density(rng),
+        lambda: density_matrix_from_spec(ghz_preset(), GramMatrix.uniform(3, rng.uniform()))[0],
+        lambda: DensityMatrix(np.diag(rng.dirichlet(np.ones(8))).astype(complex)),
+        lambda: _w_block_state(
+            (1 / 3, 1 / 3, 1 / 3),
+            *(0.1 * (1.0 + 1e-15 * rng.integers(-2, 3, size=3))
+              * np.exp(1j * ((rng.integers(0, 3, size=3) - 1) * third
+                             + 1e-15 * rng.integers(-2, 3, size=3)))),
+        ),
+        lambda: density_matrix_from_spec(dft, GramMatrix.uniform(3, 0.5))[0],
+        lambda: density_matrix_from_spec(
+            w_preset(balanced_tritter_rows()), GramMatrix.uniform(3, rng.uniform())
+        )[0],
+    ]
+    return [makers[k % len(makers)]() for k in range(size)]
+
+
+@pytest.mark.parametrize("size", [63, 64, 65, 129])
+def test_classify_states_is_bit_equal_to_each_state_alone(size):
+    # Blocks hold 64 states, so these stacks end one short of, on, one past
+    # and one past two block boundaries.
+    states = _mixed_stack(np.random.default_rng(900 + size), size)
+    stacked = list(classify_states(states))
+    assert len(stacked) == size
+    for rho, report in zip(states, stacked):
+        assert _report_bits(report) == _report_bits(classify(rho))
+        reference = _reference_report(rho)
+        assert _report_bits(report)[:7] == [
+            x.hex() if isinstance(x, float) else x for x in reference
+        ]
+
+
+def test_classify_states_keeps_every_row_of_w_dft_at_half_overlap(monkeypatch):
+    # W-dft at g = 1/2 ties every row bound: the search evaluates all 256 rows
+    # again for that state, inside a stack as alone.
+    rho = density_matrix_from_spec(w_preset(dft_tritter_rows()), GramMatrix.uniform(3, 0.5))[0]
+    regrids = []
+    grid_rows = entanglement._w_grid_rows
+
+    def spy(d, c12, c14, c24, rows):
+        regrids.append(len(rows))
+        return grid_rows(d, c12, c14, c24, rows)
+
+    monkeypatch.setattr(entanglement, "_w_grid_rows", spy)
+    rng = np.random.default_rng(905)
+    states = [random_density(rng) for _ in range(7)] + [rho]
+    stacked = list(classify_states(states))
+    assert 256 in regrids
+    assert _report_bits(stacked[-1]) == _report_bits(classify(rho))
+    last = stacked[-1]
+    assert [x.hex() for x in (last.phi1, last.phi2, last.fidelity_w_max)] == [
+        x.hex() for x in _full_grid_w_phases(rho)
+    ]
+
+
+def test_classify_states_refuses_a_state_that_is_not_three_qubits():
+    states = [DensityMatrix(np.eye(8) / 8), DensityMatrix(np.eye(4) / 4)]
+    with pytest.raises(ValidationError, match="three qubits"):
+        list(classify_states(states))
+
+
+def test_classification_scratch_memory_does_not_grow_with_the_stack():
+    # Reports are consumed as they come, so what tracemalloc sees is the
+    # scratch of the classification; it must stay that of one block.
+    rng = np.random.default_rng(906)
+    states = [random_density(rng) for _ in range(64)]
+    peaks = {}
+    for size in (64, 640):
+        stack = states * (size // 64)
+        tracemalloc.start()
+        try:
+            for _ in classify_states(stack):
+                pass
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # One block's (64, 256) complex temporaries alone take 256 KiB each.
+    assert peaks[64] > 256 * 1024
+    assert peaks[640] < peaks[64] + 64 * 1024, peaks

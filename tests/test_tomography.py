@@ -224,14 +224,15 @@ def test_mle_on_exact_statistics_recovers_truth():
 
 
 def test_mle_likelihood_never_decreases_with_more_iterations():
-    # The crawling table takes the Newton stage at iteration 12, its rank
-    # check, and the stage tries 2 candidates: its fits stop before it,
-    # inside it and after it. 60-68 bracket iteration 66, where the
-    # 150-evaluation budget alone would start it.
+    # The crawling table takes the Newton stage after iteration 2, at its
+    # rank check, and the stage tries 5 candidates: fits of 1-9 iterations
+    # stop before it, inside it and just after it. 60-68 bracket iteration
+    # 66, where the 150-evaluation budget alone would start it.
+    crawling = (*range(1, 15), 20, 60, 65, 66, 67, 68, 100, 200)
     for table, iterations in (
         (simulate_counts(ghz_rho(), shots=500, seed=3), (1, 2, 5, 20, 100, 200)),
         (dirichlet_tables()[0], (1, 2, 5, 20, 100, 200)),
-        (crawling_ghz_table(), (10, 11, 12, 13, 14, 20, 60, 65, 66, 67, 68, 100, 200)),
+        (crawling_ghz_table(), crawling),
     ):
         values = [
             log_likelihood(reconstruct_mle(table, max_iters=k).matrix, table)
