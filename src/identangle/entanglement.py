@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -82,6 +83,8 @@ class TargetState:
 
 def ghz_state(num_qubits: int = 3) -> TargetState:
     """(|dd...d> + |uu...u>) / sqrt(2)."""
+    if isinstance(num_qubits, bool) or not isinstance(num_qubits, numbers.Integral):
+        raise ValidationError(f"qubit count must be an integer, got {num_qubits!r}")
     if num_qubits < 2:
         raise ValidationError("a GHZ state needs at least two qubits")
     v = np.zeros(2**num_qubits, dtype=complex)

@@ -145,6 +145,11 @@ def _born_grid(rho: DensityMatrix, settings) -> tuple[tuple[str, ...], np.ndarra
     return settings, grid
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class CountRow(NamedTuple):
     setting: str
     outcome: str
@@ -209,7 +214,7 @@ class CountsTable:
         if not (self.seed is None or type(self.seed) is int):  # a bool is no seed
             raise ValidationError(f"seed must be None or an integer, got {self.seed!r}")
         shots = self.shots_per_setting
-        if isinstance(shots, bool) or not isinstance(shots, numbers.Real):
+        if not _real(shots):
             raise ValidationError(f"shots_per_setting must be a real number, got {shots!r}")
         try:
             shots = float(shots)
@@ -267,9 +272,9 @@ def simulate_counts(
     so the same seed always reproduces the same table regardless of how the
     settings are processed.
     """
-    if not (1 <= shots <= _MAX_SHOTS and int(shots) == shots):
+    if not (_real(shots) and 1 <= shots <= _MAX_SHOTS and int(shots) == shots):
         raise ValidationError(f"shots must be an integer in [1, 2**53], got {shots!r}")
-    if not (0 <= seed < math.inf and int(seed) == seed):
+    if not (_real(seed) and 0 <= seed < math.inf and int(seed) == seed):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     settings, probs = _born_grid(rho, settings)
     rngs = (np.random.default_rng((int(seed), index)) for index in range(len(settings)))

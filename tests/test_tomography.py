@@ -469,6 +469,63 @@ def test_mle_does_not_take_the_newton_stage_before_the_budget_or_above_the_cap(m
     assert len(calls) > tomography._MLE_BUDGET
 
 
+def test_mle_budget_stage_finishes_a_full_rank_fit_the_rank_check_leaves(monkeypatch):
+    # GHZ with 8e-5 white noise is full rank, its seven small eigenvalues
+    # 1e-5, so the rank check never stages it and the gradient crawls. The
+    # budget stage, on a rank-4 factor, ends the fit in 159 evaluations;
+    # without it the fit takes 2,148 and stops 1e-10 nat/shot lower.
+    stages = []
+    newton = tomography._low_rank_newton
+
+    def spied(factor, *args):
+        stages.append((factor.shape[1], len(calls)))
+        return newton(factor, *args)
+
+    def fit():
+        with counted_likelihoods(monkeypatch) as counted:
+            rho = reconstruct_mle(table).matrix
+        return log_likelihood(rho, table) / table.counts.sum(), len(counted)
+
+    noisy = (1 - 8e-5) * ghz_rho().matrix + 8e-5 * np.eye(8) / 8
+    table = simulate_counts(DensityMatrix(noisy), shots=100_000, seed=5)
+    monkeypatch.setattr(tomography, "_low_rank_newton", spied)
+    with counted_likelihoods(monkeypatch) as calls:
+        reconstruct_mle(table)
+    [(rank, start)] = stages
+    assert rank > tomography._NEWTON_LOW_RANK and start >= tomography._MLE_BUDGET
+    budgeted, budgeted_evaluations = fit()
+    monkeypatch.setattr(tomography, "_MLE_BUDGET", np.inf)
+    crawled, crawled_evaluations = fit()
+    assert budgeted > crawled + 1e-12
+    assert budgeted_evaluations < 200 and crawled_evaluations > 1000
+
+
+def test_newton_stage_runs_only_on_factors_within_the_size_cap(monkeypatch):
+    # The crawling fit's factor is 8 x 2 complex, 32 real entries.
+    shapes = []
+    newton = tomography._low_rank_newton
+
+    def spied(factor, *args):
+        shapes.append(factor.shape)
+        return newton(factor, *args)
+
+    table = crawling_ghz_table()
+    monkeypatch.setattr(tomography, "_low_rank_newton", spied)
+    with monkeypatch.context() as patched:
+        patched.setattr(tomography, "_NEWTON_MAX_PARAMS", 0)
+        capped = reconstruct_mle(table).matrix
+    assert shapes == []
+    # Capped, the fit is the projected gradient's alone, as if no trigger fired.
+    with monkeypatch.context() as patched:
+        patched.setattr(tomography, "_NEWTON_LOW_RANK", 0)
+        patched.setattr(tomography, "_MLE_BUDGET", np.inf)
+        untriggered = reconstruct_mle(table).matrix
+    assert capped.tobytes() == untriggered.tobytes()
+    monkeypatch.setattr(tomography, "_NEWTON_MAX_PARAMS", 32)
+    reconstruct_mle(table)
+    assert shapes == [(8, 2)]
+
+
 def stacked_outcomes(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
     """Outcome eigenvectors of every setting and their counts, one row each."""
     settings = table.settings

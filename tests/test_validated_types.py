@@ -106,6 +106,19 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
      r"^shots must be an integer in \[1, 2\*\*53\]"),
     (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), seed=math.inf),
      "^seed must be a nonnegative integer"),
+    # A bool is no count and no seed, as CountsTable refuses seed=True.
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots=True),
+     r"^shots must be an integer in \[1, 2\*\*53\], got True$"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots="1000"),
+     r"^shots must be an integer in \[1, 2\*\*53\], got '1000'$"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), shots=None),
+     r"^shots must be an integer in \[1, 2\*\*53\], got None$"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), seed=True),
+     "^seed must be a nonnegative integer, got True$"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), seed="7"),
+     "^seed must be a nonnegative integer, got '7'$"),
+    (lambda: simulate_counts(DensityMatrix(np.eye(8) / 8), seed=None),
+     "^seed must be a nonnegative integer, got None$"),
     (lambda: GramMatrix.uniform(-1, 0.5), "^particle count must be an integer of at least 1"),
     (lambda: GramMatrix.uniform("a", 0.5), "^particle count must be an integer of at least 1"),
     (lambda: GramMatrix.uniform(2.5, 0.5), "^particle count must be an integer of at least 1"),
@@ -117,6 +130,8 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
     (lambda: gram_from_labels([]), "^need at least one label$"),
     (lambda: permanent(np.zeros((0, 0))), "^permanent of an empty matrix is not defined here$"),
     (lambda: ghz_state(1), "^a GHZ state needs at least two qubits$"),
+    (lambda: ghz_state(3.0), "^qubit count must be an integer, got 3.0$"),
+    (lambda: ghz_state(True), "^qubit count must be an integer, got True$"),
     (lambda: fidelity_mixed(DensityMatrix(np.eye(4) / 4), DensityMatrix(np.eye(8) / 8)),
      "^dimension mismatch: 4 vs 8$"),
     (lambda: classify(DensityMatrix(np.eye(4) / 4)),
@@ -125,10 +140,11 @@ def test_input_that_is_not_an_array_of_numbers_is_refused(make, name):
                                    shots_per_setting=0),
      "^shots_per_setting must be positive$"),
 ], ids=["text-delay", "text-coherence-length", "huge-delay", "huge-overlap", "shots-past-int64",
-        "shots-past-exact-float", "infinite-seed", "negative-uniform", "text-uniform",
+        "shots-past-exact-float", "infinite-seed", "bool-shots", "text-shots",
+        "none-shots", "bool-seed", "text-seed", "none-seed", "negative-uniform", "text-uniform",
         "fractional-uniform", "negative-indistinguishable", "negative-distinguishable",
-        "int-labels", "no-labels", "empty-permanent", "one-qubit-ghz", "fidelity-dimensions",
-        "two-qubit-classify", "zero-shots"])
+        "int-labels", "no-labels", "empty-permanent", "one-qubit-ghz", "float-ghz", "bool-ghz",
+        "fidelity-dimensions", "two-qubit-classify", "zero-shots"])
 def test_library_constructors_refuse_bad_numbers_with_validation_error(make, message):
     with pytest.raises(ValidationError, match=message):
         make()
