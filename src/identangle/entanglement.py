@@ -25,6 +25,7 @@ import numpy as np
 from .density import DensityMatrix, _unit_vector
 from .errors import ValidationError
 from .reduction import PAIR_BLOCK
+from .tomography import _MAX_QUBITS
 
 __all__ = [
     "GHZ_WITNESS_BOUND",
@@ -59,14 +60,13 @@ _W_STEP_FLOOR = 1e-6  # W phase search: descent step (radians) that ends it
 _W_BOUND_MARGIN = 64.0 * np.finfo(float).eps
 
 # Coarse W grid tables, independent of the state: the phases, e^(i phi) as a
-# column (phi1 along rows) and as a row (phi2 along columns), and the
-# conjugated column and row.
+# row (phi2 along columns), and its conjugate as a column (phi1 along rows)
+# and as a row.
 _W_PHIS = np.arange(_W_GRID_SIZE) * (2.0 * math.pi / _W_GRID_SIZE)
-_W_E1 = np.exp(1j * _W_PHIS)[:, None]
-_W_E2 = _W_E1.reshape(1, -1)
-_W_E1_CONJ = _W_E1.conj()
-_W_E2_CONJ = _W_E1_CONJ.reshape(1, -1)
-for _table in (_W_PHIS, _W_E1, _W_E2, _W_E1_CONJ, _W_E2_CONJ):
+_W_E2 = np.exp(1j * _W_PHIS)[None, :]
+_W_E1_CONJ = _W_E2.conj().reshape(-1, 1)
+_W_E2_CONJ = _W_E2.conj()
+for _table in (_W_PHIS, _W_E2, _W_E1_CONJ, _W_E2_CONJ):
     _table.setflags(write=False)
 del _table
 
@@ -82,11 +82,13 @@ class TargetState:
 
 
 def ghz_state(num_qubits: int = 3) -> TargetState:
-    """(|dd...d> + |uu...u>) / sqrt(2)."""
+    """(|dd...d> + |uu...u>) / sqrt(2), on 2 to ``tomography._MAX_QUBITS`` (20) qubits."""
     if isinstance(num_qubits, bool) or not isinstance(num_qubits, numbers.Integral):
         raise ValidationError(f"qubit count must be an integer, got {num_qubits!r}")
     if num_qubits < 2:
         raise ValidationError("a GHZ state needs at least two qubits")
+    if num_qubits > _MAX_QUBITS:
+        raise ValidationError(f"a GHZ state has at most {_MAX_QUBITS} qubits, got {num_qubits}")
     v = np.zeros(2**num_qubits, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
     return TargetState(v)
@@ -143,19 +145,6 @@ def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _w_grid_rows(d: float, c12: complex, c14: complex, c24: complex,
-                 rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of the coarse W grid, each bit-equal to the same row of
-    the full broadcast grid: the expression and its order of operations are
-    the full grid's, and ``c12 * e1`` is formed over all rows before the
-    rows are picked, so no element depends on how many rows are asked for.
-    """
-    return (
-        d
-        + 2.0 * np.real((c12 * _W_E1)[rows] + c14 * _W_E2 + c24 * _W_E2 * _W_E1_CONJ[rows])
-    ) / 3.0
-
-
 def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     """Maximize fidelity against the W family over both phases.
 
@@ -181,22 +170,24 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
 
         B_i = (d + 2 (Re(c12 e_i) + |c14 + c24 conj(e_i)|)) / 3.
 
-    The row with the largest B_i is evaluated first; its maximum M is a lower
-    bound on the grid's. Then every row with B_i + margin >= M is evaluated,
-    in ascending order, with the same expression as the full grid, and
-    ``np.argmax`` runs over those rows. The margin is ``_W_BOUND_MARGIN`` * S
-    = 64 eps * S with S = |d| + 2 (|c12| + |c14| + |c24|), the size of every
-    term either side sums. A computed grid entry and a computed bound each
-    come from a handful of roundings, none larger than eps * S, so each lies
-    within a few eps * S of its exact value for the stored e_i; on 30,000
-    random and near-tied states no row's computed maximum exceeded its
-    computed bound by more than 0.6 eps * S. Rows left out therefore hold
-    only entries strictly below M: they can neither hold the grid's maximum
-    nor tie with it. The rows kept are evaluated entry for entry as in the
-    full grid, so a row-major argmax over them in ascending order picks the
-    full grid's first flat index, and (phi1, phi2, fidelity) are bit-equal to
-    a search over the whole grid. When a single row survives, the first
-    evaluation of it is reused.
+    Every grid row evaluated is formed by one expression, the full grid's
+    F_ij = (d + 2 Re(c12 e_i + c14 e_j + c24 e_j conj(e_i))) / 3 in its order
+    of operations, with c12 e_i taken from the products formed over all
+    rows. The row with the largest B_i is evaluated first; its maximum M is a
+    lower bound on the grid's. Then every row with B_i + margin >= M is
+    evaluated, in ascending order, and ``np.argmax`` runs over those rows.
+    The margin is ``_W_BOUND_MARGIN`` * S = 64 eps * S with
+    S = |d| + 2 (|c12| + |c14| + |c24|), the size of every term either side
+    sums. A computed grid entry and a computed bound each come from a handful
+    of roundings, none larger than eps * S, so each lies within a few eps * S
+    of its exact value for the stored e_i; on 30,000 random and near-tied
+    states no row's computed maximum exceeded its computed bound by more than
+    0.6 eps * S. Rows left out therefore hold only entries strictly below M:
+    they can neither hold the grid's maximum nor tie with it. The rows kept
+    are evaluated entry for entry as in the full grid, so a row-major argmax
+    over them in ascending order picks the full grid's first flat index, and
+    (phi1, phi2, fidelity) are bit-equal to a search over the whole grid.
+    When a single row survives, the first evaluation of it is reused.
 
     A state with no W coherence, c12 = c14 = c24 = 0 (any GHZ-support state),
     has the constant objective d / 3: every grid entry and every descent
@@ -229,60 +220,63 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
 
 def _w_phases(stack: np.ndarray) -> list[tuple[float, float, float]]:
     """:func:`optimize_w_phases` of each matrix of a three-qubit stack
-    (P, 8, 8): the no-coherence shortcut for the states it covers, then the
-    search of the others as one stack."""
+    (P, 8, 8). Every result starts as the no-coherence shortcut's; the states
+    with W coherence are then searched as one stack and their results filled
+    in. The coarse stage runs on the whole stack, each state's terms a column
+    (P, 1) that meets the grid tables as the one state's would, so every
+    bound, first-row entry and argmax is the one-state value. The kept rows
+    are evaluated again, state by state, unless the first row is the only
+    one; the fine stage runs state by state."""
     a, b, c = _W_SUPPORT
     d = (stack[:, a, a] + stack[:, b, b] + stack[:, c, c]).real
     # c12, c14, c24: entries (a, b), (a, c) and (b, c) of each matrix.
     terms = stack.reshape(len(stack), -1).take([8 * a + b, 8 * a + c, 8 * b + c], axis=1)
-    values = d.tolist()
-    coherent = [any(coherences) for coherences in terms.tolist()]
-    searched = iter(())
-    if any(coherent):
-        if not all(coherent):
-            d, terms = d[coherent], terms[coherent]
-        searched = iter(_w_search(d, terms))
-    return [
-        next(searched) if live else (0.0, 0.0, min(1.0, max(0.0, value / 3.0)))
-        for value, live in zip(values, coherent)
-    ]
-
-
-def _w_search(d: np.ndarray, terms: np.ndarray) -> list[tuple[float, float, float]]:
-    """Coarse and fine stage of the W search of states with W coherence,
-    given d (P,) and c12, c14, c24 (P, 3); see :func:`optimize_w_phases`.
-
-    The coarse stage runs on the whole stack, each state's terms a column
-    (P, 1) that meets the grid tables as the one state's scalars would, so
-    every bound, first-row entry and argmax is the one-state value. The kept
-    rows are evaluated again, state by state, unless the first row is the
-    only one; the fine stage runs state by state."""
-    points = np.arange(len(d))
+    found = [(0.0, 0.0, min(1.0, max(0.0, value / 3.0))) for value in d.tolist()]
+    live = [k for k, coherences in enumerate(terms.tolist()) if any(coherences)]
+    if not live:
+        return found
+    if len(live) != len(found):
+        d, terms = d[live], terms[live]
+    points = np.arange(len(live))
     dc = d[:, None]
     c12, c14, c24 = terms[:, 0:1], terms[:, 1:2], terms[:, 2:3]
     t12 = c12 * _W_E2  # c12 e_i for every row i, as the full grid forms it
     bound = (dc + 2.0 * (t12.real + np.abs(c14 + c24 * _W_E2_CONJ))) / 3.0
     first = bound.argmax(axis=1)
-    grid = (
-        dc + 2.0 * (t12[points, first, None] + c14 * _W_E2 + c24 * _W_E2 * _W_E1_CONJ[first]).real
-    ) / 3.0
+    grid = _w_rows(dc, t12, c14, c24, points, first)
     j = grid.argmax(axis=1)
     best = grid[points, j]
     margin = _W_BOUND_MARGIN * (np.abs(d) + 2.0 * np.abs(terms).sum(axis=1))
     keep = bound + margin[:, None] >= best[:, None]
 
-    found = []
-    for k, (dk, (c12k, c14k, c24k), i, jk, bk, kept) in enumerate(zip(
-        d.tolist(), terms.tolist(), first.tolist(), j.tolist(), best.tolist(),
+    for k, (state, dk, (c12k, c14k, c24k), i, jk, bk, kept) in enumerate(zip(
+        live, d.tolist(), terms.tolist(), first.tolist(), j.tolist(), best.tolist(),
         keep.sum(axis=1).tolist(),
     )):
         if kept != 1 or not keep[k, i]:
             rows = np.flatnonzero(keep[k])
-            grid_k = _w_grid_rows(dk, c12k, c14k, c24k, rows)
+            grid_k = _w_rows(dc, t12, c14, c24, k, rows)
             row, jk = divmod(int(np.argmax(grid_k)), _W_GRID_SIZE)
             i, bk = int(rows[row]), float(grid_k[row, jk])
-        found.append(_w_descent(dk, c12k, c14k, c24k, float(_W_PHIS[i]), float(_W_PHIS[jk]), bk))
+        found[state] = _w_descent(dk, c12k, c14k, c24k, float(_W_PHIS[i]), float(_W_PHIS[jk]), bk)
     return found
+
+
+def _w_rows(dc: np.ndarray, t12: np.ndarray, c14: np.ndarray, c24: np.ndarray,
+            states: int | np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (fixed phi1 = phi_i) of the coarse W grid of the states
+    ``states``, from the terms of a searched stack: d, c14 and c24 as columns
+    (P, 1) and t12 = c12 e_i (P, 256). ``states`` and ``rows`` are either two
+    index arrays of one length (one row of each state) or one state index and
+    an array of its rows; the result holds one grid row per row index. Each
+    entry is the full broadcast grid's bit for bit: c12 e_i is picked from
+    t12, formed over all rows, and the rest is the full grid's expression in
+    its order of operations."""
+    return (
+        dc[states]
+        + 2.0 * (t12[states, rows, None] + c14[states] * _W_E2
+                 + c24[states] * _W_E2 * _W_E1_CONJ[rows]).real
+    ) / 3.0
 
 
 def _w_descent(d: float, c12: complex, c14: complex, c24: complex,

@@ -53,6 +53,7 @@ _MLE_RANK_CHECK = 10  # likelihood evaluations after which a low-rank fit takes 
 _NEWTON_LOW_RANK = 3  # the most factor columns of a low-rank fit
 _MLE_FLOOR = 16 * 2.0**-52  # a gain below this fraction of |L| is the likelihood's rounding
 _NEWTON_MAX_PARAMS = 128  # the Newton stage runs on factors with at most this many real entries
+_PROB_FLOOR = 1e-12  # the likelihood floors every outcome probability here
 
 # Counts are held as float64, which holds every integer up to 2**53 exactly.
 _MAX_SHOTS = 2**53
@@ -390,7 +391,7 @@ def log_likelihood(matrix: np.ndarray, table: CountsTable) -> float:
     probs = np.einsum("ki,ij,kj->k", vectors.conj(), matrix, vectors).real
     mask = counts > 0
     with _refusing_overflow(table):
-        return _likelihood(counts[mask], np.maximum(probs, 1e-12)[mask])
+        return _likelihood(counts[mask], np.maximum(probs, _PROB_FLOOR)[mask])
 
 
 def reconstruct_mle(table: CountsTable, max_iters: int = 1000) -> DensityMatrix:
@@ -478,7 +479,7 @@ def _mle_fit(table: CountsTable, max_iters: int) -> np.ndarray:
     def evaluate(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        probs = np.maximum((projectors @ matrix.ravel()).real, 1e-12)
+        probs = np.maximum((projectors @ matrix.ravel()).real, _PROB_FLOOR)
         return _likelihood(counted, probs[mask]), probs
 
     def gradient(probs: np.ndarray) -> np.ndarray:
@@ -555,7 +556,8 @@ def _low_rank_newton(
     ``_MLE_BACKTRACK`` per rejected candidate; eigvalsh(C) runs only where a
     Cholesky check finds C + mu I indefinite, to shift mu (:func:`_damped_step`).
     A candidate is accepted when it raises the likelihood and keeps every
-    counted q_k above the likelihood's 1e-12 floor, so F is exact there.
+    counted q_k above the likelihood's floor ``_PROB_FLOOR``, so F is exact
+    there.
     Stops when the model predicts a gain below ``_MLE_TOL``, or on rejecting
     a candidate predicted to gain less than ``_MLE_FLOOR`` |value|, the
     likelihood's rounding (gains per shot); when an accepted candidate gains
@@ -587,7 +589,7 @@ def _low_rank_newton(
 
     a = factor / np.linalg.norm(factor)
     w, q = amplitudes(a)
-    if not q.min() > 1e-12:
+    if not q.min() > _PROB_FLOOR:
         return a, 0
     grad, curvature = derivatives(a, w, q)
     damping = 1.0
@@ -601,8 +603,8 @@ def _low_rank_newton(
         candidate = a + dx.view(complex).reshape(rank, dim).T
         candidate /= np.linalg.norm(candidate)
         w, q = amplitudes(candidate)
-        candidate_value = _likelihood(counted, np.maximum(q, 1e-12))
-        if candidate_value > value and q.min() > 1e-12:
+        candidate_value = _likelihood(counted, np.maximum(q, _PROB_FLOOR))
+        if candidate_value > value and q.min() > _PROB_FLOOR:
             gain, a, value = candidate_value - value, candidate, candidate_value
             if gain < _MLE_TOL:
                 return a, trial + 1

@@ -40,6 +40,21 @@ def test_ghz_state_vector():
     assert np.count_nonzero(v) == 2
 
 
+@pytest.mark.parametrize("width", [21, 64])
+def test_ghz_state_refuses_a_width_past_the_widest_table_without_allocating(width):
+    # 21 is one past the widest counts table; a 2^64 vector is past what
+    # numpy can shape. Neither is allocated before the refusal.
+    tracemalloc.start()
+    try:
+        message = f"^a GHZ state has at most 20 qubits, got {width}$"
+        with pytest.raises(ValidationError, match=message):
+            ghz_state(width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_w_state_vector_and_phases():
     v = w_state().vector
     expected = np.zeros(8, dtype=complex)
@@ -460,17 +475,18 @@ def test_classify_states_keeps_every_row_of_w_dft_at_half_overlap(monkeypatch):
     # again for that state, inside a stack as alone.
     rho = density_matrix_from_spec(w_preset(dft_tritter_rows()), GramMatrix.uniform(3, 0.5))[0]
     regrids = []
-    grid_rows = entanglement._w_grid_rows
+    w_rows = entanglement._w_rows
 
-    def spy(d, c12, c14, c24, rows):
-        regrids.append(len(rows))
-        return grid_rows(d, c12, c14, c24, rows)
+    def spy(dc, t12, c14, c24, states, rows):
+        if np.ndim(states) == 0:  # the kept rows of one state
+            regrids.append((int(states), len(rows)))
+        return w_rows(dc, t12, c14, c24, states, rows)
 
-    monkeypatch.setattr(entanglement, "_w_grid_rows", spy)
+    monkeypatch.setattr(entanglement, "_w_rows", spy)
     rng = np.random.default_rng(905)
     states = [random_density(rng) for _ in range(7)] + [rho]
     stacked = list(classify_states(states))
-    assert 256 in regrids
+    assert (7, 256) in regrids
     assert _report_bits(stacked[-1]) == _report_bits(classify(rho))
     last = stacked[-1]
     assert [x.hex() for x in (last.phi1, last.phi2, last.fidelity_w_max)] == [

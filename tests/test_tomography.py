@@ -281,18 +281,20 @@ def full_rank_four_qubit_table() -> CountsTable:
 
 
 @contextlib.contextmanager
-def counted_likelihoods(monkeypatch):
-    """Counts the likelihood evaluations made inside the block."""
+def counted_calls(monkeypatch, name: str):
+    """Records the calls of ``tomography.<name>`` made inside the block:
+    ``_likelihood`` counts likelihood evaluations, ``_damped_step`` Newton
+    steps solved."""
     calls = []
-    likelihood = tomography._likelihood
+    function = getattr(tomography, name)
 
     def counted(*args):
         calls.append(args)
-        return likelihood(*args)
+        return function(*args)
 
-    monkeypatch.setattr(tomography, "_likelihood", counted)
+    monkeypatch.setattr(tomography, name, counted)
     yield calls
-    monkeypatch.setattr(tomography, "_likelihood", likelihood)
+    monkeypatch.setattr(tomography, name, function)
 
 
 def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
@@ -306,7 +308,7 @@ def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
         return newton(*args)
 
     monkeypatch.setattr(tomography, "_low_rank_newton", spied)
-    with counted_likelihoods(monkeypatch) as calls:
+    with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(crawling_ghz_table())
     assert len(starts) == 1
     assert tomography._MLE_RANK_CHECK <= starts[0] < tomography._MLE_BUDGET
@@ -326,7 +328,7 @@ def test_mle_rank_check_leaves_a_fit_at_the_likelihood_rounding_alone(monkeypatc
         patched.setattr(tomography, "_MLE_RANK_CHECK", 40)
         patched.setattr(tomography, "_low_rank_newton", refused)
         for table in tables:
-            with counted_likelihoods(patched) as calls:
+            with counted_calls(patched, "_likelihood") as calls:
                 reconstruct_mle(table)
             assert len(calls) > tomography._MLE_RANK_CHECK
         patched.setattr(tomography, "_MLE_FLOOR", 0.0)
@@ -338,7 +340,7 @@ def test_mle_rank_check_leaves_a_fit_at_the_likelihood_rounding_alone(monkeypatc
     # they take the stage and finish sooner, at the likelihood they reach
     # with the stage refused.
     def fit(table):
-        with counted_likelihoods(monkeypatch) as calls:
+        with counted_calls(monkeypatch, "_likelihood") as calls:
             rho = reconstruct_mle(table).matrix
         return log_likelihood(rho, table) / table.counts.sum(), len(calls)
 
@@ -380,7 +382,7 @@ def test_mle_stages_a_fit_again_when_its_rank_grows(monkeypatch):
     gram = gram_from_delays((0.0, 0.100463, 0.070791), 1.0)
     rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
     monkeypatch.setattr(tomography, "_low_rank_newton", spied)
-    with counted_likelihoods(monkeypatch) as calls:
+    with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(simulate_counts(rho, shots=10_000, seed=732477250))
     assert [rank for rank, _ in stages] == [2, 3]
     assert all(start < tomography._MLE_BUDGET for _, start in stages)
@@ -401,6 +403,66 @@ def test_newton_stage_at_the_likelihood_rounding_stops_at_once(monkeypatch):
         counts, counts > 0, log_likelihood(fit, table), 100,
     )
     assert trials <= 3
+
+
+def newton_inputs(table: CountsTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The setting vectors, counts and counted mask the fit hands the stage."""
+    counts = table.counts.ravel()
+    return tomography._setting_vectors(table.settings), counts, counts > 0
+
+
+def test_newton_stage_refuses_a_factor_that_misses_a_counted_outcome(monkeypatch):
+    # GHZ counts fall on |000> and |111> in ZZZ; a factor with amplitude 1e-7
+    # on |111> gives that outcome q = 1e-14, under the likelihood's floor,
+    # where F is not the likelihood the fit maximises. The stage returns the
+    # normalised factor untouched, without a step.
+    table = simulate_counts(ghz_rho(), shots=100, seed=1)
+    factor = np.zeros((8, 1), dtype=complex)
+    factor[0, 0], factor[7, 0] = 1.0, 1e-7
+    with counted_calls(monkeypatch, "_damped_step") as steps:
+        a, trials = tomography._low_rank_newton(
+            factor, *newton_inputs(table), log_likelihood(factor @ factor.conj().T, table), 50
+        )
+    assert trials == 0 and steps == []
+    assert a.tobytes() == (factor / np.linalg.norm(factor)).tobytes()
+
+
+def test_newton_stage_returns_at_a_stationary_point_without_a_step(monkeypatch):
+    # A Z table with every count on the +1 outcome: |0> gives it q = 1 and
+    # is the maximum, its gradient exactly zero, so mu = 0 and there is no
+    # step to solve.
+    table = CountsTable.from_rows([CountRow("Z", "0", 7), CountRow("Z", "1", 0)],
+                                  shots_per_setting=7)
+    factor = np.array([[1.0], [0.0]], dtype=complex)
+    with counted_calls(monkeypatch, "_damped_step") as steps:
+        a, trials = tomography._low_rank_newton(factor, *newton_inputs(table), 0.0, 50)
+    assert trials == 0 and steps == []
+    assert a.tobytes() == factor.tobytes()
+
+
+def test_newton_stage_ends_on_an_accepted_candidate_below_the_tolerance(monkeypatch):
+    # The fit hands the stage the likelihood of its whole state, which the
+    # factor's own can fall short of. A candidate that beats it by less than
+    # _MLE_TOL ends the stage at once, even one step from a factor far from
+    # the optimum, where the next step would gain again.
+    rows = [CountRow(axis, outcome, count)
+            for axis, pair in zip("XYZ", ((7, 3), (4, 6), (8, 2)))
+            for outcome, count in zip("01", pair)]
+    table = CountsTable.from_rows(rows, shots_per_setting=10)
+    inputs = newton_inputs(table)
+    factor = np.array([[0.3 + 0.2j], [0.9 - 0.1j]])
+    own = log_likelihood(factor @ factor.conj().T / np.vdot(factor, factor).real, table)
+    _, trials = tomography._low_rank_newton(factor, *inputs, own, 50)
+    assert trials > 1  # from its own likelihood, the stage takes more steps
+    first, _ = tomography._low_rank_newton(factor, *inputs, own, 1)
+    value = log_likelihood(first @ first.conj().T, table)
+    assert value - own > 1e-3
+    with counted_calls(monkeypatch, "_damped_step") as steps:
+        a, trials = tomography._low_rank_newton(
+            factor, *inputs, value - tomography._MLE_TOL / 2.0, 50
+        )
+    assert trials == 1 and len(steps) == 1
+    assert a.tobytes() == first.tobytes()
 
 
 def test_damped_step_solves_the_shifted_system():
@@ -443,7 +505,7 @@ def run_kind_tables() -> list[CountsTable]:
 
 def test_mle_rank_check_takes_fewer_evaluations_and_keeps_the_likelihood(monkeypatch):
     def fits():
-        with counted_likelihoods(monkeypatch) as calls:
+        with counted_calls(monkeypatch, "_likelihood") as calls:
             states = [reconstruct_mle(table).matrix for table in tables]
         values = [log_likelihood(rho, t) / t.counts.sum() for rho, t in zip(states, tables)]
         return values, len(calls)
@@ -464,7 +526,7 @@ def test_mle_does_not_take_the_newton_stage_before_the_budget_or_above_the_cap(m
     monkeypatch.setattr(tomography, "_low_rank_newton", refused)
     for table in dirichlet_tables():
         reconstruct_mle(table)
-    with counted_likelihoods(monkeypatch) as calls:
+    with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(full_rank_four_qubit_table())
     assert len(calls) > tomography._MLE_BUDGET
 
@@ -482,14 +544,14 @@ def test_mle_budget_stage_finishes_a_full_rank_fit_the_rank_check_leaves(monkeyp
         return newton(factor, *args)
 
     def fit():
-        with counted_likelihoods(monkeypatch) as counted:
+        with counted_calls(monkeypatch, "_likelihood") as counted:
             rho = reconstruct_mle(table).matrix
         return log_likelihood(rho, table) / table.counts.sum(), len(counted)
 
     noisy = (1 - 8e-5) * ghz_rho().matrix + 8e-5 * np.eye(8) / 8
     table = simulate_counts(DensityMatrix(noisy), shots=100_000, seed=5)
     monkeypatch.setattr(tomography, "_low_rank_newton", spied)
-    with counted_likelihoods(monkeypatch) as calls:
+    with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(table)
     [(rank, start)] = stages
     assert rank > tomography._NEWTON_LOW_RANK and start >= tomography._MLE_BUDGET
