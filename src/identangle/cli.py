@@ -257,8 +257,9 @@ def build_gram(config: dict, path: str, num_particles: int) -> GramMatrix:
     return gram
 
 
-def write_density_matrix(path, matrix: np.ndarray) -> None:
-    """Two stacked real-valued blocks: real part then imaginary part."""
+def write_density_matrix(path, matrix: np.ndarray) -> bytes:
+    """Two stacked real-valued blocks: real part then imaginary part. Returns
+    the bytes written."""
     dim = matrix.shape[0]
     lines = [
         "# identangle density matrix",
@@ -269,8 +270,10 @@ def write_density_matrix(path, matrix: np.ndarray) -> None:
     for block in (matrix.real, matrix.imag):
         for row in block.tolist():
             lines.append(" ".join(f"{value:+.17e}" for value in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return data
 
 
 def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
@@ -331,10 +334,9 @@ def _write_results(args, report: dict, matrix_name: str, matrix: np.ndarray,
     report), the counts if any, then the report, which is echoed to stdout."""
     report_name = f"{report_stem}.{args.format}"
     with _output_files(args.out_dir) as stage:
-        matrix_path = stage(matrix_name)
-        write_density_matrix(matrix_path, matrix)
+        data = write_density_matrix(stage(matrix_name), matrix)
         report["density_matrix_file"] = matrix_name
-        report["density_matrix_sha256"] = hashlib.sha256(matrix_path.read_bytes()).hexdigest()
+        report["density_matrix_sha256"] = hashlib.sha256(data).hexdigest()
         if counts is not None:
             write_counts(counts, stage(report["tomography"]["counts_file"]))
         text = _report_text(report, args.format)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -189,12 +190,35 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     (phi1, phi2, fidelity) are bit-equal to a search over the whole grid.
     When a single row survives, the first evaluation of it is reused.
 
-    A state with no W coherence, c12 = c14 = c24 = 0 (any GHZ-support state),
-    has the constant objective d / 3: every grid entry and every descent
-    candidate is (d + a signed zero) / 3, so the first grid point wins and
-    the descent never moves. The search then returns (0, 0, d / 3) at once,
-    bit-equal to the whole search (which also clips a zero of either sign
-    to +0).
+    The (0, 0) rule. With a = Re c and b = Im c: when b12, b14 and b24 are
+    zeros of either sign, a12, a14 and a24 are >= 0, a24 <= a12 + a14, and
+    a12 + a14 is 0 or at least ``sys.float_info.min``, the search returns
+    (0, 0, (d + 2 ((a12 + a14) + a24)) / 3), clipped into [0, 1], with no
+    grid and no descent. This is bit-equal to the whole search:
+
+    - Every grid term is a_k times a cosine (the b_k terms are exact zeros),
+      and the (0, 0) entry has every cosine 1. Entries in row 0 or column 0
+      have the others' cosines <= 1, and entries off the diagonal have
+      |cos(phi_j - phi_i)| <= cos(2pi/256) as well, so by monotone rounding
+      each is <= the (0, 0) entry.
+    - On the diagonal, phi_i = phi_j != 0, the a12 and a14 terms drop by at
+      least (1 - cos(2pi/256)) (a12 + a14) >= 3e-4 (a12 + a14) >= 3e-4 a24,
+      while rounding can lift the a24 term (a24 |e_i|^2) by only a few ulps
+      of a24. So no diagonal entry exceeds the (0, 0) entry, and np.argmax
+      takes flat index 0 on ties.
+    - From (0, 0), every descent candidate is <= ``best``: its cosines are
+      <= 1 and its sine terms are multiplied by exact zeros. So the descent
+      never moves, and it ends at (0, 0) with the grid's value, which is the
+      rule's up to the sign of a zero sum that the clip removes.
+    - The diagonal bound is relative, and it fails when a12 + a14 is
+      subnormal, where rounding is absolute: without the
+      ``sys.float_info.min`` clause the rule disagreed with the full grid on
+      80 of 4,004 states whose a12 + a14 is subnormal.
+
+    When c12 = c14 = c24 = 0 (every GHZ-support state), the rule gives d / 3,
+    the constant objective. Every W-balanced state along g and the three
+    delays meets the rule (4 x 1,017 sweep points), so those scans classify
+    at the cost of GHZ scans; W-dft coherences carry phases and are searched.
 
     The fine stage runs on Python floats. With a = Re c and b = Im c and
     p21 = phi2 - phi1, each candidate is
@@ -209,9 +233,10 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     comparison and step is bit-equal to the numpy descent at a fraction of
     its cost; a test checks the objective against numpy's on 100,000 points.
     The term of a coordinate that did not move is kept from the candidate
-    that moved it. The final wrap to (-pi, pi] stays
-    ``np.angle(np.exp(1j * phi))``: ``math.atan2(sin phi, cos phi)`` differs
-    from it in the last bit for about one phase in ten.
+    that moved it. The final wrap to (-pi, pi] is ``np.angle(np.exp(1j *
+    phi))``, made once for all the searched states of a block
+    (:func:`_wrapped`): ``math.atan2(sin phi, cos phi)`` differs from it in
+    the last bit for about one phase in ten.
     """
     if rho.num_qubits != 3:
         raise ValidationError("the W phase search is defined for three qubits")
@@ -220,19 +245,29 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
 
 def _w_phases(stack: np.ndarray) -> list[tuple[float, float, float]]:
     """:func:`optimize_w_phases` of each matrix of a three-qubit stack
-    (P, 8, 8). Every result starts as the no-coherence shortcut's; the states
-    with W coherence are then searched as one stack and their results filled
-    in. The coarse stage runs on the whole stack, each state's terms a column
-    (P, 1) that meets the grid tables as the one state's would, so every
-    bound, first-row entry and argmax is the one-state value. The kept rows
-    are evaluated again, state by state, unless the first row is the only
-    one; the fine stage runs state by state."""
+    (P, 8, 8). The (0, 0) rule answers the states it covers, state by state
+    on Python floats (cheaper than array operations on the 9 to 25 states of
+    a short scan); the others are then searched as one stack and their
+    results filled in. The coarse stage runs on the whole stack, each state's
+    terms a column (P, 1) that meets the grid tables as the one state's
+    would, so every bound, first-row entry and argmax is the one-state value.
+    The kept rows are evaluated again, state by state, unless the first row
+    is the only one; the fine stage runs state by state, and the phases it
+    ends at are wrapped once, as one (P, 2) array (:func:`_wrapped`)."""
     a, b, c = _W_SUPPORT
     d = (stack[:, a, a] + stack[:, b, b] + stack[:, c, c]).real
     # c12, c14, c24: entries (a, b), (a, c) and (b, c) of each matrix.
     terms = stack.reshape(len(stack), -1).take([8 * a + b, 8 * a + c, 8 * b + c], axis=1)
-    found = [(0.0, 0.0, min(1.0, max(0.0, value / 3.0))) for value in d.tolist()]
-    live = [k for k, coherences in enumerate(terms.tolist()) if any(coherences)]
+    found, live = [], []
+    for k, (dk, (c12, c14, c24)) in enumerate(zip(d.tolist(), terms.tolist())):
+        a12, a14, a24 = c12.real, c14.real, c24.real
+        pair = a12 + a14
+        if (not (c12.imag or c14.imag or c24.imag) and a12 >= 0.0 and a14 >= 0.0
+                and 0.0 <= a24 <= pair and (pair == 0.0 or pair >= sys.float_info.min)):
+            found.append((0.0, 0.0, min(1.0, max(0.0, (dk + 2.0 * (pair + a24)) / 3.0))))
+        else:
+            found.append(None)
+            live.append(k)
     if not live:
         return found
     if len(live) != len(found):
@@ -249,8 +284,9 @@ def _w_phases(stack: np.ndarray) -> list[tuple[float, float, float]]:
     margin = _W_BOUND_MARGIN * (np.abs(d) + 2.0 * np.abs(terms).sum(axis=1))
     keep = bound + margin[:, None] >= best[:, None]
 
-    for k, (state, dk, (c12k, c14k, c24k), i, jk, bk, kept) in enumerate(zip(
-        live, d.tolist(), terms.tolist(), first.tolist(), j.tolist(), best.tolist(),
+    searched = []
+    for k, (dk, (c12k, c14k, c24k), i, jk, bk, kept) in enumerate(zip(
+        d.tolist(), terms.tolist(), first.tolist(), j.tolist(), best.tolist(),
         keep.sum(axis=1).tolist(),
     )):
         if kept != 1 or not keep[k, i]:
@@ -258,8 +294,21 @@ def _w_phases(stack: np.ndarray) -> list[tuple[float, float, float]]:
             grid_k = _w_rows(dc, t12, c14, c24, k, rows)
             row, jk = divmod(int(np.argmax(grid_k)), _W_GRID_SIZE)
             i, bk = int(rows[row]), float(grid_k[row, jk])
-        found[state] = _w_descent(dk, c12k, c14k, c24k, float(_W_PHIS[i]), float(_W_PHIS[jk]), bk)
+        searched.append(_w_descent(dk, c12k, c14k, c24k, float(_W_PHIS[i]), float(_W_PHIS[jk]), bk))
+    results = np.array(searched)
+    results[:, :2] = _wrapped(results[:, :2])
+    for state, result in zip(live, results.tolist()):
+        found[state] = tuple(result)
     return found
+
+
+def _wrapped(phases: np.ndarray) -> np.ndarray:
+    """Every phase of an array wrapped to (-pi, pi] as
+    ``np.angle(np.exp(1j * phi))`` wraps it alone, bit for bit: np.angle is
+    np.arctan2 of the imaginary and real parts, here called once on the
+    array; a test checks the per-phase equality on 100,000 phases."""
+    z = np.exp(1j * phases)
+    return np.arctan2(z.imag, z.real)
 
 
 def _w_rows(dc: np.ndarray, t12: np.ndarray, c14: np.ndarray, c24: np.ndarray,
@@ -282,9 +331,10 @@ def _w_rows(dc: np.ndarray, t12: np.ndarray, c14: np.ndarray, c24: np.ndarray,
 def _w_descent(d: float, c12: complex, c14: complex, c24: complex,
                phi1: float, phi2: float, best: float) -> tuple[float, float, float]:
     """Fine stage of the W search from the grid point (phi1, phi2) of value
-    ``best``; see :func:`optimize_w_phases`. t1 and t2 hold the phi1 and
-    phi2 terms at the current point; phi2 - phi1 moves with every
-    candidate."""
+    ``best``; see :func:`optimize_w_phases`. Returns the phases it ends at,
+    not yet wrapped, and the best value clipped into [0, 1]. t1 and t2 hold
+    the phi1 and phi2 terms at the current point; phi2 - phi1 moves with
+    every candidate."""
     cos, sin = math.cos, math.sin
     a12, b12, a14, b14, a24, b24 = c12.real, c12.imag, c14.real, c14.imag, c24.real, c24.imag
     t1 = a12 * cos(phi1) - b12 * sin(phi1)
@@ -321,14 +371,7 @@ def _w_descent(d: float, c12: complex, c14: complex, c24: complex,
             phi2, t2, best, moved = p2, u2, candidate, True
         if not moved:
             step /= 2.0
-    # np.angle(z) is np.arctan2(z.imag, z.real), called here without its
-    # array conversion.
-    z1, z2 = np.exp(1j * phi1), np.exp(1j * phi2)
-    return (
-        float(np.arctan2(z1.imag, z1.real)),
-        float(np.arctan2(z2.imag, z2.real)),
-        float(min(1.0, max(0.0, best))),
-    )
+    return phi1, phi2, min(1.0, max(0.0, best))
 
 
 @dataclass(frozen=True)

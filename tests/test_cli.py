@@ -611,6 +611,11 @@ def test_stdout_echoes_the_json_report_in_either_format(tmp_path, capsys, comman
         wrote, echo = capsys.readouterr().out.split("\n", 1)
         assert wrote.startswith("wrote ")
         echoes.append(echo)
+        # The digest is taken from the bytes written, not read back: it must
+        # be the written file's.
+        report = json.loads(echo)
+        written = (out / report["density_matrix_file"]).read_bytes()
+        assert report["density_matrix_sha256"] == hashlib.sha256(written).hexdigest()
     assert echoes == [(tmp_path / "json" / name).read_text(encoding="utf-8")] * 2
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -258,7 +259,9 @@ def _assert_bit_equal_to_full_grid(rho):
 
 
 def _w_block_state(diag, c12, c14, c24):
+    """A state with the given W block; what trace it leaves sits on |000> and |111>."""
     m = np.zeros((8, 8), dtype=complex)
+    m[0, 0] = m[7, 7] = (1.0 - sum(diag)) / 2.0
     m[1, 1], m[2, 2], m[4, 4] = diag
     m[1, 2], m[1, 4], m[2, 4] = c12, c14, c24
     m[2, 1], m[4, 1], m[4, 2] = np.conj(c12), np.conj(c14), np.conj(c24)
@@ -313,6 +316,80 @@ def test_pruned_w_search_is_bit_equal_to_full_grid_with_zero_coherences():
             coherences = [0j, 0j, 0j]
             coherences[slot] = 0.2 * np.exp(1j * angle)
             _assert_bit_equal_to_full_grid(_w_block_state((0.3, 0.3, 0.4), *coherences))
+
+
+def _w_descent_calls(monkeypatch):
+    """Spy on the fine stage: the list of calls grows by one per searched state."""
+    calls = []
+    descent = entanglement._w_descent
+
+    def spy(*args):
+        calls.append(args)
+        return descent(*args)
+
+    monkeypatch.setattr(entanglement, "_w_descent", spy)
+    return calls
+
+
+def test_w_search_at_the_origin_is_bit_equal_to_full_grid_on_real_non_negative_coherences(
+    monkeypatch,
+):
+    # Real, non-negative coherences with c24 <= c12 + c14 are answered at
+    # (0, 0) without a search; the answer must be the full search's.
+    calls = _w_descent_calls(monkeypatch)
+    rng = np.random.default_rng(604)
+    for k in range(240):
+        diag = rng.dirichlet(np.ones(3)) * rng.choice([1.0, 0.5, 1e-3])
+        a12, a14, a24 = rng.uniform(0.0, 0.5, size=3) * min(diag)
+        if k % 4 == 1:
+            a24 = a12 + a14  # the pair bound met exactly, in floats
+        elif k % 4 == 2:
+            a12, a24 = 0.0, min(a24, a14)
+        elif k % 4 == 3:
+            a14, a24 = 0.0, min(a24, a12)
+        else:
+            a24 = min(a24, a12 + a14)
+        _assert_bit_equal_to_full_grid(_w_block_state(diag, a12, a14, a24))
+    # Parts of +-0.0, with d = +0.0 and d = -0.0 as well as d > 0.
+    parts = [complex(re, im) for re in (0.0, -0.0, 0.1) for im in (0.0, -0.0)]
+    for c12, c14, c24 in itertools.product(parts, repeat=3):
+        if c24.real > c12.real + c14.real:
+            continue
+        for diag in ((0.3, 0.3, 0.4), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)):
+            if min(diag) == 0.0 and any(c.real for c in (c12, c14, c24)):
+                continue  # not positive semidefinite
+            _assert_bit_equal_to_full_grid(_w_block_state(diag, c12, c14, c24))
+    assert not calls
+
+
+def test_w_search_is_bit_equal_to_full_grid_on_subnormal_magnitudes():
+    # The (0, 0) rule rests on the diagonal's relative drop, which subnormal
+    # magnitudes do not keep: c12 + c14 below the smallest normal float is
+    # searched. Both sides of that line, against d from subnormal up.
+    tiny = sys.float_info.min
+    magnitudes = (0.0, 5e-324, tiny / 2.0, tiny, 1e-200)
+    for d in (1e-323, 0.1):
+        diag = (d / 3.0, d / 3.0, d - 2.0 * (d / 3.0))
+        for c12, c14, c24 in itertools.product(magnitudes, repeat=3):
+            _assert_bit_equal_to_full_grid(_w_block_state(diag, c12, c14, c24))
+
+
+def test_w_search_near_misses_of_the_origin_rule_take_the_full_search(monkeypatch):
+    calls = _w_descent_calls(monkeypatch)
+    diag = (0.3, 0.3, 0.4)
+    a12, a14 = 0.1, 0.05
+    cases = [
+        (a12, a14, math.nextafter(a12 + a14, math.inf)),  # c24 one ulp above the pair
+        (-5e-324, a14, 0.1),
+        (a12, -5e-324, 0.1),
+        (a12, a14, -5e-324),
+        (complex(a12, 5e-324), a14, 0.1),
+        (a12, complex(a14, -5e-324), 0.1),
+        (a12, a14, complex(0.1, 5e-324)),
+    ]
+    for case in cases:
+        _assert_bit_equal_to_full_grid(_w_block_state(diag, *case))
+    assert len(calls) == len(cases)
 
 
 @pytest.mark.parametrize(
@@ -381,6 +458,36 @@ def test_w_descent_objective_is_bit_equal_to_numpy_complex_expression():
         if got.hex() != want.hex():
             mismatches.append((d, cs, phi1, phi2, got, want))
     assert not mismatches, f"{len(mismatches)} of {n} differ, first {mismatches[0]}"
+
+
+def test_w_phase_wrap_of_a_block_is_bit_equal_to_each_phase_alone():
+    # The searched states of a block have their phases wrapped as one (P, 2)
+    # slice; each must be the one-phase np.angle(np.exp(1j * phi)).
+    rng = np.random.default_rng(802)
+    step = 2.0 * math.pi / 256
+    grid = np.arange(-1024, 1025) * step
+    phases = np.concatenate([
+        [math.pi, -math.pi, 0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi],
+        grid,
+        np.nextafter(grid, np.inf),
+        np.nextafter(grid, -np.inf),
+        # Descent end points: grid phases moved by steps 2pi/256 / 2^k.
+        rng.choice(grid[768:1281], size=40_000)
+        + rng.choice([-1.0, 1.0], size=40_000) * step / 2.0 ** rng.integers(0, 23, size=40_000),
+        rng.uniform(-4.0 * math.pi, 4.0 * math.pi, size=53_846),
+    ])
+    assert len(phases) >= 100_000 and len(phases) % 2 == 0
+    want = [float(np.angle(np.exp(1j * phi))).hex() for phi in phases.tolist()]
+    pairs, got, start, size = phases.reshape(-1, 2), [], 0, 1
+    while start < len(pairs):
+        # Blocks of every size a classification block can search, 1 to 64
+        # states, as the (P, 2) slice of the (P, 3) results the search wraps.
+        block = pairs[start:start + size]
+        results = np.zeros((len(block), 3))
+        results[:, :2] = block
+        got += [x.hex() for x in entanglement._wrapped(results[:, :2]).ravel().tolist()]
+        start, size = start + size, size % 64 + 1
+    assert got == want
 
 
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["L1", "L2", "L3"])
@@ -492,6 +599,39 @@ def test_classify_states_keeps_every_row_of_w_dft_at_half_overlap(monkeypatch):
     assert [x.hex() for x in (last.phi1, last.phi2, last.fidelity_w_max)] == [
         x.hex() for x in _full_grid_w_phases(rho)
     ]
+
+
+def _nine_point_scan(spec, param):
+    """The states of a 9-point scan of ``g`` over [0, 1], or of one delay over
+    [-1.5, 2] from delays (0, 0.25, 0.5) and coherence length 1."""
+    if param == "g":
+        grams = [GramMatrix.uniform(3, g) for g in np.linspace(0.0, 1.0, 9).tolist()]
+    else:
+        grams = []
+        for value in np.linspace(-1.5, 2.0, 9).tolist():
+            delays = [0.0, 0.25, 0.5]
+            delays[int(param[1]) - 1] = value
+            grams.append(gram_from_delays(tuple(delays), 1.0))
+    return [density_matrix_from_spec(spec, gram)[0] for gram in grams]
+
+
+@pytest.mark.parametrize("param", ["g", "L1", "L2", "L3"])
+def test_w_balanced_scans_classify_without_a_w_search(monkeypatch, param):
+    # Every W-balanced coherence is real and non-negative, with
+    # c24 <= c12 + c14, so its scans are answered at (0, 0); W-dft
+    # coherences carry phases, so its scans are still searched.
+    calls = []
+    for name in ("_w_descent", "_w_rows"):
+        def spy(*args, name=name, original=getattr(entanglement, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(entanglement, name, spy)
+    reports = list(classify_states(_nine_point_scan(w_preset(balanced_tritter_rows()), param)))
+    assert any(report.offdiag_norm > 0.0 for report in reports)
+    assert not calls
+    list(classify_states(_nine_point_scan(w_preset(dft_tritter_rows()), param)))
+    assert set(calls) == {"_w_descent", "_w_rows"}
 
 
 def test_classify_states_refuses_a_state_that_is_not_three_qubits():
