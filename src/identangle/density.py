@@ -43,6 +43,10 @@ TRACE_TOL = 1e-10
 # (see _hermitian_psd). Below it the gather costs more than the smaller
 # eigvalsh saves: on kernel states at N = 3 to 5 the rule ran 10-35% slower.
 _BLOCK_DIM = 64
+# The widest register held: a counts table (tomography) takes 2^N float64
+# counts per setting, 8 MiB at this width, and a GHZ target (entanglement) a
+# 2^N complex vector, 16 MiB; no estimator here fits a state past N = 5.
+_MAX_QUBITS = 20
 
 
 def _complex_array(data, name: str) -> np.ndarray:

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, _unit_vector
+from .density import _MAX_QUBITS, DensityMatrix, _unit_vector
 from .errors import ValidationError
-from .reduction import PAIR_BLOCK
-from .tomography import _MAX_QUBITS
 
 __all__ = [
     "GHZ_WITNESS_BOUND",
@@ -57,8 +55,13 @@ _W_SUPPORT = (1, 2, 4)
 _W_GRID_SIZE = 256  # W phase search: coarse grid points per phase
 _W_STEP_FLOOR = 1e-6  # W phase search: descent step (radians) that ends it
 # W phase search: rounding margin of the coarse row bound, per unit of
-# |d| + 2 (|c12| + |c14| + |c24|): 64 eps; see optimize_w_phases.
+# |d| + 2 (|c12| + |c14| + |c24|): 64 eps, and never below 16 of the smallest
+# subnormal float (2^-1074); see optimize_w_phases.
 _W_BOUND_MARGIN = 64.0 * np.finfo(float).eps
+_W_MARGIN_FLOOR = 16.0 * 5e-324
+# classify_states reads states in blocks of this many, whose 64 x 256 W row
+# bounds make one reduction.PAIR_BLOCK (2^14 values) of scratch.
+_CLASSIFY_BLOCK = 64
 
 # Coarse W grid tables, independent of the state: the phases, e^(i phi) as a
 # row (phi2 along columns), and its conjugate as a column (phi1 along rows)
@@ -83,7 +86,7 @@ class TargetState:
 
 
 def ghz_state(num_qubits: int = 3) -> TargetState:
-    """(|dd...d> + |uu...u>) / sqrt(2), on 2 to ``tomography._MAX_QUBITS`` (20) qubits."""
+    """(|dd...d> + |uu...u>) / sqrt(2), on 2 to ``density._MAX_QUBITS`` (20) qubits."""
     if isinstance(num_qubits, bool) or not isinstance(num_qubits, numbers.Integral):
         raise ValidationError(f"qubit count must be an integer, got {num_qubits!r}")
     if num_qubits < 2:
@@ -183,7 +186,12 @@ def optimize_w_phases(rho: DensityMatrix) -> tuple[float, float, float]:
     of roundings, none larger than eps * S, so each lies within a few eps * S
     of its exact value for the stored e_i; on 30,000 random and near-tied
     states no row's computed maximum exceeded its computed bound by more than
-    0.6 eps * S. Rows left out therefore hold only entries strictly below M:
+    0.6 eps * S. The margin is floored at ``_W_MARGIN_FLOOR`` = 16 * 2^-1074:
+    for a subnormal S rounding is absolute (2^-1075 each) while 64 eps * S
+    underflows, so without it the first row's computed maximum could exceed
+    every computed bound and no row be kept. For a normal S, 64 eps * S >=
+    64 * 2^-1074, so the floor never binds. Rows left out therefore hold only
+    entries strictly below M:
     they can neither hold the grid's maximum nor tie with it. The rows kept
     are evaluated entry for entry as in the full grid, so a row-major argmax
     over them in ascending order picks the full grid's first flat index, and
@@ -281,7 +289,8 @@ def _w_phases(stack: np.ndarray) -> list[tuple[float, float, float]]:
     grid = _w_rows(dc, t12, c14, c24, points, first)
     j = grid.argmax(axis=1)
     best = grid[points, j]
-    margin = _W_BOUND_MARGIN * (np.abs(d) + 2.0 * np.abs(terms).sum(axis=1))
+    margin = np.maximum(_W_BOUND_MARGIN * (np.abs(d) + 2.0 * np.abs(terms).sum(axis=1)),
+                        _W_MARGIN_FLOOR)
     keep = bound + margin[:, None] >= best[:, None]
 
     searched = []
@@ -404,14 +413,14 @@ def classify_states(states: Iterable[DensityMatrix]) -> Iterator[ClassificationR
     to the one the state gets alone, from one pass over the stack of their
     matrices.
 
-    The states are read in blocks of ``PAIR_BLOCK // _W_GRID_SIZE``, and a
+    The states are read in blocks of ``_CLASSIFY_BLOCK`` (64), and a
     block's reports are yielded before the next block is read, so neither
     the scratch memory (the W phase search's (P, 256) arrays) nor the states
     and reports held here grow with the number of states. A state that is
     not a three-qubit state raises when its block is read.
     """
     states = iter(states)
-    while block := list(itertools.islice(states, PAIR_BLOCK // _W_GRID_SIZE)):
+    while block := list(itertools.islice(states, _CLASSIFY_BLOCK)):
         yield from _classify_block(block)
 
 

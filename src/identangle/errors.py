@@ -9,6 +9,10 @@ probability zero, get their own branch.
 
 from __future__ import annotations
 
+__all__ = ["IdentangleError", "ValidationError", "UnsupportedConfigurationError",
+           "IncompleteSettingsError", "CountsParseError", "ConfigError",
+           "PostselectionImpossibleError"]
+
 
 class IdentangleError(Exception):
     """Base class for every error raised by this package."""

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .density import DensityMatrix, _complex_array
+from .density import _MAX_QUBITS, DensityMatrix, _complex_array
 from .errors import CountsParseError, IncompleteSettingsError, ValidationError
 
 __all__ = [
@@ -57,9 +57,6 @@ _PROB_FLOOR = 1e-12  # the likelihood floors every outcome probability here
 
 # Counts are held as float64, which holds every integer up to 2**53 exactly.
 _MAX_SHOTS = 2**53
-# The widest table held. Its grid takes 2^N float64 counts per setting, 8 MiB
-# at this width, while no estimator here fits a state past N = 5.
-_MAX_QUBITS = 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -822,6 +822,25 @@ def test_custom_spins_may_be_written_as_integers(tmp_path):
     assert matrices[0] == matrices[1]
 
 
+def test_a_w_block_of_subnormal_magnitude_is_classified(tmp_path):
+    # The W-support routings pass through two paths of amplitude m, so the W
+    # block they leave in rho is of order m^4, subnormal: the W search's row
+    # margin must not underflow there.
+    m = 1.6541578383623047e-81
+    config = {
+        "preset": "custom",
+        "custom": {
+            "amplitudes": [[[1, 0], [0, m], [m, 0]], [[-m, 0], [1, 0], [m, 0]],
+                           [[m, 0], [0, m], [1, 0]]],
+            "spins": [["down", "up", "down"], ["down", "down", "up"], ["up", "down", "down"]],
+        },
+        "distinguishability": {"gram": np.ones((3, 3)).tolist()},
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, config), "--out-dir", str(out)]) == 0
+    assert read_report(out)["verdict"] == "witness-inconclusive"
+
+
 def test_unusable_out_dir_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, GHZ_CONFIG)
     counts = tmp_path / "counts.txt"

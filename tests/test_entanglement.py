@@ -372,6 +372,16 @@ def test_w_search_is_bit_equal_to_full_grid_on_subnormal_magnitudes():
         diag = (d / 3.0, d / 3.0, d - 2.0 * (d / 3.0))
         for c12, c14, c24 in itertools.product(magnitudes, repeat=3):
             _assert_bit_equal_to_full_grid(_w_block_state(diag, c12, c14, c24))
+    # Signed and imaginary subnormal coherences are searched. With S =
+    # |d| + 2 (|c12| + |c14| + |c24|) subnormal, a row margin of 64 eps * S
+    # underflows to 0: without its floor, 24 of these raised on an empty
+    # argmax or kept too few rows (d = 1e-323, c12 = 0, c14 = 5e-324 and
+    # c24 = -5e-324 raised).
+    for d in (1e-323, 1e-320):
+        diag = (d / 3.0, d / 3.0, d - 2.0 * (d / 3.0))
+        for c12 in (0.0, 5e-324):
+            for c14, c24 in itertools.product((5e-324, -5e-324, 5e-324j, 1e-320), repeat=2):
+                _assert_bit_equal_to_full_grid(_w_block_state(diag, c12, c14, c24))
 
 
 def test_w_search_near_misses_of_the_origin_rule_take_the_full_search(monkeypatch):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_banded_spec, random_gram, random_spec
+from conftest import random_banded_spec, random_gram, random_row_normalized, random_spec
 from identangle import (
     GramMatrix,
     PostselectionImpossibleError,
@@ -345,6 +347,65 @@ def test_kernel_is_byte_identical_to_oracle_at_six_particles():
 def test_kernel_is_byte_identical_to_oracle_on_presets(spec):
     for g in np.linspace(0.0, 1.0, 17):
         assert_byte_identical(spec, GramMatrix.uniform(3, g))
+
+
+def first_principles_density(spec, gram):
+    """rho and p_success from the particles' joint state, sharing no overlap
+    formula with the kernel or ``brute_force``: G = H^dagger H (by ``eigh``)
+    gives hidden vectors h_a = H[:, a]; the postselected state
+    sum_sigma prod_i t[i, sigma(i)] (x)_d |s(d)> |h_sigma^-1(d)> puts slot d on
+    detector d, and the hidden part is traced out as M M^dagger of its
+    (2^N, r^N) reshape."""
+    t, s = spec.amplitudes, spec.spins
+    n = len(t)
+    w, v = np.linalg.eigh(gram.overlaps)
+    h = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.conj().T
+    state = np.zeros((2,) * n + h.shape[:1] * n, dtype=complex)
+    for sigma in itertools.permutations(range(n)):
+        amplitude = math.prod(t[i, sigma[i]] for i in range(n))
+        if amplitude == 0:
+            continue  # an UNUSED path: its spin entry is no spin
+        inverse = np.argsort(sigma)
+        spins = tuple(int(s[inverse[d], d]) for d in range(n))
+        state[spins] += amplitude * functools.reduce(
+            np.multiply.outer, [h[:, inverse[d]] for d in range(n)]
+        )
+    m = state.reshape(2**n, -1)
+    raw = m @ m.conj().T
+    p_success = float(np.trace(raw).real)
+    return raw / p_success, p_success
+
+
+def random_sparse_spec(rng, n):
+    """Random routing whose off-diagonal paths are each zero (UNUSED) with
+    probability 1/3; the diagonal keeps one bijection alive."""
+    t = random_row_normalized(rng, n, n)
+    used = (rng.random((n, n)) > 1.0 / 3.0) | np.eye(n, dtype=bool)
+    t = np.where(used, t, 0.0)
+    t /= np.sqrt(np.sum(np.abs(t) ** 2, axis=1))[:, None]
+    return custom_spec(t, np.where(used, rng.integers(0, 2, size=(n, n)), -1))
+
+
+def test_kernel_matches_a_first_principles_oracle():
+    rng = np.random.default_rng(1500)
+    for k in range(30):
+        n = 2 + k % 3
+        spec = random_sparse_spec(rng, n) if k % 2 else random_spec(rng, n, n)
+        gram = random_gram(rng, n)
+        rho, p = density_matrix_from_spec(spec, gram)
+        expected, p_expected = first_principles_density(spec, gram)
+        assert np.abs(rho.matrix - expected).max() <= 1e-12
+        assert abs(p - p_expected) <= 1e-12
+
+
+def test_first_principles_oracle_tells_the_gram_matrix_from_its_transpose():
+    # The kernel and brute_force share one index formula, so a transposed G
+    # would pass every comparison between them; this oracle catches it.
+    rng = np.random.default_rng(1501)
+    spec, gram = random_spec(rng, 3, 3), random_gram(rng, 3)
+    expected, _ = first_principles_density(spec, gram)
+    transposed, _ = density_matrix_from_spec(spec, GramMatrix(gram.overlaps.T))
+    assert np.abs(transposed.matrix - expected).max() > 1e-3
 
 
 def test_kernel_blocks_keep_byte_identity(monkeypatch):

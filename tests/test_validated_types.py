@@ -273,6 +273,45 @@ def test_every_exported_name_resolves():
     assert unresolved == []
 
 
+# The names the package exported while its own __init__ listed them by hand.
+PACKAGE_NAMES_0_2_0 = [
+    "__version__", "ClassificationReport", "ConfigError", "CountRow", "CountsParseError",
+    "CountsTable", "DensityMatrix", "GHZParams", "GHZ_WITNESS_BOUND", "GramMatrix",
+    "IdentangleError", "IncompleteSettingsError", "NoBunchingOutcomes",
+    "PostselectionImpossibleError", "Spin", "TargetState", "TransformSpec", "UNUSED",
+    "UnsupportedConfigurationError", "VERDICT_GHZ", "VERDICT_INCONCLUSIVE", "VERDICT_W",
+    "ValidationError", "W_WITNESS_BOUND", "balanced_ghz_params", "balanced_tritter_rows",
+    "brute_density_matrix", "classify", "classify_states", "custom_spec",
+    "density_matrices_from_spec", "density_matrix_from_spec", "dft_tritter_rows",
+    "fidelity_mixed", "fidelity_pure", "ghz_preset", "ghz_state", "gram_from_delays",
+    "gram_from_labels", "log_likelihood", "no_bunching_outcomes", "optimize_w_phases",
+    "permanent", "read_counts", "reconstruct_linear", "reconstruct_mle", "simulate_counts",
+    "w_preset", "w_state", "write_counts",
+]
+
+
+def test_the_package_exports_each_module_name_once():
+    names = identangle.__all__
+    assert len(names) == len(set(names))
+    assert set(PACKAGE_NAMES_0_2_0) <= set(names)
+    library = ["brute_force", "density", "entanglement", "errors", "reduction",
+               "tomography", "transform"]
+    assert names == ["__version__"] + [
+        name for module in library
+        for name in importlib.import_module(f"identangle.{module}").__all__
+    ]
+    star = {}
+    exec("from identangle import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
+    assert all(star[name] is getattr(identangle, name) for name in names)
+    errors = importlib.import_module("identangle.errors")
+    assert sorted(errors.__all__) == sorted(
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    )
+    assert len(errors.__all__) == 7
+
+
 @pytest.mark.parametrize("matrix,message", [
     (with_entry(two_row_state(), 90, 7, np.nan), "density matrix entries must be finite"),
     (with_entry(two_row_state(), 3, 100, 0.125),
