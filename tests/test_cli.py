@@ -89,6 +89,13 @@ def test_run_ghz_balanced(tmp_path, capsys):
     np.testing.assert_allclose(matrix, np.outer(target, target.conj()), atol=1e-15)
     digest = hashlib.sha256((out / "density_matrix.txt").read_bytes()).hexdigest()
     assert report["density_matrix_sha256"] == digest
+    header = (out / "density_matrix.txt").read_text(encoding="utf-8").splitlines()[:4]
+    assert header == [
+        "# identangle density matrix",
+        "# dimension: 8 x 8",
+        "# basis: spin patterns, detector-major, detector 0 most significant; down=0, up=1",
+        "# blocks: rows 1-8 real part, rows 9-16 imaginary part",
+    ]
     assert "wrote" in capsys.readouterr().out
 
 
@@ -165,15 +172,17 @@ def test_run_with_tomography_section(tmp_path):
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):
-    config_data = dict(GHZ_CONFIG, tomography={"shots": 400, "seed": 0})
+    config_data = dict(GHZ_CONFIG, tomography={"shots": 400, "seed": 4})
     config = write_config(tmp_path, config_data)
-    out_default, out_seeded = tmp_path / "default", tmp_path / "seeded"
+    out_default = tmp_path / "default"
     assert main(["run", "--config", config, "--out-dir", str(out_default)]) == 0
-    assert main(
-        ["run", "--config", config, "--out-dir", str(out_seeded), "--seed", "9"]
-    ) == 0
-    assert read_report(out_seeded)["tomography"]["seed"] == 9
-    assert (out_default / "counts.txt").read_bytes() != (out_seeded / "counts.txt").read_bytes()
+    for seed in (9, 0):  # 0, the least seed, is taken too
+        out_seeded = tmp_path / f"seeded{seed}"
+        assert main(
+            ["run", "--config", config, "--out-dir", str(out_seeded), "--seed", str(seed)]
+        ) == 0
+        assert read_report(out_seeded)["tomography"]["seed"] == seed
+        assert (out_default / "counts.txt").read_bytes() != (out_seeded / "counts.txt").read_bytes()
 
 
 def test_seed_flag_does_not_excuse_a_malformed_config_seed(tmp_path, capsys):

@@ -589,8 +589,11 @@ def test_classify_states_is_bit_equal_to_each_state_alone(size):
 
 def test_classify_states_keeps_every_row_of_w_dft_at_half_overlap(monkeypatch):
     # W-dft at g = 1/2 ties every row bound: the search evaluates all 256 rows
-    # again for that state, inside a stack as alone.
-    rho = density_matrix_from_spec(w_preset(dft_tritter_rows()), GramMatrix.uniform(3, 0.5))[0]
+    # again for that state, inside a stack as alone. Below g = 1/2 it ties
+    # 4 rows; above it the first row alone can hold the maximum, so no row
+    # is evaluated again.
+    spec = w_preset(dft_tritter_rows())
+    rho = density_matrix_from_spec(spec, GramMatrix.uniform(3, 0.5))[0]
     regrids = []
     w_rows = entanglement._w_rows
 
@@ -601,12 +604,15 @@ def test_classify_states_keeps_every_row_of_w_dft_at_half_overlap(monkeypatch):
 
     monkeypatch.setattr(entanglement, "_w_rows", spy)
     rng = np.random.default_rng(905)
-    states = [random_density(rng) for _ in range(7)] + [rho]
+    gs = (0.1, 0.3, 0.45, 0.55, 0.8, 1.0)
+    others = [density_matrix_from_spec(spec, GramMatrix.uniform(3, g))[0] for g in gs]
+    states = [random_density(rng) for _ in range(7)] + [rho] + others
     stacked = list(classify_states(states))
     assert (7, 256) in regrids
-    assert _report_bits(stacked[-1]) == _report_bits(classify(rho))
-    last = stacked[-1]
-    assert [x.hex() for x in (last.phi1, last.phi2, last.fidelity_w_max)] == [
+    assert [regrid for regrid in regrids if regrid[0] > 7] == [(8, 4), (9, 4), (10, 4)]
+    half = stacked[7]
+    assert _report_bits(half) == _report_bits(classify(rho))
+    assert [x.hex() for x in (half.phi1, half.phi2, half.fidelity_w_max)] == [
         x.hex() for x in _full_grid_w_phases(rho)
     ]
 

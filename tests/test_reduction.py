@@ -12,6 +12,7 @@ from identangle import (
     GramMatrix,
     PostselectionImpossibleError,
     Spin,
+    UNUSED,
     UnsupportedConfigurationError,
     ValidationError,
     balanced_tritter_rows,
@@ -406,6 +407,39 @@ def test_first_principles_oracle_tells_the_gram_matrix_from_its_transpose():
     expected, _ = first_principles_density(spec, gram)
     transposed, _ = density_matrix_from_spec(spec, GramMatrix(gram.overlaps.T))
     assert np.abs(transposed.matrix - expected).max() > 1e-3
+
+
+@pytest.mark.parametrize("n, width, seed", [
+    (3, 3, 0), (3, 3, 1), (4, 4, 0), (4, 4, 1), (5, 5, 0), (5, 5, 1),
+    (6, 6, 0), (6, 3, 0), (7, 3, 0), (7, 3, 1), (7, 4, 0), (7, 4, 1),
+])
+def test_symmetries_of_the_postselected_state(n, width, seed):
+    # Relabelling the particles or the phases of their internal states
+    # leaves rho alone; relabelling the detectors permutes its qubits;
+    # conjugating the amplitudes and overlaps conjugates it; flipping every
+    # spin flips every qubit. A band of width n is a dense routing; at N = 7
+    # the routings are banded, as a dense solve there takes about 1.5 s.
+    rng = np.random.default_rng([n, width, seed])
+    spec, g = random_banded_spec(rng, n, width), random_gram(rng, n).overlaps
+    t, s = spec.amplitudes, spec.spins
+
+    def solve(t, s, g):
+        return density_matrix_from_spec(custom_spec(t, s), GramMatrix(g))[0].matrix
+
+    rho = solve(t, s, g)
+    p, q = rng.permutation(n), rng.permutation(n)
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    axes = [*q, *(q + n)]  # new qubit k is old qubit q[k], in ket and bra
+    relations = {
+        "particles": (solve(t[p], s[p], g[np.ix_(p, p)]), rho),
+        "gauge": (solve(t, s, phases[:, None] * g * phases.conj()), rho),
+        "detectors": (solve(t[:, q], s[:, q], g),
+                      rho.reshape((2,) * 2 * n).transpose(axes).reshape(rho.shape)),
+        "conjugate": (solve(t.conj(), s, g.conj()), rho.conj()),
+        "spin flip": (solve(t, np.where(s == UNUSED, UNUSED, 1 - s), g), rho[::-1, ::-1]),
+    }
+    for name, (got, expected) in relations.items():
+        assert np.abs(got - expected).max() <= 1e-12, name
 
 
 def test_kernel_blocks_keep_byte_identity(monkeypatch):

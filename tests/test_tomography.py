@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
+import math
 from fractions import Fraction
 from functools import cache, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +202,14 @@ def test_linear_inversion_requires_complete_settings():
         reconstruct_linear(table)
     with pytest.raises(IncompleteSettingsError):
         reconstruct_mle(table)
+    # Six missing settings are all listed, with no count of more.
+    every = _all_pauli_settings(3)
+    table = _exact_counts(ghz_rho(), settings=every[:-6])
+    with pytest.raises(IncompleteSettingsError) as caught:
+        reconstruct_mle(table)
+    assert str(caught.value) == (
+        "settings are not informationally complete; missing " + ", ".join(every[-6:])
+    )
 
 
 def test_completeness_check_stays_cheap_on_wide_tables():
@@ -226,8 +237,8 @@ def test_mle_on_exact_statistics_recovers_truth():
 def test_mle_likelihood_never_decreases_with_more_iterations():
     # The crawling table takes the Newton stage after iteration 2, at its
     # rank check, and the stage tries 5 candidates: fits of 1-9 iterations
-    # stop before it, inside it and just after it. 60-68 bracket iteration
-    # 66, where the 150-evaluation budget alone would start it.
+    # stop before it, inside it and just after it, and the rest on the
+    # gradient after it.
     crawling = (*range(1, 15), 20, 60, 65, 66, 67, 68, 100, 200)
     for table, iterations in (
         (simulate_counts(ghz_rho(), shots=500, seed=3), (1, 2, 5, 20, 100, 200)),
@@ -276,7 +287,7 @@ def crawling_ghz_table() -> CountsTable:
 @cache
 def full_rank_four_qubit_table() -> CountsTable:
     """200 shots of a random full-rank 4-qubit state, whose fit runs past
-    the evaluation budget with a factor above the Newton stage's size cap."""
+    150 likelihood evaluations with a factor above the Newton stage's size cap."""
     return simulate_counts(random_density(np.random.default_rng(4), 16), shots=200, seed=4)
 
 
@@ -298,8 +309,8 @@ def counted_calls(monkeypatch, name: str):
 
 
 def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
-    # The state is near-pure, so the stage starts at the rank check, long
-    # before the budget, and the fit ends without reaching the budget.
+    # The state is near-pure, so the stage starts at the rank check, and
+    # the fit ends long before 150 evaluations.
     starts = []
     newton = tomography._low_rank_newton
 
@@ -311,7 +322,7 @@ def test_mle_finishes_a_crawling_fit_with_the_newton_stage(monkeypatch):
     with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(crawling_ghz_table())
     assert len(starts) == 1
-    assert tomography._MLE_RANK_CHECK <= starts[0] < tomography._MLE_BUDGET
+    assert tomography._MLE_RANK_CHECK <= starts[0] < 150
     assert len(calls) < 80
 
 
@@ -347,7 +358,7 @@ def test_mle_rank_check_leaves_a_fit_at_the_likelihood_rounding_alone(monkeypatc
     for table in (*tables, simulate_counts(ghz_rho(), shots=100_000, seed=7)):
         staged, staged_evaluations = fit(table)
         with monkeypatch.context() as patched:
-            patched.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+            patched.setattr(tomography, "_MLE_RANK_CHECK", math.inf)
             refused_value, refused_evaluations = fit(table)
         assert staged >= refused_value - 1e-12
         assert staged_evaluations < refused_evaluations
@@ -363,15 +374,15 @@ def test_mle_resumes_with_a_full_step_after_the_newton_stage(monkeypatch):
     rho, _ = density_matrix_from_spec(w_preset(balanced_tritter_rows()), gram)
     table = simulate_counts(rho, shots=10_000, seed=732477250)
     early = log_likelihood(reconstruct_mle(table).matrix, table)
-    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", math.inf)
     late = log_likelihood(reconstruct_mle(table).matrix, table)
     assert early >= late - 1e-12 * table.counts.sum()
 
 
 def test_mle_stages_a_fit_again_when_its_rank_grows(monkeypatch):
     # This W-balanced fit is rank 2 at first and rank 3 later, its third
-    # eigenvalue 5e-5. Staged only at rank 2, it would crawl towards the
-    # budget to grow the third.
+    # eigenvalue 5e-5. Staged only at rank 2, it would crawl on the
+    # gradient to grow the third.
     stages = []
     newton = tomography._low_rank_newton
 
@@ -385,7 +396,7 @@ def test_mle_stages_a_fit_again_when_its_rank_grows(monkeypatch):
     with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(simulate_counts(rho, shots=10_000, seed=732477250))
     assert [rank for rank, _ in stages] == [2, 3]
-    assert all(start < tomography._MLE_BUDGET for _, start in stages)
+    assert all(start < 150 for _, start in stages)
 
 
 def test_newton_stage_at_the_likelihood_rounding_stops_at_once(monkeypatch):
@@ -393,7 +404,7 @@ def test_newton_stage_at_the_likelihood_rounding_stops_at_once(monkeypatch):
     # likelihood, where no candidate can gain: the stage stops at its first
     # rejected candidate instead of damping it 30 times more.
     table = simulate_counts(ghz_rho(), shots=100_000, seed=32)
-    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", math.inf)
     fit = reconstruct_mle(table).matrix
     values, basis = np.linalg.eigh(fit)
     keep = values > 1e-9 * values[-1]
@@ -512,30 +523,54 @@ def test_mle_rank_check_takes_fewer_evaluations_and_keeps_the_likelihood(monkeyp
 
     tables = run_kind_tables()
     early, early_evaluations = fits()
-    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", tomography._MLE_BUDGET)
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", math.inf)
     late, late_evaluations = fits()
     for with_check, without in zip(early, late):
         assert with_check >= without - 1e-12
     assert early_evaluations < late_evaluations
 
 
-def test_mle_does_not_take_the_newton_stage_before_the_budget_or_above_the_cap(monkeypatch):
+def test_mle_takes_the_newton_stage_from_the_rank_check_at_new_ranks_within_the_cap(monkeypatch):
+    # The Dirichlet tables fit no state: each takes one rank-5 stage just
+    # after the rank check and ends within 17-24 evaluations. The 4-qubit
+    # fit's factor is above the size cap, so it never takes the stage.
+    stages = []
+    newton = tomography._low_rank_newton
+
+    def spied(factor, *args):
+        stages.append((factor.shape[1], len(calls)))
+        return newton(factor, *args)
+
+    monkeypatch.setattr(tomography, "_low_rank_newton", spied)
+    for table in dirichlet_tables():
+        stages.clear()
+        with counted_calls(monkeypatch, "_likelihood") as calls:
+            reconstruct_mle(table)
+        assert stages and all(start >= tomography._MLE_RANK_CHECK for _, start in stages)
+        ranks = [rank for rank, _ in stages]
+        assert all(rank != later for rank, later in zip(ranks, ranks[1:]))
+
     def refused(*args):
         raise AssertionError("the Newton stage was entered")
 
     monkeypatch.setattr(tomography, "_low_rank_newton", refused)
-    for table in dirichlet_tables():
-        reconstruct_mle(table)
     with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(full_rank_four_qubit_table())
-    assert len(calls) > tomography._MLE_BUDGET
+    assert len(calls) > 150
 
 
-def test_mle_budget_stage_finishes_a_full_rank_fit_the_rank_check_leaves(monkeypatch):
-    # GHZ with 8e-5 white noise is full rank, its seven small eigenvalues
-    # 1e-5, so the rank check never stages it and the gradient crawls. The
-    # budget stage, on a rank-4 factor, ends the fit in 159 evaluations;
-    # without it the fit takes 2,148 and stops 1e-10 nat/shot lower.
+@pytest.mark.parametrize("noise, seed, ranks, most, margin", [
+    # Seven small eigenvalues 1e-5: staged at rank 5, the fit ends in 44
+    # evaluations; refused, it takes 2,148 and stops 1e-10 nat/shot lower.
+    (8e-5, 5, [5], 200, 1e-12),
+    # Eigenvalues 1.5e-5 to 1.3e-4 beside 0.9997: staged at rank 4, then at
+    # rank 5 as its rank grows, the fit ends in 65 evaluations; refused, it
+    # takes 1,788 and stops 2.3e-12 nat/shot lower.
+    (3e-4, 3, [4, 5], 150, 0.0),
+])
+def test_mle_newton_stage_finishes_a_full_rank_fit(monkeypatch, noise, seed, ranks, most, margin):
+    # GHZ with white noise at 100,000 shots is full rank, so the gradient
+    # alone crawls.
     stages = []
     newton = tomography._low_rank_newton
 
@@ -548,18 +583,18 @@ def test_mle_budget_stage_finishes_a_full_rank_fit_the_rank_check_leaves(monkeyp
             rho = reconstruct_mle(table).matrix
         return log_likelihood(rho, table) / table.counts.sum(), len(counted)
 
-    noisy = (1 - 8e-5) * ghz_rho().matrix + 8e-5 * np.eye(8) / 8
-    table = simulate_counts(DensityMatrix(noisy), shots=100_000, seed=5)
+    noisy = (1 - noise) * ghz_rho().matrix + noise * np.eye(8) / 8
+    table = simulate_counts(DensityMatrix(noisy), shots=100_000, seed=seed)
     monkeypatch.setattr(tomography, "_low_rank_newton", spied)
     with counted_calls(monkeypatch, "_likelihood") as calls:
         reconstruct_mle(table)
-    [(rank, start)] = stages
-    assert rank > tomography._NEWTON_LOW_RANK and start >= tomography._MLE_BUDGET
-    budgeted, budgeted_evaluations = fit()
-    monkeypatch.setattr(tomography, "_MLE_BUDGET", np.inf)
+    assert [rank for rank, _ in stages] == ranks
+    assert all(start >= tomography._MLE_RANK_CHECK for _, start in stages)
+    staged, staged_evaluations = fit()
+    monkeypatch.setattr(tomography, "_MLE_RANK_CHECK", math.inf)
     crawled, crawled_evaluations = fit()
-    assert budgeted > crawled + 1e-12
-    assert budgeted_evaluations < 200 and crawled_evaluations > 1000
+    assert staged >= crawled + margin
+    assert staged_evaluations < most and crawled_evaluations > 1000
 
 
 def test_newton_stage_runs_only_on_factors_within_the_size_cap(monkeypatch):
@@ -579,8 +614,7 @@ def test_newton_stage_runs_only_on_factors_within_the_size_cap(monkeypatch):
     assert shapes == []
     # Capped, the fit is the projected gradient's alone, as if no trigger fired.
     with monkeypatch.context() as patched:
-        patched.setattr(tomography, "_NEWTON_LOW_RANK", 0)
-        patched.setattr(tomography, "_MLE_BUDGET", np.inf)
+        patched.setattr(tomography, "_MLE_RANK_CHECK", math.inf)
         untriggered = reconstruct_mle(table).matrix
     assert capped.tobytes() == untriggered.tobytes()
     monkeypatch.setattr(tomography, "_NEWTON_MAX_PARAMS", 32)
@@ -658,6 +692,18 @@ def test_mle_reaches_at_least_the_diluted_rrhor_likelihood():
         reference = log_likelihood(diluted_rrhor(table), table) / shots
         # 1e-9 nat per shot is the benchmark's likelihood tolerance.
         assert fitted >= reference - 1e-9, index
+
+
+def test_mle_reaches_the_stored_likelihood_of_every_benchmark_fuzz_table():
+    # The benchmark draws 3 of these 72 stored 300-shot tables per round and
+    # holds each fit to its stored -log L / shot within 1e-9; this fits all.
+    pool_path = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "fuzz_pool.json"
+    pool = json.loads(pool_path.read_text(encoding="utf-8"))
+    every = tuple(_all_pauli_settings(3))
+    for index, (counts, stored) in enumerate(zip(pool["tables"], pool["nll_per_shot"])):
+        table = CountsTable(every, counts, shots_per_setting=300)
+        nll = -log_likelihood(reconstruct_mle(table).matrix, table) / table.counts.sum()
+        assert nll <= stored + 1e-9, index
 
 
 def test_mle_satisfies_the_optimality_condition():
