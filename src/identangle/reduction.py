@@ -11,8 +11,13 @@ means fully distinguishable ones.
 Postselection keeps the outcomes in which every detector fires exactly once.
 With N particles on N detectors such an outcome is a bijection sigma from
 particles to detectors: its amplitude is prod_i t[i, sigma(i)], and detector
-d holds particle sigma^-1(d) (its label) with spin s[sigma^-1(d), d]. The
-trace pairs every ket outcome with every bra outcome: the pair adds
+d holds particle sigma^-1(d) (its label) with spin s[sigma^-1(d), d]. Which
+bijections are open depends only on the zero pattern of t, so they are walked
+once per pattern and kept in a small cache; each routing then gathers its
+entries over that table and multiplies its amplitudes up as arrays, in the
+oracle's order and with its roundings.
+
+The trace pairs every ket outcome with every bra outcome: the pair adds
 amp_ket * conj(amp_bra) * prod_d G[label_bra(d), label_ket(d)] to the entry
 |spins_ket><spins_bra|, so outcomes whose label patterns overlap poorly lose
 their mutual coherence. The trace of the unnormalized result is the
@@ -23,10 +28,12 @@ A scan solves all its points in one all-or-nothing call,
 :func:`density_matrix_from_spec`. A point is a routing and a Gram matrix. A
 scan of G keeps one routing, so its points share the outcomes and are traced
 as one stack of Gram matrices. A scan of a routing amplitude keeps G; its
-routings come validated as one stack, each is enumerated on its own, and it
-traces a stack of amplitude rows, one per point, in runs of consecutive
+routings come validated as one stack, consecutive routings with one zero
+pattern get their amplitudes from one product over the pattern's table, and
+it traces a stack of amplitude rows, one per point, in runs of consecutive
 points whose outcomes have the same labels and spin patterns: an amplitude
-of exactly 0 or 1 drops outcomes and starts a new run.
+of exactly 0 or 1, or one whose product underflows to 0, drops outcomes and
+starts a new run.
 
 Since G is Hermitian, the (bra, ket) term is the complex conjugate of the
 (ket, bra) term, and the kernel computes only one of each such pair. Both
@@ -38,6 +45,7 @@ every exactly Hermitian G.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from collections import defaultdict
@@ -213,7 +221,10 @@ class NoBunchingOutcomes:
     Rows are in lexicographic order of sigma (particle 0's detector varies
     slowest). ``amplitudes[k]`` is prod_i t[i, sigma_k(i)], ``labels[k, d]``
     the particle sigma_k^-1(d) at detector d, and ``indices[k]`` the basis
-    index of the spin pattern read off detector by detector.
+    index of the spin pattern read off detector by detector. The arrays are
+    read-only: routings with one zero pattern share the ``labels`` array of
+    the bijection table walked once for that pattern, unless an amplitude
+    underflowed to 0 and dropped its bijection.
     """
 
     amplitudes: np.ndarray
@@ -242,36 +253,121 @@ def _complex_product(ar, ai, br, bi):
     return re, im
 
 
+# Zero patterns whose bijection tables are kept (see _bijections). A table of
+# K bijections of n particles holds three intp arrays of n K entries, about
+# 24 n K bytes: 0.8 MiB for a dense N = 7 routing (K = 5,040), so the kept
+# tables take at most 13 MiB up to N = 7. A dense N = 8 table takes 7.4 MiB,
+# but the trace of its 1.6e9 pairs is far out of reach.
+_SUPPORTS_KEPT = 16
+# A zero of array type: numpy multiplies by it faster than by the float 0.0.
+_ZERO = np.zeros(())
+
+
+@functools.lru_cache(maxsize=_SUPPORTS_KEPT)
+def _bijections(n: int, support: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the K bijections sigma that an n x n zero pattern
+    leaves open, in lexicographic order of sigma, and the place values of
+    the n detectors' spins in a basis index:
+    - labels (K, n): labels[k, d] is the particle sigma_k^-1(d);
+    - the flat indices i n + sigma_k(i) of their routing entries (n, K);
+    - the flat indices labels[k, d] n + d of their spins (n, K), detector
+      by detector;
+    - the place values 2^(n - 1 - d) (n,).
+
+    ``support`` is the bytes of the boolean matrix t != 0. Bijections grow
+    row by row, skipping closed entries and taken detectors, so bijections
+    through a closed path are never built.
+    """
+    routes = [()]
+    for row in np.frombuffer(support, dtype=bool).reshape(n, n).tolist():
+        columns = [j for j, entry in enumerate(row) if entry]
+        routes = [sigma + (j,) for sigma in routes for j in columns if j not in sigma]
+    sigma = np.array(routes, dtype=np.intp).reshape(-1, n).T.copy()
+    rows = np.arange(n)[:, None]
+    labels = np.empty(sigma.shape[::-1], dtype=np.intp)
+    labels[np.arange(len(labels)), sigma] = rows
+    tables = labels, rows * n + sigma, labels.T * n + rows, 1 << rows[::-1, 0]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _support(spec: TransformSpec) -> tuple[int, bytes]:
+    """The key of a routing's bijection table: its size and zero pattern."""
+    return spec.num_particles, spec.amplitudes.astype(bool).tobytes()
+
+
+def _products(entries: np.ndarray) -> np.ndarray:
+    """Complex products over the first axis of ``entries`` (n, ...), taken
+    from complex(1.0) in order, each step with the four roundings and two
+    sums of a scalar complex product: bit-equal to the oracle's Python
+    products."""
+    first = entries[0]
+    # The first step, (1 + 0i)(br + i bi), where 1 * br = br exactly.
+    re, im = first.real - first.imag * _ZERO, first.imag + first.real * _ZERO
+    for row in entries[1:]:
+        re, im = _complex_product(re, im, row.real, row.imag)
+    product = np.empty(re.shape, dtype=complex)
+    product.real, product.imag = re, im
+    return product
+
+
+def _kept(
+    labels: np.ndarray, amplitudes: np.ndarray, indices: np.ndarray
+) -> list[NoBunchingOutcomes]:
+    """The outcomes of P routings over one bijection table, from amplitude
+    and index rows (P, K): one mask finds the amplitudes that underflowed
+    to 0, and each routing drops those bijections. All arrays are read-only."""
+    amplitudes.setflags(write=False)
+    indices.setflags(write=False)
+    if np.count_nonzero(amplitudes) == amplitudes.size:
+        return [NoBunchingOutcomes(a, i, labels) for a, i in zip(amplitudes, indices)]
+    outcomes = []
+    for amplitude, index, keep in zip(amplitudes, indices, amplitudes != 0):
+        arrays = amplitude[keep], index[keep], labels[keep]
+        for array in arrays:
+            array.setflags(write=False)
+        outcomes.append(NoBunchingOutcomes(*arrays))
+    return outcomes
+
+
 def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
     """Enumerate the routings in which every detector receives one particle.
 
     A TransformSpec is square, so each such routing is a bijection from
-    particles to detectors. Routings grow row by row, skipping zero entries
-    and taken detectors, so zero-amplitude routings are never built.
-    Amplitudes multiply up along the way from complex(1.0), in the oracle's
-    order; a routing whose amplitude still underflows to zero is dropped at
-    the end.
+    particles to detectors. The bijections that the routing's zero pattern
+    leaves open are walked once per pattern, row by row over open entries
+    and free detectors, and kept in a small cache. Each call gathers its
+    entries over that table and multiplies the amplitudes up from
+    complex(1.0) in row order, with the roundings of Python's complex
+    multiply, so they are bit-equal to the oracle's. A bijection whose
+    amplitude underflows to zero is dropped. The arrays are read-only.
     """
-    n = spec.num_particles
-    routes = [((), complex(1.0))]
-    for row in spec.amplitudes.tolist():
-        columns = [j for j, entry in enumerate(row) if entry != 0]
-        routes = [
-            (sigma + (j,), amplitude * row[j])
-            for sigma, amplitude in routes
-            for j in columns
-            if j not in sigma
-        ]
-    routes = [route for route in routes if route[1] != 0]
-    sigma = np.array([route[0] for route in routes], dtype=np.intp).reshape(-1, n)
-    amplitudes = np.array([route[1] for route in routes], dtype=complex)
+    labels, flat, placed, values = _bijections(*_support(spec))
+    amplitudes = _products(spec.amplitudes.take(flat))
+    indices = values @ spec.spins.take(placed)
+    return _kept(labels, amplitudes[None], indices[None])[0]
 
-    rows = np.arange(n)
-    labels = np.empty_like(sigma)
-    labels[np.arange(len(sigma))[:, None], sigma] = rows
-    spins = spec.spins[rows, sigma].astype(np.intp)
-    indices = (spins << (n - 1 - sigma)).sum(axis=1)
-    return NoBunchingOutcomes(amplitudes, indices, labels)
+
+def _outcomes(specs: Sequence[TransformSpec]) -> list[NoBunchingOutcomes]:
+    """The outcomes of each routing of a batch, in order, bit-equal to
+    :func:`no_bunching_outcomes` of each. The amplitudes of consecutive
+    routings with one zero pattern are one product (K, P) over the
+    pattern's table. A lone routing skips the stacking."""
+    if len(specs) == 1:
+        return [no_bunching_outcomes(specs[0])]
+    outcomes = []
+    for support, run in itertools.groupby(specs, _support):
+        run = list(run)
+        points = len(run)
+        labels, flat, placed, values = _bijections(*support)
+        # Gathered (n, K, P): the entry of bijection k on row i of each routing.
+        t = np.array([spec.amplitudes for spec in run]).reshape(points, -1).T
+        s = np.array([spec.spins for spec in run]).reshape(points, -1).T
+        amplitudes = _products(t.take(flat, axis=0))
+        indices = values @ s.take(placed, axis=0).reshape(len(values), -1)
+        outcomes += _kept(labels, amplitudes.T, indices.reshape(-1, points).T)
+    return outcomes
 
 
 def _trace(outcomes: NoBunchingOutcomes, amplitudes: np.ndarray, overlaps: np.ndarray,
@@ -389,9 +485,8 @@ def density_matrices_from_spec(
         raise ValidationError(
             f"a batch takes 1 or P routings and Gram matrices, got {len(specs)} and {len(grams)}"
         )
-    outcomes = [no_bunching_outcomes(s) for s in specs]
-    n = outcomes[0].num_particles
-    for other in outcomes:
+    n = specs[0].num_particles
+    for other in specs:
         if other.num_particles != n:
             raise ValidationError(
                 f"the routings of a batch have {n} and {other.num_particles} particles"
@@ -401,6 +496,7 @@ def density_matrices_from_spec(
             size = gram.num_particles
             raise ValidationError(f"Gram matrix is {size}x{size} but the state has {n} particles")
     overlaps = np.array([gram.overlaps for gram in grams])
+    outcomes = _outcomes(specs)
     raw = np.zeros((points, 2**n, 2**n), dtype=complex)
     start = 0
     for _, run in itertools.groupby(outcomes, lambda o: (o.labels.tobytes(), o.indices.tobytes())):

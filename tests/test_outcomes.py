@@ -11,11 +11,13 @@ import pytest
 
 from conftest import random_spec
 from identangle import (
+    UNUSED,
     Spin,
     ValidationError,
     custom_spec,
     ghz_preset,
     no_bunching_outcomes,
+    reduction,
 )
 
 D, U = int(Spin.DOWN), int(Spin.UP)
@@ -94,3 +96,151 @@ def test_amplitude_of_ghz_assignments():
     # Closed paths (particle 0 never reaches detector 2, for one) leave no
     # other bijection with a nonzero amplitude.
     assert by_sigma == {}
+
+
+def reference_outcomes(spec):
+    """Amplitudes, indices and labels by a naive walk: bijections grow row by
+    row over the nonzero entries and free detectors, their amplitudes multiply
+    up as Python complex numbers from complex(1.0), and a bijection whose
+    amplitude ends at 0 is dropped."""
+    t, s = spec.amplitudes, spec.spins
+    n = len(t)
+    routes = [((), complex(1.0))]
+    for row in t.tolist():
+        routes = [
+            (sigma + (j,), amplitude * entry)
+            for sigma, amplitude in routes
+            for j, entry in enumerate(row)
+            if entry != 0 and j not in sigma
+        ]
+    routes = [(sigma, amplitude) for sigma, amplitude in routes if amplitude != 0]
+    sigmas = [sigma for sigma, _ in routes]
+    indices = [sum(int(s[i, sigma[i]]) << (n - 1 - sigma[i]) for i in range(n)) for sigma in sigmas]
+    return (
+        np.array([amplitude for _, amplitude in routes], dtype=complex),
+        np.array(indices, dtype=np.intp),
+        np.argsort(np.array(sigmas, dtype=np.intp).reshape(-1, n), axis=1),
+    )
+
+
+def assert_equals_reference(outcomes, spec):
+    for name, expected in zip(("amplitudes", "indices", "labels"), reference_outcomes(spec)):
+        got = getattr(outcomes, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def banded_support(n, width):
+    return np.array([[(j - i) % n < width for j in range(n)] for i in range(n)])
+
+
+def random_support(rng, n):
+    """Each path open with probability 1/2; every row keeps one open path."""
+    support = rng.random((n, n)) < 0.5
+    support[np.arange(n), rng.integers(0, n, size=n)] = True
+    return support
+
+
+def seeded_supports(rng):
+    """Zero patterns at N = 1-7: dense (up to N = 6), banded, wide and random."""
+    for n in range(1, 8):
+        if n <= 6:
+            yield np.ones((n, n), dtype=bool)
+        yield banded_support(n, min(n, 3))
+        yield banded_support(n, min(n, 4))
+        for _ in range(3):
+            yield random_support(rng, n)
+
+
+def routing_on(rng, support, kind="complex"):
+    """A routing with zero pattern ``support`` and random spins on its open
+    paths. "signed-zero" entries are real with a -0.0 imaginary part or
+    imaginary with a -0.0 real part; "tiny" puts 1e-200 on about half of the
+    open paths, all but one per row, so that a product of two underflows."""
+    n = len(support)
+    re, im = rng.normal(size=(2, n, n))
+    if kind == "signed-zero":
+        real = rng.random((n, n)) < 0.5
+        re, im = np.where(real, re, -0.0), np.where(real, -0.0, im)
+    if kind == "tiny":
+        small = support & (rng.random((n, n)) < 0.5)
+        small[np.arange(n), np.argmax(support, axis=1)] = False
+        re, im = np.where(small, 1e-200 * re, re), np.where(small, 1e-200 * im, im)
+    norm = np.sqrt(np.sum(np.where(support, re * re + im * im, 0.0), axis=1))[:, None]
+    t = np.zeros((n, n), dtype=complex)
+    t.real, t.imag = re / norm, im / norm
+    t[~support] = 0.0
+    return custom_spec(t, np.where(support, rng.integers(0, 2, size=(n, n)), UNUSED))
+
+
+@pytest.mark.parametrize("kind", ["complex", "signed-zero", "tiny"])
+def test_outcomes_are_byte_equal_to_a_naive_walk(kind):
+    # Each routing alone, then the routings of each zero pattern as one
+    # batch, whose amplitudes are one product over the pattern's table.
+    rng = np.random.default_rng([3701, len(kind)])
+    amplitudes, dropped = [], 0
+    for support in seeded_supports(rng):
+        specs = [routing_on(rng, support, kind) for _ in range(3)]
+        for spec in specs:
+            assert_equals_reference(no_bunching_outcomes(spec), spec)
+        batch = reduction._outcomes(specs)
+        assert len(batch) == len(specs)
+        for outcomes, spec in zip(batch, specs):
+            assert_equals_reference(outcomes, spec)
+            amplitudes.append(outcomes.amplitudes)
+            dropped += len(outcomes) < len(reduction._bijections(*reduction._support(spec))[0])
+    # The cases reach what they are for: underflowed products were dropped,
+    # and -0.0 parts reached the amplitudes.
+    assert (dropped > 0) == (kind == "tiny")
+    parts = np.concatenate([np.concatenate([a.real, a.imag]) for a in amplitudes])
+    assert np.signbit(parts[parts == 0]).any() == (kind == "signed-zero")
+
+
+def test_no_and_one_outcome_are_byte_equal_to_a_naive_walk():
+    dark = custom_spec([[1, 0], [1, 0]], [[D, -1], [D, -1]])
+    straight = custom_spec(np.eye(3), [[U, -1, -1], [-1, D, -1], [-1, -1, U]])
+    for spec, count in ((dark, 0), (straight, 1)):
+        assert len(no_bunching_outcomes(spec)) == count
+        assert_equals_reference(no_bunching_outcomes(spec), spec)
+        for outcomes in reduction._outcomes([spec, spec]):
+            assert_equals_reference(outcomes, spec)
+
+
+def test_bijection_tables_are_kept_for_a_bounded_number_of_supports():
+    rng = np.random.default_rng(3702)
+    bound = reduction._SUPPORTS_KEPT
+    supports = {}
+    while len(supports) < bound + 4:
+        support = random_support(rng, 4)
+        supports[support.tobytes()] = support
+    reduction._bijections.cache_clear()
+    specs = [routing_on(rng, support) for support in supports.values()]
+    for spec in specs:
+        no_bunching_outcomes(spec)
+    info = reduction._bijections.cache_info()
+    assert (info.misses, info.currsize) == (bound + 4, bound)
+    # The latest supports are kept and not walked again.
+    for spec in specs[-bound:]:
+        assert_equals_reference(no_bunching_outcomes(spec), spec)
+    assert reduction._bijections.cache_info().misses == bound + 4
+
+
+def test_outcome_arrays_are_read_only():
+    tiny = routing_on(np.random.default_rng(3703), np.ones((4, 4), dtype=bool), "tiny")
+    for spec in (ghz_preset(), tiny):
+        for outcomes in (no_bunching_outcomes(spec), *reduction._outcomes([spec, spec])):
+            for array in (outcomes.amplitudes, outcomes.indices, outcomes.labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+
+def test_routings_with_one_support_get_their_own_spin_indices():
+    rng = np.random.default_rng(3704)
+    first = routing_on(rng, np.ones((3, 3), dtype=bool))
+    flipped = custom_spec(first.amplitudes, 1 - first.spins)
+    a, b = no_bunching_outcomes(first), no_bunching_outcomes(flipped)
+    assert a.labels is b.labels
+    assert (a.indices + b.indices == 7).all()
+    specs = [first, flipped, first]
+    for spec, outcomes in zip(specs, reduction._outcomes(specs)):
+        assert_equals_reference(outcomes, spec)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from identangle import (
     ValidationError,
     balanced_tritter_rows,
     brute_density_matrix,
+    classify,
     custom_spec,
     density_matrix_from_spec,
     dft_tritter_rows,
@@ -407,6 +409,64 @@ def test_first_principles_oracle_tells_the_gram_matrix_from_its_transpose():
     expected, _ = first_principles_density(spec, gram)
     transposed, _ = density_matrix_from_spec(spec, GramMatrix(gram.overlaps.T))
     assert np.abs(transposed.matrix - expected).max() > 1e-3
+
+
+def test_kernel_matches_a_first_principles_oracle_at_five_particles_and_on_presets():
+    rng = np.random.default_rng(1505)
+    cases = [(random_sparse_spec(rng, 5) if k % 2 else random_spec(rng, 5, 5), random_gram(rng, 5))
+             for k in range(2)]
+    cases += [(spec, GramMatrix.uniform(3, g))
+              for spec in (GHZ, W, w_preset(dft_tritter_rows())) for g in (0.0, 0.3, 0.75, 1.0)]
+    for spec, gram in cases:
+        rho, p = density_matrix_from_spec(spec, gram)
+        expected, p_expected = first_principles_density(spec, gram)
+        assert np.abs(rho.matrix - expected).max() <= 1e-12
+        assert abs(p - p_expected) <= 1e-12
+
+
+def triad_grams():
+    """(r, phi, G): 3 x 3 Gram matrices with |G_ij| = r off the diagonal and
+    triad phase arg(G01 G12 G20) = phi, on the PSD points of an (r, phi) grid."""
+    for r in np.linspace(0.0, 1.0, 11):
+        for phi in np.linspace(-np.pi, np.pi, 13):
+            g = np.eye(3, dtype=complex)
+            g[0, 1], g[1, 2], g[2, 0] = r * np.exp(1j * phi), r, r
+            g[1, 0], g[2, 1], g[0, 2] = np.conj([g[0, 1], g[1, 2], g[2, 0]])
+            if np.linalg.eigvalsh(g).min() >= 0.0:
+                yield r, phi, GramMatrix(g)
+
+
+def test_spinless_dft_tritter_success_follows_the_triad_phase():
+    # Menssen et al., PRL 118, 153603 (2017): three photons in one internal
+    # state on the DFT tritter, postselected on one per output.
+    spinless = custom_spec(dft_tritter_rows(), np.full((3, 3), D))
+    grid = list(triad_grams())
+    assert len(grid) > 60
+    for r, phi, gram in grid:
+        _, p = density_matrix_from_spec(spinless, gram)
+        assert abs(p - (2 / 9 - r**2 / 3 + 4 / 9 * r**3 * math.cos(phi))) <= 1e-12
+
+
+def test_ghz_fidelity_follows_the_triad_phase():
+    for r, phi, gram in triad_grams():
+        rho, _ = density_matrix_from_spec(GHZ, gram)
+        assert abs(classify(rho).fidelity_ghz - (1 + r**3 * math.cos(phi)) / 2) <= 1e-12
+
+
+FORWARD_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "forward_pool.npz"
+
+
+def test_seven_particle_solves_equal_the_stored_benchmark_references():
+    # No oracle reaches N = 7 in tier-1; the benchmark's stored solutions of
+    # banded and wide N = 7 routings do. A seeded draw of 8 of each pool.
+    rng = np.random.default_rng(3707)
+    with np.load(FORWARD_POOL) as pool:
+        for name in ("band7", "wide7"):
+            t, s, g, r, p = (pool[f"{name}/{field}"] for field in "tsgrp")
+            for k in rng.choice(len(p), size=8, replace=False):
+                rho, p_success = density_matrix_from_spec(custom_spec(t[k], s[k]), GramMatrix(g[k]))
+                assert rho.matrix.tobytes() == r[k].tobytes()
+                assert p_success.hex() == float(p[k]).hex()
 
 
 @pytest.mark.parametrize("n, width, seed", [
