@@ -20,7 +20,13 @@ from .transform import TransformSpec
 __all__ = ["permanent", "brute_density_matrix"]
 
 _PERMANENT_MAX = 12
-_BRUTE_MAX = 6
+# The oracle walks all N! permutations, then K^2 (ket, bra) pairs of N steps
+# each for its K outcomes. Both limits bound that work: 40,320 permutations
+# at N = 8, and a pair budget that admits a dense N = 6 routing (518,400
+# pairs) and the wide N = 7 band of four paths per row (20,736), but not a
+# dense N = 7 routing (25.4 million).
+_BRUTE_MAX = 8
+_BRUTE_PAIRS = 1 << 20
 
 
 def permanent(matrix) -> complex:
@@ -50,7 +56,8 @@ def permanent(matrix) -> complex:
 def brute_density_matrix(
     spec: TransformSpec, gram: GramMatrix
 ) -> tuple[DensityMatrix, float]:
-    """Postselected density matrix by direct enumeration of all N! routings.
+    """Postselected density matrix by direct enumeration of all N! routings,
+    for N up to 8 and at most 2^20 (ket, bra) pairs of outcomes.
 
     A no-bunching outcome of the square routing (TransformSpec refuses any
     other shape) is a bijection sigma from particles to detectors; its
@@ -84,6 +91,10 @@ def brute_density_matrix(
         for d in range(n):
             index = (index << 1) | int(s[inverse[d], d])
         outcomes.append((amp, index, inverse))
+    if len(outcomes) ** 2 > _BRUTE_PAIRS:
+        raise ValidationError(
+            f"brute force limited to {_BRUTE_PAIRS} outcome pairs, got {len(outcomes) ** 2}"
+        )
 
     dim = 2**n
     raw = np.zeros((dim, dim), dtype=complex)

@@ -134,6 +134,14 @@ def test_brute_rejects_rectangular_and_oversized():
         )
 
 
+def test_brute_rejects_more_than_eight_particles_whatever_their_outcomes():
+    # One outcome is within the pair budget, but the walk of 9! permutations
+    # is not started.
+    spins = np.where(np.eye(9) == 1, 0, -1)
+    with pytest.raises(ValidationError, match="8 particles, got 9"):
+        brute_density_matrix(custom_spec(np.eye(9), spins), GramMatrix.fully_distinguishable(9))
+
+
 def test_brute_gram_size_mismatch():
     rng = np.random.default_rng(8)
     with pytest.raises(ValidationError):

@@ -1,8 +1,10 @@
 """The no-bunching outcomes: one per detector bijection sigma with a
-nonzero amplitude prod_i t[i, sigma(i)], as no_bunching_outcomes enumerates it."""
+nonzero amplitude prod_i t[i, sigma(i)], as no_bunching_outcomes enumerates it,
+and the outcomes that the kernel traces for a run of routings."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -12,9 +14,12 @@ import pytest
 from conftest import random_spec
 from identangle import (
     UNUSED,
+    GramMatrix,
+    PostselectionImpossibleError,
     Spin,
     ValidationError,
     custom_spec,
+    density_matrices_from_spec,
     ghz_preset,
     no_bunching_outcomes,
     reduction,
@@ -98,11 +103,11 @@ def test_amplitude_of_ghz_assignments():
     assert by_sigma == {}
 
 
-def reference_outcomes(spec):
+def reference_outcomes(spec, drop=True):
     """Amplitudes, indices and labels by a naive walk: bijections grow row by
-    row over the nonzero entries and free detectors, their amplitudes multiply
-    up as Python complex numbers from complex(1.0), and a bijection whose
-    amplitude ends at 0 is dropped."""
+    row over the nonzero entries and free detectors, and their amplitudes
+    multiply up as Python complex numbers from complex(1.0). With ``drop``, a
+    bijection whose amplitude ends at 0 is dropped."""
     t, s = spec.amplitudes, spec.spins
     n = len(t)
     routes = [((), complex(1.0))]
@@ -113,7 +118,7 @@ def reference_outcomes(spec):
             for j, entry in enumerate(row)
             if entry != 0 and j not in sigma
         ]
-    routes = [(sigma, amplitude) for sigma, amplitude in routes if amplitude != 0]
+    routes = [(sigma, amplitude) for sigma, amplitude in routes if amplitude != 0 or not drop]
     sigmas = [sigma for sigma, _ in routes]
     indices = [sum(int(s[i, sigma[i]]) << (n - 1 - sigma[i]) for i in range(n)) for sigma in sigmas]
     return (
@@ -173,26 +178,58 @@ def routing_on(rng, support, kind="complex"):
     return custom_spec(t, np.where(support, rng.integers(0, 2, size=(n, n)), UNUSED))
 
 
+def traced_runs(specs):
+    """The (labels, indices, amplitudes) of each _trace call of one batch of
+    ``specs``. The spy records and traces nothing, so the batch ends in
+    PostselectionImpossibleError; the trace is checked against the oracle
+    elsewhere."""
+    calls = []
+
+    def spy(labels, indices, amplitudes, overlaps, out):
+        calls.append((labels, indices, amplitudes.copy()))
+
+    gram = GramMatrix.fully_indistinguishable(specs[0].num_particles)
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(PostselectionImpossibleError):
+        patch.setattr(reduction, "_trace", spy)
+        density_matrices_from_spec(specs, [gram])
+    return calls
+
+
+def assert_run_equals_reference(run, specs):
+    """One traced run holds the whole walk of each of its routings, zeros
+    kept: labels and indices once, and one amplitude row per routing."""
+    labels, indices, amplitudes = run
+    assert len(amplitudes) == len(specs)
+    for row, spec in zip(amplitudes, specs):
+        walk = reference_outcomes(spec, drop=False)
+        for got, expected in zip((row, indices, labels), walk):
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["complex", "signed-zero", "tiny"])
 def test_outcomes_are_byte_equal_to_a_naive_walk(kind):
-    # Each routing alone, then the routings of each zero pattern as one
-    # batch, whose amplitudes are one product over the pattern's table.
+    # Each routing alone, then the routings of each zero pattern, given one
+    # spin pattern, as one batch: one run, whose amplitudes are one product
+    # over the pattern's table.
     rng = np.random.default_rng([3701, len(kind)])
-    amplitudes, dropped = [], 0
+    rows, dropped = [], 0
     for support in seeded_supports(rng):
-        specs = [routing_on(rng, support, kind) for _ in range(3)]
+        first, *others = (routing_on(rng, support, kind) for _ in range(3))
+        specs = [first] + [custom_spec(spec.amplitudes, first.spins) for spec in others]
         for spec in specs:
             assert_equals_reference(no_bunching_outcomes(spec), spec)
-        batch = reduction._outcomes(specs)
-        assert len(batch) == len(specs)
-        for outcomes, spec in zip(batch, specs):
-            assert_equals_reference(outcomes, spec)
-            amplitudes.append(outcomes.amplitudes)
-            dropped += len(outcomes) < len(reduction._bijections(*reduction._support(spec))[0])
-    # The cases reach what they are for: underflowed products were dropped,
-    # and -0.0 parts reached the amplitudes.
-    assert (dropped > 0) == (kind == "tiny")
-    parts = np.concatenate([np.concatenate([a.real, a.imag]) for a in amplitudes])
+        (run,) = traced_runs(specs)
+        assert_run_equals_reference(run, specs)
+        rows.append(run[2])
+        dropped += sum(len(no_bunching_outcomes(spec)) < len(run[1]) for spec in specs)
+    # The cases reach what they are for: underflowed products were dropped
+    # alone and traced as exact zeros, and -0.0 parts reached the nonzero
+    # amplitudes.
+    zeros = sum(np.count_nonzero(a == 0) for a in rows)
+    kept = np.concatenate([a[a != 0] for a in rows])
+    parts = np.concatenate([kept.real, kept.imag])
+    assert (dropped > 0) == (zeros > 0) == (kind == "tiny")
     assert np.signbit(parts[parts == 0]).any() == (kind == "signed-zero")
 
 
@@ -202,8 +239,8 @@ def test_no_and_one_outcome_are_byte_equal_to_a_naive_walk():
     for spec, count in ((dark, 0), (straight, 1)):
         assert len(no_bunching_outcomes(spec)) == count
         assert_equals_reference(no_bunching_outcomes(spec), spec)
-        for outcomes in reduction._outcomes([spec, spec]):
-            assert_equals_reference(outcomes, spec)
+        (run,) = traced_runs([spec, spec])
+        assert_run_equals_reference(run, [spec, spec])
 
 
 def test_bijection_tables_are_kept_for_a_bounded_number_of_supports():
@@ -226,12 +263,16 @@ def test_bijection_tables_are_kept_for_a_bounded_number_of_supports():
 
 
 def test_outcome_arrays_are_read_only():
+    # The kernel traces the kept table itself, so it must be read-only too.
     tiny = routing_on(np.random.default_rng(3703), np.ones((4, 4), dtype=bool), "tiny")
     for spec in (ghz_preset(), tiny):
-        for outcomes in (no_bunching_outcomes(spec), *reduction._outcomes([spec, spec])):
-            for array in (outcomes.amplitudes, outcomes.indices, outcomes.labels):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = array[0]
+        outcomes = no_bunching_outcomes(spec)
+        ((labels, _, _),) = traced_runs([spec, spec])
+        assert labels is reduction._bijections(*reduction._support(spec))[0]
+        for array in (outcomes.amplitudes, outcomes.indices, outcomes.labels, labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+    assert len(no_bunching_outcomes(tiny)) < len(labels)
 
 
 def test_routings_with_one_support_get_their_own_spin_indices():
@@ -241,6 +282,10 @@ def test_routings_with_one_support_get_their_own_spin_indices():
     a, b = no_bunching_outcomes(first), no_bunching_outcomes(flipped)
     assert a.labels is b.labels
     assert (a.indices + b.indices == 7).all()
+    # A spin pattern that changes splits a batch into runs of one table.
     specs = [first, flipped, first]
-    for spec, outcomes in zip(specs, reduction._outcomes(specs)):
-        assert_equals_reference(outcomes, spec)
+    runs = traced_runs(specs)
+    assert len(runs) == 3
+    for run, spec in zip(runs, specs):
+        assert run[0] is a.labels
+        assert_run_equals_reference(run, [spec])

@@ -344,6 +344,15 @@ def test_kernel_is_byte_identical_to_oracle_at_six_particles():
     assert_byte_identical(random_spec(rng, 6, 6), random_gram(rng, 6))
 
 
+def test_kernel_is_byte_identical_to_oracle_at_seven_and_eight_particles():
+    # Banded routings of three paths per row, wide ones of four (144
+    # outcomes at N = 7) and a banded N = 8 routing: the oracle's pair budget
+    # admits these, not a dense N = 7 routing.
+    rng = np.random.default_rng(408)
+    for n, width in ((7, 3), (7, 3), (7, 4), (7, 4), (8, 3)):
+        assert_byte_identical(random_banded_spec(rng, n, width), random_gram(rng, n))
+
+
 @pytest.mark.parametrize(
     "spec", [GHZ, W, w_preset(dft_tritter_rows())], ids=["ghz", "w-balanced", "w-dft"]
 )
@@ -457,8 +466,8 @@ FORWARD_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "refs" / "
 
 
 def test_seven_particle_solves_equal_the_stored_benchmark_references():
-    # No oracle reaches N = 7 in tier-1; the benchmark's stored solutions of
-    # banded and wide N = 7 routings do. A seeded draw of 8 of each pool.
+    # The benchmark's stored solutions of banded and wide N = 7 routings, a
+    # seeded draw of 8 of each pool.
     rng = np.random.default_rng(3707)
     with np.load(FORWARD_POOL) as pool:
         for name in ("band7", "wide7"):

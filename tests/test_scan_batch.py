@@ -1,9 +1,9 @@
 """Scans solved as one batch: the routing side of a g or delay scan is built
 once, an amplitude scan traces a stack of amplitude rows per run of points
-with the same outcomes, and every point comes out bit for bit as the
-one-point kernel traces it. The batch only saves time: a scan whose batch
-fails is solved again point by point, by the same solver on one value at a
-time, and meets its errors in scan order."""
+with one zero pattern and one spin pattern, and every point comes out bit
+for bit as the one-point kernel traces it. The batch only saves time: a
+scan whose batch fails is solved again point by point, by the same solver
+on one value at a time, and meets its errors in scan order."""
 
 from __future__ import annotations
 
@@ -170,7 +170,7 @@ def assert_points_match_the_oracle(specs, grams):
     (3, 3, 9, True, False), (3, 2, 7, False, True), (3, 3, 1, True, False),
     (4, 4, 6, True, True), (4, 2, 9, False, False), (5, 5, 3, True, False),
     (5, 3, 8, False, True), (5, 5, 1, False, False), (6, 2, 9, True, True),
-    (6, 3, 4, True, False), (6, 6, 2, False, False),
+    (6, 3, 4, True, False), (6, 6, 2, False, False), (7, 3, 3, True, False),
 ])
 def test_routings_that_share_a_support_match_the_oracle_point_by_point(
     monkeypatch, n, width, points, each, real
@@ -181,9 +181,9 @@ def test_routings_that_share_a_support_match_the_oracle_point_by_point(
     traced = []
     trace = reduction._trace
 
-    def spy(outcomes, amplitudes, overlaps, out):
+    def spy(labels, indices, amplitudes, overlaps, out):
         traced.append(amplitudes.copy())
-        trace(outcomes, amplitudes, overlaps, out)
+        trace(labels, indices, amplitudes, overlaps, out)
 
     monkeypatch.setattr(reduction, "_trace", spy)
     assert_points_match_the_oracle(specs, grams)
@@ -215,9 +215,9 @@ def test_exact_zero_and_one_amplitudes_split_the_runs_of_a_batch():
     traced = []
     trace = reduction._trace
 
-    def spy(outcomes, amplitudes, overlaps, out):
+    def spy(labels, indices, amplitudes, overlaps, out):
         traced.append(len(amplitudes))
-        trace(outcomes, amplitudes, overlaps, out)
+        trace(labels, indices, amplitudes, overlaps, out)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reduction, "_trace", spy)
@@ -225,10 +225,11 @@ def test_exact_zero_and_one_amplitudes_split_the_runs_of_a_batch():
     assert traced[:6] == [2, 1, 1, 1, 1, 1]
 
 
-def test_a_point_whose_amplitude_underflows_loses_that_outcome():
+def test_a_point_whose_amplitude_underflows_traces_that_outcome_as_zero():
     # A GHZ ring whose second and third rows put 1e-200 on the paths of the
-    # first outcome at point 2: its amplitude underflows to 0 there, while
-    # the other points keep both outcomes.
+    # first outcome at point 2: its amplitude underflows to 0 there, so
+    # no_bunching_outcomes drops it, while the other points keep both
+    # outcomes. The batch keeps it, as an exact 0 whose pairs add nothing.
     values = [0.3, 0.5, 0.6, 0.7, 0.9]
     specs = ghz_specs("alpha1", values)
     tiny = dict(dataclasses.asdict(balanced_ghz_params()), alpha1=0.6, alpha2=0.8,
@@ -238,19 +239,24 @@ def test_a_point_whose_amplitude_underflows_loses_that_outcome():
     traced = []
     trace = reduction._trace
 
-    def spy(outcomes, amplitudes, overlaps, out):
-        traced.append((outcomes.indices.tolist(), amplitudes.tolist()))
-        trace(outcomes, amplitudes, overlaps, out)
+    def spy(labels, indices, amplitudes, overlaps, out):
+        traced.append((indices.tolist(), amplitudes.copy()))
+        trace(labels, indices, amplitudes, overlaps, out)
 
     gram = GramMatrix.uniform(3, 0.7)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reduction, "_trace", spy)
         assert_points_match_the_oracle(specs, [gram])
         alone = reduction.no_bunching_outcomes(specs[2])
-        # The batch traces points 0-1, 2 and 3-4; point 2 with exactly the
-        # outcomes no_bunching_outcomes gives it, then as a one-point solve.
-        assert [len(amplitudes) for _, amplitudes in traced[:3]] == [2, 1, 2]
-        assert traced[1] == (alone.indices.tolist(), [alone.amplitudes.tolist()])
+    # The batch traces all five points in one call; point 2's row holds an
+    # exact 0 where its product underflowed and elsewhere the amplitude that
+    # no_bunching_outcomes gives it.
+    indices, amplitudes = traced[0]
+    assert amplitudes.shape == (5, 2)
+    row = amplitudes[2]
+    assert (row == 0).tolist() == [True, False]
+    assert row[1:].tobytes() == alone.amplitudes.tobytes()
+    assert indices[1:] == alone.indices.tolist()
 
 
 @pytest.mark.parametrize("field", cli._GHZ_FIELDS)
