@@ -60,7 +60,7 @@ from .transform import (
     GHZParams,
     Spin,
     TransformSpec,
-    _ghz_spins,
+    _ghz_rings,
     balanced_ghz_params,
     balanced_tritter_rows,
     custom_spec,
@@ -171,6 +171,19 @@ def _ghz_section(config: dict, path: str) -> dict:
     return section
 
 
+def _ghz_params(config: dict, path: str) -> GHZParams:
+    """The config's ``ghz`` amplitudes, parsed and checked."""
+    section = _ghz_section(config, path)
+    missing = [k for k in _GHZ_FIELDS if k not in section]
+    if missing:
+        raise ConfigError(path, "ghz", f"missing amplitudes: {', '.join(missing)}")
+    amplitudes = {k: _parse_complex(section[k], path, f"ghz.{k}") for k in _GHZ_FIELDS}
+    try:
+        return GHZParams(**amplitudes)
+    except ValidationError as exc:
+        raise ConfigError(path, "ghz", str(exc)) from exc
+
+
 def build_spec(config: dict, path: str) -> TransformSpec:
     """Transformation described by the config's preset section."""
     preset = config.get("preset")
@@ -178,14 +191,7 @@ def build_spec(config: dict, path: str) -> TransformSpec:
         raise ConfigError(path, "preset", 'must be one of "ghz", "w", "custom"')
     try:
         if preset == "ghz":
-            section = _ghz_section(config, path)
-            missing = [k for k in _GHZ_FIELDS if k not in section]
-            if missing:
-                raise ConfigError(path, "ghz", f"missing amplitudes: {', '.join(missing)}")
-            params = GHZParams(
-                **{k: _parse_complex(section[k], path, f"ghz.{k}") for k in _GHZ_FIELDS}
-            )
-            return ghz_preset(params)
+            return ghz_preset(_ghz_params(config, path))
         if preset == "w":
             section = config.get("w")
             if section is None:
@@ -436,15 +442,16 @@ def cmd_scan(args) -> int:
     The config is parsed and checked as ``run`` checks it before any point
     is solved, so a fault there is reported once, without a point. Each
     parameter kind then has one ``solve(values)``, which writes the scanned
-    values into stacks built from the parsed routing, Gram matrix or delay
-    list, never reading the config's own entry at the scanned place, and
+    values into stacks built from the parsed GHZ amplitudes, Gram matrix or
+    delay list, never reading the config's own entry at the scanned place, and
     gives the solution of each value in order from one
     :func:`density_matrices_from_spec` call. A ``g`` or ``L1``-``L3`` scan
     keeps the routing fixed, so it validates its Gram matrices as one stack
     and the batch enumerates the outcomes once. An amplitude scan keeps the
-    Gram matrix and validates its routings, which differ in the scanned pair
-    only, as one stack; the batch traces them in runs of points with the
-    same outcomes. If the batch fails, every point is solved again with
+    Gram matrix and writes each point's pair into a table of the six GHZ
+    amplitudes, which ``ghz_preset``'s ring builder turns into routings
+    validated as one stack; the batch traces them in runs of points with
+    the same outcomes. If the batch fails, every point is solved again with
     ``solve([value])``, one by one, so the first point that fails, in scan
     order, ends the scan with its own error prefixed by
     ``--param NAME = VALUE``; no file is written then. The states of all
@@ -466,19 +473,15 @@ def cmd_scan(args) -> int:
         if outside:
             raise ValidationError(f"amplitude {parameter} must lie in [0, 1], got {outside[0]}")
         index = _GHZ_FIELDS.index(parameter)
-        partner = _GHZ_FIELDS[index ^ 1]
         # The scanned pair is parsed as (1, 0); each point writes its own.
-        ghz = {**_ghz_section(config, path), parameter: 1.0, partner: 0.0}
-        spec = build_spec(dict(config, ghz=ghz), path)
-        gram = build_gram(config, path, spec.num_particles)
-        # Field k sits in row k // 2, at the detector its name ends in (from 1).
-        at = (slice(None), index // 2, [int(parameter[-1]) - 1, int(partner[-1]) - 1])
+        ghz = {**_ghz_section(config, path), parameter: 1.0, _GHZ_FIELDS[index ^ 1]: 0.0}
+        table = np.array([list(vars(_ghz_params(dict(config, ghz=ghz), path)).values())])
+        gram = build_gram(config, path, 3)
 
         def solve(values):
-            stack = np.repeat(spec.amplitudes[None], len(values), axis=0)
-            stack[at] = np.array([values, np.sqrt(1.0 - np.square(values))], dtype=float).T
-            specs = TransformSpec._stack(stack, _ghz_spins(stack))
-            return density_matrices_from_spec(specs, [gram])
+            stack = np.repeat(table, len(values), axis=0)
+            stack[:, [index, index ^ 1]] = np.stack([values, np.sqrt(1.0 - np.square(values))], 1)
+            return density_matrices_from_spec(_ghz_rings(stack), [gram])
     else:
         parsed = config
         if parameter != "g":
@@ -513,7 +516,7 @@ def cmd_scan(args) -> int:
                 table[:, index] = values
                 overlaps = _delay_overlaps(table, float(section["coherence_length"]))
             return density_matrices_from_spec(spec, GramMatrix._stack(overlaps))
-    _require_three_particles(spec.num_particles, f"{path}: {config['preset']}")
+        _require_three_particles(spec.num_particles, f"{path}: {config['preset']}")
 
     try:
         solutions = list(solve(values))

@@ -36,7 +36,8 @@ exactly 0 or 1 changes the zero pattern and starts a new run. A product that
 underflows to 0 stays in its run as an exact zero. Its pairs add zeros of
 either sign, and a sum that starts from +0 never holds -0, so they leave
 every entry as it was: the oracle, which skips those pairs, gets the same
-bits. (:func:`no_bunching_outcomes` drops them.)
+bits. :func:`no_bunching_outcomes` gives the run of one routing, so it has
+one outcome per open bijection too, an underflowed product as an exact 0.
 
 Since G is Hermitian, the (bra, ket) term is the complex conjugate of the
 (ket, bra) term, and the kernel computes only one of each such pair. Both
@@ -219,15 +220,16 @@ def gram_from_delays(delays: Sequence, coherence_length: float) -> GramMatrix:
 
 @dataclass(frozen=True)
 class NoBunchingOutcomes:
-    """The nonzero-amplitude bijections of a square routing, one row each.
+    """The bijections that a square routing's zero pattern leaves open, one
+    row each.
 
     Rows are in lexicographic order of sigma (particle 0's detector varies
-    slowest). ``amplitudes[k]`` is prod_i t[i, sigma_k(i)], ``labels[k, d]``
-    the particle sigma_k^-1(d) at detector d, and ``indices[k]`` the basis
-    index of the spin pattern read off detector by detector. The arrays are
-    read-only: routings with one zero pattern share the ``labels`` array of
-    the bijection table walked once for that pattern, unless an amplitude
-    underflowed to 0 and dropped its bijection.
+    slowest). ``amplitudes[k]`` is prod_i t[i, sigma_k(i)], an exact 0 where
+    that product underflows, ``labels[k, d]`` the particle sigma_k^-1(d) at
+    detector d, and ``indices[k]`` the basis index of the spin pattern read
+    off detector by detector. The arrays are read-only: ``labels`` is the
+    bijection table walked once for the zero pattern, shared by every
+    routing with that pattern.
     """
 
     amplitudes: np.ndarray
@@ -343,14 +345,12 @@ def no_bunching_outcomes(spec: TransformSpec) -> NoBunchingOutcomes:
     and free detectors, and kept in a small cache. Each call gathers its
     entries over that table and multiplies the amplitudes up from
     complex(1.0) in row order, with the roundings of Python's complex
-    multiply, so they are bit-equal to the oracle's. A bijection whose
-    amplitude underflows to zero is dropped. The arrays are read-only.
+    multiply, so they are bit-equal to the oracle's. These are the outcomes
+    the kernel traces for a run of one routing: a bijection whose amplitude
+    underflows is kept, as an exact 0. The arrays are read-only.
     """
     labels, indices, (amplitudes,) = _run_outcomes(_support(spec), [spec])
-    if not amplitudes.all():
-        keep = amplitudes != 0
-        labels, indices, amplitudes = labels[keep], indices[keep], amplitudes[keep]
-    for array in (labels, indices, amplitudes):
+    for array in (indices, amplitudes):
         array.setflags(write=False)
     return NoBunchingOutcomes(amplitudes, indices, labels)
 

@@ -195,19 +195,26 @@ def ghz_preset(params: GHZParams | None = None) -> TransformSpec:
     particles. The spin pattern is arranged so that once every detector fires
     exactly once, only the all-down and all-up branches remain.
     """
-    p = params if params is not None else balanced_ghz_params()
-    t = np.array(
-        [[p.alpha1, p.alpha2, 0.0], [0.0, p.beta2, p.beta3], [p.gamma1, 0.0, p.gamma3]],
-        dtype=complex,
-    )
-    return TransformSpec(t, _ghz_spins(t))
+    return _ghz_rings([list(vars(params or balanced_ghz_params()).values())])[0]
 
 
-def _ghz_spins(amplitudes: np.ndarray) -> np.ndarray:
-    """GHZ ring spins of an amplitude matrix or stack, UNUSED on closed paths (t = 0)."""
-    d, u = int(Spin.DOWN), int(Spin.UP)
-    ring = np.array([[d, u, UNUSED], [UNUSED, d, u], [u, UNUSED, d]], dtype=np.int8)
-    return np.where(amplitudes == 0, np.int8(UNUSED), ring)
+# The ring path of each GHZParams field, in field order: field k runs from
+# particle _GHZ_ROWS[k] to detector _GHZ_DETECTORS[k] with spin _GHZ_SPINS[k].
+_GHZ_ROWS = [0, 0, 1, 1, 2, 2]
+_GHZ_DETECTORS = [0, 1, 1, 2, 0, 2]
+_GHZ_SPINS = [Spin.DOWN, Spin.UP, Spin.DOWN, Spin.UP, Spin.UP, Spin.DOWN]
+
+
+def _ghz_rings(table) -> list[TransformSpec]:
+    """The validated GHZ ring routings of a table (P, 6) of amplitudes in
+    GHZParams field order, one per row, as one stack; a path of amplitude
+    exactly 0 is closed (spin UNUSED)."""
+    table = np.asarray(table, dtype=complex)
+    t = np.zeros((len(table), 3, 3), dtype=complex)
+    s = np.full(t.shape, UNUSED, dtype=np.int8)
+    t[:, _GHZ_ROWS, _GHZ_DETECTORS] = table
+    s[:, _GHZ_ROWS, _GHZ_DETECTORS] = np.where(table == 0, UNUSED, _GHZ_SPINS)
+    return TransformSpec._stack(t, s)
 
 
 def w_preset(rows) -> TransformSpec:

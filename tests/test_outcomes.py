@@ -1,6 +1,7 @@
-"""The no-bunching outcomes: one per detector bijection sigma with a
-nonzero amplitude prod_i t[i, sigma(i)], as no_bunching_outcomes enumerates it,
-and the outcomes that the kernel traces for a run of routings."""
+"""The no-bunching outcomes: one per detector bijection sigma that the zero
+pattern leaves open, with amplitude prod_i t[i, sigma(i)] (an exact 0 where
+that product underflows), as the kernel traces them for a run of routings
+and as no_bunching_outcomes gives them for a run of one."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from conftest import random_spec
 from identangle import (
     UNUSED,
     GramMatrix,
+    NoBunchingOutcomes,
     PostselectionImpossibleError,
     Spin,
     ValidationError,
@@ -103,11 +105,11 @@ def test_amplitude_of_ghz_assignments():
     assert by_sigma == {}
 
 
-def reference_outcomes(spec, drop=True):
+def reference_outcomes(spec):
     """Amplitudes, indices and labels by a naive walk: bijections grow row by
     row over the nonzero entries and free detectors, and their amplitudes
-    multiply up as Python complex numbers from complex(1.0). With ``drop``, a
-    bijection whose amplitude ends at 0 is dropped."""
+    multiply up as Python complex numbers from complex(1.0). A bijection
+    whose amplitude underflows to 0 is kept."""
     t, s = spec.amplitudes, spec.spins
     n = len(t)
     routes = [((), complex(1.0))]
@@ -118,7 +120,6 @@ def reference_outcomes(spec, drop=True):
             for j, entry in enumerate(row)
             if entry != 0 and j not in sigma
         ]
-    routes = [(sigma, amplitude) for sigma, amplitude in routes if amplitude != 0 or not drop]
     sigmas = [sigma for sigma, _ in routes]
     indices = [sum(int(s[i, sigma[i]]) << (n - 1 - sigma[i]) for i in range(n)) for sigma in sigmas]
     return (
@@ -196,15 +197,12 @@ def traced_runs(specs):
 
 
 def assert_run_equals_reference(run, specs):
-    """One traced run holds the whole walk of each of its routings, zeros
-    kept: labels and indices once, and one amplitude row per routing."""
+    """One traced run holds the whole walk of each of its routings: labels
+    and indices once, and one amplitude row per routing."""
     labels, indices, amplitudes = run
     assert len(amplitudes) == len(specs)
     for row, spec in zip(amplitudes, specs):
-        walk = reference_outcomes(spec, drop=False)
-        for got, expected in zip((row, indices, labels), walk):
-            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
-            assert got.tobytes() == expected.tobytes()
+        assert_equals_reference(NoBunchingOutcomes(row, indices, labels), spec)
 
 
 @pytest.mark.parametrize("kind", ["complex", "signed-zero", "tiny"])
@@ -213,7 +211,7 @@ def test_outcomes_are_byte_equal_to_a_naive_walk(kind):
     # spin pattern, as one batch: one run, whose amplitudes are one product
     # over the pattern's table.
     rng = np.random.default_rng([3701, len(kind)])
-    rows, dropped = [], 0
+    rows = []
     for support in seeded_supports(rng):
         first, *others = (routing_on(rng, support, kind) for _ in range(3))
         specs = [first] + [custom_spec(spec.amplitudes, first.spins) for spec in others]
@@ -222,14 +220,12 @@ def test_outcomes_are_byte_equal_to_a_naive_walk(kind):
         (run,) = traced_runs(specs)
         assert_run_equals_reference(run, specs)
         rows.append(run[2])
-        dropped += sum(len(no_bunching_outcomes(spec)) < len(run[1]) for spec in specs)
-    # The cases reach what they are for: underflowed products were dropped
-    # alone and traced as exact zeros, and -0.0 parts reached the nonzero
-    # amplitudes.
+    # The cases reach what they are for: underflowed products were kept as
+    # exact zeros, and -0.0 parts reached the nonzero amplitudes.
     zeros = sum(np.count_nonzero(a == 0) for a in rows)
     kept = np.concatenate([a[a != 0] for a in rows])
     parts = np.concatenate([kept.real, kept.imag])
-    assert (dropped > 0) == (zeros > 0) == (kind == "tiny")
+    assert (zeros > 0) == (kind == "tiny")
     assert np.signbit(parts[parts == 0]).any() == (kind == "signed-zero")
 
 
@@ -263,16 +259,17 @@ def test_bijection_tables_are_kept_for_a_bounded_number_of_supports():
 
 
 def test_outcome_arrays_are_read_only():
-    # The kernel traces the kept table itself, so it must be read-only too.
+    # The kernel traces the kept table itself, so it must be read-only too;
+    # no_bunching_outcomes hands out that table, an underflowed product or not.
     tiny = routing_on(np.random.default_rng(3703), np.ones((4, 4), dtype=bool), "tiny")
     for spec in (ghz_preset(), tiny):
         outcomes = no_bunching_outcomes(spec)
         ((labels, _, _),) = traced_runs([spec, spec])
-        assert labels is reduction._bijections(*reduction._support(spec))[0]
-        for array in (outcomes.amplitudes, outcomes.indices, outcomes.labels, labels):
+        assert labels is outcomes.labels is reduction._bijections(*reduction._support(spec))[0]
+        for array in (outcomes.amplitudes, outcomes.indices, outcomes.labels):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
-    assert len(no_bunching_outcomes(tiny)) < len(labels)
+    assert (outcomes.amplitudes == 0).any()
 
 
 def test_routings_with_one_support_get_their_own_spin_indices():

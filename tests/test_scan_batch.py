@@ -227,15 +227,16 @@ def test_exact_zero_and_one_amplitudes_split_the_runs_of_a_batch():
 
 def test_a_point_whose_amplitude_underflows_traces_that_outcome_as_zero():
     # A GHZ ring whose second and third rows put 1e-200 on the paths of the
-    # first outcome at point 2: its amplitude underflows to 0 there, so
-    # no_bunching_outcomes drops it, while the other points keep both
-    # outcomes. The batch keeps it, as an exact 0 whose pairs add nothing.
+    # first outcome at point 2: its amplitude underflows to 0 there, and
+    # no_bunching_outcomes holds it as an exact 0, while the other points'
+    # outcomes are nonzero. The batch keeps it too; its pairs add nothing.
     values = [0.3, 0.5, 0.6, 0.7, 0.9]
     specs = ghz_specs("alpha1", values)
     tiny = dict(dataclasses.asdict(balanced_ghz_params()), alpha1=0.6, alpha2=0.8,
                 beta2=1e-200, beta3=1.0, gamma1=1.0, gamma3=1e-200)
     specs[2] = ghz_preset(GHZParams(**tiny))
-    assert [len(reduction.no_bunching_outcomes(s)) for s in specs] == [2, 2, 1, 2, 2]
+    zeros = [(reduction.no_bunching_outcomes(s).amplitudes == 0).tolist() for s in specs]
+    assert zeros == [[False, False]] * 2 + [[True, False]] + [[False, False]] * 2
     traced = []
     trace = reduction._trace
 
@@ -248,15 +249,12 @@ def test_a_point_whose_amplitude_underflows_traces_that_outcome_as_zero():
         patch.setattr(reduction, "_trace", spy)
         assert_points_match_the_oracle(specs, [gram])
         alone = reduction.no_bunching_outcomes(specs[2])
-    # The batch traces all five points in one call; point 2's row holds an
-    # exact 0 where its product underflowed and elsewhere the amplitude that
-    # no_bunching_outcomes gives it.
+    # The batch traces all five points in one call; point 2's row is the
+    # one no_bunching_outcomes gives it, its exact 0 included.
     indices, amplitudes = traced[0]
     assert amplitudes.shape == (5, 2)
-    row = amplitudes[2]
-    assert (row == 0).tolist() == [True, False]
-    assert row[1:].tobytes() == alone.amplitudes.tobytes()
-    assert indices[1:] == alone.indices.tolist()
+    assert amplitudes[2].tobytes() == alone.amplitudes.tobytes()
+    assert indices == alone.indices.tolist()
 
 
 @pytest.mark.parametrize("field", cli._GHZ_FIELDS)
@@ -286,7 +284,8 @@ def test_an_amplitude_scan_equals_per_point_library_solves(tmp_path, field):
 
 def test_a_long_scan_whose_points_all_underflow_equals_per_point_solves(tmp_path):
     # beta2 = gamma3 = 1e-200: the alpha1 * beta2 * gamma3 outcome underflows
-    # to 0 at every one of the 1,500 points, each of which keeps one outcome.
+    # to 0 at every one of the 1,500 points, each of which holds it as an
+    # exact 0 beside one nonzero outcome.
     ghz = dict(dataclasses.asdict(balanced_ghz_params()), beta2=1e-200, beta3=1.0,
                gamma1=1.0, gamma3=1e-200)
     config = {"preset": "ghz", "ghz": ghz,
@@ -303,7 +302,7 @@ def test_a_long_scan_whose_points_all_underflow_equals_per_point_solves(tmp_path
         value = row["alpha1"]
         params = dict(ghz, alpha1=value, alpha2=math.sqrt(1.0 - value * value))
         specs.append(ghz_preset(GHZParams(**params)))
-        assert len(reduction.no_bunching_outcomes(specs[-1])) == 1
+        assert (reduction.no_bunching_outcomes(specs[-1]).amplitudes == 0).tolist() == [True, False]
     for row, spec, (rho, p) in zip(rows, specs, density_matrices_from_spec(specs, [gram])):
         expected_rho, expected_p = density_matrix_from_spec(spec, gram)
         assert rho.matrix.tobytes() == expected_rho.matrix.tobytes()
@@ -480,7 +479,7 @@ def fail_batches(monkeypatch, fail_after):
 @pytest.mark.parametrize("param", ["g", "L2", "alpha1"])
 def test_a_scan_parses_its_config_once(tmp_path, monkeypatch, param, retry):
     calls = collections.Counter()
-    for name in ("build_spec", "build_gram"):
+    for name in ("build_spec", "build_gram", "_ghz_params"):
         def counted(*args, name=name, build=getattr(cli, name)):
             calls[name] += 1
             return build(*args)
@@ -491,7 +490,10 @@ def test_a_scan_parses_its_config_once(tmp_path, monkeypatch, param, retry):
     assert cli.main(["scan", "--config", write_config(tmp_path, config), "--param", param,
                      "--start", "0", "--stop", "1", "--steps", "7",
                      "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == {"build_spec": 1, "build_gram": 1}
+    # A g or delay scan builds the routing, the ghz section's parse within;
+    # an amplitude scan parses the ghz section alone.
+    parses = {"_ghz_params": 1, "build_gram": 1}
+    assert calls == (parses if param == "alpha1" else dict(parses, build_spec=1))
     assert sizes == ([7] + [1] * 7 if retry else [])
 
 
