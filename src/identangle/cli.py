@@ -384,6 +384,8 @@ def _classification_fields(report: ClassificationReport) -> dict:
         "w_witness_passed": report.w_witness_passed,
         "offdiag_norm": report.offdiag_norm,
         "verdict": report.verdict,
+        "fidelity_ghz_max": report.fidelity_ghz_max,
+        "ghz_phase_pi": report.ghz_phase / math.pi,
     }
 
 

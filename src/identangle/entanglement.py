@@ -1,15 +1,19 @@
 """Fidelities, witness checks and phase search for GHZ- and W-type targets.
 
-Fidelity against the GHZ target above 1/2, or against the best W-family
-member above 2/3, witnesses genuine tripartite entanglement of the matching
-class. Both thresholds are strict inequalities.
+Fidelity against the best GHZ-family member above 1/2, or against the best
+W-family member above 2/3, witnesses genuine tripartite entanglement of the
+matching class. Both thresholds are strict inequalities.
 
-The W family carries two free relative phases,
+The GHZ family carries one free relative phase and the W family two,
 
+    |GHZ(theta)> = (|ddd> + e^(i*theta) |uuu>) / sqrt(2),
     |W(phi1, phi2)> = (|ddu> + e^(i*phi1) |dud> + e^(i*phi2) |udd>) / sqrt(3),
 
-and the witness compares against the best member, so the fidelity is
-maximized over both phases before the threshold test.
+and each witness compares against the best member, so its fidelity is
+maximized over the phases before the threshold test. Every member is a
+local-unitary image of the phase-0 one, and the biseparable states form a
+local-unitary invariant set, so each bound certifies genuine entanglement
+for every member alike.
 """
 
 from __future__ import annotations
@@ -385,9 +389,17 @@ def _w_descent(d: float, c12: complex, c14: complex, c24: complex,
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Witness summary of a postselected state."""
+    """Witness summary of a postselected state.
+
+    ``fidelity_ghz`` is the fidelity with the phase-0 GHZ target,
+    ``fidelity_ghz_max`` that with the best GHZ-family member, whose phase
+    ``ghz_phase`` lies in [-pi, pi], and ``ghz_witness_passed`` reads the
+    maximum.
+    """
 
     fidelity_ghz: float
+    fidelity_ghz_max: float
+    ghz_phase: float
     fidelity_w_max: float
     phi1: float
     phi2: float
@@ -425,20 +437,32 @@ def classify_states(states: Iterable[DensityMatrix]) -> Iterator[ClassificationR
 
 
 def _classify_block(states: list[DensityMatrix]) -> list[ClassificationReport]:
-    """The reports of a stack of states: ``offdiag_norm``, the GHZ fidelity
-    and the W phase search's coarse stage are array operations over the
-    stack; the W search keeps its re-evaluation of kept rows and its fine
-    stage per state."""
+    """The reports of a stack of states: ``offdiag_norm``, the GHZ fidelities
+    and phase and the W phase search's coarse stage are array operations
+    over the stack; the W search keeps its re-evaluation of kept rows and
+    its fine stage per state.
+
+    The fidelity with (|ddd> + e^(i theta) |uuu>) / sqrt(2) is
+    (rho00 + rho77) / 2 + Re(e^(-i theta) rho70). Its maximum over theta,
+    (rho00 + rho77) / 2 + |rho70|, is reached at theta = arg rho70 and
+    reported clipped into [0, 1]; theta is taken by ``np.angle``, in [-pi,
+    pi]. A zero of either sign in rho70 counts as +0, so theta is 0, not
+    +-pi or -0, when rho70 is 0.
+    """
     if any(rho.dim != 8 for rho in states):
         raise ValidationError("classification is defined for three qubits")
     stack = np.array([rho.matrix for rho in states])
     magnitudes = np.abs(stack)
     offdiag = magnitudes.sum(axis=(1, 2)) - magnitudes.trace(axis1=1, axis2=2)
+    populations = (stack[:, 0, 0].real + stack[:, 7, 7].real) / 2.0
+    f_ghz_max = np.clip(populations + magnitudes[:, 7, 0], 0.0, 1.0)
+    theta = np.angle(stack[:, 7, 0] + 0.0)
     reports = []
-    for f_ghz, (phi1, phi2, f_w), off in zip(
-        _fidelities(stack, _GHZ3), _w_phases(stack), offdiag.tolist()
+    for f_ghz, f_max, phase, (phi1, phi2, f_w), off in zip(
+        _fidelities(stack, _GHZ3), f_ghz_max.tolist(), theta.tolist(), _w_phases(stack),
+        offdiag.tolist(),
     ):
-        ghz_passed = f_ghz > GHZ_WITNESS_BOUND
+        ghz_passed = f_max > GHZ_WITNESS_BOUND
         w_passed = f_w > W_WITNESS_BOUND
         if ghz_passed:
             verdict = VERDICT_GHZ
@@ -447,6 +471,8 @@ def _classify_block(states: list[DensityMatrix]) -> list[ClassificationReport]:
         else:
             verdict = VERDICT_INCONCLUSIVE
         reports.append(
-            ClassificationReport(f_ghz, f_w, phi1, phi2, ghz_passed, w_passed, off, verdict)
+            ClassificationReport(
+                f_ghz, f_max, phase, f_w, phi1, phi2, ghz_passed, w_passed, off, verdict
+            )
         )
     return reports

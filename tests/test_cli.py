@@ -250,6 +250,54 @@ def test_run_csv_report(tmp_path):
     assert values["ghz_witness_passed"] is True
 
 
+def test_a_ghz_state_of_relative_phase_pi_is_witnessed(tmp_path):
+    # alpha1 = -1/sqrt(2) with indistinguishable particles gives
+    # (|ddd> - |uuu>) / sqrt(2): orthogonal to the phase-0 target, and the
+    # GHZ-family member of phase pi itself.
+    ghz = dict.fromkeys(cli._GHZ_FIELDS, INV_SQRT2)
+    ghz["alpha1"] = [-INV_SQRT2, 0]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, dict(GHZ_CONFIG, ghz=ghz)),
+                 "--out-dir", str(out)]) == 0
+    report = read_report(out)
+    assert report["fidelity_ghz"] == 0.0
+    assert report["fidelity_ghz_max"] == 1.0
+    assert report["ghz_phase_pi"] == 1.0
+    assert report["ghz_witness_passed"] is True
+    assert report["verdict"] == "genuine-GHZ-witnessed"
+
+
+SCAN_COLUMNS = ["p_success", "fidelity_ghz", "fidelity_w_max", "phi1_pi", "phi2_pi",
+                "ghz_witness_passed", "w_witness_passed", "offdiag_norm", "verdict"]
+
+
+@pytest.mark.parametrize("preset", [{"preset": "ghz"}, {"preset": "w"},
+                                    {"preset": "w", "w": {"variant": "dft"}}],
+                         ids=["ghz", "w-balanced", "w-dft"])
+def test_preset_scans_keep_their_fields_and_append_the_ghz_phase(tmp_path, preset):
+    # Scored at phase 0 alone, the GHZ witness passed when fidelity_ghz > 1/2
+    # and the verdict followed it. On every preset state rho70 is real and
+    # non-negative, so the best phase is 0: the flag and the verdict are
+    # those of the phase-0 score, and the two GHZ columns come after the
+    # earlier ones.
+    config = write_config(tmp_path, {**DELAY_CONFIG, **preset})
+    for param, stop in (("g", "1"), ("L1", "2"), ("L2", "2"), ("L3", "2")):
+        out = tmp_path / param
+        assert main(["scan", "--config", config, "--param", param, "--start", "0", "--stop",
+                     stop, "--steps", "25", "--out-dir", str(out), "--format", "csv"]) == 0
+        header, *lines = (out / "scan.csv").read_text(encoding="utf-8").splitlines()
+        assert header.split(",") == [param, *SCAN_COLUMNS, "fidelity_ghz_max", "ghz_phase_pi"]
+        for line in lines:
+            row = dict(zip(header.split(","), map(json.loads, line.split(","))))
+            ghz_passed = row["fidelity_ghz"] > 0.5
+            assert row["ghz_witness_passed"] is ghz_passed
+            assert row["verdict"] == ("genuine-GHZ-witnessed" if ghz_passed else
+                                      "genuine-W-witnessed" if row["w_witness_passed"] else
+                                      "witness-inconclusive")
+            assert row["ghz_phase_pi"] == 0.0
+            assert abs(row["fidelity_ghz_max"] - row["fidelity_ghz"]) <= 1e-15
+
+
 def test_scan_uniform_overlap_follows_coherence_law(tmp_path):
     config = write_config(tmp_path, GHZ_CONFIG)
     out = tmp_path / "out"
@@ -508,6 +556,8 @@ def test_reconstruct_ghz_counts(tmp_path):
     assert report["shots_per_setting"] == 20_000
     assert report["num_settings"] == 27
     assert report["fidelity_ghz"] > 0.98
+    assert report["fidelity_ghz"] <= report["fidelity_ghz_max"] < report["fidelity_ghz"] + 1e-3
+    assert abs(report["ghz_phase_pi"]) < 0.02
     assert report["verdict"] == "genuine-GHZ-witnessed"
     matrix = read_density_matrix(out / report["density_matrix_file"])
     assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-9)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
@@ -182,6 +183,44 @@ def test_classify_inconclusive_on_maximally_mixed():
     assert report.ghz_witness_passed is False
     assert report.w_witness_passed is False
     assert report.fidelity_ghz == pytest.approx(1 / 8, abs=1e-12)
+    # No GHZ coherence: the best fidelity is that of the populations, at phase 0.
+    assert (report.fidelity_ghz_max, report.ghz_phase) == (1 / 8, 0.0)
+
+
+def test_the_ghz_witness_scores_the_best_relative_phase():
+    # alpha1 = e^(i theta) / sqrt(2) weighs the all-down outcome by e^(i theta):
+    # the state is (e^(i theta) |ddd> + |uuu>) / sqrt(2), whose fidelity with
+    # the phase-0 target is (1 + cos theta) / 2 and with the member of phase
+    # -theta is 1, a GHZ verdict at every theta.
+    r = 1 / math.sqrt(2)
+    gram = GramMatrix.fully_indistinguishable(3)
+    for theta in np.linspace(-math.pi, math.pi, 25).tolist():
+        params = GHZParams(r * cmath.exp(1j * theta), r, r, r, r, r)
+        report = classify(density_matrix_from_spec(ghz_preset(params), gram)[0])
+        assert report.fidelity_ghz == pytest.approx((1 + math.cos(theta)) / 2, abs=1e-12)
+        assert report.fidelity_ghz_max == pytest.approx(1.0, abs=1e-12)
+        assert -math.pi <= report.ghz_phase <= math.pi
+        assert cmath.exp(1j * report.ghz_phase) == pytest.approx(cmath.exp(-1j * theta), abs=1e-12)
+        assert report.ghz_witness_passed is True
+        assert report.verdict == VERDICT_GHZ
+
+
+def test_the_ghz_coherence_carries_the_triad_phase_of_the_gram_matrix():
+    # |G_ij| = g with triad phase phi = arg(G01 G12 G20): the coherence goes as
+    # G01 G12 G20, so the phase-0 fidelity is (1 + g^3 cos phi) / 2 and the
+    # best, at phase -phi, is (1 + g^3) / 2. g <= 0.45 keeps G positive
+    # semidefinite at every phi.
+    for g in (0.2, 0.35, 0.45):
+        for phi in np.linspace(-math.pi, math.pi, 13).tolist():
+            e = g * cmath.exp(1j * phi / 3)
+            c = e.conjugate()
+            gram = GramMatrix(np.array([[1, e, c], [c, 1, e], [e, c, 1]]))
+            report = classify(density_matrix_from_spec(ghz_preset(), gram)[0])
+            assert report.fidelity_ghz == pytest.approx((1 + g**3 * math.cos(phi)) / 2, abs=1e-12)
+            assert report.fidelity_ghz_max == pytest.approx((1 + g**3) / 2, abs=1e-12)
+            assert cmath.exp(1j * report.ghz_phase) == pytest.approx(cmath.exp(-1j * phi),
+                                                                     abs=1e-12)
+            assert report.verdict == VERDICT_GHZ
 
 
 def test_classify_w_boundary_is_strict():
@@ -530,22 +569,25 @@ def test_pruned_w_search_is_bit_equal_to_full_grid_along_ghz_amplitude():
 
 
 def _reference_report(rho):
-    """One state classified as before the stacked search: the GHZ fidelity and
-    off-diagonal norm of the one-matrix expressions, the W phases of the
-    whole coarse grid."""
+    """One state classified as before the stacked search: the GHZ fidelities,
+    GHZ phase and off-diagonal norm of the one-matrix expressions, the W
+    phases of the whole coarse grid."""
     m = rho.matrix
     v = ghz_state().vector
     f_ghz = min(1.0, max(0.0, float(np.real(v.conj() @ m @ v))))
+    f_max = min(1.0, max(0.0, (m[0, 0].real + m[7, 7].real) / 2 + np.abs(m)[7, 0]))
+    theta = float(np.angle(m[7, 0] + 0.0))
     phi1, phi2, f_w = _full_grid_w_phases(rho)
     offdiag = float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
-    return [f_ghz, f_w, phi1, phi2, f_ghz > 0.5, f_w > 2 / 3, offdiag]
+    return [f_ghz, f_max, theta, f_w, phi1, phi2, f_max > 0.5, f_w > 2 / 3, offdiag]
 
 
 def _report_bits(report):
     return [
         float(x).hex() if isinstance(x, float) else x
-        for x in (report.fidelity_ghz, report.fidelity_w_max, report.phi1, report.phi2,
-                  report.ghz_witness_passed, report.w_witness_passed, report.offdiag_norm)
+        for x in (report.fidelity_ghz, report.fidelity_ghz_max, report.ghz_phase,
+                  report.fidelity_w_max, report.phi1, report.phi2, report.ghz_witness_passed,
+                  report.w_witness_passed, report.offdiag_norm)
     ] + [report.verdict]
 
 
@@ -582,7 +624,7 @@ def test_classify_states_is_bit_equal_to_each_state_alone(size):
     for rho, report in zip(states, stacked):
         assert _report_bits(report) == _report_bits(classify(rho))
         reference = _reference_report(rho)
-        assert _report_bits(report)[:7] == [
+        assert _report_bits(report)[:9] == [
             x.hex() if isinstance(x, float) else x for x in reference
         ]
 
