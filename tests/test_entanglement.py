@@ -205,6 +205,24 @@ def test_the_ghz_witness_scores_the_best_relative_phase():
         assert report.verdict == VERDICT_GHZ
 
 
+def test_the_best_ghz_phase_reads_signed_zeros_as_zero_and_the_maximum_is_clipped():
+    mixed = np.eye(8, dtype=complex) / 8
+    # A rho70 of -0 in either part has no phase: it reads 0, not -pi, pi or -0.
+    unsigned = mixed.copy()
+    unsigned[7, 0], unsigned[0, 7] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    phase = classify(DensityMatrix(unsigned)).ghz_phase
+    assert (phase, math.copysign(1.0, phase)) == (0.0, 1.0)
+    # A negative rho70 of subnormal scale is still at phase pi.
+    tiny = mixed.copy()
+    tiny[7, 0] = tiny[0, 7] = -1e-300
+    assert classify(DensityMatrix(tiny)).ghz_phase == math.pi
+    # (rho00 + rho77) / 2 + |rho70| rounds to 1 + 2^-52 here, and is clipped to 1.
+    over = np.zeros((8, 8), dtype=complex)
+    over[0, 0] = over[7, 7] = 0.5000000000000002
+    over[0, 7] = over[7, 0] = 0.5
+    assert classify(DensityMatrix(over)).fidelity_ghz_max == 1.0
+
+
 def test_the_ghz_coherence_carries_the_triad_phase_of_the_gram_matrix():
     # |G_ij| = g with triad phase phi = arg(G01 G12 G20): the coherence goes as
     # G01 G12 G20, so the phase-0 fidelity is (1 + g^3 cos phi) / 2 and the

@@ -164,6 +164,27 @@ def test_destructive_interference_raises():
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("amplitude,solved", [
+    (complex(math.sqrt(3e-15)), True),
+    # |amplitude|^2 rounds to 1e-15, SUCCESS_FLOOR itself, exactly.
+    (complex(3.162277660168379e-08, 5e-16), False),
+    (complex(math.sqrt(5e-16)), False),
+])
+def test_a_success_probability_at_or_below_the_floor_is_refused(amplitude, solved):
+    # Particle 1 reaches detector 0 only, so particle 0 must reach detector 1:
+    # the one outcome has probability |amplitude|^2.
+    c = math.sqrt(1 - abs(amplitude) ** 2)
+    spec = custom_spec([[c, amplitude], [1, 0]], [[D, U], [D, UNUSED]])
+    gram = GramMatrix.fully_indistinguishable(2)
+    p_success = amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+    assert (p_success > reduction.SUCCESS_FLOOR) is solved
+    if solved:
+        assert density_matrix_from_spec(spec, gram)[1] == p_success
+    else:
+        with pytest.raises(PostselectionImpossibleError, match=f"probability {p_success:.3e}"):
+            density_matrix_from_spec(spec, gram)
+
+
 def test_gram_size_must_match_particle_count():
     with pytest.raises(ValidationError):
         density_matrix_from_spec(GHZ, GramMatrix.fully_indistinguishable(4))
@@ -182,6 +203,12 @@ def test_gram_validation_rejects_bad_matrices():
         GramMatrix.uniform(3, -0.9)  # not positive semidefinite
     with pytest.raises(ValidationError, match="Gram matrix must be square"):
         GramMatrix(np.eye(2, 3))
+    # Within the unit-diagonal (1e-12) and PSD (1e-9) tolerances an overlap
+    # can still exceed 1 + 1e-9, by less than 1e-12: the magnitude rule
+    # refuses it there.
+    a, x = 1 + 9e-13, 1 + 1e-9 + 5e-13
+    with pytest.raises(ValidationError, match="entries must have magnitude at most 1$"):
+        GramMatrix([[a, x], [x, a]])
 
 
 def test_gram_matrices_hold_exactly_hermitian_matrices():
@@ -260,6 +287,8 @@ def test_infinite_delay_is_refused_without_warning():
 
 
 def test_delay_model_validation():
+    # Every positive coherence length is one, the smallest subnormal too.
+    assert gram_from_delays((0.0, 1.0), 5e-324).overlaps.tolist() == np.eye(2).tolist()
     with pytest.raises(ValidationError):
         gram_from_delays((0.0,), 0.0)
     with pytest.raises(ValidationError):

@@ -101,6 +101,23 @@ def test_custom_spec_two_particle_beamsplitter():
 def test_custom_spec_rejects_unnormalized_row():
     with pytest.raises(ValidationError):
         custom_spec([[1.0, 1.0], [1.0, 0.0]], [[D, D], [D, UNUSED]])
+    # The tolerance on a row's squared norm is 1e-9, on either side.
+    for defect, accepted in ((9e-10, True), (-9e-10, True), (2e-9, False), (-2e-9, False)):
+        t = [[math.sqrt(1 + defect), 0.0], [0.0, 1.0]]
+        if accepted:
+            custom_spec(t, [[D, UNUSED], [UNUSED, D]])
+        else:
+            with pytest.raises(ValidationError, match="^row 0 of the amplitude matrix"):
+                custom_spec(t, [[D, UNUSED], [UNUSED, D]])
+
+
+@pytest.mark.parametrize("amplitudes,spins", [
+    ([1.0], [D]), ([[]], [[]]), (np.zeros((2, 0)), [[], []]),
+], ids=["one-dimensional", "empty-row", "no-columns"])
+def test_custom_spec_refuses_a_routing_that_is_not_a_nonempty_matrix(amplitudes, spins):
+    message = "^amplitude matrix must be 2-dimensional and non-empty"
+    with pytest.raises(ValidationError, match=message):
+        custom_spec(amplitudes, spins)
 
 
 def test_custom_spec_rejects_amplitude_too_large_to_square():
