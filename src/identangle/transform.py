@@ -198,22 +198,18 @@ def ghz_preset(params: GHZParams | None = None) -> TransformSpec:
     return _ghz_rings([list(vars(params or balanced_ghz_params()).values())])[0]
 
 
-# The ring path of each GHZParams field, in field order: field k runs from
-# particle _GHZ_ROWS[k] to detector _GHZ_DETECTORS[k] with spin _GHZ_SPINS[k].
-_GHZ_ROWS = [0, 0, 1, 1, 2, 2]
-_GHZ_DETECTORS = [0, 1, 1, 2, 0, 2]
-_GHZ_SPINS = [Spin.DOWN, Spin.UP, Spin.DOWN, Spin.UP, Spin.UP, Spin.DOWN]
-
-
 def _ghz_rings(table) -> list[TransformSpec]:
     """The validated GHZ ring routings of a table (P, 6) of amplitudes in
-    GHZParams field order, one per row, as one stack; a path of amplitude
-    exactly 0 is closed (spin UNUSED)."""
+    GHZParams field order, one per row, as one stack. Field k runs from
+    particle rows[k] to detector detectors[k] with spin spins[k]; a path of
+    amplitude exactly 0 is closed (spin UNUSED)."""
+    rows, detectors = [0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 0, 2]
+    spins = [Spin.DOWN, Spin.UP, Spin.DOWN, Spin.UP, Spin.UP, Spin.DOWN]
     table = np.asarray(table, dtype=complex)
     t = np.zeros((len(table), 3, 3), dtype=complex)
     s = np.full(t.shape, UNUSED, dtype=np.int8)
-    t[:, _GHZ_ROWS, _GHZ_DETECTORS] = table
-    s[:, _GHZ_ROWS, _GHZ_DETECTORS] = np.where(table == 0, UNUSED, _GHZ_SPINS)
+    t[:, rows, detectors] = table
+    s[:, rows, detectors] = np.where(table == 0, UNUSED, spins)
     return TransformSpec._stack(t, s)
 
 
