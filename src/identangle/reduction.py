@@ -264,8 +264,6 @@ def _complex_product(ar, ai, br, bi):
 # tables take at most 13 MiB up to N = 7. A dense N = 8 table takes 7.4 MiB,
 # but the trace of its 1.6e9 pairs is far out of reach.
 _SUPPORTS_KEPT = 16
-# A zero of array type: numpy multiplies by it faster than by the float 0.0.
-_ZERO = np.zeros(())
 
 
 @functools.lru_cache(maxsize=_SUPPORTS_KEPT)
@@ -304,13 +302,11 @@ def _support(spec: TransformSpec) -> tuple[int, bytes]:
 
 def _products(entries: np.ndarray) -> np.ndarray:
     """Complex products over the first axis of ``entries`` (n, ...), taken
-    from complex(1.0) in order, each step with the four roundings and two
-    sums of a scalar complex product: bit-equal to the oracle's Python
-    products."""
-    first = entries[0]
-    # The first step, (1 + 0i)(br + i bi), where 1 * br = br exactly.
-    re, im = first.real - first.imag * _ZERO, first.imag + first.real * _ZERO
-    for row in entries[1:]:
+    from 1 + 0i in order, each step with the four roundings and two sums of
+    a scalar complex product: bit-equal to the oracle's Python products,
+    which start from complex(1.0)."""
+    re, im = 1.0, 0.0
+    for row in entries:
         re, im = _complex_product(re, im, row.real, row.imag)
     product = np.empty(re.shape, dtype=complex)
     product.real, product.imag = re, im

@@ -122,7 +122,11 @@ def _setting_vectors(settings: Sequence[str]) -> np.ndarray:
 
 def _born_grid(rho: DensityMatrix, settings) -> tuple[tuple[str, ...], np.ndarray]:
     """The checked settings, all 3^N when None, and their outcome
-    distributions, one row each, clipped and renormalized."""
+    distributions, one row each, clipped at 0 and renormalized. A setting's
+    outcomes form a basis, so its unclipped probabilities sum to rho's trace,
+    which a DensityMatrix holds at 1 within TRACE_TOL; clipping the negative
+    probabilities of a state whose eigenvalues dip below 0 within PSD_TOL
+    can move the sum further, which the renormalization undoes."""
     if settings is None:
         settings = _all_pauli_settings(rho.num_qubits)
     settings = _checked_settings(settings, rho.num_qubits)
@@ -131,14 +135,7 @@ def _born_grid(rho: DensityMatrix, settings) -> tuple[tuple[str, ...], np.ndarra
     # One einsum per setting: a single einsum over the stack differs from it
     # in the last bit for some states at N = 1.
     for block, row in zip(_setting_vectors(settings).reshape(-1, dim, dim), grid):
-        probs = np.einsum("oi,ij,oj->o", block.conj(), rho.matrix, block).real
-        # A setting's outcomes form a basis, so the sum is rho's unit trace;
-        # clipping the negative probabilities of a state whose eigenvalues dip
-        # below 0 within PSD_TOL can move the sum by more than this tolerance.
-        total = float(probs.sum())
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValidationError(f"outcome probabilities sum to {total!r}, expected 1")
-        probs = np.maximum(probs, 0.0)
+        probs = np.maximum(np.einsum("oi,ij,oj->o", block.conj(), rho.matrix, block).real, 0.0)
         row[:] = probs / probs.sum()
     return settings, grid
 
@@ -154,12 +151,20 @@ class CountRow(NamedTuple):
     count: float
 
 
-def _check_row(setting, outcome, count, width: int) -> CountRow:
-    """The row rule: the setting has ``width`` axes over XYZ, the outcome
-    ``width`` bits, and the count (a number or its text, quoted as given in
-    errors) is finite and non-negative. Returns the row as (str, str, float)."""
+def _add_row(grid: dict[str, np.ndarray], setting, outcome, count) -> None:
+    """The row rule, which adds the count of one row to its cell of ``grid``,
+    one count array per setting, the first row fixing the width.
+
+    A setting is checked (``width`` axes over XYZ) once, at the row that
+    makes its array; every row's outcome must then be ``width`` bits, and its
+    count (a number or its text, quoted as given in errors) finite and
+    non-negative, checked in that order. A row that fails changes nothing."""
     setting, outcome = str(setting), str(outcome)
-    _validate_setting(setting, width)
+    counts = grid.get(setting)
+    if counts is None:  # the setting's first row; the first setting of all fixes the width
+        _validate_setting(setting, len(next(iter(grid), setting)))
+        counts = np.zeros(2 ** len(setting))
+    width = len(setting)
     if len(outcome) != width or outcome.strip("01"):  # leaves any character but 0/1
         raise ValidationError(f"outcome {outcome!r} must be a {width}-bit string of 0s and 1s")
     try:
@@ -170,17 +175,8 @@ def _check_row(setting, outcome, count, width: int) -> CountRow:
         raise ValidationError(f"non-finite count {count!r}")
     if not value >= 0:
         raise ValidationError(f"negative count {count!r} for {setting} {outcome}")
-    return CountRow(setting, outcome, value)
-
-
-def _add_row(grid: dict[str, np.ndarray], setting, outcome, count) -> None:
-    """Applies the row rule, the first row fixing the width, and adds the count
-    to its cell of ``grid``, which holds one count array per setting."""
-    width = len(next(iter(grid))) if grid else len(str(setting))
-    row = _check_row(setting, outcome, count, width)
-    if row.setting not in grid:
-        grid[row.setting] = np.zeros(2**width)
-    grid[row.setting][int(row.outcome, 2)] += row.count
+    counts[int(outcome, 2)] += value
+    grid[setting] = counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +232,10 @@ class CountsTable:
 
     @classmethod
     def from_rows(cls, rows, shots_per_setting: float, seed: int | None = None) -> "CountsTable":
-        """The table of ``(setting, outcome, count)`` rows in any order, each passing
-        the row rule; counts add up per cell in row order, a cell no row names is 0."""
+        """The table of ``(setting, outcome, count)`` rows in any order under the
+        row rule of ``_add_row``: a setting is checked at its first row, an
+        outcome and a count at every row. Counts add up per cell in row order,
+        a cell no row names is 0."""
         grid: dict[str, np.ndarray] = {}
         for row in rows:
             _add_row(grid, *row)
@@ -664,10 +662,12 @@ def _header_value(key: str, value: str, lineno: int) -> float | int | None:
 def read_counts(path) -> CountsTable:
     """Parse a counts file written by :func:`write_counts`.
 
-    Raises CountsParseError with the 1-based line number of the first
-    malformed line: a bad or repeated header, a row that is malformed or
-    breaks the table's row rule, or a ``qubits`` header that disagrees with
-    the rows. A missing ``shots_per_setting`` header is reported too.
+    Rows pass the row rule of :meth:`CountsTable.from_rows` as they are
+    read: a setting is checked at its first row, an outcome and a count at
+    every row. Raises CountsParseError with the 1-based line number of the
+    first malformed line: a bad or repeated header, a row that is malformed
+    or breaks the row rule, or a ``qubits`` header that disagrees with the
+    rows. A missing ``shots_per_setting`` header is reported too.
     """
     headers: dict[str, tuple[int, float | int | None]] = {}  # key: (line, value)
     grid: dict[str, np.ndarray] = {}  # as CountsTable.from_rows accumulates it

@@ -73,13 +73,14 @@ HOM_PLUS_ONE = {
 
 
 # Counts files with one row-level fault each: id -> (text, line of the faulty
-# row, what the error says about it).
+# row, the whole error message about it). A row's setting is checked at its
+# first row, before its outcome; its outcome and count at every row.
 ROW_FAULT_FILES = {
     "negative-count": (
         "# identangle tomography counts\n# qubits: 1\n# shots_per_setting: 2\n# seed: none\n"
         "# columns: setting outcome count\nX 0 -1\nX 1 1\nY 0 1\nY 1 1\nZ 0 1\nZ 1 1\n",
         6,
-        "negative count '-1'",
+        "negative count '-1' for X 0",
     ),
     "two-axis-setting": (
         "# shots_per_setting: 2\nX 0 1\nXY 1 1\nY 0 1\nY 1 1\n",
@@ -89,6 +90,26 @@ ROW_FAULT_FILES = {
     "three-bit-outcome": (
         "# qubits: 2\n# shots_per_setting: 2\nXX 00 1\nXX 01 0\nXX 011 1\nXY 00 2\n",
         5,
-        "outcome '011' must be a 2-bit string",
+        "outcome '011' must be a 2-bit string of 0s and 1s",
+    ),
+    "outcome-of-a-seen-setting": (
+        "# shots_per_setting: 2\nXY 00 1\nZZ 00 2\nXY 1 1\n",
+        4,
+        "outcome '1' must be a 2-bit string of 0s and 1s",
+    ),
+    "bad-axis-after-valid-rows": (
+        "# shots_per_setting: 2\nXY 00 1\nXY 11 1\nXQ 00 2\n",
+        4,
+        "setting 'XQ' must be a nonempty string over the axes XYZ",
+    ),
+    "bad-setting-and-outcome": (
+        "# shots_per_setting: 2\nXY 00 2\nXYZ 0 2\n",
+        3,
+        "setting 'XYZ' has 3 axes, expected 2",
+    ),
+    "non-finite-count-of-a-repeated-row": (
+        "# shots_per_setting: 2\nZ 0 1\nZ 1 1\nZ 0 inf\n",
+        4,
+        "non-finite count 'inf'",
     ),
 }

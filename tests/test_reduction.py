@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +569,57 @@ def test_mirrored_trace_is_byte_identical_to_oracle(monkeypatch, n):
         rho, p = density_matrix_from_spec(spec, gram)
         assert rho.matrix.tobytes() == expected.matrix.tobytes()
         assert p == expected_p
+
+
+def trace_steps(monkeypatch, spec, grams):
+    """(kets, bras) of every step of the trace of one call, read off each
+    step's amplitude product, whose first factor is (P or 1, kets, 1)."""
+    steps = []
+    product = reduction._complex_product
+
+    def spied(ar, ai, br, bi):
+        if np.ndim(ar) == 3 and ar.shape[2] == 1:
+            steps.append((ar.shape[1], br.shape[2]))
+        return product(ar, ai, br, bi)
+
+    monkeypatch.setattr(reduction, "_complex_product", spied)
+    reduction.density_matrices_from_spec(spec, grams)
+    return steps
+
+
+def test_the_trace_steps_follow_the_pair_block_and_the_mirror_cap(monkeypatch):
+    # Dense N = 5 (120 outcomes, 14,400 pairs) takes the cap of half the
+    # rows; dense N = 6 (720) takes 16,384 // 720 = 22 ket rows per step; a
+    # banded N = 7 routing (31 outcomes, 961 pairs) and a 25-point N = 3 W
+    # scan (900 pairs) are under the cap and take one step.
+    rng = np.random.default_rng(440)
+    dense5, dense6 = random_spec(rng, 5, 5), random_spec(rng, 6, 6)
+    assert trace_steps(monkeypatch, dense5, [random_gram(rng, 5)]) == [(60, 120), (60, 60)]
+    assert trace_steps(monkeypatch, dense6, [random_gram(rng, 6)]) == [
+        (min(22, 720 - k0), 720 - k0) for k0 in range(0, 720, 22)
+    ]
+    banded = random_banded_spec(rng, 7, 3)
+    assert len(no_bunching_outcomes(banded)) == 31
+    assert trace_steps(monkeypatch, banded, [random_gram(rng, 7)]) == [(31, 31)]
+    scan = [GramMatrix.uniform(3, g) for g in np.linspace(0.0, 1.0, 25)]
+    assert trace_steps(monkeypatch, W, scan) == [(6, 6)]
+
+
+def test_the_trace_drops_each_band_of_set_aside_values_after_its_last_reader():
+    # The set-aside values of a dense N = 6 solve peak near a quarter of its
+    # 518,400 pairs, 2 MiB at 16 bytes each, and the solve near 4 MiB in
+    # all. Bands kept to the end hold about half of them, a peak near 5.5
+    # MiB (numpy 2.4.6).
+    rng = np.random.default_rng(441)
+    spec, gram = random_spec(rng, 6, 6), random_gram(rng, 6)
+    density_matrix_from_spec(spec, gram)
+    tracemalloc.start()
+    try:
+        density_matrix_from_spec(spec, gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.75 * 2**20
 
 
 @pytest.mark.parametrize("block", [600, 1 << 14])

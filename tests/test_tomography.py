@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import cache, reduce
 from pathlib import Path
@@ -133,6 +135,10 @@ def test_simulate_counts_is_deterministic_per_seed():
     assert a.seed == 5
     c = simulate_counts(rho, shots=200, seed=6)
     assert c.rows != a.rows
+    # The defaults are 1000 shots and seed 0.
+    default = simulate_counts(rho)
+    assert (default.shots_per_setting, default.seed) == (1000, 0)
+    assert default.rows == simulate_counts(rho, shots=1000, seed=0).rows
 
 
 def test_simulate_counts_totals_and_validation():
@@ -150,6 +156,21 @@ def test_simulate_counts_totals_and_validation():
         simulate_counts(ghz_rho(), settings="ZZZ")
     with pytest.raises(ValidationError, match="settings must be distinct"):
         simulate_counts(ghz_rho(), settings=["ZZZ", "XYZ", "ZZZ"])
+    # Both ends of the shot range are taken.
+    for shots in (1, 2**53):
+        table = simulate_counts(ghz_rho(), settings=["ZZZ", "XYZ"], shots=shots)
+        assert table.counts.sum(axis=1).tolist() == [shots, shots]
+
+
+def test_counts_table_takes_totals_within_a_millionth_of_the_shots():
+    # The tolerance is 1e-6 times the larger of 1 and shots_per_setting.
+    for shots in (0.5, 1, 1000):
+        tol = 1e-6 * max(1.0, shots)
+        CountsTable(("Z",), [[shots / 2, shots / 2 + 0.9 * tol]], shots)
+        with pytest.raises(ValidationError, match="^setting Z: counts sum to "):
+            CountsTable(("Z",), [[shots / 2, shots / 2 + 2 * tol]], shots)
+    # At 1e6 shots the tolerance is exactly 1.0, and a total exactly 1 off is taken.
+    assert CountsTable(("Z",), [[500_000, 500_001]], 1_000_000).counts.sum() == 1_000_001
 
 
 def test_linear_inversion_inverts_exact_statistics():
@@ -921,20 +942,35 @@ def test_counts_file_round_trip_with_float_counts(tmp_path):
     assert loaded.seed is None
 
 
+def spy_row_rule(monkeypatch):
+    """The rows that reach ``_add_row``, in order, and the number of
+    ``_validate_setting`` calls per setting; both still run."""
+    rows, validated = [], collections.Counter()
+    add_row, validate_setting = tomography._add_row, tomography._validate_setting
+
+    def counted_row(grid, *row):
+        rows.append(row)
+        add_row(grid, *row)
+
+    def counted_setting(setting, num_qubits):
+        validated[setting] += 1
+        validate_setting(setting, num_qubits)
+
+    monkeypatch.setattr(tomography, "_add_row", counted_row)
+    monkeypatch.setattr(tomography, "_validate_setting", counted_setting)
+    return rows, validated
+
+
 def test_read_counts_applies_the_row_rule_once_per_row(tmp_path, monkeypatch):
     table = simulate_counts(ghz_rho(), shots=50, seed=2)
     path = tmp_path / "counts.txt"
     write_counts(table, path)
-    calls = []
-
-    def counted(*row):
-        calls.append(row)
-        return check_row(*row)
-
-    check_row = tomography._check_row
-    monkeypatch.setattr(tomography, "_check_row", counted)
+    rows, validated = spy_row_rule(monkeypatch)
+    monkeypatch.setattr(tomography, "CountRow", None)  # parsing builds no CountRow
     loaded = read_counts(path)
-    assert len(calls) == len(table.rows) == 216
+    assert len(rows) == table.counts.size == 216
+    # A setting is checked at its first row and once more as the table is built.
+    assert validated == {setting: 2 for setting in table.settings}
     assert loaded.settings == table.settings
     assert loaded.counts.tobytes() == table.counts.tobytes()
 
@@ -995,16 +1031,20 @@ def test_read_counts_reports_bad_count_value(tmp_path):
 
 def test_read_counts_requires_shots_header(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("ZZZ 000 10\n", encoding="utf-8")
-    with pytest.raises(CountsParseError, match="shots_per_setting"):
-        read_counts(path)
+    # A missing header is reported at the last line, line 1 for an empty file.
+    for text in ("ZZZ 000 10\n", ""):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CountsParseError) as caught:
+            read_counts(path)
+        assert str(caught.value) == "line 1: missing 'shots_per_setting' header"
 
 
 def test_read_counts_refuses_a_file_without_rows(tmp_path):
     path = tmp_path / "counts.txt"
-    path.write_text("# shots_per_setting: 2\n# seed: none\n", encoding="utf-8")
-    with pytest.raises(CountsParseError, match="^line 2: file contains no count rows"):
-        read_counts(path)
+    for text, line in (("# shots_per_setting: 2\n# seed: none\n", 2), ("# shots_per_setting: 2\n", 1)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CountsParseError, match=f"^line {line}: file contains no count rows$"):
+            read_counts(path)
 
 
 def test_read_counts_flags_truncated_file(tmp_path):
@@ -1023,10 +1063,10 @@ def test_read_counts_reports_a_row_fault_at_its_own_line(tmp_path, fault):
     text, line, message = ROW_FAULT_FILES[fault]
     path = tmp_path / "counts.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(CountsParseError, match=f"^line {line}: {message}") as caught:
+    with pytest.raises(CountsParseError) as caught:
         read_counts(path)
+    assert str(caught.value) == f"line {line}: {message}"
     assert caught.value.line == line
-    assert "CountRow" not in str(caught.value)
 
 
 @pytest.mark.parametrize("old,new,line,message", [
@@ -1200,17 +1240,43 @@ def test_counts_table_holds_a_read_only_copy_of_its_grid():
 
 def test_from_rows_applies_the_row_rule_once_per_row(monkeypatch):
     rows = simulate_counts(ghz_rho(), shots=50, seed=2).rows
-    calls = []
-    check_row = tomography._check_row
-
-    def counted(*row):
-        calls.append(row)
-        return check_row(*row)
-
-    monkeypatch.setattr(tomography, "_check_row", counted)
+    seen, validated = spy_row_rule(monkeypatch)
     table = CountsTable.from_rows(rows, shots_per_setting=50)
-    assert len(calls) == len(rows) == 216
+    assert len(seen) == len(rows) == 216
+    assert validated == {setting: 2 for setting in table.settings}
     assert table.rows == rows
+
+
+@pytest.mark.parametrize("fault", ROW_FAULT_FILES)
+def test_from_rows_refuses_the_rows_of_a_faulty_counts_file_as_read_counts_does(fault):
+    text, _, message = ROW_FAULT_FILES[fault]
+    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    with pytest.raises(ValidationError) as caught:
+        CountsTable.from_rows(rows, shots_per_setting=2)
+    assert str(caught.value) == message
+
+
+def test_a_row_that_breaks_the_row_rule_leaves_the_grid_as_it_was():
+    grid = {}
+    tomography._add_row(grid, "XY", "01", 1)
+    for row in [("ZZ", "0", 1), ("ZZ", "00", "inf"), ("ZZ", "00", -1), ("XY", "00", "one"),
+                ("XY", "001", 1), ("XYZ", "000", 1), ("XQ", "00", 1)]:
+        with pytest.raises(ValidationError):
+            tomography._add_row(grid, *row)
+        assert list(grid) == ["XY"]
+        assert grid["XY"].tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+def test_a_setting_wider_than_20_axes_is_refused_before_its_counts_are_made():
+    # Its count array would take 2^21 * 8 bytes = 16 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="21 axes, at most 20 are held"):
+            tomography._add_row({}, "Z" * 21, "0" * 21, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("matrix", [
