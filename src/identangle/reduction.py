@@ -158,7 +158,7 @@ class GramMatrix:
     def _stack(cls, stack: np.ndarray) -> list["GramMatrix"]:
         """Gram matrices of a complex stack (P, n, n), validated at once; each
         holds the Hermitian part of its matrix."""
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             _gram_rule(stack)
         return _made(cls, _hermitian_part(stack))
 

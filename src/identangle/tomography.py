@@ -671,7 +671,7 @@ def read_counts(path) -> CountsTable:
     """
     headers: dict[str, tuple[int, float | int | None]] = {}  # key: (line, value)
     grid: dict[str, np.ndarray] = {}  # as CountsTable.from_rows accumulates it
-    lineno = 0
+    lineno = 1
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
@@ -690,14 +690,15 @@ def read_counts(path) -> CountsTable:
             except ValidationError as exc:
                 raise CountsParseError(str(exc), lineno) from None
     if "shots_per_setting" not in headers:
-        raise CountsParseError("missing 'shots_per_setting' header", max(lineno, 1))
+        raise CountsParseError("missing 'shots_per_setting' header", lineno)
     if not grid:
-        raise CountsParseError("file contains no count rows", max(lineno, 1))
+        raise CountsParseError("file contains no count rows", lineno)
     width = len(next(iter(grid)))
-    if headers.get("qubits", (0, width))[1] != width:
+    if "qubits" in headers and headers["qubits"][1] != width:
         line, qubits = headers["qubits"]
         raise CountsParseError(f"qubits header says {qubits}, the rows have {width} axes", line)
-    shots, seed = headers["shots_per_setting"][1], headers.get("seed", (0, None))[1]
+    shots = headers["shots_per_setting"][1]
+    seed = headers["seed"][1] if "seed" in headers else None
     try:
         return CountsTable(tuple(grid), list(grid.values()), shots, seed)
     except ValidationError as exc:

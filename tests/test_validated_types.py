@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_banded_spec, random_gram
+from conftest import random_banded_spec, random_gram, random_spec
 import identangle
 from identangle import (
     UNUSED,
@@ -38,17 +38,21 @@ from identangle import (
     TargetState,
     TransformSpec,
     ValidationError,
+    balanced_tritter_rows,
     classify,
     custom_spec,
     density_matrices_from_spec,
     density_matrix_from_spec,
+    dft_tritter_rows,
     fidelity_mixed,
     ghz_preset,
     ghz_state,
     gram_from_delays,
     gram_from_labels,
     permanent,
+    reconstruct_mle,
     simulate_counts,
+    w_preset,
 )
 from identangle import density, reduction
 
@@ -59,15 +63,37 @@ from identangle import density, reduction
     ([[0.5, 0.1], [0.2, 0.5]], "density matrix is not Hermitian"),
     ([[1.5, 0.0], [0.0, -0.5]], "density matrix is not positive semidefinite"),
     (np.eye(2), "matrix trace differs from 1 by 1.000e"),
+    (np.diag([0.5, 0.5 + 5e-10]), "^matrix trace differs from 1 by 5.000e-10$"),
 ])
 def test_density_matrix_refuses_each_broken_property(matrix, message):
     with pytest.raises(ValidationError, match=message):
         DensityMatrix(matrix)
 
 
+def test_density_matrix_takes_a_trace_within_its_tolerance():
+    assert DensityMatrix(np.diag([0.5, 0.5 + 5e-11])).matrix[1, 1] == 0.5 + 5e-11
+
+
+def test_a_hermitian_defect_equal_to_the_tolerance_passes():
+    at_tol = [[0.5, density.HERMITIAN_TOL], [0.0, 0.5]]
+    assert DensityMatrix(at_tol).matrix[0, 1] == density.HERMITIAN_TOL
+    past = [[0.5, math.nextafter(density.HERMITIAN_TOL, 1.0)], [0.0, 0.5]]
+    assert refusal(lambda: DensityMatrix(past)).startswith("density matrix is not Hermitian")
+
+
+def test_a_target_state_holds_a_read_only_vector():
+    target = TargetState([0.6, 0.8j])
+    assert target.vector.tolist() == [0.6, 0.8j]
+    assert not target.vector.flags.writeable
+
+
 def test_unit_vectors_refuse_a_wrong_norm():
     with pytest.raises(ValidationError, match="state vector norm is 1.41421356237"):
         DensityMatrix.from_pure([1.0, 1.0])
+    # Past the norm tolerance of 1e-9, not just past the trace tolerance.
+    assert refusal(lambda: DensityMatrix.from_pure([1 + 5e-9, 0.0])) == (
+        "state vector norm is 1.000000005, expected 1"
+    )
     with pytest.raises(ValidationError, match="target state norm is 2, expected 1"):
         TargetState([2.0, 0.0])
 
@@ -263,6 +289,19 @@ def test_a_constructor_is_the_stack_of_one(cls, arrays):
         assert not held.flags.writeable and not held_alone.flags.writeable
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda: DensityMatrix(np.eye(2) / 2), "matrix"),
+    (lambda: GramMatrix.uniform(3, 0.5), "overlaps"),
+    (ghz_preset, "amplitudes"),
+], ids=["density", "gram", "routing"])
+def test_a_validated_instance_cannot_be_rebound(make, field):
+    # Holding one is the certificate, so its fields cannot be swapped for
+    # unchecked arrays after construction.
+    held = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(held, field, np.eye(2))
+
+
 def test_every_exported_name_resolves():
     modules = [identangle, *(importlib.import_module(f"identangle.{info.name}")
                              for info in pkgutil.iter_modules(identangle.__path__))]
@@ -337,18 +376,166 @@ def test_a_fully_occupied_block_keeps_a_small_negative_eigenvalue():
     )
 
 
+def eigvalsh_spectra(monkeypatch, make, certify=True) -> list:
+    """The spectra ``eigvalsh`` returns to the Hermitian-PSD rule while
+    ``make()`` runs, one array per call; with ``certify=False`` the rule's
+    Cholesky certificate always fails, so every stack reaches ``eigvalsh``."""
+    spectra, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        if sys._getframe(1).f_code is density._hermitian_psd.__code__:
+            spectra.append(w)
+        return w
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        if not certify:
+            patch.setattr(density, "_certified", lambda stack: False)
+        make()
+    return spectra
+
+
 @pytest.mark.parametrize("n", [6, 7])
 @pytest.mark.parametrize("width", [3, 4], ids=["banded", "wide"])
-def test_block_rule_min_eigenvalue_matches_the_whole_matrix(n, width):
+def test_block_rule_min_eigenvalue_matches_the_whole_matrix(monkeypatch, n, width):
     rng = np.random.default_rng(10 * n + width)
     rows_left_out = 0
     for _ in range(4):
         spec, gram = random_banded_spec(rng, n, width), random_gram(rng, n)
         m = density_matrix_from_spec(spec, gram)[0].matrix
-        min_eig = density._hermitian_psd(m[None], "density matrix", density.HERMITIAN_TOL)[0]
+        (spectrum,) = eigvalsh_spectra(monkeypatch, lambda: DensityMatrix(m), certify=False)
+        left_out = np.count_nonzero(~(m.any(axis=0) | m.any(axis=1)))
+        assert spectrum.shape == (1, len(m) - left_out)
+        min_eig = min(spectrum.min(), 0.0) if left_out else spectrum.min()
         assert abs(min_eig - np.linalg.eigvalsh(m).min()) <= 1e-12
-        rows_left_out += np.count_nonzero(~(m.any(axis=0) | m.any(axis=1)))
+        rows_left_out += left_out
     assert rows_left_out  # so the block is smaller than the matrix
+
+
+def scan_stack():
+    """A 25-point W-dft scan over a delay: 25 Gram matrices made as one stack,
+    and the scan's 25 density matrices."""
+    delays = np.zeros((25, 3))
+    delays[:, 1] = np.linspace(0.0, 2.0, 25)
+    grams = GramMatrix._stack(reduction._delay_overlaps(delays, 0.5))
+    return density_matrices_from_spec(w_preset(dft_tritter_rows()), grams)
+
+
+def mle_result():
+    rho = density_matrix_from_spec(ghz_preset(), GramMatrix.uniform(3, 0.9))[0]
+    return reconstruct_mle(simulate_counts(rho, shots=1000, seed=7), max_iters=60)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: density_matrix_from_spec(ghz_preset(), GramMatrix.uniform(3, 0.9)),
+    lambda: density_matrix_from_spec(w_preset(balanced_tritter_rows()), GramMatrix.uniform(3, 1)),
+    lambda: density_matrix_from_spec(w_preset(dft_tritter_rows()), GramMatrix.uniform(3, 0.5)),
+    lambda: density_matrix_from_spec(random_spec(np.random.default_rng(5), 5, 5),
+                                     random_gram(np.random.default_rng(5), 5)),
+    lambda: density_matrix_from_spec(random_banded_spec(np.random.default_rng(7), 7, 3),
+                                     random_gram(np.random.default_rng(7), 7)),
+    lambda: density_matrix_from_spec(random_banded_spec(np.random.default_rng(8), 7, 4),
+                                     random_gram(np.random.default_rng(8), 7)),
+    scan_stack,
+    mle_result,
+], ids=["ghz", "w-balanced", "w-dft", "dense-5", "banded-7", "wide-7", "scan-25", "mle"])
+def test_valid_states_are_certified_without_eigvalsh(monkeypatch, make):
+    assert eigvalsh_spectra(monkeypatch, make) == []
+
+
+def test_a_refused_matrix_takes_one_eigvalsh(monkeypatch):
+    m = np.diag([0.5, 0.5, 1e-3, -1e-3])
+    spectra = eigvalsh_spectra(monkeypatch, lambda: refusal(lambda: DensityMatrix(m)))
+    assert len(spectra) == 1
+    assert refusal(lambda: DensityMatrix(m)) == (
+        "density matrix is not positive semidefinite (min eigenvalue -1.000e-03)"
+    )
+
+
+def eigvalsh_only_rule(stack: np.ndarray, name: str, hermitian_tol: float) -> None:
+    """The Hermitian-PSD rule as it was before its Cholesky certificate: one
+    ``eigvalsh`` of the (block-reduced) stack decides and words every
+    refusal. The reference the certificate must agree with."""
+    dim = stack.shape[1]
+    if dim >= density._BLOCK_DIM:
+        nonzero = stack.any(axis=0)
+        occupied = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        stack = stack[:, occupied[:, None], occupied]
+    density._check(~np.isfinite(stack).all(axis=(1, 2)), False,
+                   lambda i: f"{name} entries must be finite")
+    herm_defect = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    density._check(
+        herm_defect, hermitian_tol,
+        lambda i: f"{name} is not Hermitian (defect {herm_defect[i]:.3e} > {hermitian_tol})",
+    )
+    min_eig = np.linalg.eigvalsh(stack).min(axis=1, initial=np.inf)
+    if stack.shape[1] < dim:
+        min_eig = np.minimum(min_eig, 0.0)
+    density._check(
+        -min_eig, density.PSD_TOL,
+        lambda i: f"{name} is not positive semidefinite (min eigenvalue {min_eig[i]:.3e})",
+    )
+
+
+def rule_outcome(rule, m: np.ndarray) -> str | None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rule(m[None], "density matrix", density.HERMITIAN_TOL)
+        except ValidationError as exc:
+            return str(exc)
+    return None
+
+
+def with_min_eigenvalue(rng, dim: int, trace: float, min_eig: float) -> np.ndarray:
+    """A Hermitian matrix of the given trace whose smallest eigenvalue is
+    ``min_eig``, in a random eigenbasis."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eigenvalues = rng.uniform(0.5, 1.0, size=dim)
+    eigenvalues[0] = 0.0
+    eigenvalues *= (trace - min_eig) / eigenvalues.sum()
+    eigenvalues[0] = min_eig
+    m = (q * eigenvalues) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+PSD_BOUNDARY = [-2e-9, -1.001e-9, -0.999e-9, -0.5005e-9, -0.4995e-9, 0.0]
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_the_certificate_gives_the_verdicts_and_messages_of_eigvalsh(dim):
+    # At trace 1e4 the rounding guard turns the certificate off from d = 16;
+    # there the matrices' own rounding blurs 0.1% of PSD_TOL, so only the
+    # unit-trace verdicts are fixed in advance.
+    rng = np.random.default_rng(dim)
+    outcomes = []
+    for trace in (1.0, 1e4):
+        for min_eig in PSD_BOUNDARY:
+            m = with_min_eigenvalue(rng, dim, trace, min_eig)
+            outcomes.append(rule_outcome(density._hermitian_psd, m))
+            assert outcomes[-1] == rule_outcome(eigvalsh_only_rule, m), (trace, min_eig)
+    assert [outcome is None for outcome in outcomes[:6]] == [False, False, True, True, True, True]
+
+
+def test_the_certificate_shift_and_guard_sit_at_their_bounds(monkeypatch):
+    # A matrix whose smallest eigenvalue is just inside -PSD_TOL / 2 is
+    # certified, one just outside it passes through eigvalsh; a positive
+    # semidefinite matrix is certified up to the trace at which the rounding
+    # guard (d + 1) d eps |tr| <= PSD_TOL / 4 stops holding, that trace
+    # included.
+    rng = np.random.default_rng(46)
+    dim = 8
+    limit = density.PSD_TOL / 4 / ((dim + 1) * dim * sys.float_info.epsilon)
+    assert (dim + 1) * dim * sys.float_info.epsilon * limit == density.PSD_TOL / 4
+    cases = [(with_min_eigenvalue(rng, dim, 1.0, -0.45e-9), 0),
+             (with_min_eigenvalue(rng, dim, 1.0, -0.55e-9), 1),
+             (np.diag([limit] + [0.0] * (dim - 1)), 0),
+             (np.diag([math.nextafter(limit, math.inf)] + [0.0] * (dim - 1)), 1),
+             (np.diag([-limit] + [0.0] * (dim - 1)), 1)]
+    for index, (m, calls) in enumerate(cases):
+        m = np.array(m, dtype=complex)
+        spectra = eigvalsh_spectra(monkeypatch, lambda: rule_outcome(density._hermitian_psd, m))
+        assert len(spectra) == calls, index
 
 
 def two_point_spec():
