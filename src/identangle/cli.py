@@ -374,6 +374,32 @@ def _require_three_particles(count: int, where: str) -> None:
         raise ValidationError(f"{where}: the witness report needs three particles, got {count}")
 
 
+def _parse_sections(
+    config: dict, path: str, num_particles: int
+) -> tuple[GramMatrix, tuple[int, int] | None]:
+    """Every check ``run`` makes once the routing is built, in its order: the
+    distinguishability section, the tomography section, the label and the
+    witness report's three particles. Returns the Gram matrix and the
+    tomography section's ``(shots, seed)``, or ``None`` if it has none."""
+    gram = build_gram(config, path, num_particles)
+    tomography = config.get("tomography")
+    if tomography is not None:
+        if not isinstance(tomography, dict):
+            raise ConfigError(path, "tomography", "expected an object")
+        tomography = (
+            _parse_integer(tomography.get("shots", 1000), path, "tomography.shots", 1, _MAX_SHOTS),
+            _parse_integer(tomography.get("seed", 0), path, "tomography.seed", 0),
+        )
+    # The label is echoed into the report, where NaN or Infinity is not JSON.
+    label = config.get("label")
+    try:
+        json.dumps(label, allow_nan=False)
+    except ValueError:
+        raise ConfigError(path, "label", f"must hold finite numbers only, got {label!r}") from None
+    _require_three_particles(num_particles, f"{path}: {config['preset']}")
+    return gram, tomography
+
+
 def _classification_fields(report: ClassificationReport) -> dict:
     return {
         "fidelity_ghz": report.fidelity_ghz,
@@ -395,36 +421,21 @@ def cmd_run(args) -> int:
     path = args.config
     config = _load_config(path)
     spec = build_spec(config, path)
-    gram = build_gram(config, path, spec.num_particles)
-    tomography = config.get("tomography")
-    if tomography is not None:
-        if not isinstance(tomography, dict):
-            raise ConfigError(path, "tomography", "expected an object")
-        shots = _parse_integer(
-            tomography.get("shots", 1000), path, "tomography.shots", 1, _MAX_SHOTS
-        )
-        seed = _parse_integer(tomography.get("seed", 0), path, "tomography.seed", 0)
-        if args.seed is not None:
-            seed = args.seed
-    # The label is echoed into the report, where NaN or Infinity is not JSON.
-    label = config.get("label")
-    try:
-        json.dumps(label, allow_nan=False)
-    except ValueError:
-        raise ConfigError(path, "label", f"must hold finite numbers only, got {label!r}") from None
-    _require_three_particles(spec.num_particles, f"{path}: {config['preset']}")
+    gram, tomography = _parse_sections(config, path, spec.num_particles)
 
     rho, p_success = density_matrix_from_spec(spec, gram)
     report = {
         "tool": TOOL_NAME,
         "version": __version__,
         "config_hash": config_hash(config),
-        "label": label,
+        "label": config.get("label"),
         "p_success": p_success,
         **_classification_fields(classify(rho)),
     }
     table = None
     if tomography is not None:
+        shots, seed = tomography
+        seed = seed if args.seed is None else args.seed
         table = simulate_counts(rho, shots=shots, seed=seed)
         report["tomography"] = {
             "shots_per_setting": shots,
@@ -442,11 +453,14 @@ def cmd_scan(args) -> int:
     """Sweep one parameter and classify the state at every point.
 
     The config is parsed and checked as ``run`` checks it before any point
-    is solved, so a fault there is reported once, without a point. Each
-    parameter kind then has one ``solve(values)``, which writes the scanned
-    values into stacks built from the parsed GHZ amplitudes, Gram matrix or
-    delay list, never reading the config's own entry at the scanned place, and
-    gives the solution of each value in order from one
+    is solved: the routing, then :func:`_parse_sections` for the
+    distinguishability section, the tomography section, the label and the
+    particle count. Only the scanned place is never read. A config fault is
+    reported once, without a point. Each parameter kind then has one
+    ``solve(values)``, which writes the scanned values into stacks built from
+    the parsed GHZ amplitudes, Gram matrix or delay list, never reading the
+    config's own entry at the scanned place, and gives the solution of each
+    value in order from one
     :func:`density_matrices_from_spec` call. A ``g`` or ``L1``-``L3`` scan
     keeps the routing fixed, so it validates its Gram matrices as one stack
     and the batch enumerates the outcomes once. An amplitude scan keeps the
@@ -468,6 +482,9 @@ def cmd_scan(args) -> int:
             f"parameter {parameter!r} is not scannable; use g, L1/L2/L3 or one of "
             f"{sorted(_GHZ_FIELDS)}"
         )
+    # The config and particle count that run's checks see: an amplitude
+    # scan's ghz routing holds three particles; a g or delay scan sets both.
+    parsed, num_particles = config, 3
     if parameter in _GHZ_FIELDS:
         if config.get("preset") != "ghz":
             raise ValidationError(f"amplitude parameter {parameter!r} needs the ghz preset")
@@ -478,14 +495,12 @@ def cmd_scan(args) -> int:
         # The scanned pair is parsed as (1, 0); each point writes its own.
         ghz = {**_ghz_section(config, path), parameter: 1.0, _GHZ_FIELDS[index ^ 1]: 0.0}
         table = np.array([list(vars(_ghz_params(dict(config, ghz=ghz), path)).values())])
-        gram = build_gram(config, path, 3)
 
         def solve(values):
             stack = np.repeat(table, len(values), axis=0)
             stack[:, [index, index ^ 1]] = np.stack([values, np.sqrt(1.0 - np.square(values))], 1)
             return density_matrices_from_spec(_ghz_rings(stack), [gram])
     else:
-        parsed = config
         if parameter != "g":
             section = config.get("distinguishability")
             delays = section.get("delays") if isinstance(section, dict) else None
@@ -505,20 +520,21 @@ def cmd_scan(args) -> int:
             # The section is parsed with the first value as the scanned delay;
             # each point moves only that delay.
             first = [*delays[:index], float(values[0]), *delays[index + 1:]]
-            parsed = {"distinguishability": dict(section, delays=first)}
+            parsed = dict(config, distinguishability=dict(section, delays=first))
         spec = build_spec(config, path)
-        # Checked as run checks it, though each point replaces it or one delay.
-        build_gram(parsed, path, spec.num_particles)
+        num_particles = spec.num_particles
 
         def solve(values):
             if parameter == "g":
-                overlaps = _uniform_overlaps(spec.num_particles, values)
+                overlaps = _uniform_overlaps(num_particles, values)
             else:
                 table = np.tile(np.array(first, dtype=float), (len(values), 1))
                 table[:, index] = values
                 overlaps = _delay_overlaps(table, float(section["coherence_length"]))
             return density_matrices_from_spec(spec, GramMatrix._stack(overlaps))
-        _require_three_particles(spec.num_particles, f"{path}: {config['preset']}")
+    # A g or delay scan replaces the Gram matrix or one delay at each point,
+    # but a config that run refuses is not a valid config to scan either.
+    gram, _ = _parse_sections(parsed, path, num_particles)
 
     try:
         solutions = list(solve(values))

@@ -240,5 +240,8 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, vector) -> "DensityMatrix":
         """Rank-one density matrix |v><v| of a unit vector."""
-        v = _unit_vector(vector, "state vector", 1e-9)
+        # A norm within TRACE_TOL / 4 of 1 puts the trace, its square, within
+        # about TRACE_TOL / 2, so the trace rule never refuses an accepted
+        # vector: the other half covers rounding.
+        v = _unit_vector(vector, "state vector", TRACE_TOL / 4)
         return cls(np.outer(v, v.conj()))

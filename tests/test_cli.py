@@ -147,6 +147,23 @@ def test_config_hash_ignores_formatting_but_not_values(tmp_path):
     assert read_report(out_c)["config_hash"] != read_report(out_a)["config_hash"]
 
 
+def test_an_empty_tomography_section_takes_1000_shots_and_seed_0(tmp_path):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={}))
+    assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
+    tomo = read_report(out)["tomography"]
+    assert (tomo["shots_per_setting"], tomo["seed"]) == (1000, 0)
+
+
+def test_run_and_scan_take_the_largest_exact_shot_count(tmp_path):
+    # 2**53 is the largest count a float64 counts table holds exactly.
+    config = write_config(tmp_path, dict(GHZ_CONFIG, tomography={"shots": 2**53}))
+    for command in (["run"], SCAN_G):
+        out = tmp_path / command[0]
+        assert main(command + ["--config", config, "--out-dir", str(out)]) == 0
+    assert read_report(tmp_path / "run")["tomography"]["shots_per_setting"] == 2**53
+
+
 def test_run_outputs_are_byte_identical_across_runs(tmp_path):
     config_data = dict(GHZ_CONFIG, tomography={"shots": 500, "seed": 4})
     config = write_config(tmp_path, config_data)
@@ -768,6 +785,36 @@ def test_a_g_scan_refuses_the_distinguishability_section_as_run_does(tmp_path, c
     assert errors[0].startswith(f"identangle: invalid input: {config}: distinguishability")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tomography", 5), ("tomography", {"shots": 0}), ("tomography", {"shots": 2**53 + 1}),
+    ("tomography", {"seed": -1}), ("tomography", {"seed": True}),
+    ("label", math.nan), ("label", [math.inf]),
+], ids=["tomography-not-an-object", "zero-shots", "shots-past-exact-float", "negative-seed",
+        "boolean-seed", "label-nan", "label-infinity"])
+def test_a_scan_refuses_the_tomography_section_and_label_as_run_does(
+    tmp_path, capsys, field, value
+):
+    # A scan writes neither counts nor a label, but a config that run refuses
+    # is not a valid config to scan either.
+    config, errors = refusals(
+        tmp_path, capsys, dict(DELAY_CONFIG, **{field: value}), ["run"], SCAN_G, SCAN_L1,
+        SCAN_ALPHA1,
+    )
+    assert errors == [errors[0]] * 4
+    assert errors[0].startswith(f"identangle: invalid input: {config}: {field}")
+    assert errors[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("gram", [5, "nonsense", [], [1.0, 0.0], [[1.0], 0.0]],
+                         ids=["number", "text", "empty", "flat-list", "row-and-number"])
+def test_a_gram_that_is_not_a_list_of_rows_is_refused_at_its_field(tmp_path, capsys, gram):
+    data = dict(GHZ_CONFIG, distinguishability={"gram": gram})
+    config, (error,) = refusals(tmp_path, capsys, data, ["run"])
+    assert error == (
+        f"identangle: invalid input: {config}: distinguishability.gram: expected a list of rows\n"
+    )
+
+
 UNREADABLE_LENGTH = dict(
     DELAY_CONFIG, distinguishability=dict(DELAY_CONFIG["distinguishability"], coherence_length="x")
 )
@@ -852,13 +899,15 @@ def test_density_matrix_file_holds_each_numpy_scalar_as_formatted(tmp_path, matr
     assert path.read_text(encoding="utf-8").splitlines()[4:] == rows
 
 
-def test_scan_with_one_step_has_one_row_at_start(tmp_path):
+@pytest.mark.parametrize("steps,expected", [("1", [0.3]), ("2", [0.3, 0.9])],
+                         ids=["one-step", "two-steps"])
+def test_a_short_scan_has_rows_at_start_and_stop(tmp_path, steps, expected):
     out = tmp_path / "out"
     argv = ["scan", "--config", write_config(tmp_path, GHZ_CONFIG), "--param", "g",
-            "--start", "0.3", "--stop", "0.9", "--steps", "1", "--out-dir", str(out)]
+            "--start", "0.3", "--stop", "0.9", "--steps", steps, "--out-dir", str(out)]
     assert main(argv) == 0
     rows = json.loads((out / "scan.json").read_text(encoding="utf-8"))["rows"]
-    assert [row["g"] for row in rows] == [0.3]
+    assert [row["g"] for row in rows] == expected
 
 
 def test_custom_spins_may_be_written_as_integers(tmp_path):

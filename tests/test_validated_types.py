@@ -90,12 +90,20 @@ def test_a_target_state_holds_a_read_only_vector():
 def test_unit_vectors_refuse_a_wrong_norm():
     with pytest.raises(ValidationError, match="state vector norm is 1.41421356237"):
         DensityMatrix.from_pure([1.0, 1.0])
-    # Past the norm tolerance of 1e-9, not just past the trace tolerance.
+    # Past the norm tolerance, not just past the trace tolerance.
     assert refusal(lambda: DensityMatrix.from_pure([1 + 5e-9, 0.0])) == (
         "state vector norm is 1.000000005, expected 1"
     )
     with pytest.raises(ValidationError, match="target state norm is 2, expected 1"):
         TargetState([2.0, 0.0])
+
+
+def test_a_pure_state_is_refused_for_its_norm_before_its_trace_is():
+    # Its trace, 1 + 1e-9, is past TRACE_TOL, but the caller passed a vector.
+    assert refusal(lambda: DensityMatrix.from_pure([1 + 5e-10, 0.0])) == (
+        "state vector norm is 1.0000000005, expected 1"
+    )
+    assert DensityMatrix.from_pure([1 + 1e-11, 0.0]).matrix[0, 0] == (1 + 1e-11) ** 2
 
 
 @pytest.mark.parametrize("make,message", [
