@@ -347,41 +347,32 @@ def _w_descent(d: float, c12: complex, c14: complex, c24: complex,
     ``best``; see :func:`optimize_w_phases`. Returns the phases it ends at,
     not yet wrapped, and the best value clipped into [0, 1]. t1 and t2 hold
     the phi1 and phi2 terms at the current point; phi2 - phi1 moves with
-    every candidate."""
+    every candidate. Each pass tries phi1 + step, then phi1 - step from the
+    point the first move left, then the same two moves of phi2, each
+    coordinate's candidate written once in the loop over (step, -step)
+    (phi + -step is phi - step exactly); a pass that moves neither phase
+    halves the step."""
     cos, sin = math.cos, math.sin
     a12, b12, a14, b14, a24, b24 = c12.real, c12.imag, c14.real, c14.imag, c24.real, c24.imag
     t1 = a12 * cos(phi1) - b12 * sin(phi1)
     t2 = a14 * cos(phi2) - b14 * sin(phi2)
     step = 2.0 * math.pi / _W_GRID_SIZE
     while step >= _W_STEP_FLOOR:
-        # The four candidates phi1 + step, phi1 - step, phi2 + step and
-        # phi2 - step, in that order, each from the point the last one left;
-        # written out, as a loop over the signs costs an eighth of the stage.
         moved = False
-        p1 = phi1 + step
-        u1 = a12 * cos(p1) - b12 * sin(p1)
-        p21 = phi2 - p1
-        candidate = (d + 2.0 * ((u1 + t2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
-        if candidate > best:
-            phi1, t1, best, moved = p1, u1, candidate, True
-        p1 = phi1 - step
-        u1 = a12 * cos(p1) - b12 * sin(p1)
-        p21 = phi2 - p1
-        candidate = (d + 2.0 * ((u1 + t2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
-        if candidate > best:
-            phi1, t1, best, moved = p1, u1, candidate, True
-        p2 = phi2 + step
-        u2 = a14 * cos(p2) - b14 * sin(p2)
-        p21 = p2 - phi1
-        candidate = (d + 2.0 * ((t1 + u2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
-        if candidate > best:
-            phi2, t2, best, moved = p2, u2, candidate, True
-        p2 = phi2 - step
-        u2 = a14 * cos(p2) - b14 * sin(p2)
-        p21 = p2 - phi1
-        candidate = (d + 2.0 * ((t1 + u2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
-        if candidate > best:
-            phi2, t2, best, moved = p2, u2, candidate, True
+        for move in (step, -step):
+            p1 = phi1 + move
+            u1 = a12 * cos(p1) - b12 * sin(p1)
+            p21 = phi2 - p1
+            candidate = (d + 2.0 * ((u1 + t2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
+            if candidate > best:
+                phi1, t1, best, moved = p1, u1, candidate, True
+        for move in (step, -step):
+            p2 = phi2 + move
+            u2 = a14 * cos(p2) - b14 * sin(p2)
+            p21 = p2 - phi1
+            candidate = (d + 2.0 * ((t1 + u2) + (a24 * cos(p21) - b24 * sin(p21)))) / 3.0
+            if candidate > best:
+                phi2, t2, best, moved = p2, u2, candidate, True
         if not moved:
             step /= 2.0
     return phi1, phi2, min(1.0, max(0.0, best))

@@ -205,8 +205,9 @@ class CountsTable:
             raise ValidationError(f"counts have shape {counts.shape}, expected {shape}")
         if not ((counts >= 0) & (counts < math.inf)).all():
             raise ValidationError("counts must be finite and non-negative")
-        if not (self.seed is None or type(self.seed) is int):  # a bool is no seed
-            raise ValidationError(f"seed must be None or an integer, got {self.seed!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not (seed is None or isinstance(seed, numbers.Integral)):
+            raise ValidationError(f"seed must be None or an integer, got {seed!r}")
         shots = self.shots_per_setting
         if not _real(shots):
             raise ValidationError(f"shots_per_setting must be a real number, got {shots!r}")
@@ -229,6 +230,7 @@ class CountsTable:
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots_per_setting", shots)
+        object.__setattr__(self, "seed", None if seed is None else int(seed))
 
     @classmethod
     def from_rows(cls, rows, shots_per_setting: float, seed: int | None = None) -> "CountsTable":

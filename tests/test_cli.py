@@ -118,6 +118,47 @@ def test_run_w_dft_variant(tmp_path):
     assert report["phi2_pi"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_w_dft_phases_are_reported_in_units_of_pi(tmp_path, monkeypatch):
+    # With weak overlaps (g < 1/2) the W-dft phases are near +-2pi/3, not 0,
+    # so a report that scaled them by anything but 1/pi would show it.
+    reports = []
+    classify, classify_states = cli.classify, cli.classify_states
+
+    def classify_each(states):
+        states = list(states)
+        reports.extend(map(classify, states))
+        return classify_states(states)
+
+    monkeypatch.setattr(cli, "classify", lambda rho: reports.append(classify(rho)) or reports[-1])
+    monkeypatch.setattr(cli, "classify_states", classify_each)
+    config = write_config(tmp_path, {
+        "preset": "w", "w": {"variant": "dft"},
+        "distinguishability": {"delays": [0.0, 1.0, 2.0], "coherence_length": 1.0},
+    })
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["scan", "--config", config, "--param", "g", "--start", "0.1", "--stop", "0.4",
+                 "--steps", "5", "--out-dir", str(tmp_path / "scan")]) == 0
+    scan = json.loads((tmp_path / "scan" / "scan.json").read_text(encoding="utf-8"))
+    rows = [read_report(tmp_path / "run"), *scan["rows"]]
+    assert len(rows) == len(reports) == 6
+    for row, report in zip(rows, reports):
+        assert report.phi1 != 0.0 and report.phi2 != 0.0
+        assert row["phi1_pi"] == report.phi1 / math.pi
+        assert row["phi2_pi"] == report.phi2 / math.pi
+
+
+def test_json_reports_are_indented_by_two_with_sorted_keys(tmp_path):
+    config = write_config(tmp_path, {**GHZ_CONFIG, "tomography": {"shots": 300, "seed": 7}})
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["scan", "--config", config, "--param", "g", "--start", "0", "--stop", "1",
+                 "--steps", "2", "--out-dir", str(tmp_path / "scan")]) == 0
+    assert main(["reconstruct", "--counts", str(tmp_path / "run" / "counts.txt"),
+                 "--out-dir", str(tmp_path / "rec")]) == 0
+    for path in ("run/report.json", "scan/scan.json", "rec/reconstruction_report.json"):
+        text = (tmp_path / path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_a_null_w_section_is_the_balanced_tritter(tmp_path):
     matrices = []
     for name, section in (("absent", {}), ("null", {"w": None})):
@@ -963,6 +1004,30 @@ def test_unusable_out_dir_exits_2(tmp_path, capsys):
         assert main(argv + ["--out-dir", str(taken)]) == 2
         assert str(taken) in capsys.readouterr().err
         assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_out_dir_is_made_with_its_missing_parents(tmp_path):
+    config = write_config(tmp_path, GHZ_CONFIG)
+    out = tmp_path / "new" / "nested" / "out"
+    assert main(["run", "--config", config, "--out-dir", str(out)]) == 0
+    assert (out / "report.json").is_file()
+
+
+SCAN_ARGS = ["--config", "c.json", "--param", "g", "--start", "0", "--stop", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv,missing", [
+    ([], "command"),
+    (["run"], "--config"),
+    (["reconstruct"], "--counts"),
+    # scan without one of its five flags
+    *[(["scan", *SCAN_ARGS[:k], *SCAN_ARGS[k + 2:]], SCAN_ARGS[k]) for k in range(0, 10, 2)],
+])
+def test_a_missing_required_argument_is_a_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shots,rc", [(1e300, 0), (1e306, 0), (1e307, 2), (1e308, 2)])

@@ -57,6 +57,18 @@ def test_ghz_state_refuses_a_width_past_the_widest_table_without_allocating(widt
     assert peak < 2**20
 
 
+def test_ghz_state_takes_up_to_20_qubits():
+    v = ghz_state(20).vector
+    assert v.shape == (2**20,)
+    assert v[0] == v[-1] == 1.0 / math.sqrt(2.0)
+
+
+def test_w_state_of_default_phases_is_real_bit_for_bit():
+    expected = np.zeros(8, dtype=complex)
+    expected[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
+    assert w_state().vector.tobytes() == expected.tobytes()
+
+
 def test_w_state_vector_and_phases():
     v = w_state().vector
     expected = np.zeros(8, dtype=complex)
@@ -77,6 +89,12 @@ def test_fidelity_pure_known_values():
     assert fidelity_pure(rho, w_state()) == pytest.approx(0.0, abs=1e-14)
     mixed = DensityMatrix(np.eye(8) / 8)
     assert fidelity_pure(mixed, ghz) == pytest.approx(1 / 8, abs=1e-14)
+
+
+def test_fidelity_pure_is_clipped_at_1():
+    # <psi| psi psi^H |psi> rounds to 1 + 2 ulps for this member.
+    target = w_state(0.4, -1.1)
+    assert fidelity_pure(DensityMatrix.from_pure(target.vector), target) == 1.0
 
 
 def test_fidelity_pure_rejects_dimension_mismatch():
@@ -105,6 +123,20 @@ def test_fidelity_mixed_orthogonal_states():
     ghz = DensityMatrix.from_pure(ghz_state().vector)
     w = DensityMatrix.from_pure(w_state().vector)
     assert fidelity_mixed(ghz, w) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_fidelity_mixed_is_clipped_at_1():
+    # Its square roots of eigenvalues lift this value 2e-8 above 1.
+    w = DensityMatrix.from_pure(w_state().vector)
+    assert fidelity_mixed(w, w) == 1.0
+
+
+def test_fidelity_mixed_of_orthogonal_basis_states_is_exactly_zero():
+    # Every eigenvalue and product is exact here, so no clipped eigenvalue
+    # may add to the sum.
+    down, up = np.zeros((8, 8)), np.zeros((8, 8))
+    down[0, 0] = up[7, 7] = 1.0
+    assert fidelity_mixed(DensityMatrix(down), DensityMatrix(up)) == 0.0
 
 
 @pytest.mark.parametrize("phases", [(0.0, 0.0), (1.0, -2.0), (2.5, 0.7), (-3.0, 3.0)])
@@ -273,6 +305,23 @@ def test_classify_mixture_reports_dominant_class():
     assert report.verdict == VERDICT_GHZ
 
 
+def _reference_descent(objective, phi1, phi2, best):
+    """Coordinate descent: phi1 + step, phi1 - step, phi2 + step, phi2 - step,
+    each from the point the last move left, the step halved after a pass
+    without a move until it drops below 1e-6."""
+    step = 2.0 * math.pi / 256
+    while step >= 1e-6:
+        moved = False
+        for delta1, delta2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            candidate = objective(phi1 + delta1, phi2 + delta2)
+            if candidate > best:
+                phi1, phi2, best = phi1 + delta1, phi2 + delta2, candidate
+                moved = True
+        if not moved:
+            step /= 2.0
+    return phi1, phi2, best
+
+
 def _full_grid_w_phases(rho):
     """Naive W phase search over the whole coarse grid, as it stood before
     the row pruning: the reference the pruned search must equal bit for bit."""
@@ -295,16 +344,7 @@ def _full_grid_w_phases(rho):
     i, j = divmod(int(np.argmax(grid)), 256)
     phi1, phi2 = float(phis[i]), float(phis[j])
     best = float(grid[i, j])
-    step = 2.0 * math.pi / 256
-    while step >= 1e-6:
-        moved = False
-        for delta1, delta2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            candidate = objective(phi1 + delta1, phi2 + delta2)
-            if candidate > best:
-                phi1, phi2, best = phi1 + delta1, phi2 + delta2, candidate
-                moved = True
-        if not moved:
-            step /= 2.0
+    phi1, phi2, best = _reference_descent(objective, phi1, phi2, best)
     phi1 = float(np.angle(np.exp(1j * phi1)))
     phi2 = float(np.angle(np.exp(1j * phi2)))
     return phi1, phi2, float(min(1.0, max(0.0, best)))
@@ -419,6 +459,25 @@ def test_w_search_at_the_origin_is_bit_equal_to_full_grid_on_real_non_negative_c
     assert not calls
 
 
+def test_w_search_value_is_clipped_at_1():
+    # Both values round to 1 + 1 ulp: the (0, 0) rule's on the phase-0 member,
+    # and the descent's on a member at grid phases.
+    assert optimize_w_phases(DensityMatrix.from_pure(w_state().vector)) == (0.0, 0.0, 1.0)
+    searched = DensityMatrix.from_pure(w_state(0.0, 8 * (2.0 * math.pi / 256)).vector)
+    assert optimize_w_phases(searched)[2] == 1.0
+
+
+def test_w_search_origin_rule_starts_at_the_smallest_normal_pair(monkeypatch):
+    # a12 + a14 equal to the smallest normal float is answered at (0, 0);
+    # one subnormal step below it is searched.
+    calls = _w_descent_calls(monkeypatch)
+    half = sys.float_info.min / 2.0
+    _assert_bit_equal_to_full_grid(_w_block_state((0.3, 0.3, 0.4), half, half, 0.0))
+    assert not calls
+    _assert_bit_equal_to_full_grid(_w_block_state((0.3, 0.3, 0.4), half, half - 5e-324, 0.0))
+    assert len(calls) == 1
+
+
 def test_w_search_is_bit_equal_to_full_grid_on_subnormal_magnitudes():
     # The (0, 0) rule rests on the diagonal's relative drop, which subnormal
     # magnitudes do not keep: c12 + c14 below the smallest normal float is
@@ -525,6 +584,25 @@ def test_w_descent_objective_is_bit_equal_to_numpy_complex_expression():
         if got.hex() != want.hex():
             mismatches.append((d, cs, phi1, phi2, got, want))
     assert not mismatches, f"{len(mismatches)} of {n} differ, first {mismatches[0]}"
+
+
+def test_w_descent_moves_as_the_reference_from_starts_where_both_moves_gain():
+    # The search starts its descent at the grid's best point, where a move
+    # rarely gains both ways. From a minimum along phi1 (or phi2) both moves
+    # of that phase gain, so only the order +step, -step, phi1 before phi2,
+    # gives the reference's path.
+    d, cs = 0.9, (0.25 + 0.1j, -0.2 + 0.05j, 0.1 - 0.15j)
+    objective = lambda phi1, phi2: _w_numpy_objective(d, *cs, phi1, phi2)  # noqa: E731
+    fine = (np.arange(4096) * (2.0 * math.pi / 4096)).tolist()
+    starts = []
+    for other in np.linspace(-3.0, 3.0, 6).tolist():
+        starts.append((min(fine, key=lambda phi: objective(phi, other)), other))
+        starts.append((other, min(fine, key=lambda phi: objective(other, phi))))
+    for phi1, phi2 in starts:
+        best = objective(phi1, phi2)
+        got = entanglement._w_descent(d, *cs, phi1, phi2, best)
+        want1, want2, want_best = _reference_descent(objective, phi1, phi2, best)
+        assert [x.hex() for x in got] == [want1.hex(), want2.hex(), min(1.0, want_best).hex()]
 
 
 def test_w_phase_wrap_of_a_block_is_bit_equal_to_each_phase_alone():

@@ -1,8 +1,9 @@
 """Fuzz the CLI with one corrupted input value at a time.
 
 Each example takes a valid preset config (or a valid counts file), replaces
-one leaf of the config (or one whitespace-separated token of the file) with
-an arbitrary JSON value or string, and runs ``identangle run`` or ``scan``
+one value of the config, a scalar or a whole list or object, (or one
+whitespace-separated token of the file) with an arbitrary JSON value or
+string, and runs ``identangle run`` or ``scan``
 (or ``reconstruct``) in process. Whatever the input, the exit code must be 0, 2
 or 3 and no exception may escape ``main``.
 """
@@ -50,25 +51,30 @@ PRESETS = [
 
 # Surrogates cannot be written to a UTF-8 file, every other character can.
 TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=6,
 )
+# A config value is replaced by a scalar about as often as by a container:
+# drawn from JSON_VALUES alone, about nine values in ten are containers, and
+# a matrix or section replaced by a scalar would hardly ever be tried.
+CONFIG_VALUES = SCALARS | JSON_VALUES
 # About two seconds in all; the run case gets the most examples, since it
 # reaches the most code (tomography included).
 FUZZ = settings(derandomize=True, deadline=None, max_examples=50)
 QUICK_FUZZ = settings(FUZZ, max_examples=25)
 
 
-def leaves(node, path=()):
-    """Paths to every scalar (or empty container) inside a JSON document."""
+def nodes(node, path=()):
+    """Paths to every value inside a JSON document, containers included, so
+    that a whole row, matrix or section can be replaced as well as a scalar."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
-        if isinstance(value, (dict, list)) and value:
-            yield from leaves(value, path + (key,))
-        else:
-            yield path + (key,)
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from nodes(value, path + (key,))
 
 
 def run_cli(argv) -> int:
@@ -78,7 +84,7 @@ def run_cli(argv) -> int:
 
 def mutated_config(data, value) -> str:
     config = json.loads(json.dumps(data.draw(st.sampled_from(PRESETS))))
-    *parents, last = data.draw(st.sampled_from(list(leaves(config))))
+    *parents, last = data.draw(st.sampled_from(list(nodes(config))))
     node = config
     for key in parents:
         node = node[key]
@@ -87,7 +93,7 @@ def mutated_config(data, value) -> str:
 
 
 @FUZZ
-@given(data=st.data(), value=JSON_VALUES)
+@given(data=st.data(), value=CONFIG_VALUES)
 def test_one_bad_config_leaf_exits_cleanly(data, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -97,7 +103,7 @@ def test_one_bad_config_leaf_exits_cleanly(data, value):
 
 
 @QUICK_FUZZ
-@given(data=st.data(), value=JSON_VALUES, param=st.sampled_from(["g", "L2", "beta3"]))
+@given(data=st.data(), value=CONFIG_VALUES, param=st.sampled_from(["g", "L2", "beta3"]))
 def test_one_bad_config_leaf_in_a_scan_exits_cleanly(data, value, param):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

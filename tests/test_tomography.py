@@ -896,6 +896,16 @@ def test_mle_refuses_max_iters_that_is_not_a_non_negative_integer(max_iters):
         reconstruct_mle(simulate_counts(ghz_rho(), shots=100, seed=1), max_iters=max_iters)
 
 
+def test_mle_takes_at_most_1000_iterations_by_default(monkeypatch):
+    caps = []
+    fit = tomography._mle_fit
+    monkeypatch.setattr(
+        tomography, "_mle_fit", lambda table, max_iters: caps.append(max_iters) or fit(table, max_iters)
+    )
+    reconstruct_mle(simulate_counts(ghz_rho(), shots=100, seed=1))
+    assert caps == [1000]
+
+
 def test_mle_with_no_iterations_returns_the_projected_start():
     table = simulate_counts(ghz_rho(), shots=100, seed=1)
     start = reconstruct_mle(table, max_iters=0).matrix
@@ -1205,6 +1215,7 @@ def test_every_valid_table_round_trips_through_its_file(
     (("Z",), [[1.0, 0.0]], "abc", "^seed must be None or an integer, got 'abc'$"),
     (("Z",), [[1.0, 0.0]], True, "^seed must be None or an integer, got True$"),
     (("Z",), [[1.0, 0.0]], 1.0, "^seed must be None or an integer, got 1.0$"),
+    (("Z",), [[1.0, 0.0]], np.True_, "^seed must be None or an integer, got np.True_$"),
     (("Z",), [[0.5, 0.0]], None, "^setting Z: counts sum to 0.5, expected 1$"),
 ])
 def test_counts_table_refuses_a_bad_grid_at_construction(settings_, counts, seed, message):
@@ -1224,6 +1235,19 @@ def test_counts_table_holds_any_real_shots_as_a_float():
     # An integer beyond float range is infinite shots, not an OverflowError.
     with pytest.raises(ValidationError, match="^shots_per_setting must be finite, got inf$"):
         CountsTable(("Z",), [[1, 0]], 10**400)
+
+
+def test_counts_table_holds_a_numpy_integer_seed_as_an_int(tmp_path):
+    # simulate_counts, GramMatrix.uniform and reconstruct_mle take numpy
+    # integers too; the header of a written table holds the plain integer.
+    for seed in (np.int64(3), np.uint8(3), np.int32(-3)):
+        table = CountsTable(("Z",), [[5.0, 5.0]], 10, seed=seed)
+        assert type(table.seed) is int and table.seed == int(seed)
+        path = tmp_path / "counts.txt"
+        write_counts(table, path)
+        assert read_counts(path).seed == int(seed)
+    rows = [CountRow("Z", "0", 5.0), CountRow("Z", "1", 5.0)]
+    assert type(CountsTable.from_rows(rows, 10, seed=np.int64(3)).seed) is int
 
 
 def test_counts_table_holds_a_read_only_copy_of_its_grid():

@@ -98,6 +98,13 @@ def test_unit_vectors_refuse_a_wrong_norm():
         TargetState([2.0, 0.0])
 
 
+def test_a_target_state_norm_is_held_within_1e_12():
+    assert refusal(lambda: TargetState([1 + 5e-12, 0.0])) == (
+        "target state norm is 1.00000000001, expected 1"
+    )
+    assert TargetState([1 + 5e-13, 0.0]).vector[0] == 1 + 5e-13
+
+
 def test_a_pure_state_is_refused_for_its_norm_before_its_trace_is():
     # Its trace, 1 + 1e-9, is past TRACE_TOL, but the caller passed a vector.
     assert refusal(lambda: DensityMatrix.from_pure([1 + 5e-10, 0.0])) == (
@@ -301,7 +308,8 @@ def test_a_constructor_is_the_stack_of_one(cls, arrays):
     (lambda: DensityMatrix(np.eye(2) / 2), "matrix"),
     (lambda: GramMatrix.uniform(3, 0.5), "overlaps"),
     (ghz_preset, "amplitudes"),
-], ids=["density", "gram", "routing"])
+    (ghz_state, "vector"),
+], ids=["density", "gram", "routing", "target"])
 def test_a_validated_instance_cannot_be_rebound(make, field):
     # Holding one is the certificate, so its fields cannot be swapped for
     # unchecked arrays after construction.
